@@ -6,6 +6,7 @@ instructions.  A data byte can therefore never be classified as code;
 the price is that unreachable code stays readable.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import x86
@@ -50,25 +51,23 @@ class _ExecView:
 
     def __init__(self, image):
         self.ranges = executable_ranges(image)
-        self._buffers = {}
-        for iv in self.ranges:
-            data = image.read_vaddr(iv.start, len(iv))
-            self._buffers[iv.start] = (data, iv.end)
+        self._starts = [iv.start for iv in self.ranges]
+        self._ends = [iv.end for iv in self.ranges]
+        self._buffers = [image.read_vaddr(iv.start, len(iv))
+                         for iv in self.ranges]
 
     def decode(self, vaddr):
-        env = self.ranges.envelope(vaddr)
-        if env is None:
+        i = bisect_right(self._starts, vaddr) - 1
+        if i < 0 or vaddr >= self._ends[i]:
             raise OutOfRange("%#x is not executable" % vaddr)
-        data, _end = self._buffers[env.start]
-        return x86.decode(data, vaddr - env.start, vaddr)
+        return x86.decode(self._buffers[i], vaddr - self._starts[i], vaddr)
 
     def read(self, vaddr, size):
-        env = self.ranges.envelope(vaddr)
-        if env is None or vaddr + size > env.end:
+        i = bisect_right(self._starts, vaddr) - 1
+        if i < 0 or vaddr + size > self._ends[i]:
             return None
-        data, _end = self._buffers[env.start]
-        off = vaddr - env.start
-        return data[off:off + size]
+        off = vaddr - self._starts[i]
+        return self._buffers[i][off:off + size]
 
 
 def decode_at(image, vaddr):
@@ -154,17 +153,11 @@ def detect_entry_points(image, superset, known_code, instructions=None):
                                 or known_code.contains_range(va, 1)):
             found[va] = source
 
-    for source, finder in (
-            ("jump_table", _jump_table_targets),
-            ("frame_unwind", _frame_unwind_targets),
-            ("address_taken", _address_taken_targets),
-            ("heuristic", _heuristic_targets)):
-        if finder is _jump_table_targets:
-            targets = finder(image, view, superset, insn_list)
-        elif finder is _heuristic_targets:
-            targets = finder(view, superset, known_code)
-        else:
-            targets = finder(image, view)
+    for source, finder in (("jump_table", _jump_table_targets),
+                           ("frame_unwind", _frame_unwind_targets),
+                           ("address_taken", _address_taken_targets),
+                           ("heuristic", _heuristic_targets)):
+        targets = finder(image, view, superset, known_code, insn_list)
         for va in sorted(set(targets)):
             emit(va, source)
 
@@ -187,7 +180,7 @@ def _linear_decode(view, known_code):
     return insns
 
 
-def _jump_table_targets(image, view, superset, insn_list):
+def _jump_table_targets(image, view, superset, known_code, insn_list):
     targets = []
     indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
     for ins in insn_list:
@@ -256,7 +249,7 @@ def _parse_table(image, view, superset, table, count):
     return best if len(best) >= 2 else []
 
 
-def _frame_unwind_targets(image, view):
+def _frame_unwind_targets(image, view, superset, known_code, insn_list):
     sec = image.section_by_name(".eh_frame")
     if sec is None or not sec.size:
         return []
@@ -264,7 +257,7 @@ def _frame_unwind_targets(image, view):
     return [va for va in locs if view.ranges.contains_range(va, 1)]
 
 
-def _address_taken_targets(image, view):
+def _address_taken_targets(image, view, superset, known_code, insn_list):
     exec_ranges = view.ranges
     targets = []
     for sec in image.sections:
@@ -292,7 +285,7 @@ def _address_taken_targets(image, view):
     return targets
 
 
-def _heuristic_targets(view, superset, known_code):
+def _heuristic_targets(image, view, superset, known_code, insn_list):
     targets = []
     for iv in superset:
         va = (iv.start + 15) & ~15

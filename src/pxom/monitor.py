@@ -162,14 +162,19 @@ class Monitor:
         self.allow_read_flag = True
         transitions.append(StateTransition("SetAllowReadFlag"))
         # restore-read / single-step / revoke is atomic w.r.t. the event
-        # stream: no caller can observe the page readable
-        page = request.addr // PAGE_SIZE
-        self.page_state[page] = READABLE
-        transitions.append(StateTransition("RestorePageReadable", "%#x" % page))
+        # stream: no caller can observe a page readable.  A read that
+        # crosses a page boundary needs every page it touches.
+        pages = range(request.addr // PAGE_SIZE,
+                      (request.addr + request.size - 1) // PAGE_SIZE + 1)
+        for page in pages:
+            self.page_state[page] = READABLE
+            transitions.append(StateTransition("RestorePageReadable",
+                                               "%#x" % page))
         transitions.append(StateTransition("SingleStepExecute"))
-        self.page_state[page] = EXECUTE_ONLY
-        transitions.append(StateTransition("RevokePageExecuteOnly",
-                                           "%#x" % page))
+        for page in pages:
+            self.page_state[page] = EXECUTE_ONLY
+            transitions.append(StateTransition("RevokePageExecuteOnly",
+                                               "%#x" % page))
         self.allow_read_flag = False
         transitions.append(StateTransition("ClearAllowReadFlag"))
         return transitions

@@ -5,6 +5,17 @@ RIP-relative memory-operand targets for the instruction subset emitted
 by mainstream compilers.  Anything outside that subset decodes to None
 (invalid), which the disassembler treats conservatively: an undecodable
 byte can never be claimed as code.
+
+The decoder is table-driven.  `_ONE_BYTE` and `_TWO_BYTE` (the opcode
+after 0F) each hold 256 entries; an entry is None (invalid in 64-bit
+mode) or a tuple `(has_modrm, operand, kind)`:
+
+- has_modrm: a ModRM byte (plus SIB and displacement) follows the opcode.
+- operand: the immediate after ModRM, as a byte count (0 for none) or
+  one of the size classes `_Z`, `_V`, `_MOFFS`, `_ENTER`.  For the
+  relative branch kinds it is the size of the rel8/rel32 displacement.
+- kind: the control-flow kind, or `_GROUP` when the ModRM reg field
+  selects the operand and kind from `_GROUPS`.
 """
 
 from dataclasses import dataclass, field
@@ -40,83 +51,85 @@ class Instruction:
 _LEGACY_PREFIXES = frozenset(
     [0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3])
 
-# one-byte opcodes that are invalid in 64-bit mode
-_INVALID_64 = frozenset(
-    [0x06, 0x07, 0x0E, 0x16, 0x17, 0x1E, 0x1F, 0x27, 0x2F, 0x37, 0x3F,
-     0x60, 0x61, 0x82, 0x9A, 0xC4, 0xC5, 0xCE, 0xD4, 0xD5, 0xD6, 0xEA])
-# (VEX prefixes C4/C5 are dispatched before this table is consulted.)
+_RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
 
-# two-byte (0F xx) opcodes taking an imm8 after ModRM
-_0F_IMM8 = frozenset([0x70, 0x71, 0x72, 0x73, 0xA4, 0xAC, 0xBA,
-                      0xC2, 0xC4, 0xC5, 0xC6])
+# operand size classes
+_Z = -1         # imm16, or imm32 without a 66 prefix or with REX.W
+_V = -2         # imm64 with REX.W, else as _Z (mov r, imm: B8-BF)
+_MOFFS = -3     # unsigned 64-bit absolute address (A0-A3)
+_ENTER = -4     # imm16 frame size, then the imm8 nesting level (C8)
 
-# two-byte opcodes with no ModRM byte
-_0F_NO_MODRM = frozenset(
-    {0x05, 0x06, 0x07, 0x08, 0x09, 0x0B, 0x30, 0x31, 0x32, 0x33, 0x34,
-     0x35, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA}
-    | set(range(0x80, 0x90))        # jcc rel32
-    | set(range(0xC8, 0xD0)))       # bswap
+_GROUP = "group"
 
-# VEX map-1/map-2 opcodes carrying an imm8 (map 3 always does)
+# ModRM reg field -> (operand, kind), or None when invalid
+_GROUPS = {
+    0xF6: ((1, FALLTHROUGH),) * 2 + ((0, FALLTHROUGH),) * 6,
+    0xF7: ((_Z, FALLTHROUGH),) * 2 + ((0, FALLTHROUGH),) * 6,
+    0xFE: ((0, FALLTHROUGH),) * 2 + (None,) * 6,
+    0xFF: ((0, FALLTHROUGH), (0, FALLTHROUGH),
+           (0, INDIRECT_CALL), (0, INDIRECT_CALL),      # call near, far
+           (0, INDIRECT_JUMP), (0, INDIRECT_JUMP),      # jmp near, far
+           (0, FALLTHROUGH), None),
+}
+
+
+def _one_byte_map():
+    rows = [None] * 256
+
+    def put(ops, has_modrm, operand, kind=FALLTHROUGH):
+        for op in ops:
+            rows[op] = (has_modrm, operand, kind)
+
+    for base in range(0x00, 0x40, 8):     # add/or/adc/sbb/and/sub/xor/cmp
+        put(range(base, base + 4), True, 0)
+        put([base + 4], False, 1)
+        put([base + 5], False, _Z)
+    put(range(0x50, 0x60), False, 0)
+    put([0x63, *range(0x84, 0x90), *range(0xD0, 0xD4), *range(0xD8, 0xE0)],
+        True, 0)
+    put([0x6B, 0x80, 0x83, 0xC0, 0xC1, 0xC6], True, 1)
+    put([0x69, 0x81, 0xC7], True, _Z)
+    put([0x6A, 0xA8, 0xCD, *range(0xB0, 0xB8), *range(0xE4, 0xE8)], False, 1)
+    put([0x68, 0xA9], False, _Z)
+    put([*range(0x6C, 0x70), *range(0x90, 0x9A), *range(0x9B, 0xA0),
+         *range(0xA4, 0xA8), *range(0xAA, 0xB0), 0xC9, 0xCF, 0xD7,
+         *range(0xEC, 0xF0), 0xF1, 0xF5, *range(0xF8, 0xFE)], False, 0)
+    put(range(0xA0, 0xA4), False, _MOFFS)
+    put(range(0xB8, 0xC0), False, _V)
+    put([0xC8], False, _ENTER)
+    put([*range(0x70, 0x80), *range(0xE0, 0xE4)], False, 1, CONDITIONAL_JUMP)
+    put([0xE8], False, 4, DIRECT_CALL)
+    put([0xE9], False, 4, DIRECT_JUMP)
+    put([0xEB], False, 1, DIRECT_JUMP)
+    put([0xC2, 0xCA], False, 2, RETURN)
+    put([0xC3, 0xCB], False, 0, RETURN)
+    put([0xCC, 0xF4], False, 0, HALT)
+    put([0xF6, 0xF7, 0xFE, 0xFF], True, 0, _GROUP)
+    return tuple(rows)
+
+
+def _two_byte_map():
+    rows = [(True, 0, FALLTHROUGH)] * 256
+    for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x30, 0x31, 0x32, 0x33, 0x34,
+               0x35, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
+               *range(0xC8, 0xD0)):                        # bswap
+        rows[op] = (False, 0, FALLTHROUGH)
+    for op in (0x3A, 0x70, 0x71, 0x72, 0x73, 0xA4, 0xAC, 0xBA,
+               0xC2, 0xC4, 0xC5, 0xC6):
+        rows[op] = (True, 1, FALLTHROUGH)
+    for op in range(0x80, 0x90):                            # jcc rel32
+        rows[op] = (False, 4, CONDITIONAL_JUMP)
+    rows[0x0B] = (False, 0, HALT)                           # ud2
+    return tuple(rows)
+
+
+_ONE_BYTE = _one_byte_map()
+_TWO_BYTE = _two_byte_map()
+
+# VEX: every opcode has ModRM; map 3, and these map-1/map-2 opcodes,
+# carry an imm8
 _VEX_IMM8 = frozenset([0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6])
-
-
-class _Cursor:
-    __slots__ = ("data", "pos", "limit")
-
-    def __init__(self, data, pos, limit):
-        self.data = data
-        self.pos = pos
-        self.limit = limit
-
-    def u8(self):
-        if self.pos >= self.limit:
-            raise IndexError
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def skip(self, n):
-        if self.pos + n > self.limit:
-            raise IndexError
-        self.pos += n
-
-    def imm(self, n):
-        if self.pos + n > self.limit:
-            raise IndexError
-        val = int.from_bytes(self.data[self.pos:self.pos + n], "little",
-                             signed=True)
-        self.pos += n
-        return val
-
-
-def _modrm(cur, rex):
-    """Parse ModRM + SIB + displacement.
-
-    Returns (modrm_byte, rip_disp32 or None).
-    """
-    modrm = cur.u8()
-    mod = modrm >> 6
-    rm = modrm & 7
-    rip_disp = None
-    if mod == 3:
-        return modrm, None
-    if rm == 4:
-        sib = cur.u8()
-        base = sib & 7
-        if mod == 0 and base == 5:
-            cur.imm(4)
-        elif mod == 1:
-            cur.imm(1)
-        elif mod == 2:
-            cur.imm(4)
-    elif mod == 0 and rm == 5:
-        rip_disp = cur.imm(4)
-    elif mod == 1:
-        cur.imm(1)
-    elif mod == 2:
-        cur.imm(4)
-    return modrm, rip_disp
+_VEX_ROWS = ((True, 0, FALLTHROUGH), (True, 1, FALLTHROUGH))
 
 
 def decode(data, offset, vaddr, limit=None):
@@ -125,256 +138,112 @@ def decode(data, offset, vaddr, limit=None):
     Returns an Instruction or None.  limit bounds the readable region
     (defaults to len(data)).
     """
-    if limit is None:
-        limit = len(data)
-    cur = _Cursor(data, offset, min(limit, offset + MAX_INSN_LEN))
+    end = len(data) if limit is None else limit
+    if end > offset + MAX_INSN_LEN:
+        end = offset + MAX_INSN_LEN
+    # Reads past `end` are only rejected once the length is known: any
+    # such read leaves pos > end, and one past the buffer raises
+    # IndexError.
     try:
-        return _decode(cur, offset, vaddr)
+        pos = offset
+        rex = 0
+        opsize16 = False
+        while True:
+            if pos >= end:
+                return None
+            op = data[pos]
+            pos += 1
+            if 0x40 <= op <= 0x4F:
+                rex = op
+            elif op in _LEGACY_PREFIXES:
+                opsize16 = opsize16 or op == 0x66
+                rex = 0
+            else:
+                break
+
+        if op == 0x0F:
+            op2 = data[pos]
+            pos += 1
+            row = _TWO_BYTE[op2]
+            if op2 == 0x38 or op2 == 0x3A:
+                opcode = (0x0F, op2, data[pos])
+                pos += 1
+            else:
+                opcode = (0x0F, op2)
+        elif op == 0xC4 or op == 0xC5:
+            if op == 0xC4:
+                vmap = data[pos] & 0x1F
+                pos += 2
+            else:
+                vmap = 1
+                pos += 1
+            if not 1 <= vmap <= 3:
+                return None
+            op = data[pos]
+            pos += 1
+            opcode = ("vex", vmap, op)
+            row = _VEX_ROWS[vmap == 3 or op in _VEX_IMM8]
+        else:
+            row = _ONE_BYTE[op]
+            if row is None:
+                return None
+            opcode = (op,)
+        has_modrm, operand, kind = row
+
+        modrm = rip_disp = None
+        if has_modrm:
+            modrm = data[pos]
+            pos += 1
+            mod = modrm >> 6
+            if mod != 3:
+                rm = modrm & 7
+                if rm == 4:                     # SIB byte
+                    sib_base = data[pos] & 7
+                    pos += 1
+                if mod == 1:
+                    pos += 1
+                elif mod == 2:
+                    pos += 4
+                elif rm == 5:                   # mod 0: RIP + disp32
+                    rip_disp = int.from_bytes(data[pos:pos + 4], "little",
+                                              signed=True)
+                    pos += 4
+                elif rm == 4 and sib_base == 5:  # mod 0: no base, disp32
+                    pos += 4
+            if kind is _GROUP:
+                row = _GROUPS[op][(modrm >> 3) & 7]
+                if row is None:
+                    return None
+                operand, kind = row
+
+        value = None
+        if operand:
+            if operand > 0:
+                size = operand
+            elif operand == _Z:
+                size = 2 if opsize16 and not rex & 8 else 4
+            elif operand == _V:
+                size = 8 if rex & 8 else 2 if opsize16 else 4
+            elif operand == _MOFFS:
+                size = 8
+            else:                               # _ENTER
+                pos += 2
+                size = 1
+            value = int.from_bytes(data[pos:pos + size], "little",
+                                   signed=True)
+            pos += size
+            if operand == _MOFFS:
+                value &= 0xFFFFFFFFFFFFFFFF
     except IndexError:
         return None
+    if pos > end:
+        return None
 
-
-def _decode(cur, offset, vaddr):
-    opsize16 = False
-    rex = 0
-    while True:
-        b = cur.u8()
-        if b in _LEGACY_PREFIXES:
-            if b == 0x66:
-                opsize16 = True
-            rex = 0
-            continue
-        if 0x40 <= b <= 0x4F:
-            rex = b
-            continue
-        break
-    op = b
-    iz = 2 if (opsize16 and not (rex & 8)) else 4
-    kind = FALLTHROUGH
+    length = pos - offset
     targets = ()
-    rip_disp = None
-    modrm = None
-    immediate = None
-
-    def done():
-        length = cur.pos - offset
-        if length > MAX_INSN_LEN:
-            return None
-        rip_target = None
-        if rip_disp is not None:
-            rip_target = vaddr + length + rip_disp
-        return Instruction(vaddr, length, kind, tuple(targets), rip_target,
-                           opcode=opc, modrm=modrm, immediate=immediate)
-
-    if op in (0xC4, 0xC5):
-        return _decode_vex(cur, offset, vaddr, op)
-    if op == 0x0F:
-        op2 = cur.u8()
-        opc = (0x0F, op2)
-        if op2 == 0x38:
-            op3 = cur.u8()
-            opc = (0x0F, 0x38, op3)
-            modrm, rip_disp = _modrm(cur, rex)
-            return done()
-        if op2 == 0x3A:
-            op3 = cur.u8()
-            opc = (0x0F, 0x3A, op3)
-            modrm, rip_disp = _modrm(cur, rex)
-            immediate = cur.imm(1)
-            return done()
-        if 0x80 <= op2 <= 0x8F:
-            kind = CONDITIONAL_JUMP
-            rel = cur.imm(4)
-            targets = [vaddr + (cur.pos - offset) + rel]
-            return done()
-        if op2 == 0x0B:  # ud2
-            kind = HALT
-            return done()
-        if op2 in _0F_NO_MODRM:
-            return done()
-        modrm, rip_disp = _modrm(cur, rex)
-        if op2 in _0F_IMM8:
-            immediate = cur.imm(1)
-        return done()
-
-    opc = (op,)
-    if op in _INVALID_64:
-        return None
-
-    if op < 0x40:
-        low = op & 7
-        if low in (0, 1, 2, 3):
-            modrm, rip_disp = _modrm(cur, rex)
-        elif low == 4:
-            immediate = cur.imm(1)
-        elif low == 5:
-            immediate = cur.imm(iz)
-        else:
-            return None
-        return done()
-
-    if 0x50 <= op <= 0x5F or 0x90 <= op <= 0x99 or op in (
-            0x9B, 0x9C, 0x9D, 0x9E, 0x9F, 0x6C, 0x6D, 0x6E, 0x6F,
-            0xA4, 0xA5, 0xA6, 0xA7, 0xAA, 0xAB, 0xAC, 0xAD, 0xAE, 0xAF,
-            0xC9, 0xCF, 0xD7, 0xF1, 0xF5, 0xF8, 0xF9, 0xFA, 0xFB, 0xFC, 0xFD):
-        return done()
-
-    if op == 0x63:  # movsxd
-        modrm, rip_disp = _modrm(cur, rex)
-        return done()
-    if op == 0x68:
-        immediate = cur.imm(iz)
-        return done()
-    if op == 0x69:
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(iz)
-        return done()
-    if op == 0x6A:
-        immediate = cur.imm(1)
-        return done()
-    if op == 0x6B:
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(1)
-        return done()
-    if 0x70 <= op <= 0x7F or 0xE0 <= op <= 0xE3:  # jcc/loop/jrcxz rel8
-        kind = CONDITIONAL_JUMP
-        rel = cur.imm(1)
-        targets = [vaddr + (cur.pos - offset) + rel]
-        return done()
-    if op in (0x80, 0x83, 0xC0, 0xC1):
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(1)
-        return done()
-    if op == 0x81:
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(iz)
-        return done()
-    if op in (0x84, 0x85, 0x86, 0x87, 0x88, 0x89, 0x8A, 0x8B, 0x8C, 0x8D,
-              0x8E, 0x8F, 0xD0, 0xD1, 0xD2, 0xD3) or 0xD8 <= op <= 0xDF:
-        modrm, rip_disp = _modrm(cur, rex)
-        return done()
-    if 0xA0 <= op <= 0xA3:  # mov moffs: 64-bit absolute address
-        immediate = cur.imm(8) & 0xFFFFFFFFFFFFFFFF
-        return done()
-    if op == 0xA8:
-        immediate = cur.imm(1)
-        return done()
-    if op == 0xA9:
-        immediate = cur.imm(iz)
-        return done()
-    if 0xB0 <= op <= 0xB7:
-        immediate = cur.imm(1)
-        return done()
-    if 0xB8 <= op <= 0xBF:
-        immediate = cur.imm(8 if rex & 8 else iz)
-        return done()
-    if op == 0xC2:
-        kind = RETURN
-        immediate = cur.imm(2)
-        return done()
-    if op == 0xC3:
-        kind = RETURN
-        return done()
-    if op == 0xC6:
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(1)
-        return done()
-    if op == 0xC7:
-        modrm, rip_disp = _modrm(cur, rex)
-        immediate = cur.imm(iz)
-        return done()
-    if op == 0xC8:  # enter
-        cur.imm(2)
-        immediate = cur.imm(1)
-        return done()
-    if op in (0xCA, 0xCB):
-        kind = RETURN
-        if op == 0xCA:
-            immediate = cur.imm(2)
-        return done()
-    if op == 0xCC:
-        kind = HALT
-        return done()
-    if op == 0xCD:
-        immediate = cur.imm(1)
-        return done()
-    if op in (0xE4, 0xE5, 0xE6, 0xE7):
-        immediate = cur.imm(1)
-        return done()
-    if op == 0xE8:
-        kind = DIRECT_CALL
-        rel = cur.imm(4)
-        targets = [vaddr + (cur.pos - offset) + rel]
-        return done()
-    if op == 0xE9:
-        kind = DIRECT_JUMP
-        rel = cur.imm(4)
-        targets = [vaddr + (cur.pos - offset) + rel]
-        return done()
-    if op == 0xEB:
-        kind = DIRECT_JUMP
-        rel = cur.imm(1)
-        targets = [vaddr + (cur.pos - offset) + rel]
-        return done()
-    if op in (0xEC, 0xED, 0xEE, 0xEF):
-        return done()
-    if op == 0xF4:
-        kind = HALT
-        return done()
-    if op == 0xF6:
-        modrm, rip_disp = _modrm(cur, rex)
-        if (modrm >> 3) & 7 in (0, 1):
-            immediate = cur.imm(1)
-        return done()
-    if op == 0xF7:
-        modrm, rip_disp = _modrm(cur, rex)
-        if (modrm >> 3) & 7 in (0, 1):
-            immediate = cur.imm(iz)
-        return done()
-    if op == 0xFE:
-        modrm, rip_disp = _modrm(cur, rex)
-        if (modrm >> 3) & 7 not in (0, 1):
-            return None
-        return done()
-    if op == 0xFF:
-        modrm, rip_disp = _modrm(cur, rex)
-        reg = (modrm >> 3) & 7
-        if reg in (0, 1, 6):
-            pass
-        elif reg == 2:
-            kind = INDIRECT_CALL
-        elif reg == 4:
-            kind = INDIRECT_JUMP
-        elif reg in (3, 5):  # far forms
-            kind = INDIRECT_CALL if reg == 3 else INDIRECT_JUMP
-        else:
-            return None
-        return done()
-    return None
-
-
-def _decode_vex(cur, offset, vaddr, prefix):
-    """VEX-encoded instructions: all have ModRM; imm8 per map/opcode."""
-    if prefix == 0xC4:
-        b1 = cur.u8()
-        vmap = b1 & 0x1F
-        cur.u8()
-    else:
-        cur.u8()
-        vmap = 1
-    if vmap not in (1, 2, 3):
-        return None
-    op = cur.u8()
-    modrm, rip_disp = _modrm(cur, 0)
-    immediate = None
-    if vmap == 3 or (vmap in (1, 2) and op in _VEX_IMM8):
-        immediate = cur.imm(1)
-    length = cur.pos - offset
-    if length > MAX_INSN_LEN:
-        return None
-    rip_target = None
-    if rip_disp is not None:
-        rip_target = vaddr + length + rip_disp
-    return Instruction(vaddr, length, FALLTHROUGH, (), rip_target,
-                       opcode=("vex", vmap, op), modrm=modrm,
-                       immediate=immediate)
+    if kind in _RELATIVE:
+        targets = (vaddr + length + value,)
+        value = None
+    rip_target = None if rip_disp is None else vaddr + length + rip_disp
+    return Instruction(vaddr, length, kind, targets, rip_target,
+                       opcode=opcode, modrm=modrm, immediate=value)

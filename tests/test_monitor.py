@@ -103,6 +103,16 @@ class TestFaultFlow:
         assert not m.allow_read_flag
         assert all(state == EXECUTE_ONLY for state in m.page_state.values())
 
+    def test_page_crossing_read_covers_both_pages(self):
+        m = new_monitor(lists_with(regular=[(0xFF8, 0x1010, 0)]),
+                        IntervalSet.from_pairs([(0x0, 0x2000)]))
+        ts = m.fault_flow(ReadRequest(0xFFC, 8))
+        assert [(t.name, t.detail) for t in ts[3:-1]] == [
+            ("RestorePageReadable", "0x0"), ("RestorePageReadable", "0x1"),
+            ("SingleStepExecute", ""),
+            ("RevokePageExecuteOnly", "0x0"), ("RevokePageExecuteOnly", "0x1")]
+        assert m.page_state == {0: EXECUTE_ONLY, 1: EXECUTE_ONLY}
+
     def test_illegal_read_transitions(self):
         m = one_block_monitor()
         ts = m.fault_flow(ReadRequest(0x1800, 8))

@@ -1,7 +1,11 @@
+import dataclasses
+import os
 import re
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxom import x86
 
@@ -94,6 +98,85 @@ class TestBasics:
         assert x86.decode(data, 1, 0x1000, limit=3) is None
 
 
+F, ICALL, IJMP = x86.FALLTHROUGH, x86.INDIRECT_CALL, x86.INDIRECT_JUMP
+
+# Rows that need code beyond the opcode tables.  Each expected value is
+# the full field tuple (length, kind, direct_targets, rip target, opcode,
+# modrm, immediate) at vaddr 0x1000, or None for invalid.
+SPECIAL_ROWS = [
+    ("f6 reg0 imm8", "f6c07f", (3, F, (), None, (0xF6,), 0xC0, 127)),
+    ("f6 reg1 imm8", "f6c880", (3, F, (), None, (0xF6,), 0xC8, -128)),
+    ("f6 reg2 no imm", "f6d0", (2, F, (), None, (0xF6,), 0xD0, None)),
+    ("f6 reg7 no imm", "f6f8", (2, F, (), None, (0xF6,), 0xF8, None)),
+    ("f7 reg0 imm32", "f7c078563412",
+     (6, F, (), None, (0xF7,), 0xC0, 0x12345678)),
+    ("f7 reg0 imm16", "66f7c03412", (5, F, (), None, (0xF7,), 0xC0, 0x1234)),
+    ("f7 reg1 rex.w imm32", "48f7c8ffffffff",
+     (7, F, (), None, (0xF7,), 0xC8, -1)),
+    ("f7 reg3 no imm", "f7d8", (2, F, (), None, (0xF7,), 0xD8, None)),
+    ("fe reg0", "fec0", (2, F, (), None, (0xFE,), 0xC0, None)),
+    ("fe reg2 invalid", "fed0", None),
+    ("fe reg7 invalid", "fef8", None),
+    ("ff reg6 push", "ff30", (2, F, (), None, (0xFF,), 0x30, None)),
+    ("ff reg2 call rip", "ff15f0ffffff",
+     (6, ICALL, (), 0xFF6, (0xFF,), 0x15, None)),
+    ("ff reg3 far call", "ff18", (2, ICALL, (), None, (0xFF,), 0x18, None)),
+    ("ff reg5 far jmp", "ff2d10000000",
+     (6, IJMP, (), 0x1016, (0xFF,), 0x2D, None)),
+    ("ff reg7 invalid", "fff8", None),
+    ("enter", "c8100001", (4, F, (), None, (0xC8,), None, 1)),
+    ("enter level signed", "c81000ff", (4, F, (), None, (0xC8,), None, -1)),
+    ("a1 moffs", "a1efcdab8967452301",
+     (9, F, (), None, (0xA1,), None, 0x0123456789ABCDEF)),
+    ("a1 moffs unsigned", "a100000000000000ff",
+     (9, F, (), None, (0xA1,), None, 0xFF00000000000000)),
+    ("48 b8 imm64", "48b88877665544332211",
+     (10, F, (), None, (0xB8,), None, 0x1122334455667788)),
+    ("66 b8 imm16", "66b83412", (4, F, (), None, (0xB8,), None, 0x1234)),
+    ("b8 imm32", "b8ffffffff", (5, F, (), None, (0xB8,), None, -1)),
+    ("66 48 b8 imm64", "6648b80100000000000080",
+     (11, F, (), None, (0xB8,), None, -(1 << 63) + 1)),
+    ("c4 map3 imm8", "c4e37d18c101",
+     (6, F, (), None, ("vex", 3, 0x18), 0xC1, 1)),
+    ("c4 map4 invalid", "c4e47d18c1", None),
+    ("c4 map2 rip", "c4e27d5805f0ffffff",
+     (9, F, (), 0xFF9, ("vex", 2, 0x58), 0x05, None)),
+    ("c5", "c5f828c1", (4, F, (), None, ("vex", 1, 0x28), 0xC1, None)),
+    ("c5 imm8", "c5f970c81b", (5, F, (), None, ("vex", 1, 0x70), 0xC8, 27)),
+    ("0f 38", "660f3800c1", (5, F, (), None, (0x0F, 0x38, 0x00), 0xC1, None)),
+    ("0f 3a imm8", "660f3a0fc108",
+     (6, F, (), None, (0x0F, 0x3A, 0x0F), 0xC1, 8)),
+    ("0f 3a rip", "660f3a0f0510000000ff",
+     (10, F, (), 0x101A, (0x0F, 0x3A, 0x0F), 0x05, -1)),
+    ("rex then legacy resets rex", "4866b83412",
+     (5, F, (), None, (0xB8,), None, 0x1234)),
+    ("62 invalid", "62f17c4828c1", None),
+    ("sib no base disp32", "8b042510000000",
+     (7, F, (), None, (0x8B,), 0x04, None)),
+    ("sib disp8", "8b4424f8", (4, F, (), None, (0x8B,), 0x44, None)),
+]
+
+
+@pytest.mark.parametrize("hexbytes,expected",
+                         [row[1:] for row in SPECIAL_ROWS],
+                         ids=[row[0] for row in SPECIAL_ROWS])
+def test_special_rows(hexbytes, expected):
+    ins = d(bytes.fromhex(hexbytes))
+    got = dataclasses.astuple(ins) if ins else None
+    assert got == (None if expected is None else (0x1000,) + expected)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.binary(max_size=24), offset=st.integers(0, 28),
+       limit=st.none() | st.integers(0, 48), vaddr=st.integers(0, 1 << 48))
+def test_decode_never_raises_and_stays_in_bounds(data, offset, limit, vaddr):
+    ins = x86.decode(data, offset, vaddr, limit)
+    if ins is not None:
+        bound = len(data) if limit is None else limit
+        assert ins.vaddr == vaddr
+        assert 1 <= ins.length <= min(x86.MAX_INSN_LEN, bound - offset)
+
+
 def _objdump_lengths(path, section=".text"):
     out = subprocess.run(["objdump", "-d", "--section=%s" % section, path],
                          capture_output=True, text=True, check=True).stdout
@@ -149,9 +232,21 @@ def test_agrees_with_objdump_on_compiled_code(tmp_path):
         "}\n")
     obj = tmp_path / "sample.o"
     subprocess.run(["gcc", "-O2", "-c", "-o", str(obj), str(src)], check=True)
-    vaddr, text = _section_bytes(str(obj))
+    assert _objdump_mismatches(str(obj)) == []
+
+
+def test_agrees_with_objdump_on_system_binary():
+    require_tool("objdump")
+    require_tool("readelf")
+    if not os.path.exists("/usr/bin/ls"):
+        pytest.skip("/usr/bin/ls not available")
+    assert _objdump_mismatches("/usr/bin/ls") == []
+
+
+def _objdump_mismatches(path):
+    vaddr, text = _section_bytes(path)
     mismatches = []
-    for addr, length, asm in _objdump_lengths(str(obj)):
+    for addr, length, asm in _objdump_lengths(path):
         off = addr - vaddr
         if not 0 <= off < len(text):
             continue
@@ -159,4 +254,4 @@ def test_agrees_with_objdump_on_compiled_code(tmp_path):
         got = ins.length if ins else None
         if got != length:
             mismatches.append((hex(addr), asm, length, got))
-    assert mismatches == []
+    return mismatches
