@@ -123,13 +123,23 @@ def _two_byte_map():
     return tuple(rows)
 
 
+def _vex_maps():
+    """VEX map number -> 256 rows, as in `_ONE_BYTE`.
+
+    Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
+    Map 3, and a few map-1/map-2 opcodes, carry an imm8.
+    """
+    rows = [(True, 0, FALLTHROUGH)] * 256
+    for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
+        rows[op] = (True, 1, FALLTHROUGH)
+    map2 = tuple(rows)
+    rows[0x77] = (False, 0, FALLTHROUGH)
+    return {1: tuple(rows), 2: map2, 3: ((True, 1, FALLTHROUGH),) * 256}
+
+
 _ONE_BYTE = _one_byte_map()
 _TWO_BYTE = _two_byte_map()
-
-# VEX: every opcode has ModRM; map 3, and these map-1/map-2 opcodes,
-# carry an imm8
-_VEX_IMM8 = frozenset([0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6])
-_VEX_ROWS = ((True, 0, FALLTHROUGH), (True, 1, FALLTHROUGH))
+_VEX_MAPS = _vex_maps()
 
 
 def decode(data, offset, vaddr, limit=None):
@@ -177,12 +187,13 @@ def decode(data, offset, vaddr, limit=None):
             else:
                 vmap = 1
                 pos += 1
-            if not 1 <= vmap <= 3:
+            vex_rows = _VEX_MAPS.get(vmap)
+            if vex_rows is None:
                 return None
             op = data[pos]
             pos += 1
             opcode = ("vex", vmap, op)
-            row = _VEX_ROWS[vmap == 3 or op in _VEX_IMM8]
+            row = vex_rows[op]
         else:
             row = _ONE_BYTE[op]
             if row is None:

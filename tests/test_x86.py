@@ -143,6 +143,12 @@ SPECIAL_ROWS = [
      (9, F, (), 0xFF9, ("vex", 2, 0x58), 0x05, None)),
     ("c5", "c5f828c1", (4, F, (), None, ("vex", 1, 0x28), 0xC1, None)),
     ("c5 imm8", "c5f970c81b", (5, F, (), None, ("vex", 1, 0x70), 0xC8, 27)),
+    ("c5 vzeroupper no modrm", "c5f877",
+     (3, F, (), None, ("vex", 1, 0x77), None, None)),
+    ("c5 vzeroall no modrm", "c5fc77",
+     (3, F, (), None, ("vex", 1, 0x77), None, None)),
+    ("c4 map1 vzeroupper no modrm", "c4e17877",
+     (4, F, (), None, ("vex", 1, 0x77), None, None)),
     ("0f 38", "660f3800c1", (5, F, (), None, (0x0F, 0x38, 0x00), 0xC1, None)),
     ("0f 3a imm8", "660f3a0fc108",
      (6, F, (), None, (0x0F, 0x3A, 0x0F), 0xC1, 8)),
