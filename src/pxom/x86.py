@@ -32,8 +32,16 @@ HALT = "halt"
 MAX_INSN_LEN = 15
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Instruction:
+    """One decoded instruction.
+
+    A slots dataclass, not a frozen one: construction is on the hot path
+    of every pass, and a frozen __init__ costs several times as much.
+    Instances are neither hashed nor mutated anywhere; without `frozen`
+    they have no __hash__.
+    """
+
     vaddr: int
     length: int
     kind: str
@@ -146,9 +154,11 @@ def decode(data, offset, vaddr, limit=None):
     """Decode one instruction at data[offset], mapped at vaddr.
 
     Returns an Instruction or None.  limit bounds the readable region
-    (defaults to len(data)).
+    (defaults to len(data), and never reaches past it).
     """
-    end = len(data) if limit is None else limit
+    end = len(data)
+    if limit is not None and limit < end:
+        end = limit
     if end > offset + MAX_INSN_LEN:
         end = offset + MAX_INSN_LEN
     # Reads past `end` are only rejected once the length is known: any
@@ -256,5 +266,5 @@ def decode(data, offset, vaddr, limit=None):
         targets = (vaddr + length + value,)
         value = None
     rip_target = None if rip_disp is None else vaddr + length + rip_disp
-    return Instruction(vaddr, length, kind, targets, rip_target,
-                       opcode=opcode, modrm=modrm, immediate=value)
+    return Instruction(vaddr, length, kind, targets, rip_target, opcode,
+                       modrm, value)

@@ -97,6 +97,11 @@ class TestBasics:
         data = b"\x00\xe8\x00\x00\x00\x00"
         assert x86.decode(data, 1, 0x1000, limit=3) is None
 
+    def test_limit_past_buffer_is_clamped(self):
+        # mov eax, imm32 cut off after one immediate byte
+        assert x86.decode(b"\xb8\x01", 0, 0, limit=5) is None
+        assert x86.decode(b"\xb8\x01\x00\x00\x00", 0, 0, limit=9).length == 5
+
 
 F, ICALL, IJMP = x86.FALLTHROUGH, x86.INDIRECT_CALL, x86.INDIRECT_JUMP
 
