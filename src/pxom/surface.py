@@ -70,35 +70,51 @@ def read_intensity(reads, executed):
 
 
 def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
-    """Usable gadgets fully contained in readable blocks.
+    """Usable gadgets fully contained in readable blocks, by start address.
 
-    Decodes forward from every byte offset; a gadget must end in a
-    ret / indirect jump / indirect call without leaving its block.
-    Direct branches leave the block deterministically and disqualify
-    the walk.
+    A gadget is a run of fall-through instructions, at most
+    max_instructions long with its terminator, that ends in a ret /
+    indirect jump / indirect call without leaving its block.  Direct
+    branches leave the block deterministically and end no gadget.
+
+    One backward pass per block decodes each offset once: the chain
+    starting at an offset is its own terminator, or one fall-through
+    instruction in front of the chain stored for the offset it falls
+    through to.
     """
+    if max_instructions < 1:
+        return []
     view = _ExecView(image)
-    gadgets = {}
+    gadgets = []
     for block in report.superset:
-        for start in range(block.start, block.end):
-            va = start
-            count = 0
-            while count < max_instructions and va < block.end:
-                ins = view.decode(va)
-                if ins is None or ins.end > block.end:
-                    break
-                count += 1
-                term = _TERMINATORS.get(ins.kind)
-                if term is not None:
-                    key = (start, term)
-                    if key not in gadgets:
-                        gadgets[key] = Gadget(start, ins.end - start, count,
-                                              term, block)
-                    break
-                if ins.kind != x86.FALLTHROUGH:
-                    break
-                va = ins.end
-    return sorted(gadgets.values(), key=lambda g: (g.start, g.terminator))
+        base = block.start
+        data = view.read(base, len(block))
+        size = len(data)
+        # chains[off]: (instruction count, terminator end, terminator) of
+        # the gadget starting at off; chains[size] stays None, since a
+        # fall-through into the next block ends every walk
+        chains = [None] * (size + 1)
+        found = []
+        for off in range(size - 1, -1, -1):
+            ins = x86.decode(data, off, base + off)
+            if ins is None:
+                continue
+            term = _TERMINATORS.get(ins.kind)
+            if term is not None:
+                chain = (1, ins.end, term)
+            elif ins.kind == x86.FALLTHROUGH:
+                chain = chains[off + ins.length]
+                if chain is None or chain[0] >= max_instructions:
+                    continue
+                chain = (chain[0] + 1, chain[1], chain[2])
+            else:
+                continue
+            chains[off] = chain
+            va = base + off
+            found.append(Gadget(va, chain[1] - va, chain[0], chain[2], block))
+        found.reverse()
+        gadgets.extend(found)
+    return gadgets
 
 
 def wrpkru_scan(image, report):

@@ -1,13 +1,23 @@
-"""Independent brute-force gadget oracle built on objdump.
+"""Reference gadget enumerations for the scanner under test.
 
-Re-decodes every byte offset of a block with objdump (binary mode) and
-walks forward until a gadget terminator, an aborting instruction, or the
-depth limit.  Shares no code with the scanner under test.
+`brute_force_gadgets` re-decodes every byte offset of a block with
+objdump (binary mode) and walks forward until a gadget terminator, an
+aborting instruction, or the depth limit.  It shares no code with the
+scanner.
+
+`walk_gadgets` is the scanner's earlier algorithm: the same forward walk
+from every offset, with pxom's own decoder.  It decodes each byte once
+per walk that crosses it, so it is slow, but it is simple enough to
+serve as the reference for the scanner's one-pass version.
 """
 
 import re
 import subprocess
 import tempfile
+
+from pxom import x86
+from pxom.disasm import _ExecView
+from pxom.surface import _TERMINATORS, Gadget
 
 _ROW = re.compile(r"\s*([0-9a-f]+):\s+((?:[0-9a-f]{2} )+)\s*\t?(.*)")
 
@@ -79,3 +89,29 @@ def brute_force_gadgets(block_bytes, block_start, max_instructions=10):
             if cls == "abort":
                 break
     return gadgets
+
+
+def walk_gadgets(image, report, max_instructions=10):
+    """Gadget list of a forward walk from every superset offset."""
+    view = _ExecView(image)
+    gadgets = {}
+    for block in report.superset:
+        for start in range(block.start, block.end):
+            va = start
+            count = 0
+            while count < max_instructions and va < block.end:
+                ins = view.decode(va)
+                if ins is None or ins.end > block.end:
+                    break
+                count += 1
+                term = _TERMINATORS.get(ins.kind)
+                if term is not None:
+                    key = (start, term)
+                    if key not in gadgets:
+                        gadgets[key] = Gadget(start, ins.end - start, count,
+                                              term, block)
+                    break
+                if ins.kind != x86.FALLTHROUGH:
+                    break
+                va = ins.end
+    return sorted(gadgets.values(), key=lambda g: (g.start, g.terminator))

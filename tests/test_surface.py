@@ -1,7 +1,11 @@
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pxom import x86
 from pxom.disasm import compute_superset
 from pxom.errors import EmptyGroundTruth, ZeroInstructions
 from pxom.image import load_elf
@@ -10,7 +14,7 @@ from pxom.surface import (code_coverage, edb_stats, gadget_scan, metrics,
                           overall_coverage, read_intensity, wrpkru_scan)
 
 from conftest import exec_elf, require_tool
-from oracle_gadgets import brute_force_gadgets
+from oracle_gadgets import brute_force_gadgets, walk_gadgets
 
 
 class FakeReport:
@@ -141,6 +145,58 @@ class TestGadgetScan:
             data = image.read_vaddr(block.start, len(block))
             expected |= brute_force_gadgets(data, block.start)
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def ls_report():
+    if not os.path.exists("/usr/bin/ls"):
+        pytest.skip("/usr/bin/ls not available")
+    with open("/usr/bin/ls", "rb") as fh:
+        image = load_elf(fh.read())
+    return image, compute_superset(image)
+
+
+# byte strings that make terminators, fall-throughs and branches common
+_UNITS = [b"\xc3", b"\xc2\x08\x00", b"\xff\xe0", b"\xff\xd3", b"\xff\x25",
+          b"\x58", b"\x5d", b"\x90", b"\x48", b"\x66", b"\x0f\x05",
+          b"\xeb\x01", b"\x74\x02", b"\xe8\x00\x00", b"\xcc",
+          b"\xc5\xf8\x77"]
+
+
+class TestOnePassScan:
+    @pytest.mark.parametrize("depth", [0, 1, 3, 10])
+    def test_equals_forward_walk_on_ls(self, ls_report, depth):
+        image, report = ls_report
+        assert gadget_scan(image, report, depth) == \
+            walk_gadgets(image, report, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.sampled_from(_UNITS) | st.binary(max_size=3),
+                          min_size=1, max_size=40),
+           depth=st.integers(-1, 12))
+    def test_equals_forward_walk_on_random_blocks(self, parts, depth):
+        image = planted_image(b"".join(parts))
+        report = compute_superset(image)
+        assert gadget_scan(image, report, depth) == \
+            walk_gadgets(image, report, depth)
+
+    def test_decodes_each_superset_byte_at_most_once(self, monkeypatch):
+        rng = random.Random(5)
+        payload = b"".join(rng.choice(_UNITS) + bytes([rng.randrange(256)])
+                           for _ in range(1000))
+        image = planted_image(payload)
+        report = compute_superset(image)
+        real = x86.decode
+        calls = []
+
+        def counting(data, offset, vaddr, limit=None):
+            calls.append(vaddr)
+            return real(data, offset, vaddr, limit)
+
+        monkeypatch.setattr(x86, "decode", counting)
+        gadgets = gadget_scan(image, report)
+        assert gadgets
+        assert len(calls) == len(set(calls)) <= report.superset.total_bytes
 
 
 class TestWrpkruScan:
