@@ -81,42 +81,29 @@ def recursive_disassemble(image, entry, superset, view=None):
     view = view or _ExecView(image)
     claimed, _insns, _ok = _traverse(view, entry, superset,
                                      committed_starts=frozenset(),
-                                     committed_code=IntervalSet(),
                                      strict=False)
     return claimed
 
 
-def _traverse(view, entry, superset, committed_starts, committed_code, strict):
+def _traverse(view, entry, superset, committed_starts, strict):
     """Claim instruction bytes reachable from entry.
 
-    In strict mode any invalid decode, mid-instruction collision with
-    committed code, or fall-off past the executable range poisons the
-    whole traversal (ok=False); in lenient mode it only ends that path.
+    A path ends cleanly at an instruction already decoded by this
+    traversal or at the start of a committed one.  In strict mode any
+    invalid decode, or reaching a byte outside the superset anywhere
+    else (mid-way into committed code, or off the executable range),
+    poisons the whole traversal (ok=False); in lenient mode it only ends
+    that path.  Returns (claimed, insns, ok), where claimed is the union
+    of the instructions in insns.
     """
     insns = {}
-    claimed = IntervalSet()
     stack = [entry]
     ok = True
-
-    def classify(va):
-        if superset.contains_range(va, 1):
-            return "open"
-        if va in committed_starts or va in insns:
-            return "boundary"
-        if committed_code.contains_range(va, 1) or claimed.contains_range(va, 1):
-            return "mid"
-        return "outside"
-
     while stack:
         va = stack.pop()
-        while True:
-            if va in insns:
-                break
-            state = classify(va)
-            if state == "boundary":
-                break
-            if state != "open":
-                if strict:
+        while va not in insns:
+            if not superset.contains_range(va, 1):
+                if strict and va not in committed_starts:
                     ok = False
                 break
             ins = view.decode(va)
@@ -125,7 +112,6 @@ def _traverse(view, entry, superset, committed_starts, committed_code, strict):
                     ok = False
                 break
             insns[va] = ins
-            claimed.add(va, ins.end)
             kind = ins.kind
             if kind in (x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                         x86.INDIRECT_CALL):
@@ -136,7 +122,20 @@ def _traverse(view, entry, superset, committed_starts, committed_code, strict):
             if kind in (x86.CONDITIONAL_JUMP, x86.DIRECT_CALL):
                 stack.append(ins.direct_targets[0])
             va = ins.end
-    return claimed, insns, ok
+    return _union(insns), insns, ok
+
+
+def _union(insns):
+    """IntervalSet of the bytes of insns, merged in one sorted pass."""
+    runs = []
+    for va in sorted(insns):
+        end = insns[va].end
+        if runs and va <= runs[-1][1]:
+            if end > runs[-1][1]:
+                runs[-1][1] = end
+        else:
+            runs.append([va, end])
+    return IntervalSet.from_pairs(runs)
 
 
 def detect_entry_points(image, superset, known_code, instructions=None):
@@ -337,8 +336,7 @@ def compute_superset(image):
     entry = image.entry_point
     if entry and superset.contains_range(entry, 1):
         claimed, insns, _ok = _traverse(view, entry, superset,
-                                        frozenset(), IntervalSet(),
-                                        strict=False)
+                                        frozenset(), strict=False)
         if claimed:
             commit(claimed, insns, EntryPoint(entry, "program_entry"))
 
@@ -350,8 +348,7 @@ def compute_superset(image):
             if not superset.contains_range(ep.vaddr, 1):
                 continue
             claimed, insns, ok = _traverse(view, ep.vaddr, superset,
-                                           committed_starts, code,
-                                           strict=True)
+                                           committed_starts, strict=True)
             if ok and claimed:
                 commit(claimed, insns, ep)
                 progress = True

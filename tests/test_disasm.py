@@ -1,11 +1,13 @@
+import os
 import re
 import subprocess
 
 import pytest
 
+from pxom import x86
 from pxom.corpus import load_ground_truth
-from pxom.disasm import (compute_superset, decode_at, detect_entry_points,
-                         recursive_disassemble)
+from pxom.disasm import (_ExecView, _traverse, compute_superset, decode_at,
+                         detect_entry_points, recursive_disassemble)
 from pxom.errors import EntryNotInSuperset, NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
@@ -206,3 +208,93 @@ def test_ground_truth_file_grammar(tmp_path):
     ivs = load_ground_truth(path)
     assert [(iv.start, iv.end) for iv in ivs] == \
         [(0x1000, 0x1010), (0x2000, 0x2004)]
+
+
+def union_of(insns):
+    union = IntervalSet()
+    for ins in insns.values():
+        union.add(ins.vaddr, ins.end)
+    return union
+
+
+def reachable_code(view, entry, superset):
+    """Reference for lenient traversal: every instruction reachable from
+    entry that decodes and lies inside the superset, as intervals."""
+    code = IntervalSet()
+    seen = set()
+    todo = [entry]
+    while todo:
+        va = todo.pop()
+        if va in seen or not superset.contains_range(va, 1):
+            continue
+        seen.add(va)
+        ins = view.decode(va)
+        if ins is None or not superset.contains_range(va, ins.length):
+            continue
+        code.add(va, ins.end)
+        if ins.kind in (x86.DIRECT_JUMP, x86.CONDITIONAL_JUMP,
+                        x86.DIRECT_CALL):
+            todo.extend(ins.direct_targets)
+        if ins.kind in (x86.FALLTHROUGH, x86.CONDITIONAL_JUMP,
+                        x86.DIRECT_CALL):
+            todo.append(ins.end)
+    return code
+
+
+def check_traversals(image, starts_per_superset=200):
+    """_traverse claims exactly its instructions, strict and lenient:
+    from the entry points of a fresh superset, and from the block starts
+    of the superset left after compute_superset."""
+    view = _ExecView(image)
+    fresh = executable_ranges(image)
+    report = compute_superset(image)
+    entry = image.entry_point
+    if fresh.contains_range(entry, 1):
+        claimed, insns, ok = _traverse(view, entry, fresh, frozenset(),
+                                       strict=False)
+        assert ok and claimed == union_of(insns)
+        assert recursive_disassemble(image, entry, fresh, view) == \
+            reachable_code(view, entry, fresh)
+    outcomes = set()
+    eps = detect_entry_points(image, fresh, IntervalSet())
+    for superset, committed, starts in (
+            (fresh, frozenset(), [ep.vaddr for ep in eps]),
+            (report.superset, set(report.instructions),
+             [iv.start for iv in report.superset])):
+        for va in starts[:starts_per_superset]:
+            for strict in (True, False):
+                claimed, insns, ok = _traverse(view, va, superset,
+                                               committed, strict)
+                assert claimed == union_of(insns)
+                outcomes.add((strict, ok))
+                if not strict:
+                    assert claimed == reachable_code(view, va, superset)
+    return outcomes
+
+
+class TestTraverse:
+    def test_claimed_is_union_of_insns_on_corpus(self, corpus):
+        outcomes = set()
+        for entry in corpus:
+            outcomes |= check_traversals(load_elf(entry.binary.read_bytes()))
+        assert (True, True) in outcomes and (True, False) in outcomes
+
+    def test_claimed_is_union_of_insns_on_ls(self):
+        if not os.path.exists("/usr/bin/ls"):
+            pytest.skip("/usr/bin/ls not available")
+        with open("/usr/bin/ls", "rb") as fh:
+            outcomes = check_traversals(load_elf(fh.read()), 30)
+        assert (True, True) in outcomes and (True, False) in outcomes
+
+    def test_strict_mid_instruction_collision_fails(self):
+        # jz +1 lands inside the committed 2-byte jmp at 0x1003
+        image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
+        superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
+        claimed, insns, ok = _traverse(_ExecView(image), 0x1000, superset,
+                                       {0x1003}, strict=True)
+        assert ok and sorted(insns) == [0x1000, 0x1002]
+        superset = IntervalSet.from_pairs([(0x1000, 0x1004)])
+        claimed, insns, ok = _traverse(_ExecView(image), 0x1000, superset,
+                                       set(), strict=True)
+        assert not ok
+
