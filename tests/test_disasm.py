@@ -286,15 +286,14 @@ class TestTraverse:
             outcomes = check_traversals(load_elf(fh.read()), 30)
         assert (True, True) in outcomes and (True, False) in outcomes
 
-    def test_strict_mid_instruction_collision_fails(self):
-        # jz +1 lands inside the committed 2-byte jmp at 0x1003
-        image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
+    def test_strict_fails_mid_committed_instruction(self):
+        # 0x1003 starts a committed 2-byte jmp: jz +1 lands on its start,
+        # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
-        claimed, insns, ok = _traverse(_ExecView(image), 0x1000, superset,
-                                       {0x1003}, strict=True)
-        assert ok and sorted(insns) == [0x1000, 0x1002]
-        superset = IntervalSet.from_pairs([(0x1000, 0x1004)])
-        claimed, insns, ok = _traverse(_ExecView(image), 0x1000, superset,
-                                       set(), strict=True)
-        assert not ok
-
+        for jz, strict_ok in ((b"\x74\x01", True), (b"\x74\x02", False)):
+            view = _ExecView(image_of(jz + b"\x90\xeb\xfe\xc3"))
+            for strict in (True, False):
+                _, insns, ok = _traverse(view, 0x1000, superset, {0x1003},
+                                         strict)
+                assert sorted(insns) == [0x1000, 0x1002]
+                assert ok == (strict_ok or not strict)
