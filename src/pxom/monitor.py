@@ -8,12 +8,15 @@ terminates the monitor and freezes a forensic record.
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
+from .blocks import EmbeddedDataBlock, XomLists
 from .errors import MonitorTerminated, TraceParse
 
 PAGE_SIZE = 4096
 PROMOTION_THRESHOLD = 100    # reads beyond this promote a regular block
+MAX_READ_SIZE = 64
 
 EXECUTE_ONLY = "execute_only"
 READABLE = "readable"
@@ -30,8 +33,9 @@ class ReadRequest:
     size: int
 
     def __post_init__(self):
-        if not 1 <= self.size <= 64:
-            raise ValueError("read size %d outside 1..64" % self.size)
+        if not 1 <= self.size <= MAX_READ_SIZE:
+            raise ValueError("read size %d outside 1..%d"
+                             % (self.size, MAX_READ_SIZE))
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,13 @@ class Verdict:
     reason: str = None
 
 
-@dataclass(frozen=True)
-class StateTransition:
-    name: str
-    detail: str = ""
+StateTransition = namedtuple("StateTransition", "name detail", defaults=("",))
+
+_CHECK_PASS = StateTransition("LegalityCheck", "pass")
+_CHECK_FAIL = StateTransition("LegalityCheck", "fail")
+_SET_FLAG = StateTransition("SetAllowReadFlag")
+_SINGLE_STEP = StateTransition("SingleStepExecute")
+_CLEAR_FLAG = StateTransition("ClearAllowReadFlag")
 
 
 @dataclass
@@ -59,28 +66,13 @@ class TraceReport:
     optimization_size: int = 0
 
 
-class _ListIndex:
-    """Sorted containment index over one block list."""
-
-    __slots__ = ("starts", "blocks")
-
-    def __init__(self, blocks):
-        self.blocks = sorted(blocks, key=lambda b: b.interval.start)
-        self.starts = [b.interval.start for b in self.blocks]
-
-    def find(self, addr, size):
-        i = bisect_right(self.starts, addr) - 1
-        if i >= 0:
-            block = self.blocks[i]
-            if addr + size <= block.interval.end:
-                return block
-        return None
+def _pages(start, end):
+    """Page numbers that the bytes [start, end) touch."""
+    return range(start // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1)
 
 
 def _snapshot(lists):
     """Frozen copy of both block lists for the forensic record."""
-    from .blocks import EmbeddedDataBlock, XomLists
-
     def dup(blocks):
         return [EmbeddedDataBlock(b.interval, b.static_ref_count,
                                   b.read_count) for b in blocks]
@@ -90,29 +82,30 @@ def _snapshot(lists):
 
 
 class Monitor:
+    """Read monitor over disjoint block lists.
+
+    One index sorted by start covers both lists, and a block's tier is
+    whether its start is in `_optimized`.  The last block that starts at
+    or before a read's last byte is the only one that can contain the
+    read, and it overlaps the read exactly when some block does.
+    """
+
     def __init__(self, lists, executable_ranges=None):
+        lists.validate()
         self.lists = lists
         self.allow_read_flag = False
         self.terminated = False
         self.forensic_record = None
         self.scan_log = []
-        self.page_state = {}
-        if executable_ranges is not None:
-            for iv in executable_ranges:
-                for page in range(iv.start // PAGE_SIZE,
-                                  (iv.end - 1) // PAGE_SIZE + 1):
-                    self.page_state[page] = EXECUTE_ONLY
-        else:
-            for block in lists.all_blocks():
-                iv = block.interval
-                for page in range(iv.start // PAGE_SIZE,
-                                  (iv.end - 1) // PAGE_SIZE + 1):
-                    self.page_state[page] = EXECUTE_ONLY
-        self._reindex()
-
-    def _reindex(self):
-        self._opt_index = _ListIndex(self.lists.optimization)
-        self._regr_index = _ListIndex(self.lists.regular)
+        ranges = executable_ranges
+        if ranges is None:
+            ranges = [b.interval for b in lists.all_blocks()]
+        self.page_state = {page: EXECUTE_ONLY for iv in ranges
+                           for page in _pages(iv.start, iv.end)}
+        self._blocks = sorted(lists.all_blocks(),
+                              key=lambda b: b.interval.start)
+        self._starts = [b.interval.start for b in self._blocks]
+        self._optimized = {b.interval.start for b in lists.optimization}
 
     def _require_live(self):
         if self.terminated:
@@ -120,64 +113,61 @@ class Monitor:
 
     def check_read(self, request):
         self._require_live()
-        self.scan_log = ["optimization"]
-        block = self._opt_index.find(request.addr, request.size)
-        promoted = False
-        if block is None:
-            self.scan_log.append("regular")
-            block = self._regr_index.find(request.addr, request.size)
-            if block is not None:
-                block.read_count += 1
-                if block.read_count > PROMOTION_THRESHOLD:
-                    self.lists.regular.remove(block)
-                    self.lists.optimization.append(block)
-                    self._reindex()
-                    promoted = True
-        else:
-            block.read_count += 1
-        if block is not None:
-            return Verdict(ALLOWED, matched_block=block, promoted=promoted)
-        reason = OUTSIDE_LISTS
-        for b in self.lists.all_blocks():
-            if b.interval.start < request.addr + request.size and \
-                    request.addr < b.interval.end:
-                reason = OVERLAPS_CODE
-                break
-        self.terminated = True
-        self.forensic_record = (request, time.time(), _snapshot(self.lists))
-        return Verdict(DENIED, reason=reason)
+        addr = request.addr
+        i = bisect_right(self._starts, addr + request.size - 1) - 1
+        block = self._blocks[i] if i >= 0 else None
+        if block is None or not block.interval.contains(addr, request.size):
+            self.scan_log = ["optimization", "regular"]
+            overlaps = block is not None and addr < block.interval.end
+            self.terminated = True
+            self.forensic_record = (request, time.time(),
+                                    _snapshot(self.lists))
+            return Verdict(DENIED, reason=(OVERLAPS_CODE if overlaps
+                                           else OUTSIDE_LISTS))
+        block.read_count += 1
+        start = block.interval.start
+        if start in self._optimized:
+            self.scan_log = ["optimization"]
+            return Verdict(ALLOWED, matched_block=block)
+        self.scan_log = ["optimization", "regular"]
+        if block.read_count <= PROMOTION_THRESHOLD:
+            return Verdict(ALLOWED, matched_block=block)
+        regular = self.lists.regular
+        del regular[next(j for j, b in enumerate(regular) if b is block)]
+        self.lists.optimization.append(block)
+        self._optimized.add(start)
+        return Verdict(ALLOWED, matched_block=block, promoted=True)
 
     def fault_flow(self, request):
-        """Explicit transition sequence for one faulting read."""
+        """Transition sequence for one faulting read.
+
+        Returns (verdict, transitions).
+        """
         self._require_live()
-        transitions = [StateTransition("Fault", "%#x+%d" % (request.addr,
-                                                            request.size))]
+        fault = StateTransition("Fault", "%#x+%d" % (request.addr,
+                                                     request.size))
         verdict = self.check_read(request)
-        self.last_verdict = verdict
         if verdict.outcome == DENIED:
-            transitions.append(StateTransition("LegalityCheck", "fail"))
-            transitions.append(StateTransition("Terminate", verdict.reason))
-            return transitions
-        transitions.append(StateTransition("LegalityCheck", "pass"))
+            return verdict, [fault, _CHECK_FAIL,
+                             StateTransition("Terminate", verdict.reason)]
+        transitions = [fault, _CHECK_PASS, _SET_FLAG]
         self.allow_read_flag = True
-        transitions.append(StateTransition("SetAllowReadFlag"))
         # restore-read / single-step / revoke is atomic w.r.t. the event
         # stream: no caller can observe a page readable.  A read that
         # crosses a page boundary needs every page it touches.
-        pages = range(request.addr // PAGE_SIZE,
-                      (request.addr + request.size - 1) // PAGE_SIZE + 1)
+        pages = _pages(request.addr, request.addr + request.size)
         for page in pages:
             self.page_state[page] = READABLE
             transitions.append(StateTransition("RestorePageReadable",
                                                "%#x" % page))
-        transitions.append(StateTransition("SingleStepExecute"))
+        transitions.append(_SINGLE_STEP)
         for page in pages:
             self.page_state[page] = EXECUTE_ONLY
             transitions.append(StateTransition("RevokePageExecuteOnly",
                                                "%#x" % page))
         self.allow_read_flag = False
-        transitions.append(StateTransition("ClearAllowReadFlag"))
-        return transitions
+        transitions.append(_CLEAR_FLAG)
+        return verdict, transitions
 
     def run_trace(self, events):
         """Process parsed trace events; stops at the first denied read."""
@@ -188,8 +178,7 @@ class Monitor:
                 continue
             _, addr, size = event
             report.reads += 1
-            self.fault_flow(ReadRequest(addr, size))
-            verdict = self.last_verdict
+            verdict, _ = self.fault_flow(ReadRequest(addr, size))
             if verdict.outcome == DENIED:
                 report.denied += 1
                 break
@@ -219,11 +208,17 @@ def parse_trace(text):
         parts = stripped.split()
         try:
             if parts[0] == "R" and len(parts) == 3:
-                events.append(("R", int(parts[1], 16), int(parts[2], 10)))
+                event = ("R", int(parts[1], 16), int(parts[2], 10))
+                valid = event[1] >= 0 and 1 <= event[2] <= MAX_READ_SIZE
             elif parts[0] == "I" and len(parts) == 2:
-                events.append(("I", int(parts[1], 10)))
+                event = ("I", int(parts[1], 10))
+                valid = event[1] >= 0
             else:
                 raise ValueError
         except ValueError:
             raise TraceParse("unrecognized event %r" % line.strip(), lineno)
+        if not valid:
+            raise TraceParse("value out of range in %r" % line.strip(),
+                             lineno)
+        events.append(event)
     return events

@@ -108,6 +108,16 @@ class TestSimulate:
                                "--trace", str(trace))
         assert code == 1 and "line 2" in err
 
+    @pytest.mark.parametrize("size", ["0", "65"])
+    def test_read_size_outside_range_is_trace_error(self, capsys, tmp_path,
+                                                    protected, size):
+        trace = tmp_path / "bad.txt"
+        trace.write_text("R 1000 1\nR 1000 %s\n" % size)
+        code, _, err = run_cli(capsys, "simulate", "-i", str(protected),
+                               "--trace", str(trace))
+        assert code == 1
+        assert err.startswith("error: TraceParse: line 2")
+
 
 class TestScan:
     def test_schema(self, capsys, corpus):

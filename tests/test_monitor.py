@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
-from pxom.errors import MonitorTerminated, TraceParse
+from pxom.errors import InvariantViolation, MonitorTerminated, TraceParse
 from pxom.intervals import ByteInterval, IntervalSet
 from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, OUTSIDE_LISTS,
                           OVERLAPS_CODE, PROMOTION_THRESHOLD, ReadRequest,
@@ -95,7 +97,7 @@ class TestPromotion:
 class TestFaultFlow:
     def test_legal_read_transitions(self):
         m = one_block_monitor()
-        ts = m.fault_flow(ReadRequest(0x1000, 8))
+        _, ts = m.fault_flow(ReadRequest(0x1000, 8))
         assert [t.name for t in ts] == [
             "Fault", "LegalityCheck", "SetAllowReadFlag",
             "RestorePageReadable", "SingleStepExecute",
@@ -106,7 +108,7 @@ class TestFaultFlow:
     def test_page_crossing_read_covers_both_pages(self):
         m = new_monitor(lists_with(regular=[(0xFF8, 0x1010, 0)]),
                         IntervalSet.from_pairs([(0x0, 0x2000)]))
-        ts = m.fault_flow(ReadRequest(0xFFC, 8))
+        _, ts = m.fault_flow(ReadRequest(0xFFC, 8))
         assert [(t.name, t.detail) for t in ts[3:-1]] == [
             ("RestorePageReadable", "0x0"), ("RestorePageReadable", "0x1"),
             ("SingleStepExecute", ""),
@@ -115,9 +117,20 @@ class TestFaultFlow:
 
     def test_illegal_read_transitions(self):
         m = one_block_monitor()
-        ts = m.fault_flow(ReadRequest(0x1800, 8))
+        _, ts = m.fault_flow(ReadRequest(0x1800, 8))
         assert [t.name for t in ts] == ["Fault", "LegalityCheck", "Terminate"]
         assert m.terminated
+
+    def test_returns_promoting_verdict_on_101st_read(self):
+        m = one_block_monitor()
+        req = ReadRequest(0x1000, 8)
+        for _ in range(PROMOTION_THRESHOLD):
+            verdict, _ = m.fault_flow(req)
+            assert verdict.outcome == ALLOWED and not verdict.promoted
+        verdict, ts = m.fault_flow(req)
+        assert verdict.outcome == ALLOWED and verdict.promoted
+        assert verdict.matched_block is m.lists.optimization[0]
+        assert ts[1] == ("LegalityCheck", "pass")
 
     def test_flag_false_between_flows(self):
         m = one_block_monitor()
@@ -161,6 +174,13 @@ class TestTraces:
             parse_trace("R 0x1000 8\nbogus line\n")
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize("line", ["R 1000 0", "R 1000 65", "R -10 4",
+                                      "I -5"])
+    def test_out_of_range_values_carry_line(self, line):
+        with pytest.raises(TraceParse) as exc:
+            parse_trace("R 0x1000 64\nI 0\n%s\n" % line)
+        assert exc.value.lineno == 3
+
     def test_read_intensity_from_trace(self):
         m = one_block_monitor()
         report = m.run_trace(parse_trace(
@@ -193,3 +213,85 @@ class TestNewMonitor:
         lists.regular[0].read_count = 55
         m = new_monitor(lists)
         assert m.lists.regular[0].read_count == 0
+
+    def test_overlapping_lists_rejected(self):
+        lists = lists_with(regular=[(0x1000, 0x1010, 0)],
+                           optimization=[(0x100C, 0x1020, 20)])
+        with pytest.raises(InvariantViolation):
+            new_monitor(lists)
+
+
+class BruteForceMonitor:
+    """Per-byte block ids, read counts and a tier set; no index."""
+
+    def __init__(self, regular, optimization, space):
+        self.regular = list(range(len(regular)))
+        self.optimization = list(range(len(regular),
+                                       len(regular) + len(optimization)))
+        self.intervals = list(regular) + list(optimization)
+        self.owner = [-1] * (space + 64)
+        for i, (start, end) in enumerate(self.intervals):
+            for addr in range(start, end):
+                self.owner[addr] = i
+        self.reads = [0] * len(self.intervals)
+        self.tier = set(self.optimization)
+
+    def check(self, addr, size):
+        """(outcome, reason, promoted, scan_log)"""
+        ids = set(self.owner[addr:addr + size])
+        if len(ids) != 1 or ids == {-1}:
+            reason = OUTSIDE_LISTS if ids == {-1} else OVERLAPS_CODE
+            return DENIED, reason, False, ["optimization", "regular"]
+        (i,) = ids
+        self.reads[i] += 1
+        if i in self.tier:
+            return ALLOWED, None, False, ["optimization"]
+        promoted = self.reads[i] > PROMOTION_THRESHOLD
+        if promoted:
+            self.regular.remove(i)
+            self.optimization.append(i)
+            self.tier.add(i)
+        return ALLOWED, None, promoted, ["optimization", "regular"]
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_calls_match_model(self, seed):
+        rng = random.Random(seed)
+        space = 0x2000
+        n = rng.randint(1, 24)
+        points = sorted(rng.sample(range(space + 1), 2 * n))
+        pairs = list(zip(points[::2], points[1::2]))
+        rng.shuffle(pairs)
+        split = rng.randint(1, len(pairs))
+        regular, optimization = pairs[:split], pairs[split:]
+        model = BruteForceMonitor(regular, optimization, space)
+        m = new_monitor(lists_with(regular=[p + (0,) for p in regular],
+                                   optimization=[p + (0,) for p in
+                                                 optimization]))
+        hot = rng.sample(regular, min(3, len(regular))) + optimization[:1]
+        promotions = 0
+        for _ in range(1500):
+            if rng.random() < 0.8:
+                start, end = rng.choice(hot)
+                size = rng.randint(1, min(64, end - start))
+                addr = rng.randint(start, end - size)
+            else:
+                addr, size = rng.randrange(space), rng.randint(1, 64)
+            if rng.random() < 0.5:
+                verdict = m.check_read(ReadRequest(addr, size))
+            else:
+                verdict, _ = m.fault_flow(ReadRequest(addr, size))
+            expected = model.check(addr, size)
+            assert (verdict.outcome, verdict.reason, verdict.promoted,
+                    m.scan_log) == expected, (seed, addr, size)
+            for name in ("regular", "optimization"):
+                got = [(b.interval.start, b.interval.end, b.read_count)
+                       for b in getattr(m.lists, name)]
+                want = [model.intervals[i] + (model.reads[i],)
+                        for i in getattr(model, name)]
+                assert got == want, (seed, name)
+            promotions += verdict.promoted
+            if verdict.outcome == DENIED:
+                m.terminated = False        # test-only revive
+        assert promotions > 0
