@@ -62,6 +62,11 @@ class _ExecView:
             raise OutOfRange("%#x is not executable" % vaddr)
         return x86.decode(self._buffers[i], vaddr - self._starts[i], vaddr)
 
+    def buffer_at(self, vaddr):
+        """(start, bytes) of the executable range holding vaddr."""
+        i = bisect_right(self._starts, vaddr) - 1
+        return self._starts[i], self._buffers[i]
+
     def read(self, vaddr, size):
         i = bisect_right(self._starts, vaddr) - 1
         if i < 0 or vaddr + size > self._ends[i]:
@@ -287,11 +292,18 @@ def _address_taken_targets(image, view, superset, known_code, insn_list):
 def _heuristic_targets(image, view, superset, known_code, insn_list):
     targets = []
     for iv in superset:
-        va = (iv.start + 15) & ~15
-        while va < iv.end:
-            if _matches_prologue(view, va):
-                targets.append(va)
-            va += 16
+        # a 16-aligned prologue starting in iv; it may run past iv.end,
+        # but needs 4 bytes inside its executable range
+        first = (iv.start + 15) & ~15
+        if first < iv.end:
+            base, buf = view.buffer_at(first)
+            for pattern in _PROLOGUE_PATTERNS:
+                stop = iv.end - base + len(pattern) - 1
+                pos = buf.find(pattern, first - base, stop)
+                while pos >= 0:
+                    if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
+                        targets.append(base + pos)
+                    pos = buf.find(pattern, pos + 1, stop)
         # entry right after int3/nop padding that follows committed code
         if known_code.contains_range(iv.start - 1, 1):
             va = iv.start
