@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: protect, print, analyze, simulate, scan, compare,
-gen-corpus.  Reports are JSON on stdout (or --out).  Exit codes:
-0 success, 1 input/pipeline error, 2 soundness-gate failure (compare).
+gen-corpus.  Reports are one line of JSON with sorted keys, on stdout
+(or --out).  Exit codes: 0 success, 1 input/pipeline error, 2
+soundness-gate failure (compare).
 """
 
 import argparse
@@ -35,7 +36,7 @@ def _base_report(command, path, data):
 
 
 def _emit(report, out):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
