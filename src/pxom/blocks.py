@@ -37,14 +37,18 @@ class XomLists:
         return list(self.optimization) + list(self.regular)
 
     def validate(self, executable_ranges=None):
-        blocks = self.all_blocks()
-        ivs = sorted(b.interval for b in blocks)
+        # sorted by start, two blocks overlap exactly when some block
+        # starts before its predecessor ends
+        ivs = sorted((b.interval.start, b.interval.end)
+                     for b in self.all_blocks())
         for a, b in zip(ivs, ivs[1:]):
-            if a.overlaps(b):
-                raise InvariantViolation("overlapping blocks %r and %r" % (a, b))
+            if b[0] < a[1]:
+                raise InvariantViolation(
+                    "overlapping blocks [%#x, %#x) and [%#x, %#x)" % (a + b))
         if executable_ranges is not None:
-            for b in blocks:
-                if not executable_ranges.contains_range(b.interval.start, len(b.interval)):
+            for start, end in ivs:
+                if not executable_ranges.contains_range(start, end - start):
                     raise InvariantViolation(
-                        "block %r outside executable ranges" % (b.interval,))
+                        "block [%#x, %#x) outside executable ranges"
+                        % (start, end))
         return self

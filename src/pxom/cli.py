@@ -7,6 +7,7 @@ soundness-gate failure (compare).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -158,7 +159,9 @@ def cmd_gen_corpus(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The pxom argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pxom",
         description="Execute-only-memory hardening toolchain and "

@@ -6,8 +6,9 @@ instructions.  A data byte can therefore never be classified as code;
 the price is that unreachable code stays readable.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import x86
 from .ehframe import fde_initial_locations
@@ -29,6 +30,12 @@ _PAD_BYTES = frozenset((0x90, 0xCC))
 
 _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
+
+_STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
+                         x86.INDIRECT_CALL))
+_PUSH_KINDS = frozenset((x86.CONDITIONAL_JUMP, x86.DIRECT_CALL))
+
+_VADDR = attrgetter("vaddr")
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,14 @@ class _ExecView:
                          for iv in self.ranges]
 
     def decode(self, vaddr):
-        i = bisect_right(self._starts, vaddr) - 1
-        if i < 0 or vaddr >= self._ends[i]:
-            raise OutOfRange("%#x is not executable" % vaddr)
-        return x86.decode(self._buffers[i], vaddr - self._starts[i], vaddr)
+        base, buf = self.buffer_at(vaddr)
+        return x86.decode(buf, vaddr - base, vaddr)
 
     def buffer_at(self, vaddr):
         """(start, bytes) of the executable range holding vaddr."""
         i = bisect_right(self._starts, vaddr) - 1
+        if i < 0 or vaddr >= self._ends[i]:
+            raise OutOfRange("%#x is not executable" % vaddr)
         return self._starts[i], self._buffers[i]
 
     def read(self, vaddr, size):
@@ -100,33 +107,47 @@ def _traverse(view, entry, superset, committed_starts, strict):
     poisons the whole traversal (ok=False); in lenient mode it only ends
     that path.  Returns (claimed, insns, ok), where claimed is the union
     of the instructions in insns.
+
+    The superset does not change while a traversal runs, so the walk
+    keeps the run [lo, hi) of superset and executable bytes it is in,
+    and decodes with the run end as limit: an instruction that would
+    leave the run decodes to None.  It looks a run up again only when a
+    path leaves the current one.
     """
     insns = {}
     stack = [entry]
     ok = True
+    decode = x86.decode
+    lo = hi = base = limit = 0
+    buf = b""
     while stack:
         va = stack.pop()
         while va not in insns:
-            if not superset.contains_range(va, 1):
-                if strict and va not in committed_starts:
-                    ok = False
-                break
-            ins = view.decode(va)
-            if ins is None or not superset.contains_range(va, ins.length):
+            if not lo <= va < hi:
+                run = superset.run_at(va)
+                if run is None:
+                    if strict and va not in committed_starts:
+                        ok = False
+                    break
+                base, buf = view.buffer_at(va)
+                lo = max(run[0], base)
+                hi = min(run[1], base + len(buf))
+                limit = hi - base
+            ins = decode(buf, va - base, va, limit)
+            if ins is None:
                 if strict:
                     ok = False
                 break
             insns[va] = ins
             kind = ins.kind
-            if kind in (x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
-                        x86.INDIRECT_CALL):
+            if kind in _STOP_KINDS:
                 break
             if kind == x86.DIRECT_JUMP:
                 va = ins.direct_targets[0]
                 continue
-            if kind in (x86.CONDITIONAL_JUMP, x86.DIRECT_CALL):
+            if kind in _PUSH_KINDS:
                 stack.append(ins.direct_targets[0])
-            va = ins.end
+            va += ins.length
     return _union(insns), insns, ok
 
 
@@ -134,7 +155,7 @@ def _union(insns):
     """IntervalSet of the bytes of insns, merged in one sorted pass."""
     runs = []
     for va in sorted(insns):
-        end = insns[va].end
+        end = va + insns[va].length
         if runs and va <= runs[-1][1]:
             if end > runs[-1][1]:
                 runs[-1][1] = end
@@ -148,27 +169,38 @@ def detect_entry_points(image, superset, known_code, instructions=None):
     view = _ExecView(image)
     if instructions is None:
         instructions = _linear_decode(view, known_code)
+    return _select_entry_points(superset, known_code, {
+        **_image_targets(image, view),
+        **_round_targets(image, view, superset, known_code, instructions)})
+
+
+def _image_targets(image, view):
+    """Sorted targets of the finders that read only the image and its
+    executable ranges, so one result serves every fixpoint round."""
+    return {"frame_unwind": sorted(set(_frame_unwind_targets(image, view))),
+            "address_taken": sorted(set(_address_taken_targets(image, view)))}
+
+
+def _round_targets(image, view, superset, known_code, instructions):
+    """Sorted targets of the finders that read the current partition."""
     insn_list = [instructions[k] for k in sorted(instructions)]
+    return {"jump_table": sorted(set(_jump_table_targets(
+                image, view, superset, insn_list))),
+            "heuristic": sorted(set(_heuristic_targets(
+                view, superset, known_code)))}
 
+
+def _select_entry_points(superset, known_code, targets):
+    """EntryPoints in SOURCE_ORDER, each source's sorted targets by
+    address.  An address goes to the first source that proposes it, and
+    must lie in the superset or the known code."""
     found = {}
-
-    def emit(va, source):
-        if va not in found and (superset.contains_range(va, 1)
-                                or known_code.contains_range(va, 1)):
-            found[va] = source
-
-    for source, finder in (("jump_table", _jump_table_targets),
-                           ("frame_unwind", _frame_unwind_targets),
-                           ("address_taken", _address_taken_targets),
-                           ("heuristic", _heuristic_targets)):
-        targets = finder(image, view, superset, known_code, insn_list)
-        for va in sorted(set(targets)):
-            emit(va, source)
-
-    order = {s: i for i, s in enumerate(SOURCE_ORDER)}
-    eps = [EntryPoint(va, src) for va, src in found.items()]
-    eps.sort(key=lambda ep: (order[ep.source], ep.vaddr))
-    return eps
+    for source in SOURCE_ORDER:
+        for va in targets.get(source, ()):
+            if va not in found and (superset.contains_range(va, 1)
+                                    or known_code.contains_range(va, 1)):
+                found[va] = source
+    return [EntryPoint(va, src) for va, src in found.items()]
 
 
 def _linear_decode(view, known_code):
@@ -184,7 +216,7 @@ def _linear_decode(view, known_code):
     return insns
 
 
-def _jump_table_targets(image, view, superset, known_code, insn_list):
+def _jump_table_targets(image, view, superset, insn_list):
     targets = []
     indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
     for ins in insn_list:
@@ -193,21 +225,25 @@ def _jump_table_targets(image, view, superset, known_code, insn_list):
         table = ins.rip_relative_data_target
         if table is None or not superset.contains_range(table, 4):
             continue
-        jmp = next((j for j in indirect_jumps
-                    if ins.vaddr < j.vaddr <= ins.vaddr + _JUMP_TABLE_WINDOW),
-                   None)
-        if jmp is None:
+        # the first indirect jump after the lea, if inside the window
+        k = bisect_right(indirect_jumps, ins.vaddr, key=_VADDR)
+        if (k == len(indirect_jumps) or
+                indirect_jumps[k].vaddr > ins.vaddr + _JUMP_TABLE_WINDOW):
             continue
-        bound = _bound_before(insn_list, ins.vaddr, jmp.vaddr)
+        bound = _bound_before(insn_list, ins.vaddr, indirect_jumps[k].vaddr)
         targets.extend(_parse_table(image, view, superset, table, bound))
     return targets
 
 
 def _bound_before(insn_list, lo, hi):
-    """imm of the last cmp/and bounding check in [lo-32, hi), if any."""
+    """imm of the last cmp/and bounding check in [lo-32, hi), if any.
+
+    insn_list is sorted by vaddr."""
     bound = None
-    for ins in insn_list:
-        if not lo - 32 <= ins.vaddr < hi or ins.immediate is None:
+    first = bisect_left(insn_list, lo - 32, key=_VADDR)
+    last = bisect_left(insn_list, hi, lo=first, key=_VADDR)
+    for ins in insn_list[first:last]:
+        if ins.immediate is None:
             continue
         reg_field = (ins.modrm >> 3) & 7 if ins.modrm is not None else None
         if ins.opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
@@ -253,7 +289,7 @@ def _parse_table(image, view, superset, table, count):
     return best if len(best) >= 2 else []
 
 
-def _frame_unwind_targets(image, view, superset, known_code, insn_list):
+def _frame_unwind_targets(image, view):
     sec = image.section_by_name(".eh_frame")
     if sec is None or not sec.size:
         return []
@@ -261,7 +297,7 @@ def _frame_unwind_targets(image, view, superset, known_code, insn_list):
     return [va for va in locs if view.ranges.contains_range(va, 1)]
 
 
-def _address_taken_targets(image, view, superset, known_code, insn_list):
+def _address_taken_targets(image, view):
     exec_ranges = view.ranges
     targets = []
     for sec in image.sections:
@@ -289,7 +325,7 @@ def _address_taken_targets(image, view, superset, known_code, insn_list):
     return targets
 
 
-def _heuristic_targets(image, view, superset, known_code, insn_list):
+def _heuristic_targets(view, superset, known_code):
     targets = []
     for iv in superset:
         # a 16-aligned prologue starting in iv; it may run past iv.end,
@@ -352,9 +388,12 @@ def compute_superset(image):
         if claimed:
             commit(claimed, insns, EntryPoint(entry, "program_entry"))
 
+    image_targets = _image_targets(image, view)
     while True:
         progress = False
-        for ep in detect_entry_points(image, superset, code, instructions):
+        for ep in _select_entry_points(superset, code, {
+                **image_targets,
+                **_round_targets(image, view, superset, code, instructions)}):
             if ep.vaddr in committed_starts:
                 continue
             if not superset.contains_range(ep.vaddr, 1):

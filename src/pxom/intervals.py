@@ -92,12 +92,17 @@ class IntervalSet:
         i = bisect_right(self._starts, addr) - 1
         return i >= 0 and addr + size <= self._ends[i]
 
-    def envelope(self, addr):
-        """Interval containing addr, or None."""
+    def run_at(self, addr):
+        """(start, end) of the interval containing addr, or None."""
         i = bisect_right(self._starts, addr) - 1
         if i >= 0 and addr < self._ends[i]:
-            return ByteInterval(self._starts[i], self._ends[i])
+            return self._starts[i], self._ends[i]
         return None
+
+    def envelope(self, addr):
+        """Interval containing addr, or None."""
+        run = self.run_at(addr)
+        return ByteInterval(*run) if run else None
 
     def intersection_size(self, other):
         total = 0

@@ -1,0 +1,83 @@
+"""Reference versions of the disassembler's traversal and jump-table search.
+
+`reference_traverse` is the traversal's earlier form: it asks the
+superset about every byte it decodes (the instruction start, then the
+whole instruction) and decodes through `_ExecView.decode`.  It is slower
+than `disasm._traverse`, which keeps the superset run it walks in, but
+simple enough to serve as its reference.
+
+`reference_jump_table_targets` is the jump-table finder with linear
+searches: the first indirect jump after each table load, and every
+instruction for the bound check before it.  It shares `_parse_table`
+with the finder under test, since only the searches differ.
+"""
+
+from pxom import x86
+from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
+                         _parse_table, _union)
+
+
+def reference_traverse(view, entry, superset, committed_starts, strict):
+    """(claimed, insns, ok) with the semantics of disasm._traverse."""
+    insns = {}
+    stack = [entry]
+    ok = True
+    while stack:
+        va = stack.pop()
+        while va not in insns:
+            if not superset.contains_range(va, 1):
+                if strict and va not in committed_starts:
+                    ok = False
+                break
+            ins = view.decode(va)
+            if ins is None or not superset.contains_range(va, ins.length):
+                if strict:
+                    ok = False
+                break
+            insns[va] = ins
+            kind = ins.kind
+            if kind in (x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
+                        x86.INDIRECT_CALL):
+                break
+            if kind == x86.DIRECT_JUMP:
+                va = ins.direct_targets[0]
+                continue
+            if kind in (x86.CONDITIONAL_JUMP, x86.DIRECT_CALL):
+                stack.append(ins.direct_targets[0])
+            va = ins.end
+    return _union(insns), insns, ok
+
+
+def reference_jump_table_targets(image, view, superset, insn_list):
+    """Targets of disasm._jump_table_targets, found by linear search."""
+    targets = []
+    indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
+    for ins in insn_list:
+        if ins.opcode != (0x8D,):  # lea
+            continue
+        table = ins.rip_relative_data_target
+        if table is None or not superset.contains_range(table, 4):
+            continue
+        jmp = next((j for j in indirect_jumps
+                    if ins.vaddr < j.vaddr <= ins.vaddr + _JUMP_TABLE_WINDOW),
+                   None)
+        if jmp is None:
+            continue
+        bound = _reference_bound_before(insn_list, ins.vaddr, jmp.vaddr)
+        targets.extend(_parse_table(image, view, superset, table, bound))
+    return targets
+
+
+def _reference_bound_before(insn_list, lo, hi):
+    bound = None
+    for ins in insn_list:
+        if not lo - 32 <= ins.vaddr < hi or ins.immediate is None:
+            continue
+        reg_field = (ins.modrm >> 3) & 7 if ins.modrm is not None else None
+        if ins.opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
+            bound = ins.immediate
+        elif ins.opcode in ((0x3D,), (0x25,)):
+            bound = ins.immediate
+    if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
+        return bound + 1
+    return None

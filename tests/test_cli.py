@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pxom.cli import main
+from pxom.cli import build_parser, main
 
 from conftest import require_tool
 
@@ -84,6 +84,19 @@ class TestAnalyze:
             del report["seconds"]
             reports.append(report)
         assert reports[0] == reports[1]
+
+
+    def test_options_do_not_leak_between_calls(self, capsys, tmp_path,
+                                               corpus):
+        assert build_parser() is build_parser()
+        binary = str(corpus[0].binary)
+        out_file = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "analyze", "-i", binary,
+                               "--out", str(out_file))
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(capsys, "analyze", "-i", binary)
+        assert code == 0 and json.loads(out)["command"] == "analyze"
+        assert json.loads(out_file.read_text())["command"] == "analyze"
 
 
 class TestSimulate:

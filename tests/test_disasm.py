@@ -4,15 +4,33 @@ import subprocess
 
 import pytest
 
-from pxom import x86
-from pxom.corpus import load_ground_truth
-from pxom.disasm import (_ExecView, _traverse, compute_superset, decode_at,
-                         detect_entry_points, recursive_disassemble)
+from pxom import disasm, x86
+from pxom.corpus import build_corpus, load_ground_truth
+from pxom.disasm import (_JUMP_TABLE_WINDOW, _ExecView, _jump_table_targets,
+                         _linear_decode, _traverse, compute_superset,
+                         decode_at, detect_entry_points,
+                         recursive_disassemble)
 from pxom.errors import EntryNotInSuperset, NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 
 from conftest import exec_elf, make_elf, require_tool
+from oracle_disasm import reference_jump_table_targets, reference_traverse
+
+LS = "/usr/bin/ls"
+
+
+def read_ls():
+    if not os.path.exists(LS):
+        pytest.skip("%s not available" % LS)
+    with open(LS, "rb") as fh:
+        return fh.read()
+
+
+@pytest.fixture(scope="module")
+def corpus20(tmp_path_factory):
+    require_tool("gcc")
+    return build_corpus(tmp_path_factory.mktemp("corpus20"), count=20, seed=5)
 
 
 def image_of(code, vaddr=0x1000, entry=None):
@@ -253,6 +271,8 @@ def check_traversals(image, starts_per_superset=200):
         claimed, insns, ok = _traverse(view, entry, fresh, frozenset(),
                                        strict=False)
         assert ok and claimed == union_of(insns)
+        assert (claimed, insns, ok) == reference_traverse(
+            view, entry, fresh, frozenset(), strict=False)
         assert recursive_disassemble(image, entry, fresh, view) == \
             reachable_code(view, entry, fresh)
     outcomes = set()
@@ -266,6 +286,8 @@ def check_traversals(image, starts_per_superset=200):
                 claimed, insns, ok = _traverse(view, va, superset,
                                                committed, strict)
                 assert claimed == union_of(insns)
+                assert (claimed, insns, ok) == reference_traverse(
+                    view, va, superset, committed, strict)
                 outcomes.add((strict, ok))
                 if not strict:
                     assert claimed == reachable_code(view, va, superset)
@@ -280,10 +302,7 @@ class TestTraverse:
         assert (True, True) in outcomes and (True, False) in outcomes
 
     def test_claimed_is_union_of_insns_on_ls(self):
-        if not os.path.exists("/usr/bin/ls"):
-            pytest.skip("/usr/bin/ls not available")
-        with open("/usr/bin/ls", "rb") as fh:
-            outcomes = check_traversals(load_elf(fh.read()), 30)
+        outcomes = check_traversals(load_elf(read_ls()), 30)
         assert (True, True) in outcomes and (True, False) in outcomes
 
     def test_strict_fails_mid_committed_instruction(self):
@@ -297,3 +316,103 @@ class TestTraverse:
                                          strict)
                 assert sorted(insns) == [0x1000, 0x1002]
                 assert ok == (strict_ok or not strict)
+
+    # code at 0x1000; superset runs; committed starts; instruction starts
+    # claimed; strict outcome
+    @pytest.mark.parametrize("code, runs, committed, starts, strict_ok", [
+        # mov rbp, rsp at 0x1002 straddles the run end at 0x1003
+        (b"\x90\x90\x48\x89\xe5\xc3", [(0x1000, 0x1003)], (),
+         [0x1000, 0x1001], False),
+        # jmp +2 from one run to the next, over two bytes outside both
+        (b"\xeb\x02\xde\xad\x90\xc3", [(0x1000, 0x1002), (0x1004, 0x1006)],
+         (), [0x1000, 0x1004, 0x1005], True),
+        # jz +1 and its fall-through reach a committed start
+        (b"\x74\x01\x90\xeb\xfe\xc3", [(0x1000, 0x1003)], (0x1003,),
+         [0x1000, 0x1002], True),
+        # jz +2 lands in the middle of a committed instruction
+        (b"\x74\x02\x90\xeb\xfe\xc3", [(0x1000, 0x1003)], (0x1003,),
+         [0x1000, 0x1002], False),
+        # falls through past the end of the executable range
+        (b"\x90\x90", None, (), [0x1000, 0x1001], False),
+        # mov rbp, rsp cut off by the end of the executable range
+        (b"\x90\x48\x89", None, (), [0x1000], False),
+    ], ids=["straddles-run-end", "run-to-run", "committed-start",
+            "mid-committed", "off-exec-range", "cut-by-exec-end"])
+    def test_edges_match_reference(self, code, runs, committed, starts,
+                                   strict_ok):
+        image = image_of(code)
+        view = _ExecView(image)
+        superset = (executable_ranges(image) if runs is None
+                    else IntervalSet.from_pairs(runs))
+        for strict in (True, False):
+            result = _traverse(view, 0x1000, superset, set(committed), strict)
+            assert result == reference_traverse(view, 0x1000, superset,
+                                                set(committed), strict)
+            claimed, insns, ok = result
+            assert sorted(insns) == starts
+            assert ok == (strict_ok or not strict)
+
+    def test_compute_superset_equals_reference_traversal(self, monkeypatch,
+                                                         corpus20):
+        datas = [e.binary.read_bytes() for e in corpus20]
+        if os.path.exists(LS):
+            datas.append(read_ls())
+        reports = [compute_superset(load_elf(d)) for d in datas]
+        monkeypatch.setattr(disasm, "_traverse", reference_traverse)
+        for data, report in zip(datas, reports):
+            assert compute_superset(load_elf(data)) == report
+
+
+def jump_table_image(cmp_at, jmp_at, lea_at):
+    """cmp eax, 3 at cmp_at; lea rax, [rip + table] at lea_at; jmp rax at
+    jmp_at; then a rel32 table of six executable targets and one entry
+    that leaves the image.  Returns (image, insn_list)."""
+    code = bytearray(b"\x90" * (jmp_at + 3))
+    code[cmp_at:cmp_at + 3] = b"\x83\xf8\x03"
+    code[jmp_at:jmp_at + 3] = b"\xff\xe0\xc3"
+    code += b"\x00" * (-len(code) % 8)
+    table = 0x1000 + len(code)
+    code[lea_at:lea_at + 7] = b"\x48\x8d\x05" + (
+        table - (0x1000 + lea_at + 7)).to_bytes(4, "little", signed=True)
+    for k in range(6):
+        code += (0x1000 + k - table).to_bytes(4, "little", signed=True)
+    code += (0x7FFFFFFF).to_bytes(4, "little")
+    image = image_of(bytes(code))
+    view = _ExecView(image)
+    insns = _linear_decode(view, IntervalSet.from_pairs(
+        [(0x1000, 0x1000 + jmp_at + 3)]))
+    return image, [insns[va] for va in sorted(insns)]
+
+
+class TestJumpTable:
+    LEA = 40
+
+    @pytest.mark.parametrize("cmp_at, jmp_at, found", [
+        (LEA - 32, LEA + _JUMP_TABLE_WINDOW, 4),       # bounded by cmp
+        (LEA - 33, LEA + _JUMP_TABLE_WINDOW, 6),       # cmp out of reach
+        (LEA - 32, LEA + _JUMP_TABLE_WINDOW + 1, 0),   # jmp out of reach
+    ])
+    def test_search_window_edges(self, cmp_at, jmp_at, found):
+        image, insn_list = jump_table_image(cmp_at, jmp_at, self.LEA)
+        view = _ExecView(image)
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, view, superset, insn_list)
+        assert targets == [0x1000 + k for k in range(found)]
+        assert targets == reference_jump_table_targets(image, view, superset,
+                                                       insn_list)
+
+    def test_equals_linear_search_on_corpus(self, corpus20):
+        found = 0
+        for entry in corpus20:
+            image = load_elf(entry.binary.read_bytes())
+            report = compute_superset(image)
+            view = _ExecView(image)
+            insn_list = [report.instructions[va]
+                         for va in sorted(report.instructions)]
+            for superset in (executable_ranges(image), report.superset):
+                targets = _jump_table_targets(image, view, superset,
+                                              insn_list)
+                assert targets == reference_jump_table_targets(
+                    image, view, superset, insn_list)
+                found += len(targets)
+        assert found

@@ -221,6 +221,21 @@ class TestNewMonitor:
             new_monitor(lists)
 
 
+@pytest.mark.parametrize("first", ["regular", "optimization"])
+@pytest.mark.parametrize("second", ["regular", "optimization"])
+@pytest.mark.parametrize("end, ok", [(0x1010, True), (0x1011, False)])
+def test_validate_touching_and_one_byte_overlap(first, second, end, ok):
+    placed = {"regular": [], "optimization": []}
+    placed[second].append((0x1010, 0x1020, 0))
+    placed[first].append((0x1000, end, 0))
+    lists = lists_with(**placed)
+    if ok:
+        assert lists.validate() is lists
+    else:
+        with pytest.raises(InvariantViolation, match="overlapping"):
+            lists.validate()
+
+
 class BruteForceMonitor:
     """Per-byte block ids, read counts and a tier set; no index."""
 
