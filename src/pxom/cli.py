@@ -112,10 +112,22 @@ def cmd_simulate(args):
         "executed_instructions": trace_report.executed_instructions,
         "read_intensity": trace_report.read_intensity,
         "optimization_size": trace_report.optimization_size,
+        "denial": _denial(trace_report.denial),
+        "promoted": trace_report.promoted,
         "seconds": time.time() - start,
     })
     _emit(out, args.out)
     return 0
+
+
+def _denial(denial):
+    """The denied read, why, and the block nearest to it, or None."""
+    if denial is None:
+        return None
+    request, reason, block = denial
+    return {"addr": request.addr, "size": request.size, "reason": reason,
+            "block": (None if block is None
+                      else [block.interval.start, block.interval.end])}
 
 
 def cmd_scan(args):

@@ -8,6 +8,8 @@ section, so stock loaders keep working.
 
 import struct
 from dataclasses import dataclass
+from itertools import compress
+from operator import ge
 
 from .blocks import EmbeddedDataBlock, XomLists
 from .errors import (CorruptXom, Malformed, NoXomSection, NotElf,
@@ -119,6 +121,11 @@ def load_elf(data):
                 _PHDR.unpack_from(data, e_phoff + i * e_phentsize)
             if p_type == PT_LOAD and p_offset + p_filesz > len(data):
                 raise Malformed("segment %d exceeds file size" % i)
+            # zero-fill executable bytes would be materialized per byte
+            # and per page downstream; real code segments have none
+            if p_type == PT_LOAD and p_flags & PF_X and p_memsz > p_filesz:
+                raise Malformed("executable segment %d has %d bytes of "
+                                "zero fill" % (i, p_memsz - p_filesz))
             segments.append(Segment(p_type, p_flags, p_offset, p_vaddr,
                                     p_filesz, p_memsz))
 
@@ -202,14 +209,17 @@ def deserialize_lists(payload):
     if len(payload) != expected:
         raise CorruptXom("entry table size mismatch: %d != %d"
                          % (len(payload), expected))
-    blocks = []
-    for i in range(opt_count + regr_count):
-        start, end, refs = _XOM_ENTRY.unpack_from(
-            payload, _XOM_HEADER.size + i * _XOM_ENTRY.size)
-        if start >= end:
-            raise CorruptXom("empty block [%#x, %#x)" % (start, end))
-        blocks.append(EmbeddedDataBlock(ByteInterval(start, end), refs))
-    return XomLists(regular=blocks[opt_count:], optimization=blocks[:opt_count])
+    # one unpack of the whole table: no tuple per entry
+    table = struct.unpack_from("<%dQ" % (3 * (opt_count + regr_count)),
+                               payload, _XOM_HEADER.size)
+    starts, ends, refs = table[0::3], table[1::3], table[2::3]
+    for start, end in compress(zip(starts, ends), map(ge, starts, ends)):
+        raise CorruptXom("empty block [%#x, %#x)" % (start, end))
+    blocks = list(map(EmbeddedDataBlock, map(ByteInterval, starts, ends),
+                      refs))
+    optimization = blocks[:opt_count]
+    del blocks[:opt_count]
+    return XomLists(regular=blocks, optimization=optimization)
 
 
 def attach_xom_section(image, lists):

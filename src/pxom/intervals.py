@@ -7,16 +7,23 @@ disjoint, adjacent runs merged.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le
+
+_set_field = object.__setattr__
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ByteInterval:
     start: int
     end: int
 
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError("empty interval [%#x, %#x)" % (self.start, self.end))
+    def __init__(self, start, end):
+        if start >= end:
+            raise ValueError("empty interval [%#x, %#x)" % (start, end))
+        # the generated frozen __init__ plus __post_init__, in one call
+        _set_field(self, "start", start)
+        _set_field(self, "end", end)
 
     def __len__(self):
         return self.end - self.start
@@ -91,6 +98,13 @@ class IntervalSet:
     def contains_range(self, addr, size):
         i = bisect_right(self._starts, addr) - 1
         return i >= 0 and addr + size <= self._ends[i]
+
+    def contains_each(self, starts, ends):
+        """contains_range for each [starts[k], ends[k]), as an iterator of
+        bools; the loop runs in C."""
+        limits = [float("-inf"), *self._ends]   # [0]: before every interval
+        found = map(bisect_right, repeat(self._starts), starts)
+        return map(le, ends, map(limits.__getitem__, found))
 
     def run_at(self, addr):
         """(start, end) of the interval containing addr, or None."""

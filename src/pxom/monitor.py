@@ -4,12 +4,18 @@ A Monitor owns the two block lists, a page permission map, and the
 allow-read flag.  Reads fully contained in one listed block are allowed
 via an explicit restore / single-step / revoke flow; anything else
 terminates the monitor and freezes a forensic record.
+
+A read costs a bisect, a read-count increment and no new verdict:
+verdicts, `scan_log` lists and transition tails are immutable or shared
+values built once per monitor.
 """
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import attrgetter, is_
 
 from .blocks import EmbeddedDataBlock, XomLists
 from .errors import MonitorTerminated, TraceParse
@@ -27,24 +33,20 @@ OVERLAPS_CODE = "OverlapsCode"
 OUTSIDE_LISTS = "OutsideLists"
 
 
-@dataclass(frozen=True)
-class ReadRequest:
-    addr: int
-    size: int
+class ReadRequest(namedtuple("ReadRequest", "addr size")):
+    """One faulting read of 1..MAX_READ_SIZE bytes at addr."""
 
-    def __post_init__(self):
-        if not 1 <= self.size <= MAX_READ_SIZE:
+    __slots__ = ()
+
+    def __new__(cls, addr, size):
+        if not 1 <= size <= MAX_READ_SIZE:
             raise ValueError("read size %d outside 1..%d"
-                             % (self.size, MAX_READ_SIZE))
+                             % (size, MAX_READ_SIZE))
+        return tuple.__new__(cls, (addr, size))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    matched_block: object = None
-    promoted: bool = False
-    reason: str = None
-
+Verdict = namedtuple("Verdict", "outcome matched_block promoted reason",
+                     defaults=(None, False, None))
 
 StateTransition = namedtuple("StateTransition", "name detail", defaults=("",))
 
@@ -53,6 +55,18 @@ _CHECK_FAIL = StateTransition("LegalityCheck", "fail")
 _SET_FLAG = StateTransition("SetAllowReadFlag")
 _SINGLE_STEP = StateTransition("SingleStepExecute")
 _CLEAR_FLAG = StateTransition("ClearAllowReadFlag")
+_TERMINATE = {reason: StateTransition("Terminate", reason)
+              for reason in (OVERLAPS_CODE, OUTSIDE_LISTS)}
+
+_DENIED = {True: Verdict(DENIED, reason=OVERLAPS_CODE),
+           False: Verdict(DENIED, reason=OUTSIDE_LISTS)}
+
+# scan_log values; shared by every read, so callers compare, never mutate
+_SCAN_OPTIMIZATION = ["optimization"]
+_SCAN_BOTH = ["optimization", "regular"]
+
+_START = attrgetter("interval.start")
+_READS = attrgetter("read_count")
 
 
 @dataclass
@@ -64,6 +78,8 @@ class TraceReport:
     executed_instructions: int = 0
     read_intensity: float = None
     optimization_size: int = 0
+    denial: tuple = None        # (request, reason, nearest block or None)
+    promoted: list = field(default_factory=list)   # starts, in order
 
 
 def _pages(start, end):
@@ -71,123 +87,186 @@ def _pages(start, end):
     return range(start // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1)
 
 
-def _snapshot(lists):
-    """Frozen copy of both block lists for the forensic record."""
-    def dup(blocks):
-        return [EmbeddedDataBlock(b.interval, b.static_ref_count,
-                                  b.read_count) for b in blocks]
-
-    return XomLists(regular=dup(lists.regular),
-                    optimization=dup(lists.optimization))
+def _allowed_tail(first_page, last_page):
+    """Transitions after Fault for an allowed read over these pages, and
+    the page states it leaves behind."""
+    pages = range(first_page, last_page + 1)
+    steps = (_CHECK_PASS, _SET_FLAG,
+             *[StateTransition("RestorePageReadable", "%#x" % p)
+               for p in pages],
+             _SINGLE_STEP,
+             *[StateTransition("RevokePageExecuteOnly", "%#x" % p)
+               for p in pages],
+             _CLEAR_FLAG)
+    return steps, dict.fromkeys(pages, EXECUTE_ONLY)
 
 
 class Monitor:
     """Read monitor over disjoint block lists.
 
-    One index sorted by start covers both lists, and a block's tier is
-    whether its start is in `_optimized`.  The last block that starts at
-    or before a read's last byte is the only one that can contain the
-    read, and it overlaps the read exactly when some block does.
+    One index sorted by start covers both lists, and `_scans` holds each
+    block's tier.  The last block that starts before a read's end is the
+    only one that can contain the read, and it overlaps the read exactly
+    when some block does.
+
+    While it runs, the monitor owns the lists: it keeps the read counts
+    itself (writing each new count to the block) and changes the list
+    order only by promotion, so a caller's edit to either is not seen.
     """
 
     def __init__(self, lists, executable_ranges=None):
-        lists.validate()
+        self._blocks, self._starts, self._ends = lists.index()
         self.lists = lists
         self.allow_read_flag = False
         self.terminated = False
-        self.forensic_record = None
         self.scan_log = []
+        self._record = None
+        self._denial = None
+        self._lists_state = None
         ranges = executable_ranges
         if ranges is None:
             ranges = [b.interval for b in lists.all_blocks()]
         self.page_state = {page: EXECUTE_ONLY for iv in ranges
                            for page in _pages(iv.start, iv.end)}
-        self._blocks = sorted(lists.all_blocks(),
-                              key=lambda b: b.interval.start)
-        self._starts = [b.interval.start for b in self._blocks]
-        self._optimized = {b.interval.start for b in lists.optimization}
+        # a read's scan_log is its block's tier: which lists were scanned
+        self._scans = [_SCAN_BOTH] * len(self._blocks)
+        for block in lists.optimization:
+            self._scans[bisect_left(self._starts, _START(block))] = \
+                _SCAN_OPTIMIZATION
+        # read counts in index order, copied to each block's read_count
+        self._reads = list(map(_READS, self._blocks))
+        self._allowed = [None] * len(self._blocks)   # verdicts, built lazily
+        self._tails = {}
 
-    def _require_live(self):
-        if self.terminated:
-            raise MonitorTerminated("monitor already terminated")
+    @property
+    def forensic_record(self):
+        """(request, timestamp, XomLists copy at denial), or None.
+
+        A denial records the list orders and read counts; the copy is
+        built from them when first read.
+        """
+        if self._denial is not None:
+            request, stamp, (regular, optimization, reads) = self._denial
+            self._denial = None
+            counts = dict(zip(map(id, self._blocks), reads))
+            copy = lambda blocks: [
+                EmbeddedDataBlock(b.interval, b.static_ref_count,
+                                  counts[id(b)]) for b in blocks]
+            self._record = (request, stamp, XomLists(
+                regular=copy(regular), optimization=copy(optimization)))
+        return self._record
+
+    @forensic_record.setter
+    def forensic_record(self, value):
+        self._denial = None
+        self._record = value
 
     def check_read(self, request):
-        self._require_live()
-        addr = request.addr
-        i = bisect_right(self._starts, addr + request.size - 1) - 1
-        block = self._blocks[i] if i >= 0 else None
-        if block is None or not block.interval.contains(addr, request.size):
-            self.scan_log = ["optimization", "regular"]
-            overlaps = block is not None and addr < block.interval.end
+        if self.terminated:
+            raise MonitorTerminated("monitor already terminated")
+        addr, size = request
+        end = addr + size
+        i = bisect_left(self._starts, end) - 1
+        if i < 0 or addr < self._starts[i] or end > self._ends[i]:
             self.terminated = True
-            self.forensic_record = (request, time.time(),
-                                    _snapshot(self.lists))
-            return Verdict(DENIED, reason=(OVERLAPS_CODE if overlaps
-                                           else OUTSIDE_LISTS))
-        block.read_count += 1
-        start = block.interval.start
-        if start in self._optimized:
-            self.scan_log = ["optimization"]
-            return Verdict(ALLOWED, matched_block=block)
-        self.scan_log = ["optimization", "regular"]
-        if block.read_count <= PROMOTION_THRESHOLD:
-            return Verdict(ALLOWED, matched_block=block)
+            self.scan_log = _SCAN_BOTH
+            # list orders and read counts; unchanged since the last
+            # denial unless a read was allowed in between
+            state = self._lists_state
+            if state is None:
+                state = self._lists_state = (
+                    tuple(self.lists.regular), tuple(self.lists.optimization),
+                    tuple(self._reads))
+            self._denial = (request, time.time(), state)
+            return _DENIED[i >= 0 and addr < self._ends[i]]
+        self._lists_state = None
+        reads = self._reads[i] + 1
+        self._reads[i] = reads
+        block = self._blocks[i]
+        block.read_count = reads
+        verdict = self._allowed[i]
+        if verdict is None:
+            verdict = self._allowed[i] = Verdict(ALLOWED, block)
+        scan = self.scan_log = self._scans[i]
+        if scan is _SCAN_OPTIMIZATION or reads <= PROMOTION_THRESHOLD:
+            return verdict
+        # the regular list is sorted by start unless the caller built it
+        # otherwise; then a C-level identity scan finds the block
         regular = self.lists.regular
-        del regular[next(j for j, b in enumerate(regular) if b is block)]
+        j = bisect_left(regular, self._starts[i], key=_START)
+        if j == len(regular) or regular[j] is not block:
+            j = next(compress(count(), map(is_, regular, repeat(block))))
+        del regular[j]
         self.lists.optimization.append(block)
-        self._optimized.add(start)
-        return Verdict(ALLOWED, matched_block=block, promoted=True)
+        self._scans[i] = _SCAN_OPTIMIZATION
+        return Verdict(ALLOWED, block, True)
 
     def fault_flow(self, request):
         """Transition sequence for one faulting read.
 
         Returns (verdict, transitions).
         """
-        self._require_live()
-        fault = StateTransition("Fault", "%#x+%d" % (request.addr,
-                                                     request.size))
+        if self.terminated:
+            raise MonitorTerminated("monitor already terminated")
+        fault = StateTransition("Fault", "%#x+%d" % request)
         verdict = self.check_read(request)
         if verdict.outcome == DENIED:
-            return verdict, [fault, _CHECK_FAIL,
-                             StateTransition("Terminate", verdict.reason)]
-        transitions = [fault, _CHECK_PASS, _SET_FLAG]
-        self.allow_read_flag = True
+            return verdict, [fault, _CHECK_FAIL, _TERMINATE[verdict.reason]]
         # restore-read / single-step / revoke is atomic w.r.t. the event
-        # stream: no caller can observe a page readable.  A read that
+        # stream: no caller can observe a page readable or the flag set,
+        # so only the states they end in are written.  A read that
         # crosses a page boundary needs every page it touches.
-        pages = _pages(request.addr, request.addr + request.size)
-        for page in pages:
-            self.page_state[page] = READABLE
-            transitions.append(StateTransition("RestorePageReadable",
-                                               "%#x" % page))
-        transitions.append(_SINGLE_STEP)
-        for page in pages:
-            self.page_state[page] = EXECUTE_ONLY
-            transitions.append(StateTransition("RevokePageExecuteOnly",
-                                               "%#x" % page))
+        addr, size = request
+        key = (addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = _allowed_tail(*key)
+        steps, revoked = tail
+        self.page_state.update(revoked)
         self.allow_read_flag = False
-        transitions.append(_CLEAR_FLAG)
-        return verdict, transitions
+        return verdict, [fault, *steps]
+
+    def nearest_block(self, addr, size):
+        """The block a read overlaps, else the closest one, else None."""
+        end = addr + size
+        i = bisect_left(self._starts, end) - 1
+        if i >= 0 and addr < self._ends[i]:
+            return self._blocks[i]
+        before = addr - self._ends[i] if i >= 0 else None
+        after = (self._starts[i + 1] - end if i + 1 < len(self._starts)
+                 else None)
+        if after is not None and (before is None or after < before):
+            return self._blocks[i + 1]
+        return self._blocks[i] if before is not None else None
 
     def run_trace(self, events):
         """Process parsed trace events; stops at the first denied read."""
         report = TraceReport()
+        fault_flow = self.fault_flow
+        promoted = report.promoted
+        reads = allowed = executed = 0
         for event in events:
             if event[0] == "I":
-                report.executed_instructions += event[1]
+                executed += event[1]
                 continue
             _, addr, size = event
-            report.reads += 1
-            verdict, _ = self.fault_flow(ReadRequest(addr, size))
+            reads += 1
+            request = ReadRequest(addr, size)
+            verdict, _ = fault_flow(request)
             if verdict.outcome == DENIED:
-                report.denied += 1
+                report.denied = 1
+                report.denial = (request, verdict.reason,
+                                 self.nearest_block(addr, size))
                 break
-            report.allowed += 1
+            allowed += 1
             if verdict.promoted:
-                report.promotions += 1
-        if report.executed_instructions > 0:
-            report.read_intensity = (report.reads
-                                     / report.executed_instructions)
+                promoted.append(verdict.matched_block.interval.start)
+        report.reads = reads
+        report.allowed = allowed
+        report.promotions = len(promoted)
+        report.executed_instructions = executed
+        if executed > 0:
+            report.read_intensity = reads / executed
         report.optimization_size = len(self.lists.optimization)
         return report
 
@@ -201,24 +280,26 @@ def new_monitor(lists, executable_ranges=None):
 def parse_trace(text):
     """Trace grammar: `R <hex addr> <decimal size>`, `I <count>`, `#` comments."""
     events = []
+    append = events.append
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        parts = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not parts:
             continue
-        parts = stripped.split()
         try:
             if parts[0] == "R" and len(parts) == 3:
-                event = ("R", int(parts[1], 16), int(parts[2], 10))
-                valid = event[1] >= 0 and 1 <= event[2] <= MAX_READ_SIZE
+                addr = int(parts[1], 16)
+                size = int(parts[2], 10)
+                if addr >= 0 and 1 <= size <= MAX_READ_SIZE:
+                    append(("R", addr, size))
+                    continue
             elif parts[0] == "I" and len(parts) == 2:
-                event = ("I", int(parts[1], 10))
-                valid = event[1] >= 0
+                n = int(parts[1], 10)
+                if n >= 0:
+                    append(("I", n))
+                    continue
             else:
                 raise ValueError
         except ValueError:
             raise TraceParse("unrecognized event %r" % line.strip(), lineno)
-        if not valid:
-            raise TraceParse("value out of range in %r" % line.strip(),
-                             lineno)
-        events.append(event)
+        raise TraceParse("value out of range in %r" % line.strip(), lineno)
     return events

@@ -1,10 +1,13 @@
 import json
+import struct
+import time
 
 import pytest
 
+from pxom import blocks
 from pxom.cli import build_parser, main
 
-from conftest import require_tool
+from conftest import exec_elf, require_tool
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +133,82 @@ class TestSimulate:
                                "--trace", str(trace))
         assert code == 1
         assert err.startswith("error: TraceParse: line 2")
+
+
+class TestSimulateReport:
+    """The `denial` and `promoted` keys of the `simulate` report."""
+
+    def simulate(self, capsys, tmp_path, protected, lines):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "simulate", "-i", str(protected),
+                               "--trace", str(trace))
+        assert code == 0
+        return json.loads(out)
+
+    def blocks(self, capsys, protected):
+        _, out, _ = run_cli(capsys, "print", "-i", str(protected))
+        return [(name, int(start, 16), int(end, 16))
+                for name, start, end, _ in map(str.split, out.splitlines())]
+
+    def test_denial_names_read_reason_and_block(self, capsys, tmp_path,
+                                                protected):
+        _, start, end = self.blocks(capsys, protected)[0]
+        report = self.simulate(capsys, tmp_path, protected,
+                               ["R %x 1" % start, "R %x 2" % (end - 1)])
+        assert report["denial"] == {"addr": end - 1, "size": 2,
+                                    "reason": "OverlapsCode",
+                                    "block": [start, end]}
+        assert (report["allowed"], report["denied"]) == (1, 1)
+
+    def test_no_denial_no_promotion(self, capsys, tmp_path, protected):
+        _, start, _ = self.blocks(capsys, protected)[0]
+        report = self.simulate(capsys, tmp_path, protected,
+                               ["R %x 1" % start])
+        assert report["denial"] is None and report["promoted"] == []
+
+    def test_promoted_in_promotion_order(self, capsys, tmp_path, protected):
+        regular = [start for name, start, _ in self.blocks(capsys, protected)
+                   if name == "regular"]
+        first, second = regular[-1], regular[0]
+        lines = (["R %x 1" % second] * 100 + ["R %x 1" % first] * 101
+                 + ["R %x 1" % second])
+        report = self.simulate(capsys, tmp_path, protected, lines)
+        assert report["promoted"] == [first, second]
+        assert report["promotions"] == 2 and report["denial"] is None
+
+
+    def test_lists_validated_and_sorted_once(self, capsys, tmp_path,
+                                             protected, monkeypatch):
+        _, start, _ = self.blocks(capsys, protected)[0]
+        calls = []
+
+        def counting_sorted(*args, **kwargs):
+            calls.append(args)
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(blocks, "sorted", counting_sorted, raising=False)
+        self.simulate(capsys, tmp_path, protected, ["R %x 1" % start])
+        assert len(calls) == 1
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("command", ["protect", "analyze", "simulate"])
+    def test_huge_zero_fill_code_segment_fails_fast(self, capsys, tmp_path,
+                                                     command):
+        data = bytearray(exec_elf(b"\xc3" * 16))
+        struct.pack_into("<Q", data, 0x40 + 40, 1 << 40)  # p_memsz
+        binary = tmp_path / "huge"
+        binary.write_bytes(bytes(data))
+        trace = tmp_path / "trace.txt"
+        trace.write_text("R 1000 1\n")
+        argv = {"protect": ["-o", str(tmp_path / "out")],
+                "analyze": [],
+                "simulate": ["--trace", str(trace)]}[command]
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, command, "-i", str(binary), *argv)
+        assert time.monotonic() - start < 1
+        assert code == 1 and err.startswith("error: Malformed")
 
 
 class TestScan:

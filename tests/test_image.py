@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import (CorruptXom, InvariantViolation, Malformed,
                          NoXomSection, NotElf, SectionExists, Unsupported)
-from pxom.image import (XOM_FLAG_INDEX, attach_xom_section, executable_ranges,
-                        is_xom_enabled, load_elf, parse_xom_section,
-                        serialize_lists, set_xom_flag)
+from pxom.image import (XOM_FLAG_INDEX, attach_xom_section,
+                        deserialize_lists, executable_ranges, is_xom_enabled,
+                        load_elf, parse_xom_section, serialize_lists,
+                        set_xom_flag)
 from pxom.intervals import ByteInterval
 
 from conftest import exec_elf, make_elf, require_tool
@@ -45,6 +46,18 @@ class TestLoadElf:
         struct.pack_into("<H", data, 0x38, 40)  # e_phnum
         with pytest.raises(Malformed):
             load_elf(bytes(data))
+
+    @pytest.mark.parametrize("flags, ok", [(5, False), (6, True)])
+    def test_zero_fill_only_outside_code(self, flags, ok):
+        data = bytearray(make_elf([(0x1000, 5, b"\xc3" * 16),
+                                   (0x3000, flags, b"\x00" * 16)],
+                                  entry=0x1000))
+        struct.pack_into("<Q", data, 0x40 + 0x38 + 40, 1 << 40)  # p_memsz
+        if ok:
+            assert load_elf(bytes(data)).segments[1].memsz == 1 << 40
+        else:
+            with pytest.raises(Malformed, match="zero fill"):
+                load_elf(bytes(data))
 
     def test_system_binary_matches_readelf(self):
         require_tool("readelf")
@@ -139,6 +152,19 @@ class TestXomSection:
                 struct.pack_into("<Q", raw, off + 32, sec.size - 8)
         with pytest.raises(CorruptXom):
             parse_xom_section(load_elf(bytes(raw)))
+
+    @pytest.mark.parametrize("entry, message", [
+        ((0x1010, 0x1010, 0), "empty block [0x1010, 0x1010)"),
+        ((0x1018, 0x1010, 0), "empty block [0x1018, 0x1010)"),
+    ])
+    def test_empty_block_entry(self, entry, message):
+        payload = bytearray(serialize_lists(XomLists(
+            regular=blocks((0x1000, 0x1008, 3), (0x1020, 0x1030, 0)),
+            optimization=blocks((0x1010, 0x1018, 12)))))
+        struct.pack_into("<QQQ", payload, 24 + 24 * 2, *entry)   # 3rd entry
+        with pytest.raises(CorruptXom) as exc:
+            deserialize_lists(bytes(payload))
+        assert str(exc.value) == message
 
     def test_overlapping_blocks_rejected(self):
         image = load_elf(exec_elf(b"\xc3" * 64))

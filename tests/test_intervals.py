@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,3 +85,15 @@ def test_matches_set_of_ints_model(added, removed):
     ivs = list(s)
     for a, b in zip(ivs, ivs[1:]):
         assert a.end < b.start
+
+
+def test_contains_each_matches_contains_range():
+    rng = random.Random(3)
+    for _ in range(200):
+        s = IntervalSet.from_pairs(
+            (a, a + rng.randint(1, 40))
+            for a in rng.sample(range(0, 400, 3), rng.randint(0, 8)))
+        starts = [rng.randrange(-5, 450) for _ in range(30)]
+        ends = [a + rng.randint(1, 50) for a in starts]
+        assert list(s.contains_each(starts, ends)) == [
+            s.contains_range(a, e - a) for a, e in zip(starts, ends)]

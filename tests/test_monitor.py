@@ -1,13 +1,18 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import InvariantViolation, MonitorTerminated, TraceParse
 from pxom.intervals import ByteInterval, IntervalSet
-from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, OUTSIDE_LISTS,
-                          OVERLAPS_CODE, PROMOTION_THRESHOLD, ReadRequest,
-                          new_monitor, parse_trace)
+from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, MAX_READ_SIZE,
+                          OUTSIDE_LISTS, OVERLAPS_CODE, PAGE_SIZE,
+                          PROMOTION_THRESHOLD, ReadRequest, new_monitor,
+                          parse_trace)
+
+from oracle_monitor import reference_new_monitor, reference_parse_trace
 
 
 def lists_with(regular=(), optimization=()):
@@ -236,6 +241,19 @@ def test_validate_touching_and_one_byte_overlap(first, second, end, ok):
             lists.validate()
 
 
+def test_index_follows_list_changes():
+    lists = lists_with(regular=[(0x1000, 0x1010, 0), (0x1020, 0x1030, 0)],
+                       optimization=[(0x1040, 0x1050, 20)])
+    lists.validate()
+    lists.regular[1] = EmbeddedDataBlock(ByteInterval(0x1020, 0x1048), 0)
+    with pytest.raises(InvariantViolation, match="overlapping"):
+        new_monitor(lists)
+    lists.regular[1] = EmbeddedDataBlock(ByteInterval(0x1020, 0x1040), 0)
+    m = new_monitor(lists)
+    assert m.check_read(ReadRequest(0x1038, 8)).matched_block \
+        is lists.regular[1]
+
+
 class BruteForceMonitor:
     """Per-byte block ids, read counts and a tier set; no index."""
 
@@ -310,3 +328,160 @@ class TestAgainstBruteForce:
             if verdict.outcome == DENIED:
                 m.terminated = False        # test-only revive
         assert promotions > 0
+
+
+def _state(m):
+    """What a monitor shows of its lists, pages and flags."""
+    return ([_rows(getattr(m.lists, name)) for name in LIST_NAMES],
+            m.page_state, m.allow_read_flag, m.terminated, m.scan_log)
+
+
+def _rows(blocks):
+    return [(b.interval.start, b.interval.end, b.static_ref_count,
+             b.read_count) for b in blocks]
+
+
+LIST_NAMES = ("regular", "optimization")
+
+
+def _compare_with_reference(seed, totals):
+    rng = random.Random(seed)
+    space = 0x3000
+    n = rng.randint(1, 20)
+    points = sorted(rng.sample(range(space + 1), 2 * n))
+    pairs = list(zip(points[::2], points[1::2]))
+    split = rng.randint(0, len(pairs))
+    if seed % 2:
+        rng.shuffle(pairs)      # an unsorted regular list
+    triples = [p + (rng.randint(0, 20),) for p in pairs]
+    regular, optimization = triples[:split], triples[split:]
+    # no ranges, ranges that hold every block, and ranges that hold
+    # half the space, so that reads also touch pages outside them
+    ranges = [None, IntervalSet.from_pairs([(0, space)]),
+              IntervalSet.from_pairs([(0, space // 2)])][seed % 3]
+    m = new_monitor(lists_with(regular, optimization), ranges)
+    ref = reference_new_monitor(lists_with(regular, optimization), ranges)
+    mine = {b.interval.start: b for b in m.lists.all_blocks()}
+    hot = rng.sample(pairs, min(3, len(pairs)))
+    denial = None           # (request, lists, earliest, latest stamp)
+    for step in range(2000):
+        where = (seed, step)
+        if rng.random() < 0.85:
+            start, end = rng.choice(hot)
+            size = rng.randint(1, min(MAX_READ_SIZE, end - start))
+            addr = rng.randint(start, end - size)
+        else:
+            addr = rng.randrange(space)
+            size = rng.randint(1, MAX_READ_SIZE)
+        request = ReadRequest(addr, size)
+        call = rng.choice(("check_read", "fault_flow", "run_trace"))
+        if denial is not None and rng.random() < 0.1:
+            # the record describes the lists at denial, however many
+            # reads the revived monitor has made since
+            got_request, stamp, snapshot = m.forensic_record
+            assert (got_request, [_rows(getattr(snapshot, name))
+                                  for name in LIST_NAMES]) \
+                == denial[:2], where
+            assert denial[2] <= stamp <= denial[3], where
+            totals["records read after later reads"] += not m.terminated
+        if m.terminated:
+            with pytest.raises(MonitorTerminated):
+                getattr(m, call)(request if call != "run_trace"
+                                 else [("R", addr, size)])
+            m.terminated = ref.terminated = False     # test-only revive
+            totals["revived"] += 1
+            continue
+        earliest = time.time()
+        if call == "run_trace":
+            events = [("I", rng.randrange(100)), ("R", addr, size)]
+            got = m.run_trace(events)
+            want = ref.run_trace(events)
+            assert {k: getattr(got, k) for k in want} == want, where
+            promoted = [b.interval.start for b in ref.lists.optimization]
+            assert got.promoted == promoted[len(promoted) - got.promotions:]
+            totals["promotions"] += got.promotions
+        else:
+            if call == "check_read":
+                verdict = m.check_read(request)
+                want_verdict = ref.check_read(request)
+            else:
+                verdict, transitions = m.fault_flow(request)
+                want_verdict, want_transitions = ref.fault_flow(request)
+                assert transitions == want_transitions, where
+                if (verdict.outcome == ALLOWED and addr // PAGE_SIZE
+                        != (addr + size - 1) // PAGE_SIZE):
+                    totals["page-crossing reads"] += 1
+            assert (verdict.outcome, verdict.promoted, verdict.reason) == (
+                want_verdict.outcome, want_verdict.promoted,
+                want_verdict.reason), where
+            block = want_verdict.matched_block
+            assert verdict.matched_block is (
+                None if block is None else mine[block.interval.start]), where
+            totals["promotions"] += verdict.promoted
+        latest = time.time()
+        assert _state(m) == _state(ref), where
+        if m.terminated:
+            totals["denials"] += 1
+            want_request, _, snapshot = ref.forensic_record
+            denial = (want_request, [_rows(getattr(snapshot, name))
+                                     for name in LIST_NAMES],
+                      earliest, latest)
+            if rng.random() < 0.3:
+                m.forensic_record = ref.forensic_record = None
+                denial = None
+                assert m.forensic_record is None
+
+
+def test_random_calls_match_reference():
+    """Mixed check_read / fault_flow / run_trace calls against the
+    reference monitor: verdicts, matched blocks, transitions, both lists
+    with read counts, page states, flags and forensic records."""
+    totals = Counter()
+    for seed in range(40):
+        _compare_with_reference(seed, totals)
+    for what in ("promotions", "denials", "revived", "page-crossing reads",
+                 "records read after later reads"):
+        assert totals[what] > 0, (what, totals)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except TraceParse as exc:
+        return type(exc), exc.lineno, str(exc)
+
+
+def test_parse_trace_matches_reference():
+    """Events, or the error and its line, equal the reference parser's."""
+    rng = random.Random(5)
+    pieces = ["R", "I", "0x10", "1f", "-4", "+8", "1_0", "64", "65", "0",
+              "zz", "#", "# c", "\t", "  ", "　", "١", "R 10 4",
+              "I 7", "R 10 4 # x", "R 10 4#x", "I 3#", ""]
+    for trial in range(3000):
+        lines = [" ".join(rng.choice(pieces)
+                          for _ in range(rng.randint(0, 4)))
+                 for _ in range(rng.randint(0, 6))]
+        text = rng.choice(["\n", "\r\n", "\x0c"]).join(lines)
+        assert _parse_outcome(parse_trace, text) \
+            == _parse_outcome(reference_parse_trace, text), repr(text)
+
+
+@pytest.mark.parametrize("addr, size, nearest", [
+    (0x1000, 8, (0x1000, 0x1010)),      # contained
+    (0x100C, 8, (0x1000, 0x1010)),      # runs off the end
+    (0x0FFC, 8, (0x1000, 0x1010)),      # runs into the start
+    (0x1012, 4, (0x1000, 0x1010)),      # 2 bytes after, 10 before the next
+    (0x101C, 2, (0x1020, 0x1030)),      # 2 bytes before the next
+    (0x1017, 2, (0x1000, 0x1010)),      # a tie goes to the lower block
+    (0x0800, 4, (0x1000, 0x1010)),      # before every block
+    (0x3000, 4, (0x1020, 0x1030)),      # after every block
+])
+def test_nearest_block(addr, size, nearest):
+    m = new_monitor(lists_with(regular=[(0x1000, 0x1010, 0)],
+                               optimization=[(0x1020, 0x1030, 20)]))
+    block = m.nearest_block(addr, size)
+    assert (block.interval.start, block.interval.end) == nearest
+
+
+def test_nearest_block_without_blocks():
+    assert new_monitor(lists_with()).nearest_block(0x1000, 4) is None
