@@ -81,10 +81,12 @@ def fde_initial_locations(data, section_vaddr):
         if length == 0:
             break
         if length == 0xFFFFFFFF:
+            if pos + 8 > n:
+                break
             length = struct.unpack_from("<Q", data, pos)[0]
             pos += 8
         record_end = pos + length
-        if record_end > n:
+        if length < 4 or record_end > n:    # no room for the CIE id
             break
         cie_id = struct.unpack_from("<I", data, pos)[0]
         body = pos + 4

@@ -86,16 +86,28 @@ class BinaryImage:
         return None
 
     def read_vaddr(self, addr, size):
-        """Bytes at a virtual address, zero-filled past file content."""
-        for seg in self.segments:
-            if seg.p_type != PT_LOAD:
-                continue
-            if seg.vaddr <= addr and addr + size <= seg.vaddr + seg.memsz:
-                off = addr - seg.vaddr
-                avail = max(0, min(size, seg.filesz - off))
-                data = self.raw[seg.offset + off:seg.offset + off + avail]
-                return data + b"\x00" * (size - len(data))
-        return None
+        """Bytes at a virtual address, zero-filled past file content.
+
+        The range may span PT_LOAD segments that touch, as the merged
+        ranges of `executable_ranges` do.  None when a byte of it is in
+        no PT_LOAD segment.
+        """
+        pieces = []
+        end = addr + size
+        while addr < end:
+            for seg in self.segments:
+                if (seg.p_type == PT_LOAD
+                        and seg.vaddr <= addr < seg.vaddr + seg.memsz):
+                    break
+            else:
+                return None
+            n = min(end, seg.vaddr + seg.memsz) - addr
+            off = addr - seg.vaddr
+            avail = max(0, min(n, seg.filesz - off))
+            pieces.append(self.raw[seg.offset + off:seg.offset + off + avail])
+            pieces.append(b"\x00" * (n - avail))
+            addr += n
+        return b"".join(pieces)
 
 
 def load_elf(data):
@@ -128,6 +140,7 @@ def load_elf(data):
                                 "zero fill" % (i, p_memsz - p_filesz))
             segments.append(Segment(p_type, p_flags, p_offset, p_vaddr,
                                     p_filesz, p_memsz))
+    _check_code_segments_disjoint(segments)
 
     sections = []
     if e_shnum:
@@ -167,6 +180,16 @@ def load_elf(data):
     if e_entry and exec_ranges and e_entry not in exec_ranges:
         raise Malformed("entry point %#x outside executable ranges" % e_entry)
     return image
+
+
+def _check_code_segments_disjoint(segments):
+    """Executable PT_LOADs may touch but not overlap: an overlapping
+    byte would have two file offsets, and so two possible contents."""
+    code = sorted((seg.vaddr, seg.vaddr + seg.memsz) for seg in segments
+                  if seg.p_type == PT_LOAD and seg.executable and seg.memsz)
+    for (_, prev_end), (start, _) in zip(code, code[1:]):
+        if start < prev_end:
+            raise Malformed("executable segments overlap at %#x" % start)
 
 
 def executable_ranges(image):

@@ -8,7 +8,7 @@ byte can never be claimed as code.
 
 The decoder is table-driven.  `_ONE_BYTE` and `_TWO_BYTE` (the opcode
 after 0F) each hold 256 entries; an entry is None (invalid in 64-bit
-mode) or a tuple `(has_modrm, operand, kind)`:
+mode) or a tuple `(has_modrm, operand, kind, opcode)`:
 
 - has_modrm: a ModRM byte (plus SIB and displacement) follows the opcode.
 - operand: the immediate after ModRM, as a byte count (0 for none) or
@@ -16,6 +16,9 @@ mode) or a tuple `(has_modrm, operand, kind)`:
   relative branch kinds it is the size of the rel8/rel32 displacement.
 - kind: the control-flow kind, or `_GROUP` when the ModRM reg field
   selects the operand and kind from `_GROUPS`.
+- opcode: the `Instruction.opcode` tuple, built once per table entry so
+  that decoding allocates none.  Only the three-byte 0F 38 / 0F 3A
+  opcodes are built per call.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +116,7 @@ def _one_byte_map():
     put([0xC3, 0xCB], False, 0, RETURN)
     put([0xCC, 0xF4], False, 0, HALT)
     put([0xF6, 0xF7, 0xFE, 0xFF], True, 0, _GROUP)
-    return tuple(rows)
+    return _with_opcodes(rows, ())
 
 
 def _two_byte_map():
@@ -128,11 +131,12 @@ def _two_byte_map():
     for op in range(0x80, 0x90):                            # jcc rel32
         rows[op] = (False, 4, CONDITIONAL_JUMP)
     rows[0x0B] = (False, 0, HALT)                           # ud2
-    return tuple(rows)
+    return _with_opcodes(rows, (0x0F,))
 
 
 def _vex_maps():
-    """VEX map number -> 256 rows, as in `_ONE_BYTE`.
+    """VEX map number -> 256 rows, as in `_ONE_BYTE`, with opcode
+    `("vex", map, op)`.
 
     Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
     Map 3, and a few map-1/map-2 opcodes, carry an imm8.
@@ -140,9 +144,18 @@ def _vex_maps():
     rows = [(True, 0, FALLTHROUGH)] * 256
     for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
         rows[op] = (True, 1, FALLTHROUGH)
-    map2 = tuple(rows)
+    map2 = list(rows)
     rows[0x77] = (False, 0, FALLTHROUGH)
-    return {1: tuple(rows), 2: map2, 3: ((True, 1, FALLTHROUGH),) * 256}
+    return {1: _with_opcodes(rows, ("vex", 1)),
+            2: _with_opcodes(map2, ("vex", 2)),
+            3: _with_opcodes([(True, 1, FALLTHROUGH)] * 256, ("vex", 3))}
+
+
+def _with_opcodes(rows, prefix):
+    """rows with the opcode tuple `prefix + (op,)` appended to each
+    valid row."""
+    return tuple(None if row is None else (*row, (*prefix, op))
+                 for op, row in enumerate(rows))
 
 
 _ONE_BYTE = _one_byte_map()
@@ -185,11 +198,9 @@ def decode(data, offset, vaddr, limit=None):
             op2 = data[pos]
             pos += 1
             row = _TWO_BYTE[op2]
-            if op2 == 0x38 or op2 == 0x3A:
-                opcode = (0x0F, op2, data[pos])
+            if op2 == 0x38 or op2 == 0x3A:     # three-byte opcode
+                row = (*row[:3], (0x0F, op2, data[pos]))
                 pos += 1
-            else:
-                opcode = (0x0F, op2)
         elif op == 0xC4 or op == 0xC5:
             if op == 0xC4:
                 vmap = data[pos] & 0x1F
@@ -202,14 +213,12 @@ def decode(data, offset, vaddr, limit=None):
                 return None
             op = data[pos]
             pos += 1
-            opcode = ("vex", vmap, op)
             row = vex_rows[op]
         else:
             row = _ONE_BYTE[op]
             if row is None:
                 return None
-            opcode = (op,)
-        has_modrm, operand, kind = row
+        has_modrm, operand, kind, opcode = row
 
         modrm = rip_disp = None
         if has_modrm:

@@ -1,13 +1,14 @@
+import gc
 import json
 import struct
 import time
 
 import pytest
 
-from pxom import blocks
+from pxom import blocks, cli
 from pxom.cli import build_parser, main
 
-from conftest import exec_elf, require_tool
+from conftest import exec_elf, make_elf, require_tool
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,49 @@ class TestHostileInput:
         assert time.monotonic() - start < 1
         assert code == 1 and err.startswith("error: Malformed")
 
+    # jmp over four undecodable bytes, nops, then a ret that sits in a
+    # second executable segment when the image is split at 0x1010
+    SPLIT_CODE = b"\xeb\x04" + b"\xff" * 4 + b"\x90" * 10 + b"\xc3"
+
+    def command_output(self, capsys, tmp_path, command, name, segments):
+        binary = tmp_path / name
+        binary.write_bytes(make_elf(segments, entry=0x1000))
+        out = tmp_path / (name + ".xom")
+        argv = ["-o", str(out)] if command == "protect" else []
+        code, stdout, _ = run_cli(capsys, command, "-i", str(binary), *argv)
+        assert code == 0
+        if command == "protect":
+            _, listing, _ = run_cli(capsys, "print", "-i", str(out))
+            return stdout.split(": ", 1)[1], listing
+        report = json.loads(stdout)
+        for key in ("input", "sha256", "seconds"):
+            del report[key]
+        return report
+
+    @pytest.mark.parametrize("command", ["protect", "analyze", "scan"])
+    def test_touching_code_segments_read_as_one(self, capsys, tmp_path,
+                                                command):
+        code = self.SPLIT_CODE
+        split = self.command_output(capsys, tmp_path, command, "split",
+                                    [(0x1000, 5, code[:16]),
+                                     (0x1010, 5, code[16:])])
+        whole = self.command_output(capsys, tmp_path, command, "whole",
+                                    [(0x1000, 5, code)])
+        assert split == whole
+
+    @pytest.mark.parametrize("command", ["protect", "analyze", "scan"])
+    @pytest.mark.parametrize("second", [0x1008, 0x100f])
+    def test_overlapping_code_segments_are_malformed(self, capsys, tmp_path,
+                                                     command, second):
+        binary = tmp_path / "overlap"
+        binary.write_bytes(make_elf([(0x1000, 5, self.SPLIT_CODE[:16]),
+                                     (second, 5, b"\xc3" * 16)],
+                                    entry=0x1000))
+        argv = ["-o", str(tmp_path / "out")] if command == "protect" else []
+        code, _, err = run_cli(capsys, command, "-i", str(binary), *argv)
+        assert code == 1
+        assert err.startswith("error: Malformed: executable segments overlap")
+
 
 class TestScan:
     def test_schema(self, capsys, corpus):
@@ -251,3 +295,91 @@ class TestGenCorpus:
                                "--count", "2", "--seed", "3")
         assert code == 0
         assert len(list(outdir.glob("prog_*.gt"))) == 2
+
+
+class TestCollectorPaused:
+    """`main` runs each command with the cyclic collector off, which is
+    only safe while commands build no reference cycles."""
+
+    def commands(self, tmp_path, entry):
+        protected = tmp_path / "p.xom"
+        trace = tmp_path / "trace.txt"
+        trace.write_text("R 1000 1\nI 100\n")
+        return {
+            "protect": ["protect", "-i", entry.binary, "-o", protected],
+            "print": ["print", "-i", protected],
+            "analyze": ["analyze", "-i", entry.binary,
+                        "--ground-truth", entry.ground_truth],
+            "simulate": ["simulate", "-i", protected, "--trace", trace],
+            "scan": ["scan", "-i", entry.binary],
+            "compare": ["compare", "-i", entry.binary,
+                        "--ground-truth", entry.ground_truth],
+            "gen-corpus": ["gen-corpus", "--outdir", tmp_path / "gen",
+                           "--count", "1"],
+            "PxomError exit": ["print", "-i", entry.binary],
+        }
+
+    def test_commands_build_no_reference_cycles(self, capsys, tmp_path,
+                                                corpus):
+        commands = self.commands(tmp_path, corpus[0])
+        # warm-up: the first command of a process leaves one-time set-up
+        # garbage (module and cache initialization), which is not a leak
+        for argv in commands.values():
+            main([str(a) for a in argv])
+        garbage = {}
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for name, argv in commands.items():
+                main([str(a) for a in argv])
+                garbage[name] = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        capsys.readouterr()
+        assert garbage == dict.fromkeys(commands, 0)
+
+    def run_print(self, monkeypatch, tmp_path, effect, seen):
+        """main(["print", ...]) with the command's list parser replaced by
+        effect; the collector state inside the command goes to seen."""
+
+        def fake_parse(image):
+            seen.append(gc.isenabled())
+            return effect()
+
+        monkeypatch.setattr(cli, "parse_xom_section", fake_parse)
+        binary = tmp_path / "prog"
+        binary.write_bytes(exec_elf(b"\xc3"))
+        return main(["print", "-i", str(binary)])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_callers_state(self, monkeypatch, tmp_path, enabled):
+        seen = []
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = self.run_print(monkeypatch, tmp_path,
+                                  lambda: blocks.XomLists([], []), seen)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert (code, seen) == (0, [False])
+
+    def test_restores_on_os_error_exit(self, capsys, tmp_path):
+        assert gc.isenabled()
+        code, _, err = run_cli(capsys, "print", "-i",
+                               str(tmp_path / "missing"))
+        assert code == 1 and err.startswith("error: ")
+        assert gc.isenabled()
+
+    def test_restores_on_unexpected_exception(self, monkeypatch, tmp_path):
+        seen = []
+        assert gc.isenabled()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            self.run_print(monkeypatch, tmp_path, boom, seen)
+        assert seen == [False] and gc.isenabled()
