@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .blocks import EmbeddedDataBlock, XomLists
 from .disasm import (DisassemblyReport, EntryPoint, compute_superset,
-                     decode_at, detect_entry_points, recursive_disassemble)
+                     detect_entry_points)
 from .image import (BinaryImage, attach_xom_section, executable_ranges,
                     is_xom_enabled, load_elf, parse_xom_section, set_xom_flag)
 from .intervals import ByteInterval, IntervalSet
@@ -20,9 +20,9 @@ __all__ = [
     "EntryPoint", "Gadget", "IntervalSet", "Metrics", "Monitor",
     "ReadRequest", "TraceReport", "Verdict", "XomLists",
     "attach_xom_section", "build_lists", "code_coverage", "compute_superset",
-    "count_static_refs", "decode_at", "detect_entry_points", "edb_stats",
+    "count_static_refs", "detect_entry_points", "edb_stats",
     "executable_ranges", "gadget_scan", "is_xom_enabled", "load_elf",
     "metrics", "new_monitor", "overall_coverage", "parse_trace",
     "parse_xom_section", "protect_binary", "protect_image",
-    "read_intensity", "recursive_disassemble", "set_xom_flag", "wrpkru_scan",
+    "read_intensity", "set_xom_flag", "wrpkru_scan",
 ]

@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from . import x86
 from .ehframe import fde_initial_locations
-from .errors import EntryNotInSuperset, NoExecutableCode, OutOfRange
+from .errors import NoExecutableCode, OutOfRange
 from .image import executable_ranges
 from .intervals import IntervalSet
 
@@ -82,31 +82,15 @@ class _ExecView:
         return self._buffers[i][off:off + size]
 
 
-def decode_at(image, vaddr):
-    return _ExecView(image).decode(vaddr)
-
-
-def recursive_disassemble(image, entry, superset, view=None):
-    """Code intervals reachable from entry without leaving the superset."""
-    if not superset.contains_range(entry, 1):
-        raise EntryNotInSuperset("%#x is not an unclassified byte" % entry)
-    view = view or _ExecView(image)
-    claimed, _insns, _ok = _traverse(view, entry, superset,
-                                     committed_starts=frozenset(),
-                                     strict=False)
-    return claimed
-
-
-def _traverse(view, entry, superset, committed_starts, strict):
+def _traverse(view, entry, superset, committed):
     """Claim instruction bytes reachable from entry.
 
     A path ends cleanly at an instruction already decoded by this
-    traversal or at the start of a committed one.  In strict mode any
-    invalid decode, or reaching a byte outside the superset anywhere
+    traversal or at the start of a committed one (a key of committed).
+    Any invalid decode, or reaching a byte outside the superset anywhere
     else (mid-way into committed code, or off the executable range),
-    poisons the whole traversal (ok=False); in lenient mode it only ends
-    that path.  Returns (claimed, insns, ok), where claimed is the union
-    of the instructions in insns.
+    fails the whole traversal (ok=False).  Returns (claimed, insns, ok),
+    where claimed is the union of the instructions in insns.
 
     The superset does not change while a traversal runs, so the walk
     keeps the run [lo, hi) of superset and executable bytes it is in,
@@ -126,7 +110,7 @@ def _traverse(view, entry, superset, committed_starts, strict):
             if not lo <= va < hi:
                 run = superset.run_at(va)
                 if run is None:
-                    if strict and va not in committed_starts:
+                    if va not in committed:
                         ok = False
                     break
                 base, buf = view.buffer_at(va)
@@ -135,8 +119,7 @@ def _traverse(view, entry, superset, committed_starts, strict):
                 limit = hi - base
             ins = decode(buf, va - base, va, limit)
             if ins is None:
-                if strict:
-                    ok = False
+                ok = False
                 break
             insns[va] = ins
             kind = ins.kind
@@ -164,56 +147,44 @@ def _union(insns):
     return IntervalSet.from_pairs(runs)
 
 
-def detect_entry_points(image, superset, known_code, instructions=None):
-    """Candidate code entry points, ordered by source then address."""
-    view = _ExecView(image)
-    if instructions is None:
-        instructions = _linear_decode(view, known_code)
-    return _select_entry_points(superset, known_code, {
-        **_image_targets(image, view),
-        **_round_targets(image, view, superset, known_code, instructions)})
+def _finders(image, view):
+    """Source name -> targets(superset, code, instructions), the source's
+    candidate addresses, sorted.  The sources that read only the image
+    find theirs here, once, and return the same list every time."""
+    # load_elf keeps a nonzero entry inside the executable ranges
+    program_entry = [image.entry_point] if image.entry_point else []
+    frame_unwind = sorted(set(_frame_unwind_targets(image, view)))
+    address_taken = sorted(set(_address_taken_targets(image, view)))
+
+    def jump_table(superset, code, instructions):
+        insn_list = [instructions[va] for va in sorted(instructions)]
+        return sorted(set(_jump_table_targets(image, view, superset,
+                                              insn_list)))
+
+    def heuristic(superset, code, instructions):
+        return sorted(set(_heuristic_targets(view, superset, code)))
+
+    return {"program_entry": lambda *_: program_entry,
+            "jump_table": jump_table,
+            "frame_unwind": lambda *_: frame_unwind,
+            "address_taken": lambda *_: address_taken,
+            "heuristic": heuristic}
 
 
-def _image_targets(image, view):
-    """Sorted targets of the finders that read only the image and its
-    executable ranges, so one result serves every fixpoint round."""
-    return {"frame_unwind": sorted(set(_frame_unwind_targets(image, view))),
-            "address_taken": sorted(set(_address_taken_targets(image, view)))}
+def detect_entry_points(image, superset, known_code, instructions):
+    """Candidate code entry points, ordered by source then address.
 
-
-def _round_targets(image, view, superset, known_code, instructions):
-    """Sorted targets of the finders that read the current partition."""
-    insn_list = [instructions[k] for k in sorted(instructions)]
-    return {"jump_table": sorted(set(_jump_table_targets(
-                image, view, superset, insn_list))),
-            "heuristic": sorted(set(_heuristic_targets(
-                view, superset, known_code)))}
-
-
-def _select_entry_points(superset, known_code, targets):
-    """EntryPoints in SOURCE_ORDER, each source's sorted targets by
-    address.  An address goes to the first source that proposes it, and
-    must lie in the superset or the known code."""
+    An address goes to the first source in SOURCE_ORDER that proposes it,
+    and must lie in the superset or the known code.  instructions are
+    the committed ones, where the jump-table finder looks for tables."""
+    finders = _finders(image, _ExecView(image))
     found = {}
     for source in SOURCE_ORDER:
-        for va in targets.get(source, ()):
+        for va in finders[source](superset, known_code, instructions):
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
                 found[va] = source
     return [EntryPoint(va, src) for va, src in found.items()]
-
-
-def _linear_decode(view, known_code):
-    insns = {}
-    for iv in known_code:
-        va = iv.start
-        while va < iv.end:
-            ins = view.decode(va)
-            if ins is None or ins.end > iv.end:
-                break
-            insns[va] = ins
-            va = ins.end
-    return insns
 
 
 def _jump_table_targets(image, view, superset, insn_list):
@@ -361,50 +332,43 @@ def _matches_prologue(view, va):
 
 
 def compute_superset(image):
-    """Partition the executable bytes into identified code and superset."""
+    """Partition the executable bytes into identified code and superset.
+
+    A fixpoint: each round walks SOURCE_ORDER, asks each source for its
+    targets when its turn comes, and commits every traversal from a
+    target that succeeds.  The rounds stop when one commits nothing.
+
+    A traversal that fails still fails after later commits: a commit
+    cannot put a committed start on a failing path, because its own
+    traversal would follow that path to the same failure.  So a target
+    that a later source proposes again is rejected again.
+    """
     view = _ExecView(image)
     exec_ranges = view.ranges
     if not exec_ranges:
         raise NoExecutableCode("image has no executable segment")
 
+    finders = _finders(image, view)
     superset = exec_ranges.copy()
     code = IntervalSet()
-    committed_starts = set()
     instructions = {}
     accepted = []
-
-    def commit(claimed, insns, ep):
-        for iv in claimed:
-            superset.remove(iv.start, iv.end)
-            code.add(iv.start, iv.end)
-        committed_starts.update(insns)
-        instructions.update(insns)
-        accepted.append(ep)
-
-    entry = image.entry_point
-    if entry and superset.contains_range(entry, 1):
-        claimed, insns, _ok = _traverse(view, entry, superset,
-                                        frozenset(), strict=False)
-        if claimed:
-            commit(claimed, insns, EntryPoint(entry, "program_entry"))
-
-    image_targets = _image_targets(image, view)
-    while True:
+    progress = True
+    while progress:
         progress = False
-        for ep in _select_entry_points(superset, code, {
-                **image_targets,
-                **_round_targets(image, view, superset, code, instructions)}):
-            if ep.vaddr in committed_starts:
-                continue
-            if not superset.contains_range(ep.vaddr, 1):
-                continue
-            claimed, insns, ok = _traverse(view, ep.vaddr, superset,
-                                           committed_starts, strict=True)
-            if ok and claimed:
-                commit(claimed, insns, ep)
-                progress = True
-        if not progress:
-            break
+        for source in SOURCE_ORDER:
+            for va in finders[source](superset, code, instructions):
+                if not superset.contains_range(va, 1):
+                    continue
+                claimed, insns, ok = _traverse(view, va, superset,
+                                               instructions)
+                if ok:
+                    for iv in claimed:
+                        superset.remove(iv.start, iv.end)
+                        code.add(iv.start, iv.end)
+                    instructions.update(insns)
+                    accepted.append(EntryPoint(va, source))
+                    progress = True
 
     return DisassemblyReport(code=code, superset=superset,
                              entry_points=accepted,

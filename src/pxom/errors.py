@@ -37,10 +37,6 @@ class OutOfRange(PxomError):
     """Address not inside any executable range."""
 
 
-class EntryNotInSuperset(PxomError):
-    """Disassembly entry point is not an unclassified byte."""
-
-
 class NoExecutableCode(PxomError):
     """Image has no executable segment."""
 

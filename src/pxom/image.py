@@ -183,13 +183,24 @@ def load_elf(data):
 
 
 def _check_code_segments_disjoint(segments):
-    """Executable PT_LOADs may touch but not overlap: an overlapping
-    byte would have two file offsets, and so two possible contents."""
-    code = sorted((seg.vaddr, seg.vaddr + seg.memsz) for seg in segments
-                  if seg.p_type == PT_LOAD and seg.executable and seg.memsz)
-    for (_, prev_end), (start, _) in zip(code, code[1:]):
-        if start < prev_end:
+    """No PT_LOAD may overlap an executable one, though they may touch:
+    an overlapping code byte would have two file offsets, and so two
+    possible contents.
+
+    One sweep by start: a segment overlaps an earlier one exactly when
+    it starts before that one's end."""
+    loads = sorted((seg.vaddr, seg.vaddr + seg.memsz, seg.executable)
+                   for seg in segments if seg.p_type == PT_LOAD and seg.memsz)
+    any_end = code_end = 0
+    for start, end, executable in loads:
+        if executable and start < code_end:
             raise Malformed("executable segments overlap at %#x" % start)
+        if start < (any_end if executable else code_end):
+            raise Malformed("a segment overlaps an executable segment at %#x"
+                            % start)
+        any_end = max(any_end, end)
+        if executable:
+            code_end = max(code_end, end)
 
 
 def executable_ranges(image):

@@ -109,9 +109,8 @@ class Monitor:
     only one that can contain the read, and it overlaps the read exactly
     when some block does.
 
-    While it runs, the monitor owns the lists: it keeps the read counts
-    itself (writing each new count to the block) and changes the list
-    order only by promotion, so a caller's edit to either is not seen.
+    While it runs, the monitor owns the lists: each block's read_count
+    is its count, and the list order changes only by promotion.
     """
 
     def __init__(self, lists, executable_ranges=None):
@@ -133,8 +132,6 @@ class Monitor:
         for block in lists.optimization:
             self._scans[bisect_left(self._starts, _START(block))] = \
                 _SCAN_OPTIMIZATION
-        # read counts in index order, copied to each block's read_count
-        self._reads = list(map(_READS, self._blocks))
         self._allowed = [None] * len(self._blocks)   # verdicts, built lazily
         self._tails = {}
 
@@ -176,14 +173,12 @@ class Monitor:
             if state is None:
                 state = self._lists_state = (
                     tuple(self.lists.regular), tuple(self.lists.optimization),
-                    tuple(self._reads))
+                    tuple(map(_READS, self._blocks)))
             self._denial = (request, time.time(), state)
             return _DENIED[i >= 0 and addr < self._ends[i]]
         self._lists_state = None
-        reads = self._reads[i] + 1
-        self._reads[i] = reads
         block = self._blocks[i]
-        block.read_count = reads
+        reads = block.read_count = block.read_count + 1
         verdict = self._allowed[i]
         if verdict is None:
             verdict = self._allowed[i] = Verdict(ALLOWED, block)

@@ -1,10 +1,20 @@
-"""Reference versions of the disassembler's traversal and jump-table search.
+"""Reference versions of the disassembler's fixpoint, traversal and
+jump-table search.
+
+`reference_compute_superset` is the fixpoint's earlier form: a lenient
+traversal from the program entry first, which keeps a path's bytes even
+when another path runs into an undecodable byte, then rounds that take
+every source's targets at the round's start, give each address to the
+first source that proposes it, and traverse strictly.  On compiler
+output the program entry's traversal succeeds strictly too, so the two
+fixpoints agree there.
 
 `reference_traverse` is the traversal's earlier form: it asks the
 superset about every byte it decodes (the instruction start, then the
 whole instruction) and decodes through `_ExecView.decode`.  It is slower
 than `disasm._traverse`, which keeps the superset run it walks in, but
-simple enough to serve as its reference.
+simple enough to serve as its reference.  In lenient mode a failure
+ends only its own path.
 
 `reference_jump_table_targets` is the jump-table finder with linear
 searches: the first indirect jump after each table load, and every
@@ -14,7 +24,73 @@ with the finder under test, since only the searches differ.
 
 from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
-                         _parse_table, _union)
+                         SOURCE_ORDER, DisassemblyReport, EntryPoint,
+                         _address_taken_targets, _ExecView,
+                         _frame_unwind_targets, _heuristic_targets,
+                         _jump_table_targets, _parse_table, _union)
+from pxom.errors import NoExecutableCode
+from pxom.intervals import IntervalSet
+
+
+def reference_compute_superset(image):
+    """A DisassemblyReport with the semantics of disasm.compute_superset
+    before the program entry became one more source."""
+    view = _ExecView(image)
+    exec_ranges = view.ranges
+    if not exec_ranges:
+        raise NoExecutableCode("image has no executable segment")
+
+    superset = exec_ranges.copy()
+    code = IntervalSet()
+    instructions = {}
+    accepted = []
+
+    def commit(claimed, insns, ep):
+        for iv in claimed:
+            superset.remove(iv.start, iv.end)
+            code.add(iv.start, iv.end)
+        instructions.update(insns)
+        accepted.append(ep)
+
+    entry = image.entry_point
+    if entry and superset.contains_range(entry, 1):
+        claimed, insns, _ok = reference_traverse(view, entry, superset, {},
+                                                 strict=False)
+        if claimed:
+            commit(claimed, insns, EntryPoint(entry, "program_entry"))
+
+    image_targets = {
+        "frame_unwind": sorted(set(_frame_unwind_targets(image, view))),
+        "address_taken": sorted(set(_address_taken_targets(image, view)))}
+    while True:
+        insn_list = [instructions[va] for va in sorted(instructions)]
+        targets = {**image_targets,
+                   "jump_table": sorted(set(_jump_table_targets(
+                       image, view, superset, insn_list))),
+                   "heuristic": sorted(set(_heuristic_targets(
+                       view, superset, code)))}
+        found = {}
+        for source in SOURCE_ORDER:
+            for va in targets.get(source, ()):
+                if va not in found and (superset.contains_range(va, 1)
+                                        or code.contains_range(va, 1)):
+                    found[va] = source
+        progress = False
+        for va, source in found.items():
+            if va in instructions or not superset.contains_range(va, 1):
+                continue
+            claimed, insns, ok = reference_traverse(view, va, superset,
+                                                    instructions, strict=True)
+            if ok and claimed:
+                commit(claimed, insns, EntryPoint(va, source))
+                progress = True
+        if not progress:
+            break
+
+    return DisassemblyReport(code=code, superset=superset,
+                             entry_points=accepted,
+                             executable_total=exec_ranges.total_bytes,
+                             instructions=instructions)
 
 
 def reference_traverse(view, entry, superset, committed_starts, strict):

@@ -254,6 +254,25 @@ class TestHostileInput:
         assert code == 1
         assert err.startswith("error: Malformed: executable segments overlap")
 
+    # a read-only PT_LOAD over the code, whole or in part, listed before
+    # or after it: a loader maps the later segment over the earlier, so
+    # the bytes are ambiguous
+    @pytest.mark.parametrize("command", ["protect", "analyze", "scan"])
+    @pytest.mark.parametrize("segments", [
+        [(0x1000, 4, b"\x00" * 16), (0x1000, 5, b"\xc3" * 16)],
+        [(0x1000, 4, b"\x00" * 8), (0x1004, 5, b"\xc3" * 16)],
+        [(0x1004, 5, b"\xc3" * 16), (0x1013, 4, b"\x00" * 8)],
+    ], ids=["same-range", "partial", "code-first"])
+    def test_data_segment_under_code_is_malformed(self, capsys, tmp_path,
+                                                  command, segments):
+        binary = tmp_path / "under"
+        binary.write_bytes(make_elf(segments, entry=0x1004))
+        argv = ["-o", str(tmp_path / "out")] if command == "protect" else []
+        code, _, err = run_cli(capsys, command, "-i", str(binary), *argv)
+        assert code == 1
+        assert err.startswith("error: Malformed: a segment overlaps an "
+                              "executable segment")
+
 
 class TestScan:
     def test_schema(self, capsys, corpus):

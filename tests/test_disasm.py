@@ -1,21 +1,24 @@
 import os
 import re
 import subprocess
+from dataclasses import fields
+from functools import partial
+from operator import attrgetter
 
 import pytest
 
 from pxom import disasm, x86
 from pxom.corpus import build_corpus, load_ground_truth
-from pxom.disasm import (_JUMP_TABLE_WINDOW, _ExecView, _jump_table_targets,
-                         _linear_decode, _traverse, compute_superset,
-                         decode_at, detect_entry_points,
-                         recursive_disassemble)
-from pxom.errors import EntryNotInSuperset, NoExecutableCode, OutOfRange
+from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _ExecView,
+                         _jump_table_targets, _traverse, compute_superset,
+                         detect_entry_points)
+from pxom.errors import NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 
 from conftest import exec_elf, make_elf, require_tool
-from oracle_disasm import reference_jump_table_targets, reference_traverse
+from oracle_disasm import (reference_compute_superset,
+                           reference_jump_table_targets, reference_traverse)
 
 LS = "/usr/bin/ls"
 
@@ -38,52 +41,73 @@ def image_of(code, vaddr=0x1000, entry=None):
 
 
 class TestDecodeAt:
+    """Decoding at one address through `_ExecView`."""
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            decode_at(image_of(b"\xc3"), 0x9000)
+            _ExecView(image_of(b"\xc3")).buffer_at(0x9000)
 
     def test_decodes(self):
-        ins = decode_at(image_of(b"\xc3"), 0x1000)
+        ins = _ExecView(image_of(b"\xc3")).decode(0x1000)
         assert ins.length == 1
 
     def test_invalid_at_range_end(self):
-        assert decode_at(image_of(b"\x90\xff"), 0x1001) is None
+        assert _ExecView(image_of(b"\x90\xff")).decode(0x1001) is None
+
+
+def traverse_fresh(code, superset=None):
+    """_traverse from 0x1000 over an image of code, with nothing
+    committed; the superset defaults to its executable range."""
+    image = image_of(code)
+    if superset is None:
+        superset = executable_ranges(image)
+    return _traverse(_ExecView(image), 0x1000, superset, {})
 
 
 class TestRecursiveDisassemble:
+    """Recursive traversal from one entry, through `_traverse`."""
+
     def test_single_ret(self):
-        image = image_of(b"\xc3")
-        code = recursive_disassemble(image, 0x1000, executable_ranges(image))
-        assert [(iv.start, iv.end) for iv in code] == [(0x1000, 0x1001)]
+        claimed, _, ok = traverse_fresh(b"\xc3")
+        assert ok and [(iv.start, iv.end) for iv in claimed] == \
+            [(0x1000, 0x1001)]
 
     def test_jump_over_data(self):
-        image = image_of(b"\xeb\x02\xde\xad\xc3")
-        code = recursive_disassemble(image, 0x1000, executable_ranges(image))
-        assert [(iv.start, iv.end) for iv in code] == \
+        claimed, _, ok = traverse_fresh(b"\xeb\x02\xde\xad\xc3")
+        assert ok and [(iv.start, iv.end) for iv in claimed] == \
             [(0x1000, 0x1002), (0x1004, 0x1005)]
 
     def test_entry_not_in_superset(self):
-        image = image_of(b"\xc3\xc3")
         superset = IntervalSet.from_pairs([(0x1001, 0x1002)])
-        with pytest.raises(EntryNotInSuperset):
-            recursive_disassemble(image, 0x1000, superset)
+        claimed, insns, ok = traverse_fresh(b"\xc3\xc3", superset)
+        assert not ok and not insns and claimed.total_bytes == 0
 
     def test_conditional_covers_both_arms(self):
         # jz +1; nop; ret
-        image = image_of(b"\x74\x01\x90\xc3")
-        code = recursive_disassemble(image, 0x1000, executable_ranges(image))
-        assert code.total_bytes == 4
+        claimed, _, ok = traverse_fresh(b"\x74\x01\x90\xc3")
+        assert ok and claimed.total_bytes == 4
 
     def test_stops_at_indirect_jump(self):
-        image = image_of(b"\xff\xe0\xde\xad")
-        code = recursive_disassemble(image, 0x1000, executable_ranges(image))
-        assert code.total_bytes == 2
+        claimed, _, ok = traverse_fresh(b"\xff\xe0\xde\xad")
+        assert ok and claimed.total_bytes == 2
 
-    def test_invalid_decode_aborts_path_only(self):
-        # call +5 reaches a ret; fallthrough hits an invalid byte
-        image = image_of(b"\xe8\x01\x00\x00\x00\x06\xc3")
-        code = recursive_disassemble(image, 0x1000, executable_ranges(image))
-        assert code.total_bytes == 6  # call + ret, invalid byte unclaimed
+    def test_invalid_decode_fails_traversal(self):
+        # call +1 reaches a ret; the fall-through hits an invalid byte,
+        # which fails the whole traversal, not only its path
+        _, insns, ok = traverse_fresh(b"\xe8\x01\x00\x00\x00\x06\xc3")
+        assert not ok and sorted(insns) == [0x1000, 0x1006]
+
+
+_INSTRUCTION_FIELDS = attrgetter(*(f.name for f in fields(x86.Instruction)))
+
+
+def report_fields(report):
+    """Every field of a DisassemblyReport, with all fields of each
+    Instruction, including those its equality ignores."""
+    return (report.code, report.superset, report.entry_points,
+            report.executable_total,
+            [(va, _INSTRUCTION_FIELDS(ins))
+             for va, ins in sorted(report.instructions.items())])
 
 
 class TestComputeSuperset:
@@ -112,6 +136,22 @@ class TestComputeSuperset:
         image = load_elf(make_elf([(0x1000, 4, b"\x00" * 16)]))
         with pytest.raises(NoExecutableCode):
             compute_superset(image)
+
+    def test_program_entry_into_invalid_byte_is_rejected(self):
+        # call +1 reaches a ret, but the fall-through is undecodable: the
+        # program entry proves nothing, like any other source's target
+        report = compute_superset(image_of(b"\xe8\x01\x00\x00\x00\x06\xc3"))
+        assert report.entry_points == []
+        assert report.code.total_bytes == 0
+
+    def test_equals_reference_fixpoint(self, corpus, corpus20):
+        datas = [e.binary.read_bytes() for e in (*corpus, *corpus20)]
+        if os.path.exists(LS):
+            datas.append(read_ls())
+        for data in datas:
+            got = compute_superset(load_elf(data))
+            want = reference_compute_superset(load_elf(data))
+            assert report_fields(got) == report_fields(want)
 
     def test_deterministic(self, corpus):
         data = corpus[0].binary.read_bytes()
@@ -180,32 +220,36 @@ class TestEntryPointDetection:
             if not expected:
                 continue
             superset = executable_ranges(image)
-            eps = detect_entry_points(image, superset, IntervalSet())
+            eps = detect_entry_points(image, superset, IntervalSet(), {})
+            # the program entry is an FDE start too, but its own source
+            # comes first in SOURCE_ORDER
             got = {ep.vaddr for ep in eps if ep.source == "frame_unwind"}
-            assert got == expected
+            assert got == expected - {image.entry_point}
+            assert EntryPoint(image.entry_point, "program_entry") in eps
             return
         pytest.skip("corpus sample contained no FDEs")
 
     def test_degrades_without_metadata(self):
-        # stripped-down image: no sections at all, no entry point match
+        # stripped-down image: no sections at all, only the program entry
         image = image_of(b"\xaa" * 64, entry=0x1000)
         superset = executable_ranges(image)
-        eps = detect_entry_points(image, superset, IntervalSet())
-        assert all(ep.source == "heuristic" for ep in eps)
+        eps = detect_entry_points(image, superset, IntervalSet(), {})
+        assert eps[0] == EntryPoint(0x1000, "program_entry")
+        assert all(ep.source == "heuristic" for ep in eps[1:])
 
     def test_heuristic_prologue_at_aligned_address(self):
         # 16 bytes of data, then push rbp; mov rbp,rsp; ret at 0x1010
         code = b"\xaa" * 16 + b"\x55\x48\x89\xe5\x5d\xc3"
         image = image_of(code, entry=None)
         superset = executable_ranges(image)
-        eps = detect_entry_points(image, superset, IntervalSet())
+        eps = detect_entry_points(image, superset, IntervalSet(), {})
         assert any(ep.vaddr == 0x1010 and ep.source == "heuristic"
                    for ep in eps)
 
     def test_candidates_inside_superset_or_code(self, corpus):
         image = load_elf(corpus[0].binary.read_bytes())
         superset = executable_ranges(image)
-        for ep in detect_entry_points(image, superset, IntervalSet()):
+        for ep in detect_entry_points(image, superset, IntervalSet(), {}):
             assert superset.contains_range(ep.vaddr, 1)
 
 
@@ -235,62 +279,25 @@ def union_of(insns):
     return union
 
 
-def reachable_code(view, entry, superset):
-    """Reference for lenient traversal: every instruction reachable from
-    entry that decodes and lies inside the superset, as intervals."""
-    code = IntervalSet()
-    seen = set()
-    todo = [entry]
-    while todo:
-        va = todo.pop()
-        if va in seen or not superset.contains_range(va, 1):
-            continue
-        seen.add(va)
-        ins = view.decode(va)
-        if ins is None or not superset.contains_range(va, ins.length):
-            continue
-        code.add(va, ins.end)
-        if ins.kind in (x86.DIRECT_JUMP, x86.CONDITIONAL_JUMP,
-                        x86.DIRECT_CALL):
-            todo.extend(ins.direct_targets)
-        if ins.kind in (x86.FALLTHROUGH, x86.CONDITIONAL_JUMP,
-                        x86.DIRECT_CALL):
-            todo.append(ins.end)
-    return code
-
-
 def check_traversals(image, starts_per_superset=200):
-    """_traverse claims exactly its instructions, strict and lenient:
-    from the entry points of a fresh superset, and from the block starts
-    of the superset left after compute_superset."""
+    """_traverse claims exactly its instructions and matches the strict
+    reference: from the entry points of a fresh superset, and from the
+    block starts of the superset left after compute_superset."""
     view = _ExecView(image)
     fresh = executable_ranges(image)
     report = compute_superset(image)
-    entry = image.entry_point
-    if fresh.contains_range(entry, 1):
-        claimed, insns, ok = _traverse(view, entry, fresh, frozenset(),
-                                       strict=False)
-        assert ok and claimed == union_of(insns)
-        assert (claimed, insns, ok) == reference_traverse(
-            view, entry, fresh, frozenset(), strict=False)
-        assert recursive_disassemble(image, entry, fresh, view) == \
-            reachable_code(view, entry, fresh)
     outcomes = set()
-    eps = detect_entry_points(image, fresh, IntervalSet())
+    eps = detect_entry_points(image, fresh, IntervalSet(), {})
     for superset, committed, starts in (
-            (fresh, frozenset(), [ep.vaddr for ep in eps]),
-            (report.superset, set(report.instructions),
+            (fresh, {}, [ep.vaddr for ep in eps]),
+            (report.superset, report.instructions,
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            for strict in (True, False):
-                claimed, insns, ok = _traverse(view, va, superset,
-                                               committed, strict)
-                assert claimed == union_of(insns)
-                assert (claimed, insns, ok) == reference_traverse(
-                    view, va, superset, committed, strict)
-                outcomes.add((strict, ok))
-                if not strict:
-                    assert claimed == reachable_code(view, va, superset)
+            claimed, insns, ok = _traverse(view, va, superset, committed)
+            assert claimed == union_of(insns)
+            assert (claimed, insns, ok) == reference_traverse(
+                view, va, superset, committed, strict=True)
+            outcomes.add(ok)
     return outcomes
 
 
@@ -299,11 +306,33 @@ class TestTraverse:
         outcomes = set()
         for entry in corpus:
             outcomes |= check_traversals(load_elf(entry.binary.read_bytes()))
-        assert (True, True) in outcomes and (True, False) in outcomes
+        assert outcomes == {True, False}
 
     def test_claimed_is_union_of_insns_on_ls(self):
         outcomes = check_traversals(load_elf(read_ls()), 30)
-        assert (True, True) in outcomes and (True, False) in outcomes
+        assert outcomes == {True, False}
+
+    def test_failure_persists_after_commits(self, corpus):
+        # an address whose traversal fails on the fresh superset fails on
+        # the one compute_superset leaves: compute_superset relies on it
+        # when a later source or round proposes an address again
+        datas = [e.binary.read_bytes() for e in corpus]
+        if os.path.exists(LS):
+            datas.append(read_ls())
+        failed = 0
+        for data in datas:
+            image = load_elf(data)
+            view = _ExecView(image)
+            fresh = executable_ranges(image)
+            report = compute_superset(image)
+            for iv in list(report.superset)[:100]:
+                for va in range(iv.start, min(iv.end, iv.start + 4)):
+                    if _traverse(view, va, fresh, {})[2]:
+                        continue
+                    failed += 1
+                    assert not _traverse(view, va, report.superset,
+                                         report.instructions)[2]
+        assert failed
 
     def test_strict_fails_mid_committed_instruction(self):
         # 0x1003 starts a committed 2-byte jmp: jz +1 lands on its start,
@@ -311,11 +340,9 @@ class TestTraverse:
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
         for jz, strict_ok in ((b"\x74\x01", True), (b"\x74\x02", False)):
             view = _ExecView(image_of(jz + b"\x90\xeb\xfe\xc3"))
-            for strict in (True, False):
-                _, insns, ok = _traverse(view, 0x1000, superset, {0x1003},
-                                         strict)
-                assert sorted(insns) == [0x1000, 0x1002]
-                assert ok == (strict_ok or not strict)
+            _, insns, ok = _traverse(view, 0x1000, superset, {0x1003})
+            assert sorted(insns) == [0x1000, 0x1002]
+            assert ok == strict_ok
 
     # code at 0x1000; superset runs; committed starts; instruction starts
     # claimed; strict outcome
@@ -344,13 +371,12 @@ class TestTraverse:
         view = _ExecView(image)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        for strict in (True, False):
-            result = _traverse(view, 0x1000, superset, set(committed), strict)
-            assert result == reference_traverse(view, 0x1000, superset,
-                                                set(committed), strict)
-            claimed, insns, ok = result
-            assert sorted(insns) == starts
-            assert ok == (strict_ok or not strict)
+        result = _traverse(view, 0x1000, superset, set(committed))
+        assert result == reference_traverse(view, 0x1000, superset,
+                                            set(committed), strict=True)
+        claimed, insns, ok = result
+        assert sorted(insns) == starts
+        assert ok == strict_ok
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
@@ -358,7 +384,8 @@ class TestTraverse:
         if os.path.exists(LS):
             datas.append(read_ls())
         reports = [compute_superset(load_elf(d)) for d in datas]
-        monkeypatch.setattr(disasm, "_traverse", reference_traverse)
+        monkeypatch.setattr(disasm, "_traverse",
+                            partial(reference_traverse, strict=True))
         for data, report in zip(datas, reports):
             assert compute_superset(load_elf(data)) == report
 
@@ -379,9 +406,12 @@ def jump_table_image(cmp_at, jmp_at, lea_at):
     code += (0x7FFFFFFF).to_bytes(4, "little")
     image = image_of(bytes(code))
     view = _ExecView(image)
-    insns = _linear_decode(view, IntervalSet.from_pairs(
-        [(0x1000, 0x1000 + jmp_at + 3)]))
-    return image, [insns[va] for va in sorted(insns)]
+    insn_list = []
+    va = 0x1000
+    while va < 0x1000 + jmp_at + 3:
+        insn_list.append(view.decode(va))
+        va = insn_list[-1].end
+    return image, insn_list
 
 
 class TestJumpTable:

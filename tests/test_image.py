@@ -59,6 +59,17 @@ class TestLoadElf:
             with pytest.raises(Malformed, match="zero fill"):
                 load_elf(bytes(data))
 
+    # only overlaps with an executable PT_LOAD are malformed
+    @pytest.mark.parametrize("segments", [
+        [(0x1000, 4, b"\x00" * 16), (0x1010, 5, b"\xc3" * 16)],
+        [(0x1010, 5, b"\xc3" * 16), (0x1020, 6, b"\x00" * 16)],
+        [(0x1010, 5, b"\xc3" * 16), (0x2000, 4, b"\x00" * 16),
+         (0x2008, 6, b"\x00" * 16)],
+    ], ids=["data-touches-code", "code-touches-data", "data-over-data"])
+    def test_segments_may_touch_code(self, segments):
+        image = load_elf(make_elf(segments, entry=0x1010))
+        assert image.read_vaddr(0x1010, 16) == b"\xc3" * 16
+
     def test_system_binary_matches_readelf(self):
         require_tool("readelf")
         path = "/bin/true"
