@@ -11,6 +11,7 @@ import functools
 import gc
 import hashlib
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -242,6 +243,13 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except subprocess.CalledProcessError as exc:
+        # a gen-corpus toolchain step; its captured stderr says why
+        stderr = (exc.stderr or b"").decode(errors="replace").strip()
+        last = stderr.splitlines()[-1] if stderr else "no output"
+        print("error: %s exited %d: %s" % (exc.cmd[0], exc.returncode, last),
+              file=sys.stderr)
         return 1
     finally:
         if gc_was_enabled:

@@ -3,17 +3,23 @@
 Emits small freestanding assembly programs that interleave code with the
 four embedded-data shapes seen in real binaries (constants, arrays,
 NUL-terminated strings, jump tables), assembles them with gcc, derives
-byte-exact data/code ground truth from marker symbols, then strips the
-binary.  Requires gcc, nm, and strip on PATH.
+byte-exact data/code ground truth from the marker symbols in the
+binary's symbol table, then strips the binary.  Requires gcc and strip
+on PATH.
 """
 
+import os
 import random
+import struct
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
-from .image import executable_ranges, load_elf
+from .errors import GroundTruthParse, Malformed
+from .image import SHT_SYMTAB, executable_ranges, load_elf
 from .intervals import IntervalSet
+
+_SYM = struct.Struct("<IBBHQQ")     # Elf64_Sym
 
 _SAFE_OPS = (
     "mov ${imm}, %eax",
@@ -209,14 +215,21 @@ def _switch_function(rng, func_idx, island_idx):
     return base, lines, table_lines
 
 
-def _read_markers(binary):
-    out = subprocess.run(["nm", str(binary)], check=True,
-                         capture_output=True, text=True).stdout
+def _read_markers(image):
+    """Name -> value of every named, defined symbol in the image's
+    SHT_SYMTAB section (the unstripped binary's static symbols)."""
+    for symtab in image.sections:
+        if symtab.sh_type == SHT_SYMTAB:
+            break
+    else:
+        raise Malformed("no symbol table")
+    names = image.sections[symtab.link].data(image.raw)
     symbols = {}
-    for line in out.splitlines():
-        fields = line.split()
-        if len(fields) == 3:
-            symbols[fields[2]] = int(fields[0], 16)
+    for st_name, _info, _other, st_shndx, st_value, _size in \
+            _SYM.iter_unpack(symtab.data(image.raw)):
+        if st_name and st_shndx:
+            end = names.index(b"\0", st_name)
+            symbols[names[st_name:end].decode()] = st_value
     return symbols
 
 
@@ -232,7 +245,8 @@ def build_program(asm_text, workdir, name):
          "-o", str(binary), str(src)],
         check=True, capture_output=True)
 
-    symbols = _read_markers(binary)
+    image = load_elf(binary.read_bytes())
+    symbols = _read_markers(image)
     code = IntervalSet()
     i = 0
     while ("gtf_%d_s" % i) in symbols:
@@ -242,7 +256,6 @@ def build_program(asm_text, workdir, name):
             code.add(start, end)
         i += 1
 
-    image = load_elf(binary.read_bytes())
     data = executable_ranges(image)
     for iv in code:
         data.remove(iv.start, iv.end)
@@ -255,23 +268,44 @@ def build_program(asm_text, workdir, name):
 
 
 def build_corpus(outdir, count=50, seed=1):
+    """Generate `count` programs from one seeded rng, in order, then
+    build them one per usable CPU at a time.  Entries come back in
+    program order, and the files do not depend on the build order."""
+    # imported here, not at module level: pxom.cli imports this module,
+    # and concurrent.futures (which pulls in logging) would add about
+    # 10 ms to the start of every pxom command, not just gen-corpus
+    from concurrent.futures import ThreadPoolExecutor
+
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    entries = []
-    for i in range(count):
-        asm, _funcs = generate_program(rng)
-        entries.append(build_program(asm, outdir, "prog_%03d" % i))
-    return entries
+    programs = [generate_program(rng)[0] for _ in range(count)]
+    if not programs:
+        return []
+    names = ["prog_%03d" % i for i in range(count)]
+    # the threads spend their time waiting on gcc and strip
+    workers = min(len(os.sched_getaffinity(0)), count)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(build_program, programs,
+                             [outdir] * count, names))
 
 
 def load_ground_truth(path):
-    """Parse a `0xSTART 0xEND` per-line interval file."""
+    """Parse a `0xSTART 0xEND` per-line interval file.
+
+    Blank lines and `#` comments are skipped.  Any other line that is
+    not two hex numbers with START < END raises GroundTruthParse.
+    """
     ivs = IntervalSet()
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        start_s, end_s = line.split()
-        ivs.add(int(start_s, 16), int(end_s, 16))
+        try:
+            start_s, end_s = line.split()
+            ivs.add(int(start_s, 16), int(end_s, 16))
+        except ValueError:
+            raise GroundTruthParse("expected `0xSTART 0xEND` with "
+                                   "START < END, got %r" % line,
+                                   lineno) from None
     return ivs

@@ -53,9 +53,17 @@ class MonitorTerminated(PxomError):
     """Monitor received an event after a denied read."""
 
 
-class TraceParse(PxomError):
-    """Malformed trace line."""
+class _LineParse(PxomError):
+    """Malformed line of a text input; the message starts with its number."""
 
     def __init__(self, message, lineno):
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
+
+
+class TraceParse(_LineParse):
+    """Malformed trace line."""
+
+
+class GroundTruthParse(_LineParse):
+    """Malformed ground-truth line."""

@@ -32,6 +32,7 @@ _XOM_ENTRY = struct.Struct("<QQQ")
 PT_LOAD = 1
 PF_X = 1
 SHT_PROGBITS = 1
+SHT_SYMTAB = 2
 SHT_STRTAB = 3
 
 

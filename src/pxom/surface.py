@@ -14,6 +14,9 @@ _TERMINATORS = {
     x86.INDIRECT_JUMP: "jmp_reg",
     x86.INDIRECT_CALL: "call_reg",
 }
+# opcode bytes of every terminator: ret (C2, C3, CA, CB) and the FF
+# group that holds the indirect jumps and calls
+_TERMINATOR_OPCODES = (b"\xc2", b"\xc3", b"\xca", b"\xcb", b"\xff")
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,9 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     One backward pass per block decodes each offset once: the chain
     starting at an offset is its own terminator, or one fall-through
     instruction in front of the chain stored for the offset it falls
-    through to.
+    through to.  The pass starts at the block's last terminator opcode
+    byte: a terminator's opcode lies at or after its start, so no
+    gadget starts past it.
     """
     if max_instructions < 1:
         return []
@@ -95,7 +100,8 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
         # fall-through into the next block ends every walk
         chains = [None] * (size + 1)
         found = []
-        for off in range(size - 1, -1, -1):
+        last = max(data.rfind(op) for op in _TERMINATOR_OPCODES)
+        for off in range(last, -1, -1):
             ins = x86.decode(data, off, base + off)
             if ins is None:
                 continue

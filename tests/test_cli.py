@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import struct
 import time
 
@@ -306,6 +307,21 @@ class TestCompare:
         assert not json.loads(out)["sound"]
 
 
+class TestMalformedGroundTruth:
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("line", ["0x1000", "zz 0x10", "0x2000 0x1000"])
+    def test_error_names_line(self, capsys, tmp_path, corpus, command, line):
+        gt = tmp_path / "bad.gt"
+        # comments and blank lines are valid and still counted
+        gt.write_text("# data ranges\n\n0x10 0x20\n%s\n" % line)
+        code, out, err = run_cli(capsys, command, "-i",
+                                 str(corpus[0].binary), "--ground-truth",
+                                 str(gt))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: GroundTruthParse: line 4: ")
+        assert repr(line) in err
+
+
 class TestGenCorpus:
     def test_generates_binaries(self, capsys, tmp_path):
         require_tool("gcc")
@@ -314,6 +330,20 @@ class TestGenCorpus:
                                "--count", "2", "--seed", "3")
         assert code == 0
         assert len(list(outdir.glob("prog_*.gt"))) == 2
+
+    def test_failing_tool_is_reported(self, capsys, tmp_path, monkeypatch):
+        # a gcc that fails first on PATH; the builds run in worker
+        # threads, so the failure has to travel back to main
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        gcc = bindir / "gcc"
+        gcc.write_text("#!/bin/sh\necho 'as: broken' >&2\nexit 1\n")
+        gcc.chmod(0o755)
+        monkeypatch.setenv("PATH", "%s:%s" % (bindir, os.environ["PATH"]))
+        code, _, err = run_cli(capsys, "gen-corpus", "--outdir",
+                               str(tmp_path / "corpus"), "--count", "3")
+        assert code == 1
+        assert err == "error: gcc exited 1: as: broken\n"
 
 
 class TestCollectorPaused:

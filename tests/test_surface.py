@@ -198,6 +198,28 @@ class TestOnePassScan:
         assert gadgets
         assert len(calls) == len(set(calls)) <= report.superset.total_bytes
 
+    def test_starts_at_last_terminator_byte(self, monkeypatch):
+        # nop, mov eax imm32 (no C2/C3/CA/CB/FF byte), then pop; ret; nops
+        plain = b"\x90" * 8 + b"\xb8\x01\x02\x03\x04"
+        image = planted_image(plain)
+        tail_image = planted_image(plain + b"\x58\xc3" + b"\x90" * 6)
+        reports = [compute_superset(image), compute_superset(tail_image)]
+        assert reports[0].superset.total_bytes == len(plain)
+        real = x86.decode
+        calls = []
+
+        def counting(data, offset, vaddr, limit=None):
+            calls.append(vaddr)
+            return real(data, offset, vaddr, limit)
+
+        monkeypatch.setattr(x86, "decode", counting)
+        assert gadget_scan(image, reports[0]) == []
+        assert calls == []
+        gadgets = gadget_scan(tail_image, reports[1])
+        pop = 0x1001 + len(plain)
+        assert max(calls) == pop + 1        # the ret; no nop after it
+        assert [g.start for g in gadgets][-2:] == [pop, pop + 1]
+
 
 class TestWrpkruScan:
     def test_planted_in_data(self):
