@@ -71,13 +71,16 @@ def cmd_print(args):
 
 def cmd_analyze(args):
     start = time.time()
+    # a bad ground-truth file fails before the disassembly, not after it
+    gt_data = (load_ground_truth(args.ground_truth) if args.ground_truth
+               else None)
     data = Path(args.input).read_bytes()
     image = load_elf(data)
     report = compute_superset(image)
     gt_code = None
-    if args.ground_truth:
+    if gt_data is not None:
         gt_code = executable_ranges(image)
-        for iv in load_ground_truth(args.ground_truth):
+        for iv in gt_data:
             gt_code.remove(iv.start, iv.end)
     m = metrics(report, gt_code)
     out = _base_report("analyze", args.input, data)
@@ -152,10 +155,10 @@ def cmd_scan(args):
 
 
 def cmd_compare(args):
+    gt_data = load_ground_truth(args.ground_truth)
     data = Path(args.input).read_bytes()
     image = load_elf(data)
     report = compute_superset(image)
-    gt_data = load_ground_truth(args.ground_truth)
     misclassified = report.code.intersection_size(gt_data)
     out = _base_report("compare", args.input, data)
     out.update({

@@ -12,7 +12,7 @@ from operator import attrgetter
 
 from . import x86
 from .ehframe import fde_initial_locations
-from .errors import NoExecutableCode, OutOfRange
+from .errors import NoExecutableCode
 from .image import executable_ranges
 from .intervals import IntervalSet
 
@@ -53,36 +53,7 @@ class DisassemblyReport:
     instructions: dict = field(default_factory=dict, repr=False)
 
 
-class _ExecView:
-    """Materialized executable ranges for fast decoding."""
-
-    def __init__(self, image):
-        self.ranges = executable_ranges(image)
-        self._starts = [iv.start for iv in self.ranges]
-        self._ends = [iv.end for iv in self.ranges]
-        self._buffers = [image.read_vaddr(iv.start, len(iv))
-                         for iv in self.ranges]
-
-    def decode(self, vaddr):
-        base, buf = self.buffer_at(vaddr)
-        return x86.decode(buf, vaddr - base, vaddr)
-
-    def buffer_at(self, vaddr):
-        """(start, bytes) of the executable range holding vaddr."""
-        i = bisect_right(self._starts, vaddr) - 1
-        if i < 0 or vaddr >= self._ends[i]:
-            raise OutOfRange("%#x is not executable" % vaddr)
-        return self._starts[i], self._buffers[i]
-
-    def read(self, vaddr, size):
-        i = bisect_right(self._starts, vaddr) - 1
-        if i < 0 or vaddr + size > self._ends[i]:
-            return None
-        off = vaddr - self._starts[i]
-        return self._buffers[i][off:off + size]
-
-
-def _traverse(view, entry, superset, committed):
+def _traverse(image, entry, superset, committed):
     """Claim instruction bytes reachable from entry.
 
     A path ends cleanly at an instruction already decoded by this
@@ -113,7 +84,7 @@ def _traverse(view, entry, superset, committed):
                     if va not in committed:
                         ok = False
                     break
-                base, buf = view.buffer_at(va)
+                base, buf = image.code_at(va)
                 lo = max(run[0], base)
                 hi = min(run[1], base + len(buf))
                 limit = hi - base
@@ -147,22 +118,21 @@ def _union(insns):
     return IntervalSet.from_pairs(runs)
 
 
-def _finders(image, view):
+def _finders(image):
     """Source name -> targets(superset, code, instructions), the source's
     candidate addresses, sorted.  The sources that read only the image
     find theirs here, once, and return the same list every time."""
     # load_elf keeps a nonzero entry inside the executable ranges
     program_entry = [image.entry_point] if image.entry_point else []
-    frame_unwind = sorted(set(_frame_unwind_targets(image, view)))
-    address_taken = sorted(set(_address_taken_targets(image, view)))
+    frame_unwind = sorted(set(_frame_unwind_targets(image)))
+    address_taken = sorted(set(_address_taken_targets(image)))
 
     def jump_table(superset, code, instructions):
         insn_list = [instructions[va] for va in sorted(instructions)]
-        return sorted(set(_jump_table_targets(image, view, superset,
-                                              insn_list)))
+        return sorted(set(_jump_table_targets(image, superset, insn_list)))
 
     def heuristic(superset, code, instructions):
-        return sorted(set(_heuristic_targets(view, superset, code)))
+        return sorted(set(_heuristic_targets(image, superset, code)))
 
     return {"program_entry": lambda *_: program_entry,
             "jump_table": jump_table,
@@ -177,7 +147,7 @@ def detect_entry_points(image, superset, known_code, instructions):
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
     the committed ones, where the jump-table finder looks for tables."""
-    finders = _finders(image, _ExecView(image))
+    finders = _finders(image)
     found = {}
     for source in SOURCE_ORDER:
         for va in finders[source](superset, known_code, instructions):
@@ -187,7 +157,7 @@ def detect_entry_points(image, superset, known_code, instructions):
     return [EntryPoint(va, src) for va, src in found.items()]
 
 
-def _jump_table_targets(image, view, superset, insn_list):
+def _jump_table_targets(image, superset, insn_list):
     targets = []
     indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
     for ins in insn_list:
@@ -202,7 +172,7 @@ def _jump_table_targets(image, view, superset, insn_list):
                 indirect_jumps[k].vaddr > ins.vaddr + _JUMP_TABLE_WINDOW):
             continue
         bound = _bound_before(insn_list, ins.vaddr, indirect_jumps[k].vaddr)
-        targets.extend(_parse_table(image, view, superset, table, bound))
+        targets.extend(_parse_table(image, superset, table, bound))
     return targets
 
 
@@ -226,8 +196,8 @@ def _bound_before(insn_list, lo, hi):
     return None
 
 
-def _parse_table(image, view, superset, table, count):
-    exec_ranges = view.ranges
+def _parse_table(image, superset, table, count):
+    exec_ranges = executable_ranges(image)
 
     def entries(width, resolve):
         out = []
@@ -236,7 +206,7 @@ def _parse_table(image, view, superset, table, count):
             pos = table + i * width
             if not superset.contains_range(pos, width):
                 break
-            raw = view.read(pos, width)
+            raw = image.read_vaddr(pos, width)
             if raw is None:
                 break
             value = int.from_bytes(raw, "little", signed=(width == 4))
@@ -260,16 +230,17 @@ def _parse_table(image, view, superset, table, count):
     return best if len(best) >= 2 else []
 
 
-def _frame_unwind_targets(image, view):
+def _frame_unwind_targets(image):
     sec = image.section_by_name(".eh_frame")
     if sec is None or not sec.size:
         return []
     locs = fde_initial_locations(sec.data(image.raw), sec.vaddr)
-    return [va for va in locs if view.ranges.contains_range(va, 1)]
+    exec_ranges = executable_ranges(image)
+    return [va for va in locs if exec_ranges.contains_range(va, 1)]
 
 
-def _address_taken_targets(image, view):
-    exec_ranges = view.ranges
+def _address_taken_targets(image):
+    exec_ranges = executable_ranges(image)
     targets = []
     for sec in image.sections:
         if sec.sh_type == 4 and sec.entsize >= 24:  # SHT_RELA
@@ -296,14 +267,14 @@ def _address_taken_targets(image, view):
     return targets
 
 
-def _heuristic_targets(view, superset, known_code):
+def _heuristic_targets(image, superset, known_code):
     targets = []
     for iv in superset:
         # a 16-aligned prologue starting in iv; it may run past iv.end,
         # but needs 4 bytes inside its executable range
         first = (iv.start + 15) & ~15
         if first < iv.end:
-            base, buf = view.buffer_at(first)
+            base, buf = image.code_at(first)
             for pattern in _PROLOGUE_PATTERNS:
                 stop = iv.end - base + len(pattern) - 1
                 pos = buf.find(pattern, first - base, stop)
@@ -315,17 +286,17 @@ def _heuristic_targets(view, superset, known_code):
         if known_code.contains_range(iv.start - 1, 1):
             va = iv.start
             while va < iv.end:
-                raw = view.read(va, 1)
+                raw = image.read_vaddr(va, 1)
                 if raw is None or raw[0] not in _PAD_BYTES:
                     break
                 va += 1
-            if va < iv.end and va > iv.start and _matches_prologue(view, va):
+            if va < iv.end and va > iv.start and _matches_prologue(image, va):
                 targets.append(va)
     return targets
 
 
-def _matches_prologue(view, va):
-    raw = view.read(va, 4)
+def _matches_prologue(image, va):
+    raw = image.read_vaddr(va, 4)
     if raw is None:
         return False
     return any(raw.startswith(p) for p in _PROLOGUE_PATTERNS)
@@ -343,12 +314,11 @@ def compute_superset(image):
     traversal would follow that path to the same failure.  So a target
     that a later source proposes again is rejected again.
     """
-    view = _ExecView(image)
-    exec_ranges = view.ranges
+    exec_ranges = executable_ranges(image)
     if not exec_ranges:
         raise NoExecutableCode("image has no executable segment")
 
-    finders = _finders(image, view)
+    finders = _finders(image)
     superset = exec_ranges.copy()
     code = IntervalSet()
     instructions = {}
@@ -360,7 +330,7 @@ def compute_superset(image):
             for va in finders[source](superset, code, instructions):
                 if not superset.contains_range(va, 1):
                     continue
-                claimed, insns, ok = _traverse(view, va, superset,
+                claimed, insns, ok = _traverse(image, va, superset,
                                                instructions)
                 if ok:
                     for iv in claimed:

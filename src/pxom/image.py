@@ -7,13 +7,15 @@ section, so stock loaders keep working.
 """
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from operator import ge
+from operator import attrgetter, ge
 
 from .blocks import EmbeddedDataBlock, XomLists
 from .errors import (CorruptXom, Malformed, NoXomSection, NotElf,
-                     SectionExists, Unsupported)
+                     OutOfRange, SectionExists, Unsupported)
 from .intervals import ByteInterval, IntervalSet
 
 ELF_MAGIC = b"\x7fELF"
@@ -71,6 +73,9 @@ class Segment:
 
 @dataclass(frozen=True)
 class BinaryImage:
+    """A loaded ELF; only load_elf builds one.  Not a slots class: the
+    cached executable bytes live in the instance __dict__."""
+
     raw: bytes
     elf_type: int
     entry_point: int
@@ -86,29 +91,45 @@ class BinaryImage:
                 return sec
         return None
 
-    def read_vaddr(self, addr, size):
-        """Bytes at a virtual address, zero-filled past file content.
+    @cached_property
+    def _code(self):
+        """(starts, ends, bytes) of the merged executable ranges, built on
+        first use.  load_elf rejects zero fill in executable segments and
+        any overlap with them, so a range's bytes are the file bytes of
+        its segments, joined in address order."""
+        starts, ends, pieces = [], [], []
+        for seg in sorted(_code_segments(self.segments),
+                          key=attrgetter("vaddr")):
+            if not ends or seg.vaddr != ends[-1]:
+                starts.append(seg.vaddr)
+                ends.append(seg.vaddr)
+                pieces.append([])
+            ends[-1] += seg.memsz
+            pieces[-1].append(self.raw[seg.offset:seg.offset + seg.memsz])
+        return starts, ends, [b"".join(p) for p in pieces]
 
-        The range may span PT_LOAD segments that touch, as the merged
-        ranges of `executable_ranges` do.  None when a byte of it is in
-        no PT_LOAD segment.
-        """
-        pieces = []
-        end = addr + size
-        while addr < end:
-            for seg in self.segments:
-                if (seg.p_type == PT_LOAD
-                        and seg.vaddr <= addr < seg.vaddr + seg.memsz):
-                    break
-            else:
-                return None
-            n = min(end, seg.vaddr + seg.memsz) - addr
-            off = addr - seg.vaddr
-            avail = max(0, min(n, seg.filesz - off))
-            pieces.append(self.raw[seg.offset + off:seg.offset + off + avail])
-            pieces.append(b"\x00" * (n - avail))
-            addr += n
-        return b"".join(pieces)
+    def code_at(self, vaddr):
+        """(start, bytes) of the executable range holding vaddr."""
+        starts, ends, buffers = self._code
+        i = bisect_right(starts, vaddr) - 1
+        if i < 0 or vaddr >= ends[i]:
+            raise OutOfRange("%#x is not executable" % vaddr)
+        return starts[i], buffers[i]
+
+    def read_vaddr(self, addr, size):
+        """The size bytes at addr, or None unless one executable range
+        holds all of them."""
+        starts, ends, buffers = self._code
+        i = bisect_right(starts, addr) - 1
+        if i < 0 or addr + size > ends[i]:
+            return None
+        off = addr - starts[i]
+        return buffers[i][off:off + size]
+
+
+def _code_segments(segments):
+    return [seg for seg in segments
+            if seg.p_type == PT_LOAD and seg.executable and seg.memsz]
 
 
 def load_elf(data):
@@ -206,9 +227,8 @@ def _check_code_segments_disjoint(segments):
 
 def executable_ranges(image):
     ranges = IntervalSet()
-    for seg in image.segments:
-        if seg.p_type == PT_LOAD and seg.executable and seg.memsz:
-            ranges.add(seg.vaddr, seg.vaddr + seg.memsz)
+    for seg in _code_segments(image.segments):
+        ranges.add(seg.vaddr, seg.vaddr + seg.memsz)
     return ranges
 
 

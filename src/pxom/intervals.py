@@ -43,11 +43,9 @@ class IntervalSet:
 
     __slots__ = ("_starts", "_ends")
 
-    def __init__(self, intervals=()):
+    def __init__(self):
         self._starts = []
         self._ends = []
-        for iv in intervals:
-            self.add(iv.start, iv.end)
 
     @classmethod
     def from_pairs(cls, pairs):

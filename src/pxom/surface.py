@@ -3,8 +3,8 @@
 from dataclasses import dataclass
 
 from . import x86
-from .disasm import _ExecView
 from .errors import EmptyGroundTruth, ZeroInstructions
+from .image import executable_ranges
 
 DEFAULT_GADGET_DEPTH = 10
 WRPKRU_BYTES = b"\x0f\x01\xef"
@@ -89,11 +89,10 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     """
     if max_instructions < 1:
         return []
-    view = _ExecView(image)
     gadgets = []
     for block in report.superset:
         base = block.start
-        data = view.read(base, len(block))
+        data = image.read_vaddr(base, len(block))
         size = len(data)
         # chains[off]: (instruction count, terminator end, terminator) of
         # the gadget starting at off; chains[size] stays None, since a
@@ -125,10 +124,9 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
 
 def wrpkru_scan(image, report):
     """All WRPKRU byte sequences in executable memory, with location label."""
-    view = _ExecView(image)
     hits = []
-    for iv in view.ranges:
-        data = view.read(iv.start, len(iv))
+    for iv in executable_ranges(image):
+        data = image.read_vaddr(iv.start, len(iv))
         pos = data.find(WRPKRU_BYTES)
         while pos >= 0:
             va = iv.start + pos

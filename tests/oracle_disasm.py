@@ -11,7 +11,7 @@ fixpoints agree there.
 
 `reference_traverse` is the traversal's earlier form: it asks the
 superset about every byte it decodes (the instruction start, then the
-whole instruction) and decodes through `_ExecView.decode`.  It is slower
+whole instruction) and decodes through `decode_at`.  It is slower
 than `disasm._traverse`, which keeps the superset run it walks in, but
 simple enough to serve as its reference.  In lenient mode a failure
 ends only its own path.
@@ -25,18 +25,25 @@ with the finder under test, since only the searches differ.
 from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
                          SOURCE_ORDER, DisassemblyReport, EntryPoint,
-                         _address_taken_targets, _ExecView,
-                         _frame_unwind_targets, _heuristic_targets,
-                         _jump_table_targets, _parse_table, _union)
+                         _address_taken_targets, _frame_unwind_targets,
+                         _heuristic_targets, _jump_table_targets,
+                         _parse_table, _union)
 from pxom.errors import NoExecutableCode
+from pxom.image import executable_ranges
 from pxom.intervals import IntervalSet
+
+
+def decode_at(image, va):
+    """The instruction at va, decoded up to the end of its executable
+    range; OutOfRange when va is not executable."""
+    base, buf = image.code_at(va)
+    return x86.decode(buf, va - base, va)
 
 
 def reference_compute_superset(image):
     """A DisassemblyReport with the semantics of disasm.compute_superset
     before the program entry became one more source."""
-    view = _ExecView(image)
-    exec_ranges = view.ranges
+    exec_ranges = executable_ranges(image)
     if not exec_ranges:
         raise NoExecutableCode("image has no executable segment")
 
@@ -54,21 +61,21 @@ def reference_compute_superset(image):
 
     entry = image.entry_point
     if entry and superset.contains_range(entry, 1):
-        claimed, insns, _ok = reference_traverse(view, entry, superset, {},
+        claimed, insns, _ok = reference_traverse(image, entry, superset, {},
                                                  strict=False)
         if claimed:
             commit(claimed, insns, EntryPoint(entry, "program_entry"))
 
     image_targets = {
-        "frame_unwind": sorted(set(_frame_unwind_targets(image, view))),
-        "address_taken": sorted(set(_address_taken_targets(image, view)))}
+        "frame_unwind": sorted(set(_frame_unwind_targets(image))),
+        "address_taken": sorted(set(_address_taken_targets(image)))}
     while True:
         insn_list = [instructions[va] for va in sorted(instructions)]
         targets = {**image_targets,
                    "jump_table": sorted(set(_jump_table_targets(
-                       image, view, superset, insn_list))),
+                       image, superset, insn_list))),
                    "heuristic": sorted(set(_heuristic_targets(
-                       view, superset, code)))}
+                       image, superset, code)))}
         found = {}
         for source in SOURCE_ORDER:
             for va in targets.get(source, ()):
@@ -79,7 +86,7 @@ def reference_compute_superset(image):
         for va, source in found.items():
             if va in instructions or not superset.contains_range(va, 1):
                 continue
-            claimed, insns, ok = reference_traverse(view, va, superset,
+            claimed, insns, ok = reference_traverse(image, va, superset,
                                                     instructions, strict=True)
             if ok and claimed:
                 commit(claimed, insns, EntryPoint(va, source))
@@ -93,7 +100,7 @@ def reference_compute_superset(image):
                              instructions=instructions)
 
 
-def reference_traverse(view, entry, superset, committed_starts, strict):
+def reference_traverse(image, entry, superset, committed_starts, strict):
     """(claimed, insns, ok) with the semantics of disasm._traverse."""
     insns = {}
     stack = [entry]
@@ -105,7 +112,7 @@ def reference_traverse(view, entry, superset, committed_starts, strict):
                 if strict and va not in committed_starts:
                     ok = False
                 break
-            ins = view.decode(va)
+            ins = decode_at(image, va)
             if ins is None or not superset.contains_range(va, ins.length):
                 if strict:
                     ok = False
@@ -124,7 +131,7 @@ def reference_traverse(view, entry, superset, committed_starts, strict):
     return _union(insns), insns, ok
 
 
-def reference_jump_table_targets(image, view, superset, insn_list):
+def reference_jump_table_targets(image, superset, insn_list):
     """Targets of disasm._jump_table_targets, found by linear search."""
     targets = []
     indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
@@ -140,7 +147,7 @@ def reference_jump_table_targets(image, view, superset, insn_list):
         if jmp is None:
             continue
         bound = _reference_bound_before(insn_list, ins.vaddr, jmp.vaddr)
-        targets.extend(_parse_table(image, view, superset, table, bound))
+        targets.extend(_parse_table(image, superset, table, bound))
     return targets
 
 

@@ -16,8 +16,9 @@ import subprocess
 import tempfile
 
 from pxom import x86
-from pxom.disasm import _ExecView
 from pxom.surface import _TERMINATORS, Gadget
+
+from oracle_disasm import decode_at
 
 _ROW = re.compile(r"\s*([0-9a-f]+):\s+((?:[0-9a-f]{2} )+)\s*\t?(.*)")
 
@@ -93,14 +94,13 @@ def brute_force_gadgets(block_bytes, block_start, max_instructions=10):
 
 def walk_gadgets(image, report, max_instructions=10):
     """Gadget list of a forward walk from every superset offset."""
-    view = _ExecView(image)
     gadgets = {}
     for block in report.superset:
         for start in range(block.start, block.end):
             va = start
             count = 0
             while count < max_instructions and va < block.end:
-                ins = view.decode(va)
+                ins = decode_at(image, va)
                 if ins is None or ins.end > block.end:
                     break
                 count += 1

@@ -321,6 +321,25 @@ class TestMalformedGroundTruth:
         assert err.startswith("error: GroundTruthParse: line 4: ")
         assert repr(line) in err
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("contents", ["0x1000\n", None],
+                             ids=["malformed", "missing"])
+    def test_checked_before_disassembly(self, capsys, tmp_path, monkeypatch,
+                                        corpus, command, contents):
+        def no_disassembly(image):
+            raise AssertionError("compute_superset ran")
+
+        monkeypatch.setattr(cli, "compute_superset", no_disassembly)
+        gt = tmp_path / "bad.gt"
+        if contents is not None:
+            gt.write_text(contents)
+        code, out, err = run_cli(capsys, command, "-i",
+                                 str(corpus[0].binary), "--ground-truth",
+                                 str(gt))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: GroundTruthParse: line 1: "
+                              if contents else "error: [Errno 2] ")
+
 
 class TestGenCorpus:
     def test_generates_binaries(self, capsys, tmp_path):

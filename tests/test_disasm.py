@@ -9,15 +9,14 @@ import pytest
 
 from pxom import disasm, x86
 from pxom.corpus import build_corpus, load_ground_truth
-from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _ExecView,
-                         _jump_table_targets, _traverse, compute_superset,
-                         detect_entry_points)
+from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _jump_table_targets,
+                         _traverse, compute_superset, detect_entry_points)
 from pxom.errors import NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 
 from conftest import exec_elf, make_elf, require_tool
-from oracle_disasm import (reference_compute_superset,
+from oracle_disasm import (decode_at, reference_compute_superset,
                            reference_jump_table_targets, reference_traverse)
 
 LS = "/usr/bin/ls"
@@ -41,18 +40,18 @@ def image_of(code, vaddr=0x1000, entry=None):
 
 
 class TestDecodeAt:
-    """Decoding at one address through `_ExecView`."""
+    """Decoding at one address through the image's code bytes."""
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            _ExecView(image_of(b"\xc3")).buffer_at(0x9000)
+            image_of(b"\xc3").code_at(0x9000)
 
     def test_decodes(self):
-        ins = _ExecView(image_of(b"\xc3")).decode(0x1000)
+        ins = decode_at(image_of(b"\xc3"), 0x1000)
         assert ins.length == 1
 
     def test_invalid_at_range_end(self):
-        assert _ExecView(image_of(b"\x90\xff")).decode(0x1001) is None
+        assert decode_at(image_of(b"\x90\xff"), 0x1001) is None
 
 
 def traverse_fresh(code, superset=None):
@@ -61,7 +60,7 @@ def traverse_fresh(code, superset=None):
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
-    return _traverse(_ExecView(image), 0x1000, superset, {})
+    return _traverse(image, 0x1000, superset, {})
 
 
 class TestRecursiveDisassemble:
@@ -283,7 +282,6 @@ def check_traversals(image, starts_per_superset=200):
     """_traverse claims exactly its instructions and matches the strict
     reference: from the entry points of a fresh superset, and from the
     block starts of the superset left after compute_superset."""
-    view = _ExecView(image)
     fresh = executable_ranges(image)
     report = compute_superset(image)
     outcomes = set()
@@ -293,10 +291,10 @@ def check_traversals(image, starts_per_superset=200):
             (report.superset, report.instructions,
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            claimed, insns, ok = _traverse(view, va, superset, committed)
+            claimed, insns, ok = _traverse(image, va, superset, committed)
             assert claimed == union_of(insns)
             assert (claimed, insns, ok) == reference_traverse(
-                view, va, superset, committed, strict=True)
+                image, va, superset, committed, strict=True)
             outcomes.add(ok)
     return outcomes
 
@@ -322,15 +320,14 @@ class TestTraverse:
         failed = 0
         for data in datas:
             image = load_elf(data)
-            view = _ExecView(image)
             fresh = executable_ranges(image)
             report = compute_superset(image)
             for iv in list(report.superset)[:100]:
                 for va in range(iv.start, min(iv.end, iv.start + 4)):
-                    if _traverse(view, va, fresh, {})[2]:
+                    if _traverse(image, va, fresh, {})[2]:
                         continue
                     failed += 1
-                    assert not _traverse(view, va, report.superset,
+                    assert not _traverse(image, va, report.superset,
                                          report.instructions)[2]
         assert failed
 
@@ -339,8 +336,8 @@ class TestTraverse:
         # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
         for jz, strict_ok in ((b"\x74\x01", True), (b"\x74\x02", False)):
-            view = _ExecView(image_of(jz + b"\x90\xeb\xfe\xc3"))
-            _, insns, ok = _traverse(view, 0x1000, superset, {0x1003})
+            image = image_of(jz + b"\x90\xeb\xfe\xc3")
+            _, insns, ok = _traverse(image, 0x1000, superset, {0x1003})
             assert sorted(insns) == [0x1000, 0x1002]
             assert ok == strict_ok
 
@@ -368,11 +365,10 @@ class TestTraverse:
     def test_edges_match_reference(self, code, runs, committed, starts,
                                    strict_ok):
         image = image_of(code)
-        view = _ExecView(image)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        result = _traverse(view, 0x1000, superset, set(committed))
-        assert result == reference_traverse(view, 0x1000, superset,
+        result = _traverse(image, 0x1000, superset, set(committed))
+        assert result == reference_traverse(image, 0x1000, superset,
                                             set(committed), strict=True)
         claimed, insns, ok = result
         assert sorted(insns) == starts
@@ -405,11 +401,10 @@ def jump_table_image(cmp_at, jmp_at, lea_at):
         code += (0x1000 + k - table).to_bytes(4, "little", signed=True)
     code += (0x7FFFFFFF).to_bytes(4, "little")
     image = image_of(bytes(code))
-    view = _ExecView(image)
     insn_list = []
     va = 0x1000
     while va < 0x1000 + jmp_at + 3:
-        insn_list.append(view.decode(va))
+        insn_list.append(decode_at(image, va))
         va = insn_list[-1].end
     return image, insn_list
 
@@ -424,11 +419,10 @@ class TestJumpTable:
     ])
     def test_search_window_edges(self, cmp_at, jmp_at, found):
         image, insn_list = jump_table_image(cmp_at, jmp_at, self.LEA)
-        view = _ExecView(image)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, view, superset, insn_list)
+        targets = _jump_table_targets(image, superset, insn_list)
         assert targets == [0x1000 + k for k in range(found)]
-        assert targets == reference_jump_table_targets(image, view, superset,
+        assert targets == reference_jump_table_targets(image, superset,
                                                        insn_list)
 
     def test_equals_linear_search_on_corpus(self, corpus20):
@@ -436,13 +430,11 @@ class TestJumpTable:
         for entry in corpus20:
             image = load_elf(entry.binary.read_bytes())
             report = compute_superset(image)
-            view = _ExecView(image)
             insn_list = [report.instructions[va]
                          for va in sorted(report.instructions)]
             for superset in (executable_ranges(image), report.superset):
-                targets = _jump_table_targets(image, view, superset,
-                                              insn_list)
+                targets = _jump_table_targets(image, superset, insn_list)
                 assert targets == reference_jump_table_targets(
-                    image, view, superset, insn_list)
+                    image, superset, insn_list)
                 found += len(targets)
         assert found

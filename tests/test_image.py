@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import (CorruptXom, InvariantViolation, Malformed,
-                         NoXomSection, NotElf, SectionExists, Unsupported)
+                         NoXomSection, NotElf, OutOfRange, SectionExists,
+                         Unsupported)
 from pxom.image import (XOM_FLAG_INDEX, attach_xom_section,
                         deserialize_lists, executable_ranges, is_xom_enabled,
                         load_elf, parse_xom_section, serialize_lists,
@@ -105,6 +106,33 @@ class TestExecutableRanges:
     def test_no_exec_segment(self):
         data = make_elf([(0x1000, 4, b"\x00" * 16)])
         assert not executable_ranges(load_elf(data))
+
+
+class TestCodeBytes:
+    def test_touching_segments_read_in_address_order(self):
+        # program headers list the higher segment first
+        image = load_elf(make_elf([(0x1008, 5, b"\xcc" * 8),
+                                   (0x1000, 5, b"\x90" * 8)], entry=0x1000))
+        assert image.read_vaddr(0x1004, 8) == b"\x90" * 4 + b"\xcc" * 4
+        assert image.code_at(0x100f) == (0x1000, b"\x90" * 8 + b"\xcc" * 8)
+
+    def test_read_past_range_end_is_none(self):
+        image = load_elf(make_elf([(0x1000, 5, b"\xc3" * 16),
+                                   (0x1020, 5, b"\xc3" * 16)], entry=0x1000))
+        assert image.read_vaddr(0x1008, 8) == b"\xc3" * 8
+        assert image.read_vaddr(0x1008, 9) is None
+        assert image.read_vaddr(0x1010, 1) is None
+
+    def test_non_executable_segment_is_not_read(self):
+        image = load_elf(make_elf([(0x1000, 5, b"\xc3" * 16),
+                                   (0x2000, 4, b"\x00" * 16)], entry=0x1000))
+        assert image.read_vaddr(0x2000, 4) is None
+        with pytest.raises(OutOfRange):
+            image.code_at(0x2000)
+
+    def test_code_is_built_once(self):
+        image = load_elf(exec_elf(b"\xc3" * 16))
+        assert image.code_at(0x1000)[1] is image.code_at(0x100f)[1]
 
 
 class TestXomFlag:
