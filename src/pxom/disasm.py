@@ -6,9 +6,9 @@ instructions.  A data byte can therefore never be classified as code;
 the price is that unreachable code stays readable.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from struct import unpack_from
 
 from . import x86
 from .ehframe import fde_initial_locations
@@ -35,8 +35,6 @@ _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
 _PUSH_KINDS = frozenset((x86.CONDITIONAL_JUMP, x86.DIRECT_CALL))
 
-_VADDR = attrgetter("vaddr")
-
 
 @dataclass(frozen=True)
 class EntryPoint:
@@ -58,10 +56,13 @@ def _traverse(image, entry, superset, committed):
 
     A path ends cleanly at an instruction already decoded by this
     traversal or at the start of a committed one (a key of committed).
-    Any invalid decode, or reaching a byte outside the superset anywhere
-    else (mid-way into committed code, or off the executable range),
-    fails the whole traversal (ok=False).  Returns (claimed, insns, ok),
-    where claimed is the union of the instructions in insns.
+    A path also ends cleanly at address 0 outside the superset: a static
+    link resolves an undefined weak function to 0, and the code calls it
+    only behind a null test.  Any invalid decode, or reaching a byte
+    outside the superset anywhere else (mid-way into committed code, or
+    off the executable range), fails the whole traversal (ok=False).
+    Returns (claimed, insns, ok), where claimed is the union of the
+    instructions in insns.
 
     The superset does not change while a traversal runs, so the walk
     keeps the run [lo, hi) of superset and executable bytes it is in,
@@ -81,7 +82,7 @@ def _traverse(image, entry, superset, committed):
             if not lo <= va < hi:
                 run = superset.run_at(va)
                 if run is None:
-                    if va not in committed:
+                    if va and va not in committed:
                         ok = False
                     break
                 base, buf = image.code_at(va)
@@ -128,8 +129,7 @@ def _finders(image):
     address_taken = sorted(set(_address_taken_targets(image)))
 
     def jump_table(superset, code, instructions):
-        insn_list = [instructions[va] for va in sorted(instructions)]
-        return sorted(set(_jump_table_targets(image, superset, insn_list)))
+        return sorted(set(_jump_table_targets(image, superset, instructions)))
 
     def heuristic(superset, code, instructions):
         return sorted(set(_heuristic_targets(image, superset, code)))
@@ -157,34 +157,37 @@ def detect_entry_points(image, superset, known_code, instructions):
     return [EntryPoint(va, src) for va, src in found.items()]
 
 
-def _jump_table_targets(image, superset, insn_list):
+def _jump_table_targets(image, superset, instructions):
+    """Targets of the bounded rel32 tables in the superset that committed
+    code dispatches through: a lea of the table, the first indirect jump
+    at most _JUMP_TABLE_WINDOW bytes after it, and a bound check before
+    that jump.  instructions maps vaddr -> committed instruction."""
+    # indirect jumps are few; bisecting them is cheaper than looking up
+    # every window address for each lea of an island in the superset
+    jumps = sorted(va for va, ins in instructions.items()
+                   if ins.kind == x86.INDIRECT_JUMP)
     targets = []
-    indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
-    for ins in insn_list:
+    for va, ins in instructions.items():
         if ins.opcode != (0x8D,):  # lea
             continue
         table = ins.rip_relative_data_target
         if table is None or not superset.contains_range(table, 4):
             continue
-        # the first indirect jump after the lea, if inside the window
-        k = bisect_right(indirect_jumps, ins.vaddr, key=_VADDR)
-        if (k == len(indirect_jumps) or
-                indirect_jumps[k].vaddr > ins.vaddr + _JUMP_TABLE_WINDOW):
-            continue
-        bound = _bound_before(insn_list, ins.vaddr, indirect_jumps[k].vaddr)
-        targets.extend(_parse_table(image, superset, table, bound))
+        k = bisect_right(jumps, va)
+        if k < len(jumps) and jumps[k] <= va + _JUMP_TABLE_WINDOW:
+            count = _bound_before(instructions, va, jumps[k])
+            if count is not None:
+                targets.extend(_rel32_table(image, superset, table, count))
     return targets
 
 
-def _bound_before(insn_list, lo, hi):
-    """imm of the last cmp/and bounding check in [lo-32, hi), if any.
-
-    insn_list is sorted by vaddr."""
+def _bound_before(instructions, lo, hi):
+    """Entry count set by the last cmp/and bound check in [lo-32, hi),
+    or None if there is none."""
     bound = None
-    first = bisect_left(insn_list, lo - 32, key=_VADDR)
-    last = bisect_left(insn_list, hi, lo=first, key=_VADDR)
-    for ins in insn_list[first:last]:
-        if ins.immediate is None:
+    for va in range(lo - 32, hi):
+        ins = instructions.get(va)
+        if ins is None or ins.immediate is None:
             continue
         reg_field = (ins.modrm >> 3) & 7 if ins.modrm is not None else None
         if ins.opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
@@ -196,38 +199,18 @@ def _bound_before(insn_list, lo, hi):
     return None
 
 
-def _parse_table(image, superset, table, count):
-    exec_ranges = executable_ranges(image)
-
-    def entries(width, resolve):
-        out = []
-        limit = count if count is not None else _JUMP_TABLE_MAX_ENTRIES
-        for i in range(limit):
-            pos = table + i * width
-            if not superset.contains_range(pos, width):
-                break
-            raw = image.read_vaddr(pos, width)
-            if raw is None:
-                break
-            value = int.from_bytes(raw, "little", signed=(width == 4))
-            target = resolve(value)
-            if not exec_ranges.contains_range(target, 1):
-                break
-            out.append(target)
-        return out
-
-    rel32 = entries(4, lambda v: (table + v) & 0xFFFFFFFFFFFFFFFF)
-    abs64 = entries(8, lambda v: v)
-    if count is not None:
-        if len(rel32) == count and len(abs64) == count:
-            return rel32 if image.elf_type == 3 else abs64
-        if len(rel32) == count:
-            return rel32
-        if len(abs64) == count:
-            return abs64
+def _rel32_table(image, superset, table, count):
+    """The targets of the count rel32 entries at table, or [] unless the
+    whole table lies in the superset and every target is executable."""
+    if not superset.contains_range(table, 4 * count):
         return []
-    best = max((rel32, abs64), key=len)
-    return best if len(best) >= 2 else []
+    raw = image.read_vaddr(table, 4 * count)
+    targets = [(table + rel) & 0xFFFFFFFFFFFFFFFF
+               for rel in unpack_from("<%di" % count, raw)]
+    exec_ranges = executable_ranges(image)
+    if all(exec_ranges.contains_range(va, 1) for va in targets):
+        return targets
+    return []
 
 
 def _frame_unwind_targets(image):

@@ -31,9 +31,6 @@ class ByteInterval:
     def contains(self, addr, size=1):
         return self.start <= addr and addr + size <= self.end
 
-    def overlaps(self, other):
-        return self.start < other.end and other.start < self.end
-
     def __repr__(self):
         return "[%#x, %#x)" % (self.start, self.end)
 

@@ -3,7 +3,6 @@
 from .blocks import EmbeddedDataBlock, XomLists
 from .disasm import compute_superset
 from .image import attach_xom_section, load_elf, set_xom_flag
-from .intervals import ByteInterval
 
 STATIC_REF_THRESHOLD = 10    # blocks referenced more than this go optimization
 
@@ -37,16 +36,15 @@ def count_static_refs(image, report):
 
 
 def build_lists(report, refs):
+    """Both lists, each in start order, as the superset iterates."""
     regular = []
     optimization = []
     for iv in report.superset:
-        block = EmbeddedDataBlock(ByteInterval(iv.start, iv.end), refs[iv])
+        block = EmbeddedDataBlock(iv, refs[iv])
         if block.static_ref_count > STATIC_REF_THRESHOLD:
             optimization.append(block)
         else:
             regular.append(block)
-    regular.sort(key=lambda b: b.interval.start)
-    optimization.sort(key=lambda b: b.interval.start)
     return XomLists(regular=regular, optimization=optimization)
 
 

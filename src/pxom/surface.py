@@ -37,7 +37,6 @@ class Gadget:
     length: int
     instruction_count: int
     terminator: str
-    block: object
 
 
 def code_coverage(report, ground_truth_code):
@@ -116,7 +115,7 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
                 continue
             chains[off] = chain
             va = base + off
-            found.append(Gadget(va, chain[1] - va, chain[0], chain[2], block))
+            found.append(Gadget(va, chain[1] - va, chain[0], chain[2]))
         found.reverse()
         gadgets.extend(found)
     return gadgets

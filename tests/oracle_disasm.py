@@ -17,17 +17,17 @@ simple enough to serve as its reference.  In lenient mode a failure
 ends only its own path.
 
 `reference_jump_table_targets` is the jump-table finder with linear
-searches: the first indirect jump after each table load, and every
-instruction for the bound check before it.  It shares `_parse_table`
-with the finder under test, since only the searches differ.
+searches over the instructions sorted by address: the first indirect
+jump after each table load, and every instruction for the bound check
+before it.  It shares `_rel32_table` with the finder under test, since
+only the searches differ.
 """
 
 from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
                          SOURCE_ORDER, DisassemblyReport, EntryPoint,
                          _address_taken_targets, _frame_unwind_targets,
-                         _heuristic_targets, _jump_table_targets,
-                         _parse_table, _union)
+                         _heuristic_targets, _rel32_table, _union)
 from pxom.errors import NoExecutableCode
 from pxom.image import executable_ranges
 from pxom.intervals import IntervalSet
@@ -70,10 +70,9 @@ def reference_compute_superset(image):
         "frame_unwind": sorted(set(_frame_unwind_targets(image))),
         "address_taken": sorted(set(_address_taken_targets(image)))}
     while True:
-        insn_list = [instructions[va] for va in sorted(instructions)]
         targets = {**image_targets,
-                   "jump_table": sorted(set(_jump_table_targets(
-                       image, superset, insn_list))),
+                   "jump_table": sorted(set(reference_jump_table_targets(
+                       image, superset, instructions))),
                    "heuristic": sorted(set(_heuristic_targets(
                        image, superset, code)))}
         found = {}
@@ -109,7 +108,7 @@ def reference_traverse(image, entry, superset, committed_starts, strict):
         va = stack.pop()
         while va not in insns:
             if not superset.contains_range(va, 1):
-                if strict and va not in committed_starts:
+                if strict and va != 0 and va not in committed_starts:
                     ok = False
                 break
             ins = decode_at(image, va)
@@ -131,8 +130,10 @@ def reference_traverse(image, entry, superset, committed_starts, strict):
     return _union(insns), insns, ok
 
 
-def reference_jump_table_targets(image, superset, insn_list):
-    """Targets of disasm._jump_table_targets, found by linear search."""
+def reference_jump_table_targets(image, superset, instructions):
+    """Targets of disasm._jump_table_targets, found by linear search, in
+    address order of the table loads."""
+    insn_list = [instructions[va] for va in sorted(instructions)]
     targets = []
     indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
     for ins in insn_list:
@@ -146,8 +147,9 @@ def reference_jump_table_targets(image, superset, insn_list):
                    None)
         if jmp is None:
             continue
-        bound = _reference_bound_before(insn_list, ins.vaddr, jmp.vaddr)
-        targets.extend(_parse_table(image, superset, table, bound))
+        count = _reference_bound_before(insn_list, ins.vaddr, jmp.vaddr)
+        if count is not None:
+            targets.extend(_rel32_table(image, superset, table, count))
     return targets
 
 

@@ -109,7 +109,7 @@ def walk_gadgets(image, report, max_instructions=10):
                     key = (start, term)
                     if key not in gadgets:
                         gadgets[key] = Gadget(start, ins.end - start, count,
-                                              term, block)
+                                              term)
                     break
                 if ins.kind != x86.FALLTHROUGH:
                     break

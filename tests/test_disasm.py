@@ -1,6 +1,7 @@
 import os
 import re
 import subprocess
+import time
 from dataclasses import fields
 from functools import partial
 from operator import attrgetter
@@ -14,6 +15,7 @@ from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _jump_table_targets,
 from pxom.errors import NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
+from pxom.surface import overall_coverage
 
 from conftest import exec_elf, make_elf, require_tool
 from oracle_disasm import (decode_at, reference_compute_superset,
@@ -89,6 +91,13 @@ class TestRecursiveDisassemble:
     def test_stops_at_indirect_jump(self):
         claimed, _, ok = traverse_fresh(b"\xff\xe0\xde\xad")
         assert ok and claimed.total_bytes == 2
+
+    def test_call_to_zero_ends_its_path(self):
+        # call 0 (an undefined weak function); ret
+        rel = (0 - 0x1005).to_bytes(4, "little", signed=True)
+        claimed, insns, ok = traverse_fresh(b"\xe8" + rel + b"\xc3")
+        assert ok and sorted(insns) == [0x1000, 0x1005]
+        assert claimed.total_bytes == 6
 
     def test_invalid_decode_fails_traversal(self):
         # call +1 reaches a ret; the fall-through hits an invalid byte,
@@ -252,6 +261,31 @@ class TestEntryPointDetection:
             assert superset.contains_range(ep.vaddr, 1)
 
 
+STATIC_SWITCH = os.path.join(os.path.dirname(__file__), "static_switch.c")
+
+
+@pytest.mark.parametrize("flags", [
+    ["-O2", "-static"],
+    ["-Os", "-static", "-no-pie", "-fcf-protection=none"],
+], ids=["O2", "Os-no-pie"])
+def test_static_glibc_program(tmp_path, flags):
+    # glibc's static archive calls undefined weak functions, resolved to
+    # 0, behind null tests; a path to 0 must not fail their callers
+    require_tool("gcc")
+    libc_a = subprocess.run(["gcc", "-print-file-name=libc.a"],
+                            capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libc_a):
+        pytest.skip("static libc not available")
+    binary = tmp_path / "static_switch"
+    subprocess.run(["gcc", *flags, "-o", str(binary), STATIC_SWITCH],
+                   check=True)
+    image = load_elf(binary.read_bytes())
+    start = time.monotonic()
+    report = compute_superset(image)
+    assert time.monotonic() - start < 10
+    assert overall_coverage(report) >= 0.75
+
+
 class TestMonotonicity:
     def test_superset_shrinks_code_grows(self, corpus):
         # re-run compute_superset but snapshot via entry_points ordering:
@@ -386,10 +420,11 @@ class TestTraverse:
             assert compute_superset(load_elf(data)) == report
 
 
-def jump_table_image(cmp_at, jmp_at, lea_at):
+def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False):
     """cmp eax, 3 at cmp_at; lea rax, [rip + table] at lea_at; jmp rax at
-    jmp_at; then a rel32 table of six executable targets and one entry
-    that leaves the image.  Returns (image, insn_list)."""
+    jmp_at; then a table of six executable targets and one entry that
+    leaves the image, rel32 or abs64.  Returns (image, instructions), the
+    instructions up to the jmp by vaddr."""
     code = bytearray(b"\x90" * (jmp_at + 3))
     code[cmp_at:cmp_at + 3] = b"\x83\xf8\x03"
     code[jmp_at:jmp_at + 3] = b"\xff\xe0\xc3"
@@ -398,15 +433,18 @@ def jump_table_image(cmp_at, jmp_at, lea_at):
     code[lea_at:lea_at + 7] = b"\x48\x8d\x05" + (
         table - (0x1000 + lea_at + 7)).to_bytes(4, "little", signed=True)
     for k in range(6):
-        code += (0x1000 + k - table).to_bytes(4, "little", signed=True)
-    code += (0x7FFFFFFF).to_bytes(4, "little")
+        if abs64:
+            code += (0x1000 + k).to_bytes(8, "little")
+        else:
+            code += (0x1000 + k - table).to_bytes(4, "little", signed=True)
+    code += (0x7FFFFFFF).to_bytes(8 if abs64 else 4, "little")
     image = image_of(bytes(code))
-    insn_list = []
+    instructions = {}
     va = 0x1000
     while va < 0x1000 + jmp_at + 3:
-        insn_list.append(decode_at(image, va))
-        va = insn_list[-1].end
-    return image, insn_list
+        instructions[va] = decode_at(image, va)
+        va = instructions[va].end
+    return image, instructions
 
 
 class TestJumpTable:
@@ -414,27 +452,39 @@ class TestJumpTable:
 
     @pytest.mark.parametrize("cmp_at, jmp_at, found", [
         (LEA - 32, LEA + _JUMP_TABLE_WINDOW, 4),       # bounded by cmp
-        (LEA - 33, LEA + _JUMP_TABLE_WINDOW, 6),       # cmp out of reach
+        (LEA - 33, LEA + _JUMP_TABLE_WINDOW, 0),       # cmp out of reach
         (LEA - 32, LEA + _JUMP_TABLE_WINDOW + 1, 0),   # jmp out of reach
     ])
     def test_search_window_edges(self, cmp_at, jmp_at, found):
-        image, insn_list = jump_table_image(cmp_at, jmp_at, self.LEA)
+        # a table without a bound check is not read
+        image, instructions = jump_table_image(cmp_at, jmp_at, self.LEA)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, insn_list)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(found)]
         assert targets == reference_jump_table_targets(image, superset,
-                                                       insn_list)
+                                                       instructions)
+
+    def test_abs64_table_is_not_read(self):
+        # bounded, in an ET_EXEC image, but its entries are abs64
+        image, instructions = jump_table_image(self.LEA - 32,
+                                               self.LEA + 16, self.LEA,
+                                               abs64=True)
+        assert image.elf_type == 2
+        superset = executable_ranges(image)
+        assert _jump_table_targets(image, superset, instructions) == []
+        assert reference_jump_table_targets(image, superset,
+                                            instructions) == []
 
     def test_equals_linear_search_on_corpus(self, corpus20):
         found = 0
         for entry in corpus20:
             image = load_elf(entry.binary.read_bytes())
             report = compute_superset(image)
-            insn_list = [report.instructions[va]
-                         for va in sorted(report.instructions)]
             for superset in (executable_ranges(image), report.superset):
-                targets = _jump_table_targets(image, superset, insn_list)
-                assert targets == reference_jump_table_targets(
-                    image, superset, insn_list)
+                targets = _jump_table_targets(image, superset,
+                                              report.instructions)
+                # the finder walks the instructions in commit order
+                assert sorted(targets) == sorted(reference_jump_table_targets(
+                    image, superset, report.instructions))
                 found += len(targets)
         assert found
