@@ -8,6 +8,7 @@ the price is that unreachable code stays readable.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from struct import unpack_from
 
 from . import x86
@@ -68,16 +69,19 @@ def _traverse(image, entry, superset, committed):
     keeps the run [lo, hi) of superset and executable bytes it is in,
     and decodes with the run end as limit: an instruction that would
     leave the run decodes to None.  It looks a run up again only when a
-    path leaves the current one.
+    path leaves the current one.  Each straight-line stretch it decodes
+    is one (start, end) pair, so claimed merges those pairs, not every
+    instruction.
     """
     insns = {}
+    stretches = []
     stack = [entry]
     ok = True
     decode = x86.decode
     lo = hi = base = limit = 0
     buf = b""
     while stack:
-        va = stack.pop()
+        va = start = stack.pop()
         while va not in insns:
             if not lo <= va < hi:
                 run = superset.run_at(va)
@@ -94,45 +98,40 @@ def _traverse(image, entry, superset, committed):
                 ok = False
                 break
             insns[va] = ins
+            va += ins.length
             kind = ins.kind
             if kind in _STOP_KINDS:
                 break
             if kind == x86.DIRECT_JUMP:
-                va = ins.direct_targets[0]
-                continue
-            if kind in _PUSH_KINDS:
+                stretches.append((start, va))
+                va = start = ins.direct_targets[0]
+            elif kind in _PUSH_KINDS:
                 stack.append(ins.direct_targets[0])
-            va += ins.length
-    return _union(insns), insns, ok
-
-
-def _union(insns):
-    """IntervalSet of the bytes of insns, merged in one sorted pass."""
-    runs = []
-    for va in sorted(insns):
-        end = va + insns[va].length
-        if runs and va <= runs[-1][1]:
-            if end > runs[-1][1]:
-                runs[-1][1] = end
-        else:
-            runs.append([va, end])
-    return IntervalSet.from_pairs(runs)
+        if va != start:
+            stretches.append((start, va))
+    return IntervalSet.from_pairs(stretches), insns, ok
 
 
 def _finders(image):
     """Source name -> targets(superset, code, instructions), the source's
     candidate addresses, sorted.  The sources that read only the image
-    find theirs here, once, and return the same list every time."""
+    find theirs here, once, and return the same list every time; the
+    heuristic finds its aligned prologues here too, and each call keeps
+    those still in the superset."""
     # load_elf keeps a nonzero entry inside the executable ranges
     program_entry = [image.entry_point] if image.entry_point else []
     frame_unwind = sorted(set(_frame_unwind_targets(image)))
     address_taken = sorted(set(_address_taken_targets(image)))
+    prologues = _prologue_starts(image)
+    prologue_ends = [va + 1 for va in prologues]
 
     def jump_table(superset, code, instructions):
         return sorted(set(_jump_table_targets(image, superset, instructions)))
 
     def heuristic(superset, code, instructions):
-        return sorted(set(_heuristic_targets(image, superset, code)))
+        aligned = compress(prologues,
+                           superset.contains_each(prologues, prologue_ends))
+        return sorted({*aligned, *_padded_prologues(image, superset, code)})
 
     return {"program_entry": lambda *_: program_entry,
             "jump_table": jump_table,
@@ -250,30 +249,34 @@ def _address_taken_targets(image):
     return targets
 
 
-def _heuristic_targets(image, superset, known_code):
+def _prologue_starts(image):
+    """Sorted 16-aligned addresses where a prologue pattern starts; the
+    pattern and 4 bytes lie inside the address's executable range."""
+    found = set()
+    for iv in executable_ranges(image):
+        base, buf = image.code_at(iv.start)
+        for pattern in _PROLOGUE_PATTERNS:
+            pos = buf.find(pattern, -base % 16)
+            while pos >= 0:
+                if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
+                    found.add(base + pos)
+                pos = buf.find(pattern, pos + 1)
+    return sorted(found)
+
+
+def _padded_prologues(image, superset, known_code):
+    """Prologues right after the int3/nop padding that starts a superset
+    block and follows committed code."""
     targets = []
-    for iv in superset:
-        # a 16-aligned prologue starting in iv; it may run past iv.end,
-        # but needs 4 bytes inside its executable range
-        first = (iv.start + 15) & ~15
-        if first < iv.end:
-            base, buf = image.code_at(first)
-            for pattern in _PROLOGUE_PATTERNS:
-                stop = iv.end - base + len(pattern) - 1
-                pos = buf.find(pattern, first - base, stop)
-                while pos >= 0:
-                    if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
-                        targets.append(base + pos)
-                    pos = buf.find(pattern, pos + 1, stop)
-        # entry right after int3/nop padding that follows committed code
-        if known_code.contains_range(iv.start - 1, 1):
-            va = iv.start
-            while va < iv.end:
+    for start, end in superset.pairs():
+        if known_code.contains_range(start - 1, 1):
+            va = start
+            while va < end:
                 raw = image.read_vaddr(va, 1)
                 if raw is None or raw[0] not in _PAD_BYTES:
                     break
                 va += 1
-            if va < iv.end and va > iv.start and _matches_prologue(image, va):
+            if start < va < end and _matches_prologue(image, va):
                 targets.append(va)
     return targets
 
@@ -316,9 +319,9 @@ def compute_superset(image):
                 claimed, insns, ok = _traverse(image, va, superset,
                                                instructions)
                 if ok:
-                    for iv in claimed:
-                        superset.remove(iv.start, iv.end)
-                        code.add(iv.start, iv.end)
+                    for start, end in claimed.pairs():
+                        superset.remove(start, end)
+                        code.add(start, end)
                     instructions.update(insns)
                     accepted.append(EntryPoint(va, source))
                     progress = True

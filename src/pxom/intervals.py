@@ -46,9 +46,19 @@ class IntervalSet:
 
     @classmethod
     def from_pairs(cls, pairs):
+        """The union of the (start, end) pairs, in any order; they may
+        overlap or touch.  One sort and one merging pass."""
         s = cls()
-        for start, end in pairs:
-            s.add(start, end)
+        starts, ends = s._starts, s._ends
+        for start, end in sorted(pairs):
+            if start >= end:
+                raise ValueError("empty interval [%#x, %#x)" % (start, end))
+            if ends and start <= ends[-1]:
+                if end > ends[-1]:
+                    ends[-1] = end
+            else:
+                starts.append(start)
+                ends.append(end)
         return s
 
     def add(self, start, end):
@@ -100,6 +110,10 @@ class IntervalSet:
         limits = [float("-inf"), *self._ends]   # [0]: before every interval
         found = map(bisect_right, repeat(self._starts), starts)
         return map(le, ends, map(limits.__getitem__, found))
+
+    def pairs(self):
+        """(start, end) of each interval, in order."""
+        return zip(self._starts, self._ends)
 
     def run_at(self, addr):
         """(start, end) of the interval containing addr, or None."""

@@ -1,5 +1,6 @@
 """Evaluation metrics and attack-surface analyses."""
 
+import re
 from dataclasses import dataclass
 
 from . import x86
@@ -16,7 +17,7 @@ _TERMINATORS = {
 }
 # opcode bytes of every terminator: ret (C2, C3, CA, CB) and the FF
 # group that holds the indirect jumps and calls
-_TERMINATOR_OPCODES = (b"\xc2", b"\xc3", b"\xca", b"\xcb", b"\xff")
+_TERMINATOR_OPCODE = re.compile(b"[\xc2\xc3\xca\xcb\xff]")
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,16 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     indirect jump / indirect call without leaving its block.  Direct
     branches leave the block deterministically and end no gadget.
 
-    One backward pass per block decodes each offset once: the chain
-    starting at an offset is its own terminator, or one fall-through
-    instruction in front of the chain stored for the offset it falls
-    through to.  The pass starts at the block's last terminator opcode
-    byte: a terminator's opcode lies at or after its start, so no
-    gadget starts past it.
+    One backward pass per block decodes each offset at most once: the
+    chain starting at an offset is its own terminator, or one
+    fall-through instruction in front of the chain stored for the offset
+    it falls through to.  An instruction is at most 15 bytes long, so
+    the pass decodes an offset only if a terminator opcode byte lies in
+    the 15 bytes from it (off ... off+14: a terminator's opcode is one of
+    its own bytes) or a gadget starts within 15 bytes after it
+    (off+1 ... off+15: a fall-through instruction ends there).  It skips
+    every other offset, and so starts at the block's last terminator
+    opcode byte.
     """
     if max_instructions < 1:
         return []
@@ -98,8 +103,21 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
         # fall-through into the next block ends every walk
         chains = [None] * (size + 1)
         found = []
-        last = max(data.rfind(op) for op in _TERMINATOR_OPCODES)
-        for off in range(last, -1, -1):
+        # terminator opcode bytes in address order, taken from the last;
+        # the -1 in front ends the pass
+        opcodes = [-1, *(m.start() for m in _TERMINATOR_OPCODE.finditer(
+            data))]
+        k = len(opcodes) - 1
+        off = floor = size
+        while off > 0:
+            off -= 1
+            if off < floor:
+                off = opcodes[k]
+                if off < 0:
+                    break
+            if off == opcodes[k]:
+                floor = off - (x86.MAX_INSN_LEN - 1)
+                k -= 1
             ins = x86.decode(data, off, base + off)
             if ins is None:
                 continue
@@ -116,6 +134,7 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
             chains[off] = chain
             va = base + off
             found.append(Gadget(va, chain[1] - va, chain[0], chain[2]))
+            floor = off - x86.MAX_INSN_LEN
         found.reverse()
         gadgets.extend(found)
     return gadgets

@@ -6,22 +6,34 @@ by mainstream compilers.  Anything outside that subset decodes to None
 (invalid), which the disassembler treats conservatively: an undecodable
 byte can never be claimed as code.
 
-The decoder is table-driven.  `_ONE_BYTE` and `_TWO_BYTE` (the opcode
-after 0F) each hold 256 entries; an entry is None (invalid in 64-bit
-mode) or a tuple `(has_modrm, operand, kind, opcode)`:
+The decoder is table-driven and dispatches on table entries, not on
+byte values.  `_FIRST` holds an entry for each first byte: an opcode
+row, None (invalid in 64-bit mode), or one of the markers `_REX`,
+`_LEGACY`, `_OPSIZE` (prefixes), `_ESC_0F`, `_VEX3`, `_VEX2` (escapes).
+The escapes lead to `_TWO_BYTE` and `_VEX_MAPS`, whose entries are all
+opcode rows; the `0F 38` and `0F 3A` rows of `_TWO_BYTE` serve every
+three-byte opcode after them.  A row is a tuple
+`(has_modrm, operand, kind, opcode)`:
 
 - has_modrm: a ModRM byte (plus SIB and displacement) follows the opcode.
 - operand: the immediate after ModRM, as a byte count (0 for none) or
   one of the size classes `_Z`, `_V`, `_MOFFS`, `_ENTER`.  For the
   relative branch kinds it is the size of the rel8/rel32 displacement.
-- kind: the control-flow kind, or `_GROUP` when the ModRM reg field
-  selects the operand and kind from `_GROUPS`.
+  For `_GROUP` rows it is the tuple, indexed by the ModRM reg field, of
+  `(operand, kind)` pairs, or None where the encoding is invalid.
+- kind: the control-flow kind, or `_GROUP`.
 - opcode: the `Instruction.opcode` tuple, built once per table entry so
   that decoding allocates none.  Only the three-byte 0F 38 / 0F 3A
   opcodes are built per call.
+
+`_MODRM_SIZE` gives, for each ModRM byte, how many bytes the ModRM byte
+and the SIB byte and displacement after it take, or `_RIP` (mod 0,
+rm 5: a RIP-relative disp32 follows) or `_SIB0` (mod 0, rm 4: the SIB
+base decides whether a disp32 follows).  The SIB byte is read only in
+that last case.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 FALLTHROUGH = "fallthrough"
 DIRECT_JUMP = "direct_jump"
@@ -37,7 +49,7 @@ MAX_INSN_LEN = 15
 
 @dataclass(slots=True)
 class Instruction:
-    """One decoded instruction.
+    """One decoded instruction, compared by every field.
 
     A slots dataclass, not a frozen one: construction is on the hot path
     of every pass, and a frozen __init__ costs several times as much.
@@ -50,17 +62,14 @@ class Instruction:
     kind: str
     direct_targets: tuple = ()
     rip_relative_data_target: int = None
-    opcode: tuple = field(default=(), compare=False)
-    modrm: int = field(default=None, compare=False)
-    immediate: int = field(default=None, compare=False)
+    opcode: tuple = ()
+    modrm: int = None
+    immediate: int = None
 
     @property
     def end(self):
         return self.vaddr + self.length
 
-
-_LEGACY_PREFIXES = frozenset(
-    [0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3])
 
 _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
 
@@ -71,6 +80,18 @@ _MOFFS = -3     # unsigned 64-bit absolute address (A0-A3)
 _ENTER = -4     # imm16 frame size, then the imm8 nesting level (C8)
 
 _GROUP = "group"
+
+# `_FIRST` markers; those below `_ESC_0F` are prefixes
+_REX = 1        # 40-4F
+_LEGACY = 2     # segment, address-size, lock and rep prefixes
+_OPSIZE = 3     # 66
+_ESC_0F = 4
+_VEX3 = 5       # C4: two payload bytes, the first one names the map
+_VEX2 = 6       # C5: one payload byte, map 1
+
+# `_MODRM_SIZE` markers
+_RIP = -1
+_SIB0 = -2
 
 # ModRM reg field -> (operand, kind), or None when invalid
 _GROUPS = {
@@ -84,7 +105,7 @@ _GROUPS = {
 }
 
 
-def _one_byte_map():
+def _first_byte_map():
     rows = [None] * 256
 
     def put(ops, has_modrm, operand, kind=FALLTHROUGH):
@@ -115,8 +136,18 @@ def _one_byte_map():
     put([0xC2, 0xCA], False, 2, RETURN)
     put([0xC3, 0xCB], False, 0, RETURN)
     put([0xCC, 0xF4], False, 0, HALT)
-    put([0xF6, 0xF7, 0xFE, 0xFF], True, 0, _GROUP)
-    return _with_opcodes(rows, ())
+    for op, group in _GROUPS.items():
+        rows[op] = (True, group, _GROUP)
+    rows = list(_with_opcodes(rows, ()))
+    for op in range(0x40, 0x50):
+        rows[op] = _REX
+    for op in (0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x67, 0xF0, 0xF2, 0xF3):
+        rows[op] = _LEGACY
+    rows[0x66] = _OPSIZE
+    rows[0x0F] = _ESC_0F
+    rows[0xC4] = _VEX3
+    rows[0xC5] = _VEX2
+    return tuple(rows)
 
 
 def _two_byte_map():
@@ -135,7 +166,7 @@ def _two_byte_map():
 
 
 def _vex_maps():
-    """VEX map number -> 256 rows, as in `_ONE_BYTE`, with opcode
+    """VEX map number -> 256 rows, as in `_TWO_BYTE`, with opcode
     `("vex", map, op)`.
 
     Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
@@ -158,9 +189,23 @@ def _with_opcodes(rows, prefix):
                  for op, row in enumerate(rows))
 
 
-_ONE_BYTE = _one_byte_map()
+def _modrm_sizes():
+    sizes = []
+    for modrm in range(256):
+        mod, rm = modrm >> 6, modrm & 7
+        if mod == 3:
+            sizes.append(1)
+        elif mod == 0:
+            sizes.append(_RIP if rm == 5 else _SIB0 if rm == 4 else 1)
+        else:
+            sizes.append(1 + (rm == 4) + (1 if mod == 1 else 4))
+    return tuple(sizes)
+
+
+_FIRST = _first_byte_map()
 _TWO_BYTE = _two_byte_map()
 _VEX_MAPS = _vex_maps()
+_MODRM_SIZE = _modrm_sizes()
 
 
 def decode(data, offset, vaddr, limit=None):
@@ -174,96 +219,93 @@ def decode(data, offset, vaddr, limit=None):
         end = limit
     if end > offset + MAX_INSN_LEN:
         end = offset + MAX_INSN_LEN
+    if offset >= end:
+        return None
     # Reads past `end` are only rejected once the length is known: any
     # such read leaves pos > end, and one past the buffer raises
     # IndexError.
     try:
-        pos = offset
+        op = data[offset]
+        pos = offset + 1
+        row = _FIRST[op]
         rex = 0
         opsize16 = False
-        while True:
-            if pos >= end:
-                return None
-            op = data[pos]
-            pos += 1
-            if 0x40 <= op <= 0x4F:
-                rex = op
-            elif op in _LEGACY_PREFIXES:
-                opsize16 = opsize16 or op == 0x66
-                rex = 0
-            else:
-                break
-
-        if op == 0x0F:
-            op2 = data[pos]
-            pos += 1
-            row = _TWO_BYTE[op2]
-            if op2 == 0x38 or op2 == 0x3A:     # three-byte opcode
-                row = (*row[:3], (0x0F, op2, data[pos]))
+        if row.__class__ is int:
+            while row < _ESC_0F:
+                if row == _REX:
+                    rex = op
+                else:
+                    rex = 0
+                    if row == _OPSIZE:
+                        opsize16 = True
+                if pos >= end:
+                    return None
+                op = data[pos]
                 pos += 1
-        elif op == 0xC4 or op == 0xC5:
-            if op == 0xC4:
-                vmap = data[pos] & 0x1F
-                pos += 2
-            else:
-                vmap = 1
-                pos += 1
-            vex_rows = _VEX_MAPS.get(vmap)
-            if vex_rows is None:
-                return None
-            op = data[pos]
-            pos += 1
-            row = vex_rows[op]
-        else:
-            row = _ONE_BYTE[op]
-            if row is None:
-                return None
+                row = _FIRST[op]
+                if row.__class__ is not int:
+                    break
+            else:                               # an escape
+                if row == _ESC_0F:
+                    op = data[pos]
+                    row = _TWO_BYTE[op]
+                    if op == 0x38 or op == 0x3A:    # three-byte opcode
+                        row = (*row[:3], (0x0F, op, data[pos + 1]))
+                        pos += 1
+                    pos += 1
+                elif row == _VEX3:
+                    rows = _VEX_MAPS.get(data[pos] & 0x1F)
+                    if rows is None:
+                        return None
+                    row = rows[data[pos + 2]]
+                    pos += 3
+                else:
+                    row = _VEX_MAPS[1][data[pos + 1]]
+                    pos += 2
+        if row is None:
+            return None
         has_modrm, operand, kind, opcode = row
 
         modrm = rip_disp = None
         if has_modrm:
             modrm = data[pos]
-            pos += 1
-            mod = modrm >> 6
-            if mod != 3:
-                rm = modrm & 7
-                if rm == 4:                     # SIB byte
-                    sib_base = data[pos] & 7
-                    pos += 1
-                if mod == 1:
-                    pos += 1
-                elif mod == 2:
-                    pos += 4
-                elif rm == 5:                   # mod 0: RIP + disp32
-                    rip_disp = int.from_bytes(data[pos:pos + 4], "little",
-                                              signed=True)
-                    pos += 4
-                elif rm == 4 and sib_base == 5:  # mod 0: no base, disp32
-                    pos += 4
+            size = _MODRM_SIZE[modrm]
+            if size > 0:
+                pos += size
+            elif size == _RIP:
+                rip_disp = int.from_bytes(data[pos + 1:pos + 5], "little",
+                                          signed=True)
+                pos += 5
+            else:                               # _SIB0: base 5 is disp32
+                pos += 6 if data[pos + 1] & 7 == 5 else 2
             if kind is _GROUP:
-                row = _GROUPS[op][(modrm >> 3) & 7]
+                row = operand[(modrm >> 3) & 7]
                 if row is None:
                     return None
                 operand, kind = row
 
         value = None
         if operand:
-            if operand > 0:
-                size = operand
-            elif operand == _Z:
-                size = 2 if opsize16 and not rex & 8 else 4
-            elif operand == _V:
-                size = 8 if rex & 8 else 2 if opsize16 else 4
-            elif operand == _MOFFS:
-                size = 8
-            else:                               # _ENTER
-                pos += 2
-                size = 1
-            value = int.from_bytes(data[pos:pos + size], "little",
-                                   signed=True)
-            pos += size
-            if operand == _MOFFS:
-                value &= 0xFFFFFFFFFFFFFFFF
+            if operand == 1:
+                value = data[pos]
+                if value > 127:
+                    value -= 256
+                pos += 1
+            else:
+                if operand > 0:
+                    size = operand
+                elif operand == _Z:
+                    size = 2 if opsize16 and not rex & 8 else 4
+                elif operand == _V:
+                    size = 8 if rex & 8 else 2 if opsize16 else 4
+                elif operand == _MOFFS:
+                    size = 8
+                else:                           # _ENTER
+                    pos += 2
+                    size = 1
+                value = int.from_bytes(data[pos:pos + size], "little",
+                                       signed=operand != _MOFFS)
+                pos += size
     except IndexError:
         return None
     if pos > end:

@@ -16,6 +16,14 @@ than `disasm._traverse`, which keeps the superset run it walks in, but
 simple enough to serve as its reference.  In lenient mode a failure
 ends only its own path.
 
+`reference_union` merges a traversal's instructions one by one, where
+`disasm._traverse` merges the straight-line stretches it walked.
+
+`reference_heuristic_targets` is the heuristic finder's earlier form:
+it searches each superset block for 16-aligned prologues in every
+round, where `disasm` finds the aligned prologues of the whole image
+once per `compute_superset` call and keeps those still in the superset.
+
 `reference_jump_table_targets` is the jump-table finder with linear
 searches over the instructions sorted by address: the first indirect
 jump after each table load, and every instruction for the bound check
@@ -25,9 +33,10 @@ only the searches differ.
 
 from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
-                         SOURCE_ORDER, DisassemblyReport, EntryPoint,
+                         _PAD_BYTES, _PROLOGUE_PATTERNS, SOURCE_ORDER,
+                         DisassemblyReport, EntryPoint,
                          _address_taken_targets, _frame_unwind_targets,
-                         _heuristic_targets, _rel32_table, _union)
+                         _matches_prologue, _rel32_table)
 from pxom.errors import NoExecutableCode
 from pxom.image import executable_ranges
 from pxom.intervals import IntervalSet
@@ -73,7 +82,7 @@ def reference_compute_superset(image):
         targets = {**image_targets,
                    "jump_table": sorted(set(reference_jump_table_targets(
                        image, superset, instructions))),
-                   "heuristic": sorted(set(_heuristic_targets(
+                   "heuristic": sorted(set(reference_heuristic_targets(
                        image, superset, code)))}
         found = {}
         for source in SOURCE_ORDER:
@@ -127,7 +136,55 @@ def reference_traverse(image, entry, superset, committed_starts, strict):
             if kind in (x86.CONDITIONAL_JUMP, x86.DIRECT_CALL):
                 stack.append(ins.direct_targets[0])
             va = ins.end
-    return _union(insns), insns, ok
+    return reference_union(insns), insns, ok
+
+
+def reference_union(insns):
+    """IntervalSet of the bytes of insns, merged one instruction at a
+    time in address order."""
+    runs = []
+    for va in sorted(insns):
+        end = va + insns[va].length
+        if runs and va <= runs[-1][1]:
+            if end > runs[-1][1]:
+                runs[-1][1] = end
+        else:
+            runs.append([va, end])
+    union = IntervalSet()
+    for start, end in runs:
+        union.add(start, end)
+    return union
+
+
+def reference_heuristic_targets(image, superset, known_code):
+    """Targets of the heuristic source, found by one scan per superset
+    block and pattern for 16-aligned prologues, then by the padding
+    check, in the order found."""
+    targets = []
+    for iv in superset:
+        # a 16-aligned prologue starting in iv; it may run past iv.end,
+        # but needs 4 bytes inside its executable range
+        first = (iv.start + 15) & ~15
+        if first < iv.end:
+            base, buf = image.code_at(first)
+            for pattern in _PROLOGUE_PATTERNS:
+                stop = iv.end - base + len(pattern) - 1
+                pos = buf.find(pattern, first - base, stop)
+                while pos >= 0:
+                    if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
+                        targets.append(base + pos)
+                    pos = buf.find(pattern, pos + 1, stop)
+        # entry right after int3/nop padding that follows committed code
+        if known_code.contains_range(iv.start - 1, 1):
+            va = iv.start
+            while va < iv.end:
+                raw = image.read_vaddr(va, 1)
+                if raw is None or raw[0] not in _PAD_BYTES:
+                    break
+                va += 1
+            if va < iv.end and va > iv.start and _matches_prologue(image, va):
+                targets.append(va)
+    return targets
 
 
 def reference_jump_table_targets(image, superset, instructions):

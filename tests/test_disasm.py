@@ -2,9 +2,7 @@ import os
 import re
 import subprocess
 import time
-from dataclasses import fields
 from functools import partial
-from operator import attrgetter
 
 import pytest
 
@@ -19,6 +17,7 @@ from pxom.surface import overall_coverage
 
 from conftest import exec_elf, make_elf, require_tool
 from oracle_disasm import (decode_at, reference_compute_superset,
+                           reference_heuristic_targets,
                            reference_jump_table_targets, reference_traverse)
 
 LS = "/usr/bin/ls"
@@ -106,18 +105,6 @@ class TestRecursiveDisassemble:
         assert not ok and sorted(insns) == [0x1000, 0x1006]
 
 
-_INSTRUCTION_FIELDS = attrgetter(*(f.name for f in fields(x86.Instruction)))
-
-
-def report_fields(report):
-    """Every field of a DisassemblyReport, with all fields of each
-    Instruction, including those its equality ignores."""
-    return (report.code, report.superset, report.entry_points,
-            report.executable_total,
-            [(va, _INSTRUCTION_FIELDS(ins))
-             for va, ins in sorted(report.instructions.items())])
-
-
 class TestComputeSuperset:
     def test_all_code(self):
         image = image_of(b"\x90\x90\xc3")
@@ -159,7 +146,9 @@ class TestComputeSuperset:
         for data in datas:
             got = compute_superset(load_elf(data))
             want = reference_compute_superset(load_elf(data))
-            assert report_fields(got) == report_fields(want)
+            # every field, down to each Instruction's opcode, ModRM and
+            # immediate
+            assert got == want
 
     def test_deterministic(self, corpus):
         data = corpus[0].binary.read_bytes()
@@ -198,6 +187,35 @@ class TestComputeSuperset:
         # every byte we identified as code is also swept by objdump
         assert report.code.intersection_size(objdump_bytes) == \
             report.code.total_bytes
+
+
+class TestHeuristicSource:
+    def test_equals_per_block_scan_every_round(self, monkeypatch, corpus):
+        # the finder keeps the image's aligned prologues that are still
+        # in the superset; each round, that must equal a scan of every
+        # superset block
+        datas = [e.binary.read_bytes() for e in corpus]
+        if os.path.exists(LS):
+            datas.append(read_ls())
+        finders = disasm._finders
+        found = []
+
+        def checked_finders(image):
+            table = finders(image)
+            heuristic = table["heuristic"]
+
+            def checked(superset, code, instructions):
+                targets = heuristic(superset, code, instructions)
+                assert targets == sorted(set(reference_heuristic_targets(
+                    image, superset, code)))
+                found.append(len(targets))
+                return targets
+            return {**table, "heuristic": checked}
+
+        monkeypatch.setattr(disasm, "_finders", checked_finders)
+        for data in datas:
+            compute_superset(load_elf(data))
+        assert len(found) >= 2 * len(datas) and any(found)
 
 
 class TestEntryPointDetection:

@@ -10,8 +10,9 @@ from pxom.disasm import compute_superset
 from pxom.errors import EmptyGroundTruth, ZeroInstructions
 from pxom.image import load_elf
 from pxom.intervals import IntervalSet
-from pxom.surface import (code_coverage, edb_stats, gadget_scan, metrics,
-                          overall_coverage, read_intensity, wrpkru_scan)
+from pxom.surface import (Gadget, code_coverage, edb_stats, gadget_scan,
+                          metrics, overall_coverage, read_intensity,
+                          wrpkru_scan)
 
 from conftest import exec_elf, require_tool
 from oracle_gadgets import brute_force_gadgets, walk_gadgets
@@ -219,6 +220,62 @@ class TestOnePassScan:
         pop = 0x1001 + len(plain)
         assert max(calls) == pop + 1        # the ret; no nop after it
         assert [g.start for g in gadgets][-2:] == [pop, pop + 1]
+
+
+def counted_scan(monkeypatch, image, report, depth=10):
+    """(gadgets, vaddrs decoded) of one gadget_scan."""
+    real = x86.decode
+    calls = []
+
+    def counting(data, offset, vaddr, limit=None):
+        calls.append(vaddr)
+        return real(data, offset, vaddr, limit)
+
+    monkeypatch.setattr(x86, "decode", counting)
+    gadgets = gadget_scan(image, report, depth)
+    monkeypatch.setattr(x86, "decode", real)
+    return gadgets, calls
+
+
+class TestSkippedOffsets:
+    """The scan skips an offset only when no terminator opcode byte lies
+    in its 15 bytes (off ... off+14) and no gadget starts in the 15 bytes
+    after it (off+1 ... off+15)."""
+
+    def test_gadget_fifteen_bytes_ahead(self, monkeypatch):
+        # a 15-byte add (66, ten 2E, 81 C0 imm16) falls through to a ret
+        # 15 bytes on; only the gadget bound reaches back to the add
+        code = b"\x66" + b"\x2e" * 10 + b"\x81\xc0\x05\xe9\xc3"
+        image = load_elf(exec_elf(code))
+        report = report_of([], [(0x1000, 0x1010)], len(code))
+        gadgets, calls = counted_scan(monkeypatch, image, report)
+        assert gadgets == [Gadget(0x1000, 16, 2, "ret"),
+                           Gadget(0x100F, 1, 1, "ret")]
+        assert gadgets == walk_gadgets(image, report)
+        assert 0x1000 in calls
+
+    def test_terminator_opcode_fourteen_bytes_ahead(self, monkeypatch):
+        # nops, then an FF byte that starts no gadget (its ModRM is past
+        # the block end): the offsets from 14 bytes before it are decoded
+        code = b"\x90" * 20 + b"\xff"
+        image = load_elf(exec_elf(code))
+        report = report_of([], [(0x1000, 0x1000 + len(code))], len(code))
+        gadgets, calls = counted_scan(monkeypatch, image, report)
+        assert gadgets == walk_gadgets(image, report) == []
+        assert calls == list(range(0x1014, 0x1014 - 15, -1))
+
+    def test_mostly_data_block_decodes_fewer_offsets(self, monkeypatch):
+        rng = random.Random(3)
+        data = bytearray(rng.randrange(0xC2) for _ in range(4000))
+        for at in rng.sample(range(len(data)), 12):
+            data[at] = 0xC3
+        image = planted_image(bytes(data))
+        report = compute_superset(image)
+        gadgets, calls = counted_scan(monkeypatch, image, report)
+        assert gadgets == walk_gadgets(image, report)
+        assert gadgets
+        assert len(calls) == len(set(calls))
+        assert len(calls) < report.superset.total_bytes // 2
 
 
 class TestWrpkruScan:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import re
 import subprocess
 
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pxom import x86
+from pxom.image import executable_ranges, load_elf
 
 from conftest import require_tool
+from oracle_x86 import reference_decode
 
 
 def d(code, vaddr=0x1000):
@@ -266,3 +269,54 @@ def _objdump_mismatches(path):
         if got != length:
             mismatches.append((hex(addr), asm, length, got))
     return mismatches
+
+
+def _fields(ins):
+    return None if ins is None else dataclasses.astuple(ins)
+
+
+def _same_as_reference(data, offset, vaddr, limit=None):
+    return _fields(x86.decode(data, offset, vaddr, limit)) == _fields(
+        reference_decode(data, offset, vaddr, limit))
+
+
+@pytest.mark.parametrize("field", ["opcode", "modrm", "immediate"])
+def test_equality_compares_every_field(field):
+    # cmp eax, 5: opcode 83, ModRM F8, immediate 5
+    ins = d(b"\x83\xf8\x05")
+    assert ins == d(b"\x83\xf8\x05")
+    assert dataclasses.replace(ins, **{field: 0x3D}) != ins
+
+
+class TestAgainstReferenceDecoder:
+    """`decode` against the earlier table-driven decoder, every field."""
+
+    def test_every_offset_of_ls(self):
+        if not os.path.exists("/usr/bin/ls"):
+            pytest.skip("/usr/bin/ls not available")
+        image = load_elf(open("/usr/bin/ls", "rb").read())
+        rng = random.Random(12)
+        mismatches = []
+        for iv in executable_ranges(image):
+            base, buf = image.code_at(iv.start)
+            for off in range(len(buf)):
+                limit = off + rng.randint(0, 16)
+                if not _same_as_reference(buf, off, base + off, limit):
+                    mismatches.append((hex(base + off), limit))
+        assert mismatches == []
+
+    def test_every_tail_of_a_buffer(self):
+        # each special row cut at every length, with every start that
+        # an instruction reaching the cut can have
+        buf = bytes.fromhex("".join(row[1] for row in SPECIAL_ROWS))
+        for end in range(len(buf) + 1):
+            tail = buf[:end]
+            for off in range(max(0, end - x86.MAX_INSN_LEN - 1), end + 1):
+                assert _same_as_reference(tail, off, 0x1000 + off), (end, off)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.binary(max_size=24), offset=st.integers(0, 26),
+           limit=st.none() | st.integers(0, 40),
+           vaddr=st.integers(0, 1 << 48))
+    def test_random_bytes(self, data, offset, limit, vaddr):
+        assert _same_as_reference(data, offset, vaddr, limit)
