@@ -34,7 +34,6 @@ _JUMP_TABLE_MAX_ENTRIES = 1024
 
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
-_PUSH_KINDS = frozenset((x86.CONDITIONAL_JUMP, x86.DIRECT_CALL))
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,7 @@ def _traverse(image, entry, superset, committed):
     stack = [entry]
     ok = True
     decode = x86.decode
+    fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
     buf = b""
     while stack:
@@ -100,12 +100,14 @@ def _traverse(image, entry, superset, committed):
             insns[va] = ins
             va += ins.length
             kind = ins.kind
+            if kind is fallthrough:
+                continue
             if kind in _STOP_KINDS:
                 break
-            if kind == x86.DIRECT_JUMP:
+            if kind is direct_jump:
                 stretches.append((start, va))
                 va = start = ins.direct_targets[0]
-            elif kind in _PUSH_KINDS:
+            else:                       # conditional jump or direct call
                 stack.append(ins.direct_targets[0])
         if va != start:
             stretches.append((start, va))
@@ -116,13 +118,13 @@ def _finders(image):
     """Source name -> targets(superset, code, instructions), the source's
     candidate addresses, sorted.  The sources that read only the image
     find theirs here, once, and return the same list every time; the
-    heuristic finds its aligned prologues here too, and each call keeps
-    those still in the superset."""
+    heuristic finds its prologue candidates here too, and each call keeps
+    those that the superset and the code make targets."""
     # load_elf keeps a nonzero entry inside the executable ranges
     program_entry = [image.entry_point] if image.entry_point else []
     frame_unwind = sorted(set(_frame_unwind_targets(image)))
     address_taken = sorted(set(_address_taken_targets(image)))
-    prologues = _prologue_starts(image)
+    prologues, padded = _prologue_starts(image)
     prologue_ends = [va + 1 for va in prologues]
 
     def jump_table(superset, code, instructions):
@@ -131,7 +133,7 @@ def _finders(image):
     def heuristic(superset, code, instructions):
         aligned = compress(prologues,
                            superset.contains_each(prologues, prologue_ends))
-        return sorted({*aligned, *_padded_prologues(image, superset, code)})
+        return sorted({*aligned, *_padded_prologues(padded, superset, code)})
 
     return {"program_entry": lambda *_: program_entry,
             "jump_table": jump_table,
@@ -222,70 +224,76 @@ def _frame_unwind_targets(image):
 
 
 def _address_taken_targets(image):
+    """Executable 8-byte values, in section then address order: RELA
+    addends, the entries of the pointer arrays and the GOT, and the
+    8-aligned words of .rodata and .data.rel.ro."""
     exec_ranges = executable_ranges(image)
     targets = []
     for sec in image.sections:
         if sec.sh_type == 4 and sec.entsize >= 24:  # SHT_RELA
-            data = sec.data(image.raw)
-            for off in range(0, len(data) - 23, sec.entsize or 24):
-                addend = int.from_bytes(data[off + 16:off + 24], "little",
-                                        signed=True)
-                if exec_ranges.contains_range(addend, 1):
-                    targets.append(addend)
+            values = _words(sec.data(image.raw), 16, sec.entsize, "q")
         elif sec.name in (".init_array", ".fini_array", ".preinit_array",
                           ".got", ".got.plt"):
-            data = sec.data(image.raw)
-            for off in range(0, len(data) - 7, 8):
-                value = int.from_bytes(data[off:off + 8], "little")
-                if exec_ranges.contains_range(value, 1):
-                    targets.append(value)
+            values = _words(sec.data(image.raw), 0, 8)
         elif sec.name in (".rodata", ".data.rel.ro"):
-            data = sec.data(image.raw)
-            start = -sec.vaddr % 8
-            for off in range(start, len(data) - 7, 8):
-                value = int.from_bytes(data[off:off + 8], "little")
-                if exec_ranges.contains_range(value, 1):
-                    targets.append(value)
+            values = _words(sec.data(image.raw), -sec.vaddr % 8, 8)
+        else:
+            continue
+        targets.extend(compress(values, exec_ranges.contains_each(
+            values, [va + 1 for va in values])))
     return targets
+
+
+def _words(data, first, stride, code="Q"):
+    """The little-endian 8-byte words at first, first + stride, ... that
+    lie wholly in data, in one unpack; code is the struct code, "Q" or
+    "q" (signed, as a RELA addend)."""
+    count = (len(data) - first - 8) // stride + 1
+    if count <= 0:
+        return ()
+    if stride == 8:
+        return unpack_from("<%dx%d%s" % (first, count, code), data)
+    gap = "%dx%s" % (stride - 8, code)
+    return unpack_from("<%dx%s" % (first, code) + gap * (count - 1), data)
 
 
 def _prologue_starts(image):
-    """Sorted 16-aligned addresses where a prologue pattern starts; the
-    pattern and 4 bytes lie inside the address's executable range."""
-    found = set()
+    """The image's prologue pattern starts that have 4 bytes inside
+    their executable range, as (aligned, padded): aligned, the sorted
+    16-aligned ones; padded, a (pad, va) pair for each one at va right
+    after a 90/CC byte, sorted by va, where pad starts that byte's run
+    of 90/CC bytes."""
+    aligned = set()
+    padded = {}
     for iv in executable_ranges(image):
         base, buf = image.code_at(iv.start)
         for pattern in _PROLOGUE_PATTERNS:
-            pos = buf.find(pattern, -base % 16)
+            pos = buf.find(pattern)
             while pos >= 0:
-                if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
-                    found.add(base + pos)
+                if pos + 4 <= len(buf):
+                    if (base + pos) % 16 == 0:
+                        aligned.add(base + pos)
+                    pad = pos
+                    while pad and buf[pad - 1] in _PAD_BYTES:
+                        pad -= 1
+                    if pad < pos:
+                        padded[base + pos] = base + pad
                 pos = buf.find(pattern, pos + 1)
-    return sorted(found)
+    return sorted(aligned), [(padded[va], va) for va in sorted(padded)]
 
 
-def _padded_prologues(image, superset, known_code):
+def _padded_prologues(padded, superset, known_code):
     """Prologues right after the int3/nop padding that starts a superset
-    block and follows committed code."""
+    block and follows committed code: each va of padded's (pad, va)
+    pairs whose superset block starts in [pad, va), right after
+    committed code."""
     targets = []
-    for start, end in superset.pairs():
-        if known_code.contains_range(start - 1, 1):
-            va = start
-            while va < end:
-                raw = image.read_vaddr(va, 1)
-                if raw is None or raw[0] not in _PAD_BYTES:
-                    break
-                va += 1
-            if start < va < end and _matches_prologue(image, va):
-                targets.append(va)
+    for pad, va in padded:
+        run = superset.run_at(va)
+        if (run is not None and pad <= run[0] < va
+                and known_code.contains_range(run[0] - 1, 1)):
+            targets.append(va)
     return targets
-
-
-def _matches_prologue(image, va):
-    raw = image.read_vaddr(va, 4)
-    if raw is None:
-        return False
-    return any(raw.startswith(p) for p in _PROLOGUE_PATTERNS)
 
 
 def compute_superset(image):
@@ -298,7 +306,8 @@ def compute_superset(image):
     A traversal that fails still fails after later commits: a commit
     cannot put a committed start on a failing path, because its own
     traversal would follow that path to the same failure.  So a target
-    that a later source proposes again is rejected again.
+    that a later source or round proposes again would be rejected
+    again, and each target is traversed at most once.
     """
     exec_ranges = executable_ranges(image)
     if not exec_ranges:
@@ -309,13 +318,15 @@ def compute_superset(image):
     code = IntervalSet()
     instructions = {}
     accepted = []
+    traversed = set()
     progress = True
     while progress:
         progress = False
         for source in SOURCE_ORDER:
             for va in finders[source](superset, code, instructions):
-                if not superset.contains_range(va, 1):
+                if va in traversed or not superset.contains_range(va, 1):
                     continue
+                traversed.add(va)
                 claimed, insns, ok = _traverse(image, va, superset,
                                                instructions)
                 if ok:

@@ -15,9 +15,10 @@ _TERMINATORS = {
     x86.INDIRECT_JUMP: "jmp_reg",
     x86.INDIRECT_CALL: "call_reg",
 }
-# opcode bytes of every terminator: ret (C2, C3, CA, CB) and the FF
-# group that holds the indirect jumps and calls
-_TERMINATOR_OPCODE = re.compile(b"[\xc2\xc3\xca\xcb\xff]")
+# opcode bytes of every terminator: ret (C2, C3, CA, CB), and FF when
+# the next byte's ModRM reg field is 2-5, the indirect calls and jumps
+_TERMINATOR_OPCODE = re.compile(
+    b"[\xc2\xc3\xca\xcb]|\xff(?=[\x10-\x2f\x50-\x6f\x90-\xaf\xd0-\xef])")
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,18 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     One backward pass per block decodes each offset at most once: the
     chain starting at an offset is its own terminator, or one
     fall-through instruction in front of the chain stored for the offset
-    it falls through to.  An instruction is at most 15 bytes long, so
-    the pass decodes an offset only if a terminator opcode byte lies in
-    the 15 bytes from it (off ... off+14: a terminator's opcode is one of
-    its own bytes) or a gadget starts within 15 bytes after it
-    (off+1 ... off+15: a fall-through instruction ends there).  It skips
-    every other offset, and so starts at the block's last terminator
-    opcode byte.
+    it falls through to.  So the pass decodes an offset only if a
+    terminator opcode byte sits at it, or a gadget starts within 15
+    bytes after it (off+1 ... off+15: an instruction is at most 15 bytes
+    long, and a fall-through instruction ends there).  A terminator that
+    starts with a prefix is covered by the second rule: without its
+    first prefix it is still a terminator, with the same end, so a
+    gadget starts at off+1.  The pass skips every other offset, and so
+    starts at the block's last terminator opcode byte.
     """
     if max_instructions < 1:
         return []
+    decode = x86.decode
     gadgets = []
     for block in report.superset:
         base = block.start
@@ -112,13 +115,12 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
         while off > 0:
             off -= 1
             if off < floor:
-                off = opcodes[k]
+                off = floor = opcodes[k]
                 if off < 0:
                     break
             if off == opcodes[k]:
-                floor = off - (x86.MAX_INSN_LEN - 1)
                 k -= 1
-            ins = x86.decode(data, off, base + off)
+            ins = decode(data, off, base + off)
             if ins is None:
                 continue
             term = _TERMINATORS.get(ins.kind)

@@ -1,3 +1,4 @@
+import os
 import random
 import shutil
 import struct
@@ -45,6 +46,24 @@ def pytest_runtest_logreport(report):
 def require_tool(name):
     if shutil.which(name) is None:
         pytest.skip("%s not available" % name)
+
+
+STATIC_SWITCH = os.path.join(os.path.dirname(__file__), "static_switch.c")
+
+
+def build_static_switch(outdir, flags):
+    """tests/static_switch.c linked against glibc's static archive with
+    gcc and flags, as outdir/static_switch; skips without gcc or
+    libc.a."""
+    require_tool("gcc")
+    libc_a = subprocess.run(["gcc", "-print-file-name=libc.a"],
+                            capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libc_a):
+        pytest.skip("static libc not available")
+    binary = outdir / "static_switch"
+    subprocess.run(["gcc", *flags, "-o", str(binary), STATIC_SWITCH],
+                   check=True)
+    return binary
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,10 @@ it searches each superset block for 16-aligned prologues in every
 round, where `disasm` finds the aligned prologues of the whole image
 once per `compute_superset` call and keeps those still in the superset.
 
+`reference_address_taken_targets` reads and checks the address_taken
+source's 8-byte values one at a time, where `disasm` unpacks each
+section's values at once and checks them in one call.
+
 `reference_jump_table_targets` is the jump-table finder with linear
 searches over the instructions sorted by address: the first indirect
 jump after each table load, and every instruction for the bound check
@@ -35,8 +39,7 @@ from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
                          _PAD_BYTES, _PROLOGUE_PATTERNS, SOURCE_ORDER,
                          DisassemblyReport, EntryPoint,
-                         _address_taken_targets, _frame_unwind_targets,
-                         _matches_prologue, _rel32_table)
+                         _frame_unwind_targets, _rel32_table)
 from pxom.errors import NoExecutableCode
 from pxom.image import executable_ranges
 from pxom.intervals import IntervalSet
@@ -77,7 +80,8 @@ def reference_compute_superset(image):
 
     image_targets = {
         "frame_unwind": sorted(set(_frame_unwind_targets(image))),
-        "address_taken": sorted(set(_address_taken_targets(image)))}
+        "address_taken": sorted(set(reference_address_taken_targets(
+            image)))}
     while True:
         targets = {**image_targets,
                    "jump_table": sorted(set(reference_jump_table_targets(
@@ -184,6 +188,38 @@ def reference_heuristic_targets(image, superset, known_code):
                 va += 1
             if va < iv.end and va > iv.start and _matches_prologue(image, va):
                 targets.append(va)
+    return targets
+
+
+def _matches_prologue(image, va):
+    raw = image.read_vaddr(va, 4)
+    if raw is None:
+        return False
+    return any(raw.startswith(p) for p in _PROLOGUE_PATTERNS)
+
+
+def reference_address_taken_targets(image):
+    """The address_taken source's targets, read one value at a time with
+    int.from_bytes and checked one at a time."""
+    exec_ranges = executable_ranges(image)
+    targets = []
+    for sec in image.sections:
+        if sec.sh_type == 4 and sec.entsize >= 24:  # SHT_RELA
+            data = sec.data(image.raw)
+            for off in range(0, len(data) - 23, sec.entsize):
+                addend = int.from_bytes(data[off + 16:off + 24], "little",
+                                        signed=True)
+                if exec_ranges.contains_range(addend, 1):
+                    targets.append(addend)
+        elif sec.name in (".init_array", ".fini_array", ".preinit_array",
+                          ".got", ".got.plt", ".rodata", ".data.rel.ro"):
+            data = sec.data(image.raw)
+            start = (-sec.vaddr % 8 if sec.name in (".rodata", ".data.rel.ro")
+                     else 0)
+            for off in range(start, len(data) - 7, 8):
+                value = int.from_bytes(data[off:off + 8], "little")
+                if exec_ranges.contains_range(value, 1):
+                    targets.append(value)
     return targets
 
 

@@ -5,6 +5,8 @@ import time
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxom import disasm, x86
 from pxom.corpus import build_corpus, load_ground_truth
@@ -15,8 +17,9 @@ from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 from pxom.surface import overall_coverage
 
-from conftest import exec_elf, make_elf, require_tool
-from oracle_disasm import (decode_at, reference_compute_superset,
+from conftest import build_static_switch, exec_elf, make_elf, require_tool
+from oracle_disasm import (decode_at, reference_address_taken_targets,
+                           reference_compute_superset,
                            reference_heuristic_targets,
                            reference_jump_table_targets, reference_traverse)
 
@@ -150,6 +153,29 @@ class TestComputeSuperset:
             # immediate
             assert got == want
 
+    def test_each_target_traversed_once(self, monkeypatch, corpus):
+        # ret at the program entry; at 0x1010 a prologue that runs into
+        # an invalid byte: the heuristic proposes it in both rounds
+        planted = exec_elf(b"\xc3" + b"\xcc" * 15 + b"\x55\x48\x89\xe5\x06")
+        datas = [planted, *(e.binary.read_bytes() for e in corpus)]
+        traverse = disasm._traverse
+        seen = []
+
+        def spy(image, entry, superset, committed):
+            seen.append(entry)
+            return traverse(image, entry, superset, committed)
+
+        monkeypatch.setattr(disasm, "_traverse", spy)
+        for data in datas:
+            seen.clear()
+            report = compute_superset(load_elf(data))
+            assert len(seen) == len(set(seen))
+            assert report == reference_compute_superset(load_elf(data))
+            if data is planted:
+                assert seen == [0x1000, 0x1010]
+                assert report.entry_points == [
+                    EntryPoint(0x1000, "program_entry")]
+
     def test_deterministic(self, corpus):
         data = corpus[0].binary.read_bytes()
         r1 = compute_superset(load_elf(data))
@@ -217,6 +243,31 @@ class TestHeuristicSource:
             compute_superset(load_elf(data))
         assert len(found) >= 2 * len(datas) and any(found)
 
+    # code at 0x1000, its program entry, and the padded prologue that
+    # the heuristic must find
+    @pytest.mark.parametrize("code, entry, target", [
+        # ret, int3 padding, an unaligned prologue
+        (b"\xc3\xcc\xcc\xcc\x55\x48\x89\xe5\x5d\xc3", 0x1000, 0x1004),
+        # nop; int3 claims the first pad bytes: the run starts in code
+        (b"\x90\xcc\xcc\xcc\x48\x83\xec\x08\xc3", 0x1000, 0x1004),
+        # the padding follows no committed code
+        (b"\x90\x90\x55\x48\x89\xe5\x5d\xc3", 0, None),
+        # a data byte between the ret and the padding
+        (b"\xc3\xaa\x90\x90\x55\x48\x89\xe5\x5d\xc3", 0x1000, None),
+        # the prologue needs 4 bytes inside the executable range
+        (b"\xc3\x90\x48\x83\xec", 0x1000, None),
+        # no padding at all
+        (b"\xc3\x55\x48\x89\xe5\x5d\xc3", 0x1000, None),
+    ], ids=["int3", "run-starts-in-code", "no-code-before", "data-first",
+            "cut-off", "no-pad"])
+    def test_padded_prologue(self, code, entry, target):
+        data = exec_elf(code, entry=entry)
+        report = compute_superset(load_elf(data))
+        assert report == reference_compute_superset(load_elf(data))
+        found = [ep.vaddr for ep in report.entry_points
+                 if ep.source == "heuristic"]
+        assert found == ([] if target is None else [target])
+
 
 class TestEntryPointDetection:
     def test_jump_table_targets_found(self, corpus):
@@ -279,7 +330,32 @@ class TestEntryPointDetection:
             assert superset.contains_range(ep.vaddr, 1)
 
 
-STATIC_SWITCH = os.path.join(os.path.dirname(__file__), "static_switch.c")
+class TestAddressTaken:
+    SYSTEM = ("/usr/bin/ls", "/usr/bin/gcc-12",
+              "/lib/x86_64-linux-gnu/libc.so.6")
+
+    def test_equals_one_value_at_a_time(self, corpus):
+        # the same values in the same order, duplicates included
+        datas = [e.binary.read_bytes() for e in corpus]
+        for path in self.SYSTEM:
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    datas.append(fh.read())
+        found = 0
+        for data in datas:
+            image = load_elf(data)
+            targets = disasm._address_taken_targets(image)
+            assert targets == reference_address_taken_targets(image)
+            found += len(targets)
+        assert found
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=120), first=st.integers(0, 24),
+           stride=st.integers(8, 40), code=st.sampled_from("Qq"))
+    def test_words_at_any_stride(self, data, first, stride, code):
+        assert disasm._words(data, first, stride, code) == tuple(
+            int.from_bytes(data[off:off + 8], "little", signed=code == "q")
+            for off in range(first, len(data) - 7, stride))
 
 
 @pytest.mark.parametrize("flags", [
@@ -289,14 +365,7 @@ STATIC_SWITCH = os.path.join(os.path.dirname(__file__), "static_switch.c")
 def test_static_glibc_program(tmp_path, flags):
     # glibc's static archive calls undefined weak functions, resolved to
     # 0, behind null tests; a path to 0 must not fail their callers
-    require_tool("gcc")
-    libc_a = subprocess.run(["gcc", "-print-file-name=libc.a"],
-                            capture_output=True, text=True).stdout.strip()
-    if not os.path.isabs(libc_a):
-        pytest.skip("static libc not available")
-    binary = tmp_path / "static_switch"
-    subprocess.run(["gcc", *flags, "-o", str(binary), STATIC_SWITCH],
-                   check=True)
+    binary = build_static_switch(tmp_path, flags)
     image = load_elf(binary.read_bytes())
     start = time.monotonic()
     report = compute_superset(image)

@@ -10,11 +10,11 @@ from pxom.disasm import compute_superset
 from pxom.errors import EmptyGroundTruth, ZeroInstructions
 from pxom.image import load_elf
 from pxom.intervals import IntervalSet
-from pxom.surface import (Gadget, code_coverage, edb_stats, gadget_scan,
-                          metrics, overall_coverage, read_intensity,
-                          wrpkru_scan)
+from pxom.surface import (_TERMINATOR_OPCODE, _TERMINATORS, Gadget,
+                          code_coverage, edb_stats, gadget_scan, metrics,
+                          overall_coverage, read_intensity, wrpkru_scan)
 
-from conftest import exec_elf, require_tool
+from conftest import build_static_switch, exec_elf, require_tool
 from oracle_gadgets import brute_force_gadgets, walk_gadgets
 
 
@@ -157,6 +157,14 @@ def ls_report():
     return image, compute_superset(image)
 
 
+@pytest.fixture(scope="module")
+def static_report(tmp_path_factory):
+    binary = build_static_switch(tmp_path_factory.mktemp("static"),
+                                 ["-O2", "-static"])
+    image = load_elf(binary.read_bytes())
+    return image, compute_superset(image)
+
+
 # byte strings that make terminators, fall-throughs and branches common
 _UNITS = [b"\xc3", b"\xc2\x08\x00", b"\xff\xe0", b"\xff\xd3", b"\xff\x25",
           b"\x58", b"\x5d", b"\x90", b"\x48", b"\x66", b"\x0f\x05",
@@ -165,9 +173,15 @@ _UNITS = [b"\xc3", b"\xc2\x08\x00", b"\xff\xe0", b"\xff\xd3", b"\xff\x25",
 
 
 class TestOnePassScan:
-    @pytest.mark.parametrize("depth", [0, 1, 3, 10])
-    def test_equals_forward_walk_on_ls(self, ls_report, depth):
-        image, report = ls_report
+    # ls, and the static build of tests/static_switch.c: its superset
+    # holds 101 single-instruction gadgets whose terminator starts with
+    # a prefix (40 C3, 26 C3, F0 C3, ...), ls only 9
+    @pytest.mark.parametrize("binary, depth", [
+        *(pytest.param("ls_report", d, id=str(d)) for d in (0, 1, 3, 10)),
+        *(pytest.param("static_report", d, id="static-O2-%d" % d)
+          for d in (0, 1, 3, 10))])
+    def test_equals_forward_walk_on_ls(self, request, binary, depth):
+        image, report = request.getfixturevalue(binary)
         assert gadget_scan(image, report, depth) == \
             walk_gadgets(image, report, depth)
 
@@ -238,9 +252,9 @@ def counted_scan(monkeypatch, image, report, depth=10):
 
 
 class TestSkippedOffsets:
-    """The scan skips an offset only when no terminator opcode byte lies
-    in its 15 bytes (off ... off+14) and no gadget starts in the 15 bytes
-    after it (off+1 ... off+15)."""
+    """The scan skips an offset unless a terminator opcode byte (C2, C3,
+    CA, CB, or FF before a ModRM reg field of 2-5) sits at it, or a
+    gadget starts in the 15 bytes after it (off+1 ... off+15)."""
 
     def test_gadget_fifteen_bytes_ahead(self, monkeypatch):
         # a 15-byte add (66, ten 2E, 81 C0 imm16) falls through to a ret
@@ -255,14 +269,30 @@ class TestSkippedOffsets:
         assert 0x1000 in calls
 
     def test_terminator_opcode_fourteen_bytes_ahead(self, monkeypatch):
-        # nops, then an FF byte that starts no gadget (its ModRM is past
-        # the block end): the offsets from 14 bytes before it are decoded
-        code = b"\x90" * 20 + b"\xff"
+        # nops, then an FF byte that starts no gadget: only its own
+        # offset is decoded, none of the 14 before it; an FF whose ModRM
+        # is past the block end, or whose reg field is 0 (inc), is not
+        # a terminator opcode byte and is not decoded at all
+        for tail, decoded in ((b"\xff\x15", [0x1014]),    # call [rip+...]
+                              (b"\xff", []), (b"\xff\xc0", [])):
+            code = b"\x90" * 20 + tail
+            image = load_elf(exec_elf(code))
+            report = report_of([], [(0x1000, 0x1000 + len(code))], len(code))
+            gadgets, calls = counted_scan(monkeypatch, image, report)
+            assert gadgets == walk_gadgets(image, report) == []
+            assert calls == decoded
+
+    def test_prefixed_terminator(self, monkeypatch):
+        # 66 48 FF E0 (jmp rax behind two prefixes) after invalid bytes:
+        # the gadget at each prefix is found through the one after it
+        code = b"\x06" * 20 + b"\x66\x48\xff\xe0"
         image = load_elf(exec_elf(code))
         report = report_of([], [(0x1000, 0x1000 + len(code))], len(code))
         gadgets, calls = counted_scan(monkeypatch, image, report)
-        assert gadgets == walk_gadgets(image, report) == []
-        assert calls == list(range(0x1014, 0x1014 - 15, -1))
+        assert gadgets == [Gadget(va, 0x1018 - va, 1, "jmp_reg")
+                           for va in (0x1014, 0x1015, 0x1016)]
+        assert gadgets == walk_gadgets(image, report)
+        assert calls == list(range(0x1016, 0x1014 - 16, -1))
 
     def test_mostly_data_block_decodes_fewer_offsets(self, monkeypatch):
         rng = random.Random(3)
@@ -276,6 +306,64 @@ class TestSkippedOffsets:
         assert gadgets
         assert len(calls) == len(set(calls))
         assert len(calls) < report.superset.total_bytes // 2
+
+
+# every prefix x86.decode reads: legacy, 66 and REX
+_PREFIX_BYTES = [0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2,
+                 0xF3, *range(0x40, 0x50)]
+_FF_TERMINATOR_MODRM = st.builds(lambda mod, reg, rm: mod << 6 | reg << 3 | rm,
+                                 st.integers(0, 3), st.integers(2, 5),
+                                 st.integers(0, 7))
+_TERMINATOR_BYTES = st.one_of(
+    st.sampled_from([b"\xc3", b"\xcb"]),
+    st.builds(lambda op, imm: bytes([op]) + imm,
+              st.sampled_from([0xC2, 0xCA]), st.binary(min_size=2,
+                                                        max_size=2)),
+    st.builds(lambda modrm, rest: bytes([0xFF, modrm]) + rest,
+              _FF_TERMINATOR_MODRM, st.binary(min_size=5, max_size=5)))
+
+
+class TestTerminatorOpcodes:
+    """What the scan's skip rule relies on in x86.decode."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(prefixes=st.lists(st.sampled_from(_PREFIX_BYTES), min_size=1,
+                             max_size=15),
+           body=_TERMINATOR_BYTES)
+    def test_dropping_a_prefix_keeps_the_terminator(self, prefixes, body):
+        # a terminator one byte later, with the same end
+        bare = x86.decode(body, 0, 0)
+        assert bare.kind in _TERMINATORS
+        data = bytes(prefixes) + body
+        ins = x86.decode(data, 0, 0x1000)
+        if len(prefixes) + bare.length > x86.MAX_INSN_LEN:
+            assert ins is None
+            return
+        assert (ins.kind, ins.length) == (bare.kind,
+                                          len(prefixes) + bare.length)
+        after = x86.decode(data, 1, 0x1001, ins.length)
+        assert after.kind == ins.kind and after.end == ins.end
+
+    def test_ff_modrm_exhaustive(self):
+        # FF is an indirect call or jump exactly for ModRM reg 2-5
+        for modrm in range(256):
+            data = bytes((0xFF, modrm)) + bytes(6)
+            ins = x86.decode(data, 0, 0x1000)
+            terminator = ins is not None and ins.kind in _TERMINATORS
+            assert terminator == ((modrm >> 3) & 7 in (2, 3, 4, 5))
+            assert bool(_TERMINATOR_OPCODE.match(data)) == terminator
+
+    def test_unprefixed_terminators_exhaustive(self):
+        # the pattern matches at the first byte exactly when a terminator
+        # without prefixes decodes there
+        for first in range(256):
+            if first in _PREFIX_BYTES:
+                continue
+            for second in range(256):
+                data = bytes((first, second)) + bytes(6)
+                ins = x86.decode(data, 0, 0x1000)
+                assert bool(_TERMINATOR_OPCODE.match(data)) == (
+                    ins is not None and ins.kind in _TERMINATORS)
 
 
 class TestWrpkruScan:
