@@ -98,17 +98,17 @@ def _traverse(image, entry, superset, committed):
                 ok = False
                 break
             insns[va] = ins
-            va += ins.length
-            kind = ins.kind
+            length, kind, target, _, _, _, _ = ins
+            va += length
             if kind is fallthrough:
                 continue
             if kind in _STOP_KINDS:
                 break
             if kind is direct_jump:
                 stretches.append((start, va))
-                va = start = ins.direct_targets[0]
+                va = start = target
             else:                       # conditional jump or direct call
-                stack.append(ins.direct_targets[0])
+                stack.append(target)
         if va != start:
             stretches.append((start, va))
     return IntervalSet.from_pairs(stretches), insns, ok
@@ -165,15 +165,18 @@ def _jump_table_targets(image, superset, instructions):
     that jump.  instructions maps vaddr -> committed instruction."""
     # indirect jumps are few; bisecting them is cheaper than looking up
     # every window address for each lea of an island in the superset
-    jumps = sorted(va for va, ins in instructions.items()
-                   if ins.kind == x86.INDIRECT_JUMP)
+    indirect_jump = x86.INDIRECT_JUMP
+    jumps = []
+    leas = []
+    for va, (_, kind, _, table, opcode, _, _) in instructions.items():
+        if kind is indirect_jump:
+            jumps.append(va)
+        elif (table is not None and opcode == (0x8D,)           # lea
+              and superset.contains_range(table, 4)):
+            leas.append((va, table))
+    jumps.sort()
     targets = []
-    for va, ins in instructions.items():
-        if ins.opcode != (0x8D,):  # lea
-            continue
-        table = ins.rip_relative_data_target
-        if table is None or not superset.contains_range(table, 4):
-            continue
+    for va, table in leas:
         k = bisect_right(jumps, va)
         if k < len(jumps) and jumps[k] <= va + _JUMP_TABLE_WINDOW:
             count = _bound_before(instructions, va, jumps[k])
@@ -188,13 +191,15 @@ def _bound_before(instructions, lo, hi):
     bound = None
     for va in range(lo - 32, hi):
         ins = instructions.get(va)
-        if ins is None or ins.immediate is None:
+        if ins is None:
             continue
-        reg_field = (ins.modrm >> 3) & 7 if ins.modrm is not None else None
-        if ins.opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
-            bound = ins.immediate
-        elif ins.opcode in ((0x3D,), (0x25,)):
-            bound = ins.immediate
+        _, _, _, _, opcode, modrm, immediate = ins
+        if immediate is None:
+            continue
+        if opcode in ((0x81,), (0x83,)) and (modrm >> 3) & 7 in (4, 7):
+            bound = immediate
+        elif opcode in ((0x3D,), (0x25,)):
+            bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
         return bound + 1
     return None

@@ -9,14 +9,6 @@ STATIC_REF_THRESHOLD = 10    # blocks referenced more than this go optimization
 _MOFFS_OPCODES = frozenset([0xA0, 0xA1, 0xA2, 0xA3])
 
 
-def _memory_target(ins):
-    if ins.rip_relative_data_target is not None:
-        return ins.rip_relative_data_target
-    if ins.opcode and ins.opcode[0] in _MOFFS_OPCODES:
-        return ins.immediate
-    return None
-
-
 def count_static_refs(image, report):
     """Per-block count of statically visible memory references.
 
@@ -24,12 +16,15 @@ def count_static_refs(image, report):
     register-indexed accesses are invisible to static analysis and are
     handled by the monitor's dynamic promotion instead.
     """
-    counts = {iv: 0 for iv in report.superset}
-    for ins in report.instructions.values():
-        target = _memory_target(ins)
+    superset = report.superset
+    counts = {iv: 0 for iv in superset}
+    for (_, _, _, target, opcode, _,
+         immediate) in report.instructions.values():
         if target is None:
-            continue
-        env = report.superset.envelope(target)
+            if opcode[0] not in _MOFFS_OPCODES:
+                continue
+            target = immediate              # mov moffs: absolute address
+        env = superset.envelope(target)
         if env is not None:
             counts[env] += 1
     return counts

@@ -95,7 +95,7 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     """
     if max_instructions < 1:
         return []
-    decode = x86.decode
+    decode, fallthrough = x86.decode, x86.FALLTHROUGH
     gadgets = []
     for block in report.superset:
         base = block.start
@@ -120,21 +120,22 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
                     break
             if off == opcodes[k]:
                 k -= 1
-            ins = decode(data, off, base + off)
+            va = base + off
+            ins = decode(data, off, va)
             if ins is None:
                 continue
-            term = _TERMINATORS.get(ins.kind)
+            length, kind, _, _, _, _, _ = ins
+            term = _TERMINATORS.get(kind)
             if term is not None:
-                chain = (1, ins.end, term)
-            elif ins.kind == x86.FALLTHROUGH:
-                chain = chains[off + ins.length]
+                chain = (1, va + length, term)
+            elif kind is fallthrough:
+                chain = chains[off + length]
                 if chain is None or chain[0] >= max_instructions:
                     continue
                 chain = (chain[0] + 1, chain[1], chain[2])
             else:
                 continue
             chains[off] = chain
-            va = base + off
             found.append(Gadget(va, chain[1] - va, chain[0], chain[2]))
             floor = off - x86.MAX_INSN_LEN
         found.reverse()

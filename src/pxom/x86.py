@@ -6,6 +6,26 @@ by mainstream compilers.  Anything outside that subset decodes to None
 (invalid), which the disassembler treats conservatively: an undecodable
 byte can never be claimed as code.
 
+`decode` returns None or a plain 7-tuple, one per instruction:
+
+    (length, kind, target, rip_relative_data_target, opcode, modrm,
+     immediate)
+
+- length: 1 to MAX_INSN_LEN bytes.
+- kind: one of the control-flow kinds below.
+- target: the int target of a relative branch (direct jump,
+  conditional jump, direct call), else None.
+- rip_relative_data_target: the address a RIP-relative memory operand
+  names, else None.
+- opcode: a tuple, e.g. `(0x8D,)`, `(0x0F, 0x84)` or `("vex", 1, 0x77)`.
+- modrm: the ModRM byte, or None.
+- immediate: the immediate operand, signed except the 64-bit address
+  of A0-A3, or None; a relative branch's displacement is in target.
+
+There is no address field: the caller knows the address and keys its
+records by it.  A tuple rather than an object, because building an
+object cost about a third of a decode.
+
 The decoder is table-driven and dispatches on table entries, not on
 byte values.  `_FIRST` holds an entry for each first byte: an opcode
 row, None (invalid in 64-bit mode), or one of the markers `_REX`,
@@ -22,7 +42,7 @@ three-byte opcode after them.  A row is a tuple
   For `_GROUP` rows it is the tuple, indexed by the ModRM reg field, of
   `(operand, kind)` pairs, or None where the encoding is invalid.
 - kind: the control-flow kind, or `_GROUP`.
-- opcode: the `Instruction.opcode` tuple, built once per table entry so
+- opcode: the opcode field of the result, built once per table entry so
   that decoding allocates none.  Only the three-byte 0F 38 / 0F 3A
   opcodes are built per call.
 
@@ -32,8 +52,6 @@ rm 5: a RIP-relative disp32 follows) or `_SIB0` (mod 0, rm 4: the SIB
 base decides whether a disp32 follows).  The SIB byte is read only in
 that last case.
 """
-
-from dataclasses import dataclass
 
 FALLTHROUGH = "fallthrough"
 DIRECT_JUMP = "direct_jump"
@@ -45,30 +63,6 @@ RETURN = "return"
 HALT = "halt"
 
 MAX_INSN_LEN = 15
-
-
-@dataclass(slots=True)
-class Instruction:
-    """One decoded instruction, compared by every field.
-
-    A slots dataclass, not a frozen one: construction is on the hot path
-    of every pass, and a frozen __init__ costs several times as much.
-    Instances are neither hashed nor mutated anywhere; without `frozen`
-    they have no __hash__.
-    """
-
-    vaddr: int
-    length: int
-    kind: str
-    direct_targets: tuple = ()
-    rip_relative_data_target: int = None
-    opcode: tuple = ()
-    modrm: int = None
-    immediate: int = None
-
-    @property
-    def end(self):
-        return self.vaddr + self.length
 
 
 _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
@@ -211,8 +205,8 @@ _MODRM_SIZE = _modrm_sizes()
 def decode(data, offset, vaddr, limit=None):
     """Decode one instruction at data[offset], mapped at vaddr.
 
-    Returns an Instruction or None.  limit bounds the readable region
-    (defaults to len(data), and never reaches past it).
+    Returns the 7-tuple described above, or None.  limit bounds the
+    readable region (defaults to len(data), and never reaches past it).
     """
     end = len(data)
     if limit is not None and limit < end:
@@ -312,10 +306,9 @@ def decode(data, offset, vaddr, limit=None):
         return None
 
     length = pos - offset
-    targets = ()
+    target = None
     if kind in _RELATIVE:
-        targets = (vaddr + length + value,)
+        target = vaddr + length + value
         value = None
     rip_target = None if rip_disp is None else vaddr + length + rip_disp
-    return Instruction(vaddr, length, kind, targets, rip_target, opcode,
-                       modrm, value)
+    return length, kind, target, rip_target, opcode, modrm, value

@@ -125,21 +125,21 @@ def reference_traverse(image, entry, superset, committed_starts, strict):
                     ok = False
                 break
             ins = decode_at(image, va)
-            if ins is None or not superset.contains_range(va, ins.length):
+            if ins is None or not superset.contains_range(va, ins[0]):
                 if strict:
                     ok = False
                 break
             insns[va] = ins
-            kind = ins.kind
+            length, kind, target = ins[:3]
             if kind in (x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                         x86.INDIRECT_CALL):
                 break
             if kind == x86.DIRECT_JUMP:
-                va = ins.direct_targets[0]
+                va = target
                 continue
             if kind in (x86.CONDITIONAL_JUMP, x86.DIRECT_CALL):
-                stack.append(ins.direct_targets[0])
-            va = ins.end
+                stack.append(target)
+            va += length
     return reference_union(insns), insns, ok
 
 
@@ -148,7 +148,7 @@ def reference_union(insns):
     time in address order."""
     runs = []
     for va in sorted(insns):
-        end = va + insns[va].length
+        end = va + insns[va][0]
         if runs and va <= runs[-1][1]:
             if end > runs[-1][1]:
                 runs[-1][1] = end
@@ -226,21 +226,20 @@ def reference_address_taken_targets(image):
 def reference_jump_table_targets(image, superset, instructions):
     """Targets of disasm._jump_table_targets, found by linear search, in
     address order of the table loads."""
-    insn_list = [instructions[va] for va in sorted(instructions)]
+    insn_list = sorted(instructions.items())
     targets = []
-    indirect_jumps = [i for i in insn_list if i.kind == x86.INDIRECT_JUMP]
-    for ins in insn_list:
-        if ins.opcode != (0x8D,):  # lea
+    indirect_jumps = [va for va, ins in insn_list
+                      if ins[1] == x86.INDIRECT_JUMP]
+    for va, (_, _, _, table, opcode, _, _) in insn_list:
+        if opcode != (0x8D,):  # lea
             continue
-        table = ins.rip_relative_data_target
         if table is None or not superset.contains_range(table, 4):
             continue
         jmp = next((j for j in indirect_jumps
-                    if ins.vaddr < j.vaddr <= ins.vaddr + _JUMP_TABLE_WINDOW),
-                   None)
+                    if va < j <= va + _JUMP_TABLE_WINDOW), None)
         if jmp is None:
             continue
-        count = _reference_bound_before(insn_list, ins.vaddr, jmp.vaddr)
+        count = _reference_bound_before(insn_list, va, jmp)
         if count is not None:
             targets.extend(_rel32_table(image, superset, table, count))
     return targets
@@ -248,14 +247,14 @@ def reference_jump_table_targets(image, superset, instructions):
 
 def _reference_bound_before(insn_list, lo, hi):
     bound = None
-    for ins in insn_list:
-        if not lo - 32 <= ins.vaddr < hi or ins.immediate is None:
+    for va, (_, _, _, _, opcode, modrm, immediate) in insn_list:
+        if not lo - 32 <= va < hi or immediate is None:
             continue
-        reg_field = (ins.modrm >> 3) & 7 if ins.modrm is not None else None
-        if ins.opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
-            bound = ins.immediate
-        elif ins.opcode in ((0x3D,), (0x25,)):
-            bound = ins.immediate
+        reg_field = (modrm >> 3) & 7 if modrm is not None else None
+        if opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
+            bound = immediate
+        elif opcode in ((0x3D,), (0x25,)):
+            bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
         return bound + 1
     return None

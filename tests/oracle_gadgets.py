@@ -101,17 +101,18 @@ def walk_gadgets(image, report, max_instructions=10):
             count = 0
             while count < max_instructions and va < block.end:
                 ins = decode_at(image, va)
-                if ins is None or ins.end > block.end:
+                if ins is None or va + ins[0] > block.end:
                     break
                 count += 1
-                term = _TERMINATORS.get(ins.kind)
+                end, kind = va + ins[0], ins[1]
+                term = _TERMINATORS.get(kind)
                 if term is not None:
                     key = (start, term)
                     if key not in gadgets:
-                        gadgets[key] = Gadget(start, ins.end - start, count,
+                        gadgets[key] = Gadget(start, end - start, count,
                                               term)
                     break
-                if ins.kind != x86.FALLTHROUGH:
+                if kind != x86.FALLTHROUGH:
                     break
-                va = ins.end
+                va = end
     return sorted(gadgets.values(), key=lambda g: (g.start, g.terminator))

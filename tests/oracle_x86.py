@@ -5,13 +5,13 @@ reference for `pxom.x86.decode`.
 separate branches for the 0F and VEX escapes, and ModRM, SIB and
 displacement read field by field.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
-It shares only the `Instruction` type and the kind names with the
-decoder under test.
+It shares only the kind names and the layout of the result, the 7-tuple
+the `pxom.x86` docstring describes, with the decoder under test.
 """
 
 from pxom.x86 import (CONDITIONAL_JUMP, DIRECT_CALL, DIRECT_JUMP,
                       FALLTHROUGH, HALT, INDIRECT_CALL, INDIRECT_JUMP,
-                      MAX_INSN_LEN, RETURN, Instruction)
+                      MAX_INSN_LEN, RETURN)
 
 _LEGACY_PREFIXES = frozenset(
     [0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3])
@@ -120,8 +120,9 @@ _VEX_MAPS = _vex_maps()
 def reference_decode(data, offset, vaddr, limit=None):
     """Decode one instruction at data[offset], mapped at vaddr.
 
-    Returns an Instruction or None.  limit bounds the readable region
-    (defaults to len(data), and never reaches past it).
+    Returns the 7-tuple of `pxom.x86.decode`, or None.  limit bounds
+    the readable region (defaults to len(data), and never reaches past
+    it).
     """
     end = len(data)
     if limit is not None and limit < end:
@@ -224,10 +225,9 @@ def reference_decode(data, offset, vaddr, limit=None):
         return None
 
     length = pos - offset
-    targets = ()
+    target = None
     if kind in _RELATIVE:
-        targets = (vaddr + length + value,)
+        target = vaddr + length + value
         value = None
     rip_target = None if rip_disp is None else vaddr + length + rip_disp
-    return Instruction(vaddr, length, kind, targets, rip_target, opcode,
-                       modrm, value)
+    return (length, kind, target, rip_target, opcode, modrm, value)

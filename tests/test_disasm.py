@@ -52,7 +52,7 @@ class TestDecodeAt:
 
     def test_decodes(self):
         ins = decode_at(image_of(b"\xc3"), 0x1000)
-        assert ins.length == 1
+        assert ins[:2] == (1, x86.RETURN)
 
     def test_invalid_at_range_end(self):
         assert decode_at(image_of(b"\x90\xff"), 0x1001) is None
@@ -149,8 +149,8 @@ class TestComputeSuperset:
         for data in datas:
             got = compute_superset(load_elf(data))
             want = reference_compute_superset(load_elf(data))
-            # every field, down to each Instruction's opcode, ModRM and
-            # immediate
+            # every field, down to each instruction record's opcode,
+            # ModRM and immediate
             assert got == want
 
     def test_each_target_traversed_once(self, monkeypatch, corpus):
@@ -358,6 +358,33 @@ class TestAddressTaken:
             for off in range(first, len(data) - 7, stride))
 
 
+def check_records_are_decodes(data):
+    """Each committed address maps to exactly what x86.decode returns at
+    it, with no limit."""
+    image = load_elf(data)
+    report = compute_superset(image)
+    assert report.instructions
+    wrong = []
+    for va, ins in report.instructions.items():
+        base, buf = image.code_at(va)
+        if ins != x86.decode(buf, va - base, va):
+            wrong.append(hex(va))
+    assert wrong == []
+
+
+class TestRecordsAreDecodes:
+    def test_ls(self):
+        check_records_are_decodes(read_ls())
+
+    def test_static_glibc_program(self, tmp_path):
+        binary = build_static_switch(tmp_path, ["-O2", "-static"])
+        check_records_are_decodes(binary.read_bytes())
+
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            check_records_are_decodes(entry.binary.read_bytes())
+
+
 @pytest.mark.parametrize("flags", [
     ["-O2", "-static"],
     ["-Os", "-static", "-no-pie", "-fcf-protection=none"],
@@ -394,8 +421,8 @@ def test_ground_truth_file_grammar(tmp_path):
 
 def union_of(insns):
     union = IntervalSet()
-    for ins in insns.values():
-        union.add(ins.vaddr, ins.end)
+    for va, ins in insns.items():
+        union.add(va, va + ins[0])
     return union
 
 
@@ -530,7 +557,7 @@ def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False):
     va = 0x1000
     while va < 0x1000 + jmp_at + 3:
         instructions[va] = decode_at(image, va)
-        va = instructions[va].end
+        va += instructions[va][0]
     return image, instructions
 
 

@@ -332,24 +332,24 @@ class TestTerminatorOpcodes:
            body=_TERMINATOR_BYTES)
     def test_dropping_a_prefix_keeps_the_terminator(self, prefixes, body):
         # a terminator one byte later, with the same end
-        bare = x86.decode(body, 0, 0)
-        assert bare.kind in _TERMINATORS
+        length, kind = x86.decode(body, 0, 0)[:2]
+        assert kind in _TERMINATORS
         data = bytes(prefixes) + body
         ins = x86.decode(data, 0, 0x1000)
-        if len(prefixes) + bare.length > x86.MAX_INSN_LEN:
+        if len(prefixes) + length > x86.MAX_INSN_LEN:
             assert ins is None
             return
-        assert (ins.kind, ins.length) == (bare.kind,
-                                          len(prefixes) + bare.length)
-        after = x86.decode(data, 1, 0x1001, ins.length)
-        assert after.kind == ins.kind and after.end == ins.end
+        assert ins[:2] == (len(prefixes) + length, kind)
+        after = x86.decode(data, 1, 0x1001, ins[0])
+        # the same kind, and the same end
+        assert after[:2] == (ins[0] - 1, kind)
 
     def test_ff_modrm_exhaustive(self):
         # FF is an indirect call or jump exactly for ModRM reg 2-5
         for modrm in range(256):
             data = bytes((0xFF, modrm)) + bytes(6)
             ins = x86.decode(data, 0, 0x1000)
-            terminator = ins is not None and ins.kind in _TERMINATORS
+            terminator = ins is not None and ins[1] in _TERMINATORS
             assert terminator == ((modrm >> 3) & 7 in (2, 3, 4, 5))
             assert bool(_TERMINATOR_OPCODE.match(data)) == terminator
 
@@ -363,7 +363,7 @@ class TestTerminatorOpcodes:
                 data = bytes((first, second)) + bytes(6)
                 ins = x86.decode(data, 0, 0x1000)
                 assert bool(_TERMINATOR_OPCODE.match(data)) == (
-                    ins is not None and ins.kind in _TERMINATORS)
+                    ins is not None and ins[1] in _TERMINATORS)
 
 
 class TestWrpkruScan:

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import re
@@ -15,6 +14,10 @@ from conftest import require_tool
 from oracle_x86 import reference_decode
 
 
+# positions of the fields of the tuple x86.decode returns
+LENGTH, KIND, TARGET, RIP_TARGET, OPCODE, MODRM, IMMEDIATE = range(7)
+
+
 def d(code, vaddr=0x1000):
     return x86.decode(bytes(code), 0, vaddr)
 
@@ -22,67 +25,67 @@ def d(code, vaddr=0x1000):
 class TestBasics:
     def test_ret(self):
         ins = d(b"\xc3")
-        assert (ins.vaddr, ins.length, ins.kind) == (0x1000, 1, x86.RETURN)
+        assert ins[:2] == (1, x86.RETURN)
 
     def test_ret_imm16(self):
         ins = d(b"\xc2\x08\x00")
-        assert ins.kind == x86.RETURN and ins.length == 3
+        assert ins[KIND] == x86.RETURN and ins[LENGTH] == 3
 
     def test_wrpkru(self):
         ins = d(b"\x0f\x01\xef")
-        assert ins.kind == x86.FALLTHROUGH and ins.length == 3
+        assert ins[KIND] == x86.FALLTHROUGH and ins[LENGTH] == 3
 
     def test_truncated_ff(self):
         assert d(b"\xff") is None
 
     def test_jmp_rel8(self):
         ins = d(b"\xeb\x02")
-        assert ins.kind == x86.DIRECT_JUMP
-        assert ins.direct_targets == (0x1004,)
+        assert ins[KIND] == x86.DIRECT_JUMP
+        assert ins[TARGET] == 0x1004
 
     def test_jcc_rel32(self):
         ins = d(b"\x0f\x84\x10\x00\x00\x00")
-        assert ins.kind == x86.CONDITIONAL_JUMP
-        assert ins.direct_targets == (0x1016,)
+        assert ins[KIND] == x86.CONDITIONAL_JUMP
+        assert ins[TARGET] == 0x1016
 
     def test_call_rel32_backward(self):
         ins = d(b"\xe8\xfb\xff\xff\xff")
-        assert ins.kind == x86.DIRECT_CALL
-        assert ins.direct_targets == (0x1000,)
+        assert ins[KIND] == x86.DIRECT_CALL
+        assert ins[TARGET] == 0x1000
 
     def test_indirect_call_and_jump(self):
-        assert d(b"\xff\xd0").kind == x86.INDIRECT_CALL
-        assert d(b"\xff\xe0").kind == x86.INDIRECT_JUMP
-        assert d(b"\xff\x25\x00\x00\x00\x00").kind == x86.INDIRECT_JUMP
+        assert d(b"\xff\xd0")[KIND] == x86.INDIRECT_CALL
+        assert d(b"\xff\xe0")[KIND] == x86.INDIRECT_JUMP
+        assert d(b"\xff\x25\x00\x00\x00\x00")[KIND] == x86.INDIRECT_JUMP
 
     def test_halt_kinds(self):
-        assert d(b"\xf4").kind == x86.HALT
-        assert d(b"\xcc").kind == x86.HALT
-        assert d(b"\x0f\x0b").kind == x86.HALT
+        assert d(b"\xf4")[KIND] == x86.HALT
+        assert d(b"\xcc")[KIND] == x86.HALT
+        assert d(b"\x0f\x0b")[KIND] == x86.HALT
 
     def test_endbr64(self):
         ins = d(b"\xf3\x0f\x1e\xfa")
-        assert ins.length == 4 and ins.kind == x86.FALLTHROUGH
+        assert ins[LENGTH] == 4 and ins[KIND] == x86.FALLTHROUGH
 
     def test_rip_relative_lea(self):
         ins = d(b"\x48\x8d\x35\x04\x00\x00\x00")
-        assert ins.rip_relative_data_target == 0x1000 + 7 + 4
+        assert ins[RIP_TARGET] == 0x1000 + 7 + 4
 
     def test_rip_relative_negative_disp(self):
         ins = d(b"\x8b\x05\xf0\xff\xff\xff")  # mov eax, [rip-0x10]
-        assert ins.rip_relative_data_target == 0x1000 + 6 - 0x10
+        assert ins[RIP_TARGET] == 0x1000 + 6 - 0x10
 
     def test_mov_imm64(self):
         ins = d(b"\x48\xb8" + b"\x11" * 8)
-        assert ins.length == 10
+        assert ins[LENGTH] == 10
 
     def test_operand_size_prefix(self):
         ins = d(b"\x66\x81\xc0\x34\x12")  # add ax, 0x1234
-        assert ins.length == 5
+        assert ins[LENGTH] == 5
 
     def test_moffs_absolute_target(self):
         ins = d(b"\xa1" + (0x2000).to_bytes(8, "little"))
-        assert ins.length == 9 and ins.immediate == 0x2000
+        assert ins[LENGTH] == 9 and ins[IMMEDIATE] == 0x2000
 
     def test_length_cap(self):
         # prefix spam beyond 15 bytes is invalid
@@ -94,7 +97,7 @@ class TestBasics:
 
     def test_nop_multibyte(self):
         ins = d(b"\x66\x0f\x1f\x84\x00\x00\x00\x00\x00")
-        assert ins.length == 9
+        assert ins[LENGTH] == 9
 
     def test_limit_stops_decode(self):
         data = b"\x00\xe8\x00\x00\x00\x00"
@@ -103,71 +106,72 @@ class TestBasics:
     def test_limit_past_buffer_is_clamped(self):
         # mov eax, imm32 cut off after one immediate byte
         assert x86.decode(b"\xb8\x01", 0, 0, limit=5) is None
-        assert x86.decode(b"\xb8\x01\x00\x00\x00", 0, 0, limit=9).length == 5
+        assert x86.decode(b"\xb8\x01\x00\x00\x00", 0, 0, limit=9)[LENGTH] == 5
 
 
 F, ICALL, IJMP = x86.FALLTHROUGH, x86.INDIRECT_CALL, x86.INDIRECT_JUMP
 
 # Rows that need code beyond the opcode tables.  Each expected value is
-# the full field tuple (length, kind, direct_targets, rip target, opcode,
-# modrm, immediate) at vaddr 0x1000, or None for invalid.
+# the full field tuple (length, kind, target, rip target, opcode, modrm,
+# immediate) at vaddr 0x1000, or None for invalid.
 SPECIAL_ROWS = [
-    ("f6 reg0 imm8", "f6c07f", (3, F, (), None, (0xF6,), 0xC0, 127)),
-    ("f6 reg1 imm8", "f6c880", (3, F, (), None, (0xF6,), 0xC8, -128)),
-    ("f6 reg2 no imm", "f6d0", (2, F, (), None, (0xF6,), 0xD0, None)),
-    ("f6 reg7 no imm", "f6f8", (2, F, (), None, (0xF6,), 0xF8, None)),
+    ("f6 reg0 imm8", "f6c07f", (3, F, None, None, (0xF6,), 0xC0, 127)),
+    ("f6 reg1 imm8", "f6c880", (3, F, None, None, (0xF6,), 0xC8, -128)),
+    ("f6 reg2 no imm", "f6d0", (2, F, None, None, (0xF6,), 0xD0, None)),
+    ("f6 reg7 no imm", "f6f8", (2, F, None, None, (0xF6,), 0xF8, None)),
     ("f7 reg0 imm32", "f7c078563412",
-     (6, F, (), None, (0xF7,), 0xC0, 0x12345678)),
-    ("f7 reg0 imm16", "66f7c03412", (5, F, (), None, (0xF7,), 0xC0, 0x1234)),
+     (6, F, None, None, (0xF7,), 0xC0, 0x12345678)),
+    ("f7 reg0 imm16", "66f7c03412", (5, F, None, None, (0xF7,), 0xC0, 0x1234)),
     ("f7 reg1 rex.w imm32", "48f7c8ffffffff",
-     (7, F, (), None, (0xF7,), 0xC8, -1)),
-    ("f7 reg3 no imm", "f7d8", (2, F, (), None, (0xF7,), 0xD8, None)),
-    ("fe reg0", "fec0", (2, F, (), None, (0xFE,), 0xC0, None)),
+     (7, F, None, None, (0xF7,), 0xC8, -1)),
+    ("f7 reg3 no imm", "f7d8", (2, F, None, None, (0xF7,), 0xD8, None)),
+    ("fe reg0", "fec0", (2, F, None, None, (0xFE,), 0xC0, None)),
     ("fe reg2 invalid", "fed0", None),
     ("fe reg7 invalid", "fef8", None),
-    ("ff reg6 push", "ff30", (2, F, (), None, (0xFF,), 0x30, None)),
+    ("ff reg6 push", "ff30", (2, F, None, None, (0xFF,), 0x30, None)),
     ("ff reg2 call rip", "ff15f0ffffff",
-     (6, ICALL, (), 0xFF6, (0xFF,), 0x15, None)),
-    ("ff reg3 far call", "ff18", (2, ICALL, (), None, (0xFF,), 0x18, None)),
+     (6, ICALL, None, 0xFF6, (0xFF,), 0x15, None)),
+    ("ff reg3 far call", "ff18", (2, ICALL, None, None, (0xFF,), 0x18, None)),
     ("ff reg5 far jmp", "ff2d10000000",
-     (6, IJMP, (), 0x1016, (0xFF,), 0x2D, None)),
+     (6, IJMP, None, 0x1016, (0xFF,), 0x2D, None)),
     ("ff reg7 invalid", "fff8", None),
-    ("enter", "c8100001", (4, F, (), None, (0xC8,), None, 1)),
-    ("enter level signed", "c81000ff", (4, F, (), None, (0xC8,), None, -1)),
+    ("enter", "c8100001", (4, F, None, None, (0xC8,), None, 1)),
+    ("enter level signed", "c81000ff", (4, F, None, None, (0xC8,), None, -1)),
     ("a1 moffs", "a1efcdab8967452301",
-     (9, F, (), None, (0xA1,), None, 0x0123456789ABCDEF)),
+     (9, F, None, None, (0xA1,), None, 0x0123456789ABCDEF)),
     ("a1 moffs unsigned", "a100000000000000ff",
-     (9, F, (), None, (0xA1,), None, 0xFF00000000000000)),
+     (9, F, None, None, (0xA1,), None, 0xFF00000000000000)),
     ("48 b8 imm64", "48b88877665544332211",
-     (10, F, (), None, (0xB8,), None, 0x1122334455667788)),
-    ("66 b8 imm16", "66b83412", (4, F, (), None, (0xB8,), None, 0x1234)),
-    ("b8 imm32", "b8ffffffff", (5, F, (), None, (0xB8,), None, -1)),
+     (10, F, None, None, (0xB8,), None, 0x1122334455667788)),
+    ("66 b8 imm16", "66b83412", (4, F, None, None, (0xB8,), None, 0x1234)),
+    ("b8 imm32", "b8ffffffff", (5, F, None, None, (0xB8,), None, -1)),
     ("66 48 b8 imm64", "6648b80100000000000080",
-     (11, F, (), None, (0xB8,), None, -(1 << 63) + 1)),
+     (11, F, None, None, (0xB8,), None, -(1 << 63) + 1)),
     ("c4 map3 imm8", "c4e37d18c101",
-     (6, F, (), None, ("vex", 3, 0x18), 0xC1, 1)),
+     (6, F, None, None, ("vex", 3, 0x18), 0xC1, 1)),
     ("c4 map4 invalid", "c4e47d18c1", None),
     ("c4 map2 rip", "c4e27d5805f0ffffff",
-     (9, F, (), 0xFF9, ("vex", 2, 0x58), 0x05, None)),
-    ("c5", "c5f828c1", (4, F, (), None, ("vex", 1, 0x28), 0xC1, None)),
-    ("c5 imm8", "c5f970c81b", (5, F, (), None, ("vex", 1, 0x70), 0xC8, 27)),
+     (9, F, None, 0xFF9, ("vex", 2, 0x58), 0x05, None)),
+    ("c5", "c5f828c1", (4, F, None, None, ("vex", 1, 0x28), 0xC1, None)),
+    ("c5 imm8", "c5f970c81b", (5, F, None, None, ("vex", 1, 0x70), 0xC8, 27)),
     ("c5 vzeroupper no modrm", "c5f877",
-     (3, F, (), None, ("vex", 1, 0x77), None, None)),
+     (3, F, None, None, ("vex", 1, 0x77), None, None)),
     ("c5 vzeroall no modrm", "c5fc77",
-     (3, F, (), None, ("vex", 1, 0x77), None, None)),
+     (3, F, None, None, ("vex", 1, 0x77), None, None)),
     ("c4 map1 vzeroupper no modrm", "c4e17877",
-     (4, F, (), None, ("vex", 1, 0x77), None, None)),
-    ("0f 38", "660f3800c1", (5, F, (), None, (0x0F, 0x38, 0x00), 0xC1, None)),
+     (4, F, None, None, ("vex", 1, 0x77), None, None)),
+    ("0f 38", "660f3800c1",
+     (5, F, None, None, (0x0F, 0x38, 0x00), 0xC1, None)),
     ("0f 3a imm8", "660f3a0fc108",
-     (6, F, (), None, (0x0F, 0x3A, 0x0F), 0xC1, 8)),
+     (6, F, None, None, (0x0F, 0x3A, 0x0F), 0xC1, 8)),
     ("0f 3a rip", "660f3a0f0510000000ff",
-     (10, F, (), 0x101A, (0x0F, 0x3A, 0x0F), 0x05, -1)),
+     (10, F, None, 0x101A, (0x0F, 0x3A, 0x0F), 0x05, -1)),
     ("rex then legacy resets rex", "4866b83412",
-     (5, F, (), None, (0xB8,), None, 0x1234)),
+     (5, F, None, None, (0xB8,), None, 0x1234)),
     ("62 invalid", "62f17c4828c1", None),
     ("sib no base disp32", "8b042510000000",
-     (7, F, (), None, (0x8B,), 0x04, None)),
-    ("sib disp8", "8b4424f8", (4, F, (), None, (0x8B,), 0x44, None)),
+     (7, F, None, None, (0x8B,), 0x04, None)),
+    ("sib disp8", "8b4424f8", (4, F, None, None, (0x8B,), 0x44, None)),
 ]
 
 
@@ -175,9 +179,7 @@ SPECIAL_ROWS = [
                          [row[1:] for row in SPECIAL_ROWS],
                          ids=[row[0] for row in SPECIAL_ROWS])
 def test_special_rows(hexbytes, expected):
-    ins = d(bytes.fromhex(hexbytes))
-    got = dataclasses.astuple(ins) if ins else None
-    assert got == (None if expected is None else (0x1000,) + expected)
+    assert d(bytes.fromhex(hexbytes)) == expected
 
 
 @settings(max_examples=1000, deadline=None)
@@ -187,8 +189,12 @@ def test_decode_never_raises_and_stays_in_bounds(data, offset, limit, vaddr):
     ins = x86.decode(data, offset, vaddr, limit)
     if ins is not None:
         bound = len(data) if limit is None else limit
-        assert ins.vaddr == vaddr
-        assert 1 <= ins.length <= min(x86.MAX_INSN_LEN, bound - offset)
+        assert 1 <= ins[LENGTH] <= min(x86.MAX_INSN_LEN, bound - offset)
+        # the address enters only the two targets
+        moved = x86.decode(data, offset, vaddr + 0x100, limit)
+        assert moved == tuple(
+            field + 0x100 if k in (TARGET, RIP_TARGET) and field is not None
+            else field for k, field in enumerate(ins))
 
 
 def _objdump_lengths(path, section=".text"):
@@ -265,19 +271,15 @@ def _objdump_mismatches(path):
         if not 0 <= off < len(text):
             continue
         ins = x86.decode(text, off, addr)
-        got = ins.length if ins else None
+        got = ins[LENGTH] if ins else None
         if got != length:
             mismatches.append((hex(addr), asm, length, got))
     return mismatches
 
 
-def _fields(ins):
-    return None if ins is None else dataclasses.astuple(ins)
-
-
 def _same_as_reference(data, offset, vaddr, limit=None):
-    return _fields(x86.decode(data, offset, vaddr, limit)) == _fields(
-        reference_decode(data, offset, vaddr, limit))
+    return x86.decode(data, offset, vaddr, limit) == reference_decode(
+        data, offset, vaddr, limit)
 
 
 @pytest.mark.parametrize("field", ["opcode", "modrm", "immediate"])
@@ -285,7 +287,21 @@ def test_equality_compares_every_field(field):
     # cmp eax, 5: opcode 83, ModRM F8, immediate 5
     ins = d(b"\x83\xf8\x05")
     assert ins == d(b"\x83\xf8\x05")
-    assert dataclasses.replace(ins, **{field: 0x3D}) != ins
+    k = {"opcode": OPCODE, "modrm": MODRM, "immediate": IMMEDIATE}[field]
+    assert ins[:k] + (0x3D,) + ins[k + 1:] != ins
+
+
+def test_layout():
+    # an exact tuple of the seven fields; a relative branch carries its
+    # int target, and no immediate
+    for code in (b"\x83\xf8\x05", b"\xe8\xfb\xff\xff\xff", b"\x74\x10"):
+        ins = d(code)
+        assert type(ins) is tuple and len(ins) == 7
+    assert d(b"\x83\xf8\x05") == (3, x86.FALLTHROUGH, None, None, (0x83,),
+                                   0xF8, 5)
+    call = d(b"\xe8\xfb\xff\xff\xff")
+    assert type(call[TARGET]) is int and call[TARGET] == 0x1000
+    assert call == (5, x86.DIRECT_CALL, 0x1000, None, (0xE8,), None, None)
 
 
 class TestAgainstReferenceDecoder:
