@@ -50,7 +50,13 @@ def cmd_protect(args):
     data = Path(args.input).read_bytes()
     image = load_elf(data)
     protected, report, lists = protect_image(image)
-    Path(args.output).write_bytes(protected.raw)
+    output = Path(args.output)
+    output.write_bytes(protected.raw)
+    # the output runs wherever the input does; no mode bit is taken away
+    mode = output.stat().st_mode
+    wanted = mode | (Path(args.input).stat().st_mode & 0o111)
+    if wanted != mode:
+        output.chmod(wanted)
     blocks = len(lists.regular) + len(lists.optimization)
     oc = report.code.total_bytes / report.executable_total
     print("protected %s -> %s: %d blocks, overall coverage %.4f"

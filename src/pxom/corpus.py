@@ -247,18 +247,12 @@ def build_program(asm_text, workdir, name):
 
     image = load_elf(binary.read_bytes())
     symbols = _read_markers(image)
-    code = IntervalSet()
+    data = executable_ranges(image)
     i = 0
     while ("gtf_%d_s" % i) in symbols:
-        start = symbols["gtf_%d_s" % i]
-        end = symbols["gtf_%d_e" % i]
-        if start < end:
-            code.add(start, end)
+        # remove ignores an empty function
+        data.remove(symbols["gtf_%d_s" % i], symbols["gtf_%d_e" % i])
         i += 1
-
-    data = executable_ranges(image)
-    for iv in code:
-        data.remove(iv.start, iv.end)
 
     subprocess.run(["strip", str(binary)], check=True, capture_output=True)
     with gt.open("w") as fh:
@@ -296,16 +290,18 @@ def load_ground_truth(path):
     Blank lines and `#` comments are skipped.  Any other line that is
     not two hex numbers with START < END raises GroundTruthParse.
     """
-    ivs = IntervalSet()
+    pairs = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             start_s, end_s = line.split()
-            ivs.add(int(start_s, 16), int(end_s, 16))
+            start, end = int(start_s, 16), int(end_s, 16)
         except ValueError:
+            start = end = 0
+        if start >= end:
             raise GroundTruthParse("expected `0xSTART 0xEND` with "
-                                   "START < END, got %r" % line,
-                                   lineno) from None
-    return ivs
+                                   "START < END, got %r" % line, lineno)
+        pairs.append((start, end))
+    return IntervalSet.from_pairs(pairs)

@@ -61,16 +61,15 @@ def _traverse(image, entry, superset, committed):
     only behind a null test.  Any invalid decode, or reaching a byte
     outside the superset anywhere else (mid-way into committed code, or
     off the executable range), fails the whole traversal (ok=False).
-    Returns (claimed, insns, ok), where claimed is the union of the
-    instructions in insns.
+    Returns (stretches, insns, ok), where the (start, end) pairs of
+    stretches cover exactly the instructions in insns.
 
     The superset does not change while a traversal runs, so the walk
     keeps the run [lo, hi) of superset and executable bytes it is in,
     and decodes with the run end as limit: an instruction that would
     leave the run decodes to None.  It looks a run up again only when a
     path leaves the current one.  Each straight-line stretch it decodes
-    is one (start, end) pair, so claimed merges those pairs, not every
-    instruction.
+    is one (start, end) pair, not one per instruction.
     """
     insns = {}
     stretches = []
@@ -111,29 +110,32 @@ def _traverse(image, entry, superset, committed):
                 stack.append(target)
         if va != start:
             stretches.append((start, va))
-    return IntervalSet.from_pairs(stretches), insns, ok
+    return stretches, insns, ok
 
 
 def _finders(image):
-    """Source name -> targets(superset, code, instructions), the source's
+    """Source name -> targets(superset, instructions), the source's
     candidate addresses, sorted.  The sources that read only the image
     find theirs here, once, and return the same list every time; the
     heuristic finds its prologue candidates here too, and each call keeps
-    those that the superset and the code make targets."""
+    those that the superset makes targets."""
+    exec_ranges = executable_ranges(image)
     # load_elf keeps a nonzero entry inside the executable ranges
     program_entry = [image.entry_point] if image.entry_point else []
-    frame_unwind = sorted(set(_frame_unwind_targets(image)))
-    address_taken = sorted(set(_address_taken_targets(image)))
-    prologues, padded = _prologue_starts(image)
+    frame_unwind = sorted(set(_frame_unwind_targets(image, exec_ranges)))
+    address_taken = sorted(set(_address_taken_targets(image, exec_ranges)))
+    prologues, padded = _prologue_starts(image, exec_ranges)
     prologue_ends = [va + 1 for va in prologues]
 
-    def jump_table(superset, code, instructions):
-        return sorted(set(_jump_table_targets(image, superset, instructions)))
+    def jump_table(superset, instructions):
+        return sorted(set(_jump_table_targets(image, exec_ranges, superset,
+                                              instructions)))
 
-    def heuristic(superset, code, instructions):
+    def heuristic(superset, instructions):
         aligned = compress(prologues,
                            superset.contains_each(prologues, prologue_ends))
-        return sorted({*aligned, *_padded_prologues(padded, superset, code)})
+        return sorted({*aligned,
+                       *_padded_prologues(padded, superset, exec_ranges)})
 
     return {"program_entry": lambda *_: program_entry,
             "jump_table": jump_table,
@@ -147,22 +149,25 @@ def detect_entry_points(image, superset, known_code, instructions):
 
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
-    the committed ones, where the jump-table finder looks for tables."""
+    the committed ones, where the jump-table finder looks for tables.
+    The heuristic counts every executable byte outside the superset as
+    code, whatever known_code holds."""
     finders = _finders(image)
     found = {}
     for source in SOURCE_ORDER:
-        for va in finders[source](superset, known_code, instructions):
+        for va in finders[source](superset, instructions):
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
                 found[va] = source
     return [EntryPoint(va, src) for va, src in found.items()]
 
 
-def _jump_table_targets(image, superset, instructions):
+def _jump_table_targets(image, exec_ranges, superset, instructions):
     """Targets of the bounded rel32 tables in the superset that committed
     code dispatches through: a lea of the table, the first indirect jump
     at most _JUMP_TABLE_WINDOW bytes after it, and a bound check before
-    that jump.  instructions maps vaddr -> committed instruction."""
+    that jump.  instructions maps vaddr -> committed instruction, and
+    exec_ranges are the image's executable ranges."""
     # indirect jumps are few; bisecting them is cheaper than looking up
     # every window address for each lea of an island in the superset
     indirect_jump = x86.INDIRECT_JUMP
@@ -181,7 +186,8 @@ def _jump_table_targets(image, superset, instructions):
         if k < len(jumps) and jumps[k] <= va + _JUMP_TABLE_WINDOW:
             count = _bound_before(instructions, va, jumps[k])
             if count is not None:
-                targets.extend(_rel32_table(image, superset, table, count))
+                targets.extend(_rel32_table(image, exec_ranges, superset,
+                                            table, count))
     return targets
 
 
@@ -205,34 +211,32 @@ def _bound_before(instructions, lo, hi):
     return None
 
 
-def _rel32_table(image, superset, table, count):
+def _rel32_table(image, exec_ranges, superset, table, count):
     """The targets of the count rel32 entries at table, or [] unless the
-    whole table lies in the superset and every target is executable."""
+    whole table lies in the superset and every target is in
+    exec_ranges."""
     if not superset.contains_range(table, 4 * count):
         return []
     raw = image.read_vaddr(table, 4 * count)
     targets = [(table + rel) & 0xFFFFFFFFFFFFFFFF
                for rel in unpack_from("<%di" % count, raw)]
-    exec_ranges = executable_ranges(image)
     if all(exec_ranges.contains_range(va, 1) for va in targets):
         return targets
     return []
 
 
-def _frame_unwind_targets(image):
+def _frame_unwind_targets(image, exec_ranges):
     sec = image.section_by_name(".eh_frame")
     if sec is None or not sec.size:
         return []
     locs = fde_initial_locations(sec.data(image.raw), sec.vaddr)
-    exec_ranges = executable_ranges(image)
     return [va for va in locs if exec_ranges.contains_range(va, 1)]
 
 
-def _address_taken_targets(image):
-    """Executable 8-byte values, in section then address order: RELA
-    addends, the entries of the pointer arrays and the GOT, and the
+def _address_taken_targets(image, exec_ranges):
+    """The 8-byte values in exec_ranges, in section then address order:
+    RELA addends, the entries of the pointer arrays and the GOT, and the
     8-aligned words of .rodata and .data.rel.ro."""
-    exec_ranges = executable_ranges(image)
     targets = []
     for sec in image.sections:
         if sec.sh_type == 4 and sec.entsize >= 24:  # SHT_RELA
@@ -262,15 +266,15 @@ def _words(data, first, stride, code="Q"):
     return unpack_from("<%dx%s" % (first, code) + gap * (count - 1), data)
 
 
-def _prologue_starts(image):
+def _prologue_starts(image, exec_ranges):
     """The image's prologue pattern starts that have 4 bytes inside
-    their executable range, as (aligned, padded): aligned, the sorted
+    their range of exec_ranges, as (aligned, padded): aligned, the sorted
     16-aligned ones; padded, a (pad, va) pair for each one at va right
     after a 90/CC byte, sorted by va, where pad starts that byte's run
     of 90/CC bytes."""
     aligned = set()
     padded = {}
-    for iv in executable_ranges(image):
+    for iv in exec_ranges:
         base, buf = image.code_at(iv.start)
         for pattern in _PROLOGUE_PATTERNS:
             pos = buf.find(pattern)
@@ -287,16 +291,17 @@ def _prologue_starts(image):
     return sorted(aligned), [(padded[va], va) for va in sorted(padded)]
 
 
-def _padded_prologues(padded, superset, known_code):
+def _padded_prologues(padded, superset, exec_ranges):
     """Prologues right after the int3/nop padding that starts a superset
     block and follows committed code: each va of padded's (pad, va)
-    pairs whose superset block starts in [pad, va), right after
-    committed code."""
+    pairs whose superset block starts in [pad, va), right after an
+    executable byte: the byte before a superset block is never in the
+    superset, so an executable one is committed code."""
     targets = []
     for pad, va in padded:
         run = superset.run_at(va)
         if (run is not None and pad <= run[0] < va
-                and known_code.contains_range(run[0] - 1, 1)):
+                and exec_ranges.contains_range(run[0] - 1, 1)):
             targets.append(va)
     return targets
 
@@ -320,7 +325,7 @@ def compute_superset(image):
 
     finders = _finders(image)
     superset = exec_ranges.copy()
-    code = IntervalSet()
+    claimed = []
     instructions = {}
     accepted = []
     traversed = set()
@@ -328,21 +333,21 @@ def compute_superset(image):
     while progress:
         progress = False
         for source in SOURCE_ORDER:
-            for va in finders[source](superset, code, instructions):
+            for va in finders[source](superset, instructions):
                 if va in traversed or not superset.contains_range(va, 1):
                     continue
                 traversed.add(va)
-                claimed, insns, ok = _traverse(image, va, superset,
-                                               instructions)
+                stretches, insns, ok = _traverse(image, va, superset,
+                                                 instructions)
                 if ok:
-                    for start, end in claimed.pairs():
+                    for start, end in stretches:
                         superset.remove(start, end)
-                        code.add(start, end)
+                    claimed += stretches
                     instructions.update(insns)
                     accepted.append(EntryPoint(va, source))
                     progress = True
 
-    return DisassemblyReport(code=code, superset=superset,
-                             entry_points=accepted,
+    return DisassemblyReport(code=IntervalSet.from_pairs(claimed),
+                             superset=superset, entry_points=accepted,
                              executable_total=exec_ranges.total_bytes,
                              instructions=instructions)

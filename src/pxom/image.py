@@ -226,10 +226,8 @@ def _check_code_segments_disjoint(segments):
 
 
 def executable_ranges(image):
-    ranges = IntervalSet()
-    for seg in _code_segments(image.segments):
-        ranges.add(seg.vaddr, seg.vaddr + seg.memsz)
-    return ranges
+    return IntervalSet.from_pairs((seg.vaddr, seg.vaddr + seg.memsz)
+                                  for seg in _code_segments(image.segments))
 
 
 def is_xom_enabled(image):

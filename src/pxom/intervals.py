@@ -61,22 +61,6 @@ class IntervalSet:
                 ends.append(end)
         return s
 
-    def add(self, start, end):
-        if start >= end:
-            raise ValueError("empty interval [%#x, %#x)" % (start, end))
-        # find the run of existing intervals that touch [start, end)
-        i = bisect_right(self._starts, start)
-        if i > 0 and self._ends[i - 1] >= start:
-            i -= 1
-        j = i
-        while j < len(self._starts) and self._starts[j] <= end:
-            j += 1
-        if i < j:
-            start = min(start, self._starts[i])
-            end = max(end, self._ends[j - 1])
-        self._starts[i:j] = [start]
-        self._ends[i:j] = [end]
-
     def remove(self, start, end):
         if start >= end:
             return
@@ -121,11 +105,6 @@ class IntervalSet:
         if i >= 0 and addr < self._ends[i]:
             return self._starts[i], self._ends[i]
         return None
-
-    def envelope(self, addr):
-        """Interval containing addr, or None."""
-        run = self.run_at(addr)
-        return ByteInterval(*run) if run else None
 
     def intersection_size(self, other):
         total = 0

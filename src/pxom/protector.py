@@ -1,5 +1,7 @@
 """User-space protection pipeline: disassemble, build lists, emit binary."""
 
+from bisect import bisect_right
+
 from .blocks import EmbeddedDataBlock, XomLists
 from .disasm import compute_superset
 from .image import attach_xom_section, load_elf, set_xom_flag
@@ -9,34 +11,37 @@ STATIC_REF_THRESHOLD = 10    # blocks referenced more than this go optimization
 _MOFFS_OPCODES = frozenset([0xA0, 0xA1, 0xA2, 0xA3])
 
 
-def count_static_refs(image, report):
-    """Per-block count of statically visible memory references.
+def count_static_refs(report):
+    """Per-block count of statically visible memory references, one per
+    superset block, in start order.
 
     Only direct RIP-relative and absolute-address operands are counted;
     register-indexed accesses are invisible to static analysis and are
     handled by the monitor's dynamic promotion instead.
     """
-    superset = report.superset
-    counts = {iv: 0 for iv in superset}
+    blocks = list(report.superset.pairs())
+    starts = [start for start, _ in blocks]
+    counts = [0] * len(blocks)
     for (_, _, _, target, opcode, _,
          immediate) in report.instructions.values():
         if target is None:
             if opcode[0] not in _MOFFS_OPCODES:
                 continue
             target = immediate              # mov moffs: absolute address
-        env = superset.envelope(target)
-        if env is not None:
-            counts[env] += 1
+        i = bisect_right(starts, target) - 1
+        if i >= 0 and target < blocks[i][1]:
+            counts[i] += 1
     return counts
 
 
 def build_lists(report, refs):
-    """Both lists, each in start order, as the superset iterates."""
+    """Both lists, each in start order, as the superset iterates; refs
+    holds one count per superset block, in the same order."""
     regular = []
     optimization = []
-    for iv in report.superset:
-        block = EmbeddedDataBlock(iv, refs[iv])
-        if block.static_ref_count > STATIC_REF_THRESHOLD:
+    for iv, count in zip(report.superset, refs):
+        block = EmbeddedDataBlock(iv, count)
+        if count > STATIC_REF_THRESHOLD:
             optimization.append(block)
         else:
             regular.append(block)
@@ -46,7 +51,7 @@ def build_lists(report, refs):
 def protect_image(image):
     """Protected image plus the report it was built from."""
     report = compute_superset(image)
-    lists = build_lists(report, count_static_refs(image, report))
+    lists = build_lists(report, count_static_refs(report))
     protected = attach_xom_section(set_xom_flag(image), lists)
     return protected, report, lists
 

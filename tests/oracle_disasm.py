@@ -17,7 +17,7 @@ simple enough to serve as its reference.  In lenient mode a failure
 ends only its own path.
 
 `reference_union` merges a traversal's instructions one by one, where
-`disasm._traverse` merges the straight-line stretches it walked.
+`disasm._traverse` returns the straight-line stretches it walked.
 
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
@@ -60,14 +60,14 @@ def reference_compute_superset(image):
         raise NoExecutableCode("image has no executable segment")
 
     superset = exec_ranges.copy()
-    code = IntervalSet()
+    committed = []
     instructions = {}
     accepted = []
 
     def commit(claimed, insns, ep):
-        for iv in claimed:
-            superset.remove(iv.start, iv.end)
-            code.add(iv.start, iv.end)
+        for start, end in claimed.pairs():
+            superset.remove(start, end)
+        committed.extend(claimed.pairs())
         instructions.update(insns)
         accepted.append(ep)
 
@@ -79,10 +79,12 @@ def reference_compute_superset(image):
             commit(claimed, insns, EntryPoint(entry, "program_entry"))
 
     image_targets = {
-        "frame_unwind": sorted(set(_frame_unwind_targets(image))),
+        "frame_unwind": sorted(set(_frame_unwind_targets(image,
+                                                         exec_ranges))),
         "address_taken": sorted(set(reference_address_taken_targets(
             image)))}
     while True:
+        code = IntervalSet.from_pairs(committed)
         targets = {**image_targets,
                    "jump_table": sorted(set(reference_jump_table_targets(
                        image, superset, instructions))),
@@ -106,14 +108,15 @@ def reference_compute_superset(image):
         if not progress:
             break
 
-    return DisassemblyReport(code=code, superset=superset,
-                             entry_points=accepted,
+    return DisassemblyReport(code=IntervalSet.from_pairs(committed),
+                             superset=superset, entry_points=accepted,
                              executable_total=exec_ranges.total_bytes,
                              instructions=instructions)
 
 
 def reference_traverse(image, entry, superset, committed_starts, strict):
-    """(claimed, insns, ok) with the semantics of disasm._traverse."""
+    """(claimed, insns, ok) with the semantics of disasm._traverse,
+    where claimed is the IntervalSet that its stretches cover."""
     insns = {}
     stack = [entry]
     ok = True
@@ -154,10 +157,7 @@ def reference_union(insns):
                 runs[-1][1] = end
         else:
             runs.append([va, end])
-    union = IntervalSet()
-    for start, end in runs:
-        union.add(start, end)
-    return union
+    return IntervalSet.from_pairs(runs)
 
 
 def reference_heuristic_targets(image, superset, known_code):
@@ -241,7 +241,8 @@ def reference_jump_table_targets(image, superset, instructions):
             continue
         count = _reference_bound_before(insn_list, va, jmp)
         if count is not None:
-            targets.extend(_rel32_table(image, superset, table, count))
+            targets.extend(_rel32_table(image, executable_ranges(image),
+                                        superset, table, count))
     return targets
 
 

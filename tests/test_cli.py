@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import stat
 import struct
 import time
 
@@ -34,6 +35,31 @@ class TestProtect:
                                   str(corpus[0].binary), "-o", str(out))
         assert code == 0 and "blocks" in stdout
         assert main(["print", "-i", str(out)]) == 0
+
+    @pytest.mark.parametrize("input_mode, output_mode, want", [
+        (0o755, None, 0o111),       # a new output gets every execute bit
+        (0o755, 0o644, 0o755),
+        (0o710, 0o600, 0o710),
+        (0o644, 0o700, 0o700),      # no bit is taken away
+        (0o644, 0o644, 0o644),
+    ])
+    def test_output_mode_adds_input_execute_bits(
+            self, capsys, tmp_path, corpus, input_mode, output_mode, want):
+        source = tmp_path / "in"
+        source.write_bytes(corpus[0].binary.read_bytes())
+        source.chmod(input_mode)
+        out = tmp_path / "out.xom"
+        if output_mode is not None:
+            out.write_bytes(b"")
+            out.chmod(output_mode)
+        code, _, _ = run_cli(capsys, "protect", "-i", str(source),
+                             "-o", str(out))
+        mode = stat.S_IMODE(out.stat().st_mode)
+        assert code == 0
+        if output_mode is None:
+            assert mode & 0o111 == want
+        else:
+            assert mode == want
 
     def test_non_elf_input(self, capsys, tmp_path):
         bogus = tmp_path / "bogus"

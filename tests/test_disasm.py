@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import time
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,17 @@ from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_jump_table_targets, reference_traverse)
 
 LS = "/usr/bin/ls"
+SYSTEM = (LS, "/usr/bin/gcc-12", "/lib/x86_64-linux-gnu/libc.so.6")
+
+
+def read_system():
+    """The bytes of each SYSTEM binary that is present."""
+    datas = []
+    for path in SYSTEM:
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                datas.append(fh.read())
+    return datas
 
 
 def read_ls():
@@ -60,11 +70,27 @@ class TestDecodeAt:
 
 def traverse_fresh(code, superset=None):
     """_traverse from 0x1000 over an image of code, with nothing
-    committed; the superset defaults to its executable range."""
+    committed, and the IntervalSet its stretches cover; the superset
+    defaults to its executable range."""
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
-    return _traverse(image, 0x1000, superset, {})
+    return claimed_set(_traverse(image, 0x1000, superset, {}))
+
+
+def executable_less(image, superset):
+    """The executable ranges of image that superset leaves: the code."""
+    rest = executable_ranges(image)
+    for start, end in superset.pairs():
+        rest.remove(start, end)
+    return rest
+
+
+def claimed_set(result):
+    """A _traverse result with its stretches as the IntervalSet they
+    cover."""
+    stretches, insns, ok = result
+    return IntervalSet.from_pairs(stretches), insns, ok
 
 
 class TestRecursiveDisassemble:
@@ -124,9 +150,8 @@ class TestComputeSuperset:
     def test_partition_exact(self):
         image = image_of(b"\xeb\x02\xde\xad\xc3" + b"\x00" * 11)
         report = compute_superset(image)
-        total = report.code.copy()
-        for iv in report.superset:
-            total.add(iv.start, iv.end)
+        total = IntervalSet.from_pairs([*report.code.pairs(),
+                                        *report.superset.pairs()])
         assert total == executable_ranges(image)
         assert report.code.intersection_size(report.superset) == 0
 
@@ -184,15 +209,17 @@ class TestComputeSuperset:
         assert r1.entry_points == r2.entry_points
 
     def test_corpus_soundness_and_partition(self, corpus):
-        for entry in corpus:
-            image = load_elf(entry.binary.read_bytes())
+        datas = [e.binary.read_bytes() for e in corpus] + read_system()
+        for k, data in enumerate(datas):
+            image = load_elf(data)
             report = compute_superset(image)
-            gt_data = load_ground_truth(entry.ground_truth)
-            assert report.code.intersection_size(gt_data) == 0
-            union = report.code.copy()
-            for iv in report.superset:
-                union.add(iv.start, iv.end)
+            if k < len(corpus):
+                gt_data = load_ground_truth(corpus[k].ground_truth)
+                assert report.code.intersection_size(gt_data) == 0
+            union = IntervalSet.from_pairs([*report.code.pairs(),
+                                            *report.superset.pairs()])
             assert union == executable_ranges(image)
+            assert report.code == executable_less(image, report.superset)
 
     def test_linear_sweep_oracle_on_pure_code(self, corpus):
         # on fully-identified corpus code, an independent linear sweep by
@@ -204,12 +231,13 @@ class TestComputeSuperset:
         out = subprocess.run(
             ["objdump", "-d", "--section=.text", str(entry.binary)],
             capture_output=True, text=True, check=True).stdout
-        objdump_bytes = IntervalSet()
+        swept = []
         for line in out.splitlines():
             m = re.match(r"\s+([0-9a-f]+):\s+((?:[0-9a-f]{2} )+)", line)
             if m:
                 addr = int(m.group(1), 16)
-                objdump_bytes.add(addr, addr + len(m.group(2).split()))
+                swept.append((addr, addr + len(m.group(2).split())))
+        objdump_bytes = IntervalSet.from_pairs(swept)
         # every byte we identified as code is also swept by objdump
         assert report.code.intersection_size(objdump_bytes) == \
             report.code.total_bytes
@@ -230,8 +258,9 @@ class TestHeuristicSource:
             table = finders(image)
             heuristic = table["heuristic"]
 
-            def checked(superset, code, instructions):
-                targets = heuristic(superset, code, instructions)
+            def checked(superset, instructions):
+                code = executable_less(image, superset)
+                targets = heuristic(superset, instructions)
                 assert targets == sorted(set(reference_heuristic_targets(
                     image, superset, code)))
                 found.append(len(targets))
@@ -331,20 +360,14 @@ class TestEntryPointDetection:
 
 
 class TestAddressTaken:
-    SYSTEM = ("/usr/bin/ls", "/usr/bin/gcc-12",
-              "/lib/x86_64-linux-gnu/libc.so.6")
-
     def test_equals_one_value_at_a_time(self, corpus):
         # the same values in the same order, duplicates included
-        datas = [e.binary.read_bytes() for e in corpus]
-        for path in self.SYSTEM:
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    datas.append(fh.read())
+        datas = [e.binary.read_bytes() for e in corpus] + read_system()
         found = 0
         for data in datas:
             image = load_elf(data)
-            targets = disasm._address_taken_targets(image)
+            targets = disasm._address_taken_targets(
+                image, executable_ranges(image))
             assert targets == reference_address_taken_targets(image)
             found += len(targets)
         assert found
@@ -420,10 +443,8 @@ def test_ground_truth_file_grammar(tmp_path):
 
 
 def union_of(insns):
-    union = IntervalSet()
-    for va, ins in insns.items():
-        union.add(va, va + ins[0])
-    return union
+    return IntervalSet.from_pairs((va, va + ins[0])
+                                  for va, ins in insns.items())
 
 
 def check_traversals(image, starts_per_superset=200):
@@ -439,7 +460,8 @@ def check_traversals(image, starts_per_superset=200):
             (report.superset, report.instructions,
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            claimed, insns, ok = _traverse(image, va, superset, committed)
+            claimed, insns, ok = claimed_set(
+                _traverse(image, va, superset, committed))
             assert claimed == union_of(insns)
             assert (claimed, insns, ok) == reference_traverse(
                 image, va, superset, committed, strict=True)
@@ -515,7 +537,8 @@ class TestTraverse:
         image = image_of(code)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        result = _traverse(image, 0x1000, superset, set(committed))
+        result = claimed_set(_traverse(image, 0x1000, superset,
+                                       set(committed)))
         assert result == reference_traverse(image, 0x1000, superset,
                                             set(committed), strict=True)
         claimed, insns, ok = result
@@ -528,8 +551,11 @@ class TestTraverse:
         if os.path.exists(LS):
             datas.append(read_ls())
         reports = [compute_superset(load_elf(d)) for d in datas]
-        monkeypatch.setattr(disasm, "_traverse",
-                            partial(reference_traverse, strict=True))
+        def traverse(*args):
+            claimed, insns, ok = reference_traverse(*args, strict=True)
+            return list(claimed.pairs()), insns, ok
+
+        monkeypatch.setattr(disasm, "_traverse", traverse)
         for data, report in zip(datas, reports):
             assert compute_superset(load_elf(data)) == report
 
@@ -573,7 +599,8 @@ class TestJumpTable:
         # a table without a bound check is not read
         image, instructions = jump_table_image(cmp_at, jmp_at, self.LEA)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
         assert targets == [0x1000 + k for k in range(found)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -585,7 +612,8 @@ class TestJumpTable:
                                                abs64=True)
         assert image.elf_type == 2
         superset = executable_ranges(image)
-        assert _jump_table_targets(image, superset, instructions) == []
+        assert _jump_table_targets(image, superset, superset,
+                                   instructions) == []
         assert reference_jump_table_targets(image, superset,
                                             instructions) == []
 
@@ -594,8 +622,9 @@ class TestJumpTable:
         for entry in corpus20:
             image = load_elf(entry.binary.read_bytes())
             report = compute_superset(image)
-            for superset in (executable_ranges(image), report.superset):
-                targets = _jump_table_targets(image, superset,
+            exec_ranges = executable_ranges(image)
+            for superset in (exec_ranges, report.superset):
+                targets = _jump_table_targets(image, exec_ranges, superset,
                                               report.instructions)
                 # the finder walks the instructions in commit order
                 assert sorted(targets) == sorted(reference_jump_table_targets(

@@ -52,10 +52,12 @@ def test_contains_range():
     assert 0x1010 not in s
 
 
-def test_envelope():
+def test_run_at():
     s = IntervalSet.from_pairs([(0, 10), (20, 30)])
-    assert s.envelope(5) == ByteInterval(0, 10)
-    assert s.envelope(15) is None
+    assert s.run_at(5) == (0, 10)
+    assert s.run_at(20) == (20, 30)
+    assert s.run_at(10) is None
+    assert s.run_at(15) is None
 
 
 def test_intersection_size():
@@ -71,10 +73,10 @@ ranges = st.lists(
 
 @given(added=ranges, removed=ranges)
 def test_matches_set_of_ints_model(added, removed):
-    s = IntervalSet()
+    s = IntervalSet.from_pairs((start, start + length)
+                               for start, length in added)
     model = set()
     for start, length in added:
-        s.add(start, start + length)
         model.update(range(start, start + length))
     for start, length in removed:
         s.remove(start, start + length)

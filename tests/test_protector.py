@@ -5,7 +5,7 @@ from pxom.disasm import compute_superset
 from pxom.errors import SectionExists
 from pxom.image import (executable_ranges, is_xom_enabled, load_elf,
                         parse_xom_section)
-from pxom.intervals import ByteInterval, IntervalSet
+from pxom.intervals import IntervalSet
 from pxom.protector import (STATIC_REF_THRESHOLD, build_lists,
                             count_static_refs, protect_binary)
 
@@ -26,15 +26,13 @@ class TestCountStaticRefs:
                 + b"\xaa" * 8)
         image = asm_image(code)
         report = compute_superset(image)
-        counts = count_static_refs(image, report)
-        island = report.superset.envelope(0x1010)
-        assert counts[island] == 2
+        assert list(report.superset.pairs()) == [(0x100f, 0x1017)]
+        assert count_static_refs(report) == [2]
 
     def test_unreferenced_island(self):
         image = asm_image(b"\xc3" + b"\xaa" * 8)
         report = compute_superset(image)
-        counts = count_static_refs(image, report)
-        assert list(counts.values()) == [0]
+        assert count_static_refs(report) == [0]
 
     def test_indexed_accesses_not_counted(self):
         # one lea ref + three register-indexed reads: only the lea counts
@@ -46,25 +44,48 @@ class TestCountStaticRefs:
                 + b"\xaa" * 12)
         image = asm_image(code)
         report = compute_superset(image)
-        counts = count_static_refs(image, report)
-        island = report.superset.envelope(0x1011)
-        assert counts[island] == 1
+        assert list(report.superset.pairs()) == [(0x1011, 0x101d)]
+        assert count_static_refs(report) == [1]
+
+    # lea rsi,[rip+disp] at 0x1000, a jmp over the island [0x1009,
+    # 0x1011), a ret at 0x1011: the reference counts only in the island
+    @pytest.mark.parametrize("target, count", [
+        (0x1009, 1), (0x1010, 1), (0x1011, 0), (0x1008, 0)],
+        ids=["first-byte", "last-byte", "past-end", "before-start"])
+    def test_rip_relative_at_block_edges(self, target, count):
+        disp = (target - 0x1007).to_bytes(4, "little", signed=True)
+        code = b"\x48\x8d\x35" + disp + b"\xeb\x08" + b"\xaa" * 8 + b"\xc3"
+        report = compute_superset(asm_image(code))
+        assert list(report.superset.pairs()) == [(0x1009, 0x1011)]
+        assert count_static_refs(report) == [count]
+
+    def test_moffs_absolute_reference(self):
+        # mov eax, [0x100c] (A1 moffs64); ret; the island [0x100a, 0x1012)
+        code = b"\xa1" + (0x100c).to_bytes(8, "little") + b"\xc3" + b"\xaa" * 8
+        report = compute_superset(asm_image(code))
+        assert list(report.superset.pairs()) == [(0x100a, 0x1012)]
+        assert count_static_refs(report) == [1]
+
+    def test_one_count_per_block_in_start_order(self):
+        # lea rsi,[rip+5] to the second of two islands, which a ret splits
+        code = (b"\x48\x8d\x35" + (5).to_bytes(4, "little")
+                + b"\xeb\x02" + b"\xaa\xaa" + b"\xc3" + b"\xaa" * 4)
+        report = compute_superset(asm_image(code))
+        assert list(report.superset.pairs()) == [(0x1009, 0x100b),
+                                                 (0x100c, 0x1010)]
+        assert count_static_refs(report) == [0, 1]
 
 
 def _report_with_blocks(counts):
-    superset = IntervalSet()
-    refs = {}
-    for i, count in enumerate(counts):
-        start = 0x1000 + i * 0x20
-        superset.add(start, start + 0x10)
-        refs[ByteInterval(start, start + 0x10)] = count
+    superset = IntervalSet.from_pairs(
+        (0x1000 + i * 0x20, 0x1010 + i * 0x20) for i in range(len(counts)))
 
     class R:
         pass
 
     r = R()
     r.superset = superset
-    return r, refs
+    return r, list(counts)
 
 
 class TestBuildLists:
@@ -119,9 +140,8 @@ class TestProtectBinary:
             lists = parse_xom_section(out)
             # independent recomputation of the report
             report = compute_superset(load_elf(data))
-            union = IntervalSet()
-            for b in lists.all_blocks():
-                union.add(b.interval.start, b.interval.end)
+            union = IntervalSet.from_pairs(
+                (b.interval.start, b.interval.end) for b in lists.all_blocks())
             assert union == report.superset
 
     def test_threshold_end_to_end(self):
