@@ -8,9 +8,10 @@ soundness-gate failure (compare).
 
 import argparse
 import functools
-import gc
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import build_corpus, load_ground_truth
-from .disasm import compute_superset
+from .disasm import collector_paused, compute_superset
 from .errors import PxomError
 from .image import executable_ranges, is_xom_enabled, load_elf, parse_xom_section
 from .monitor import new_monitor, parse_trace
@@ -38,10 +39,34 @@ def _base_report(command, path, data):
     }
 
 
+def _write_output(path, data):
+    """Write data to path in place; every command output goes through here.
+
+    The path is opened without O_TRUNC, and a regular file is cut at the
+    end of data afterwards.  On ext4, truncating a file that holds data
+    to length 0 frees its blocks at open and starts writeback at close
+    (`auto_da_alloc`): milliseconds per output when a command writes over
+    its previous output.  A cut to a non-zero length does neither.  The
+    inode, mode and hard links are kept and a symlink is written
+    through, as with O_TRUNC.  A failed write leaves a partly rewritten
+    file, as a failed truncate-then-write did.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _emit(report, out):
     text = json.dumps(report, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        _write_output(out, (text + "\n").encode())
     else:
         print(text)
 
@@ -51,11 +76,12 @@ def cmd_protect(args):
     image = load_elf(data)
     protected, report, lists = protect_image(image)
     output = Path(args.output)
-    output.write_bytes(protected.raw)
-    # the output runs wherever the input does; no mode bit is taken away
+    _write_output(output, protected.raw)
+    # the output runs wherever the input does; no mode bit is taken away,
+    # and a device or FIFO (-o /dev/null) keeps its mode
     mode = output.stat().st_mode
     wanted = mode | (Path(args.input).stat().st_mode & 0o111)
-    if wanted != mode:
+    if stat.S_ISREG(mode) and wanted != mode:
         output.chmod(wanted)
     blocks = len(lists.regular) + len(lists.optimization)
     oc = report.code.total_bytes / report.executable_total
@@ -76,7 +102,7 @@ def cmd_print(args):
 
 
 def cmd_analyze(args):
-    start = time.time()
+    start = time.perf_counter()
     # a bad ground-truth file fails before the disassembly, not after it
     gt_data = (load_ground_truth(args.ground_truth) if args.ground_truth
                else None)
@@ -100,14 +126,14 @@ def cmd_analyze(args):
         "entry_points": {
             src: sum(1 for ep in report.entry_points if ep.source == src)
             for src in sorted({ep.source for ep in report.entry_points})},
-        "seconds": time.time() - start,
+        "seconds": time.perf_counter() - start,
     })
     _emit(out, args.out)
     return 0
 
 
 def cmd_simulate(args):
-    start = time.time()
+    start = time.perf_counter()
     data = Path(args.input).read_bytes()
     image = load_elf(data)
     lists = parse_xom_section(image)
@@ -125,7 +151,7 @@ def cmd_simulate(args):
         "optimization_size": trace_report.optimization_size,
         "denial": _denial(trace_report.denial),
         "promoted": trace_report.promoted,
-        "seconds": time.time() - start,
+        "seconds": time.perf_counter() - start,
     })
     _emit(out, args.out)
     return 0
@@ -142,7 +168,7 @@ def _denial(denial):
 
 
 def cmd_scan(args):
-    start = time.time()
+    start = time.perf_counter()
     data = Path(args.input).read_bytes()
     image = load_elf(data)
     report = compute_superset(image)
@@ -154,7 +180,7 @@ def cmd_scan(args):
                      "instructions": g.instruction_count,
                      "terminator": g.terminator} for g in gadgets],
         "wrpkru": [{"vaddr": va, "where": label} for va, label in wrpkru],
-        "seconds": time.time() - start,
+        "seconds": time.perf_counter() - start,
     })
     _emit(out, args.out)
     return 0
@@ -236,17 +262,15 @@ def build_parser():
 def main(argv=None):
     """Run one pxom command with the cyclic garbage collector paused.
 
-    A command keeps one object per decoded instruction alive (hundreds
-    of thousands on libc), and the collector would rescan them again and
-    again while they pile up.  pxom builds no reference cycles (the CLI
-    tests assert `gc.collect() == 0` after every command), so reference
-    counting frees all of it.  The caller's collector state is restored.
+    See `collector_paused`: every command, not only the disassembly,
+    allocates one object per instruction or gadget, and none builds a
+    reference cycle (the CLI tests assert `gc.collect() == 0` after
+    every command).  The caller's collector state is restored.
     """
     args = build_parser().parse_args(argv)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except PxomError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
@@ -260,9 +284,6 @@ def main(argv=None):
         print("error: %s exited %d: %s" % (exc.cmd[0], exc.returncode, last),
               file=sys.stderr)
         return 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

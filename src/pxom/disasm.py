@@ -6,7 +6,9 @@ instructions.  A data byte can therefore never be classified as code;
 the price is that unreachable code stays readable.
 """
 
+import gc
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
 from struct import unpack_from
@@ -306,6 +308,25 @@ def _padded_prologues(padded, superset, exec_ranges):
     return targets
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector; restore the caller's state.
+
+    The disassembly keeps one instruction record per committed
+    instruction alive (261k on libc), and the collector would rescan
+    them again and again while they pile up.  pxom builds no reference
+    cycles, so reference counting frees all of it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@collector_paused()
 def compute_superset(image):
     """Partition the executable bytes into identified code and superset.
 
@@ -318,6 +339,8 @@ def compute_superset(image):
     traversal would follow that path to the same failure.  So a target
     that a later source or round proposes again would be rejected
     again, and each target is traversed at most once.
+
+    Runs with the cyclic garbage collector paused (`collector_paused`).
     """
     exec_ranges = executable_ranges(image)
     if not exec_ranges:

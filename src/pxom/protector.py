@@ -3,7 +3,7 @@
 from bisect import bisect_right
 
 from .blocks import EmbeddedDataBlock, XomLists
-from .disasm import compute_superset
+from .disasm import collector_paused, compute_superset
 from .image import attach_xom_section, load_elf, set_xom_flag
 
 STATIC_REF_THRESHOLD = 10    # blocks referenced more than this go optimization
@@ -57,5 +57,11 @@ def protect_image(image):
 
 
 def protect_binary(data):
-    protected, _report, _lists = protect_image(load_elf(data))
-    return protected.raw
+    """The protected ELF bytes of data.
+
+    Runs with the cyclic garbage collector paused, like
+    `compute_superset`, and resumes it only once the report's
+    instruction records are freed, so no collection scans them.
+    """
+    with collector_paused():
+        return protect_image(load_elf(data))[0].raw

@@ -1,10 +1,16 @@
 """The library API: `pxom.__all__` and the README's Library example."""
 
+import gc
 import re
 from pathlib import Path
 
+import pytest
+
 import pxom
+from pxom import disasm, protector
 from pxom.monitor import ALLOWED
+
+from conftest import exec_elf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +57,57 @@ def test_readme_example_runs_on_corpus_binary(corpus):
     protected, _report, lists = pxom.protect_image(pxom.load_elf(data))
     assert protected.raw == pxom.protect_binary(data)
     assert lists == namespace["lists"]
+
+
+class TestCollectorPaused:
+    """`compute_superset` and `protect_binary` run with the cyclic
+    collector off for library callers too, and give the caller back the
+    state it had, also when they raise."""
+
+    # each entry point and a stage it runs: the disassembly's traversal,
+    # and the static-ref count that follows it in protect_binary
+    ENTRY_POINTS = {
+        "compute_superset": (
+            lambda data: pxom.compute_superset(pxom.load_elf(data)),
+            disasm, "_traverse"),
+        "protect_binary": (pxom.protect_binary, protector,
+                           "count_static_refs"),
+    }
+
+    def call(self, monkeypatch, entry, effect=lambda: None):
+        """The entry point on a ret-only image, and the collector state
+        its stage saw."""
+        call, module, stage = self.ENTRY_POINTS[entry]
+        original = getattr(module, stage)
+        seen = []
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            effect()
+            return original(*args)
+
+        monkeypatch.setattr(module, stage, recording)
+        call(exec_elf(b"\x90\x90\xc3"))
+        return seen
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_off_inside_and_restored(self, monkeypatch, entry, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            seen = self.call(monkeypatch, entry)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_restored_when_the_call_raises(self, monkeypatch, entry):
+        def boom():
+            raise RuntimeError("boom")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="boom"):
+            self.call(monkeypatch, entry, boom)
+        assert gc.isenabled()

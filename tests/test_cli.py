@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import struct
+import threading
 import time
 
 import pytest
@@ -477,3 +478,152 @@ class TestCollectorPaused:
         with pytest.raises(RuntimeError, match="boom"):
             self.run_print(monkeypatch, tmp_path, boom, seen)
         assert seen == [False] and gc.isenabled()
+
+
+OUTPUT_COMMANDS = ["protect", "analyze", "scan", "compare", "simulate"]
+
+
+class TestOutputWrite:
+    """Every command writes its output file in place, opened without
+    O_TRUNC and cut at the end of what was written; the result is the
+    output a fresh path gets."""
+
+    def run(self, capsys, tmp_path, entry, command, out):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("R 1000 1\nI 100\n")
+        protected = tmp_path / "input.xom"
+        if command == "simulate" and not protected.exists():
+            assert main(["protect", "-i", str(entry.binary),
+                         "-o", str(protected)]) == 0
+        argv = {
+            "protect": ["protect", "-i", entry.binary, "-o", out],
+            "analyze": ["analyze", "-i", entry.binary,
+                        "--ground-truth", entry.ground_truth, "--out", out],
+            "scan": ["scan", "-i", entry.binary, "--out", out],
+            "compare": ["compare", "-i", entry.binary,
+                        "--ground-truth", entry.ground_truth, "--out", out],
+            "simulate": ["simulate", "-i", protected, "--trace", trace,
+                         "--out", out],
+        }[command]
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.err
+
+    def contents(self, command, path):
+        """The bytes of a protected binary; a report as one exact JSON
+        line, without its `seconds`, which differs between runs."""
+        data = path.read_bytes()
+        if command == "protect":
+            return data
+        report = json.loads(data)
+        assert data == json.dumps(report, sort_keys=True).encode() + b"\n"
+        report.pop("seconds", None)
+        return report
+
+    def fresh(self, capsys, tmp_path, entry, command):
+        out = tmp_path / "fresh.out"
+        assert self.run(capsys, tmp_path, entry, command, out)[0] == 0
+        return out
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_longer_output_replaced_with_no_stale_tail(
+            self, capsys, tmp_path, corpus, command):
+        fresh = self.fresh(capsys, tmp_path, corpus[0], command)
+        out = tmp_path / "stale.out"
+        out.write_bytes(b"\xaa" * (3 * fresh.stat().st_size))
+        assert self.run(capsys, tmp_path, corpus[0], command, out)[0] == 0
+        assert self.contents(command, out) == self.contents(command, fresh)
+
+    def test_short_writes_are_continued(self, capsys, monkeypatch,
+                                        tmp_path, corpus):
+        fresh = self.fresh(capsys, tmp_path, corpus[0], "protect")
+        write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: write(fd, data[:4096]))
+        out = tmp_path / "out"
+        assert self.run(capsys, tmp_path, corpus[0], "protect", out)[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_inode_and_hard_links_kept(self, capsys, tmp_path, corpus,
+                                       command):
+        fresh = self.fresh(capsys, tmp_path, corpus[0], command)
+        out = tmp_path / "out"
+        out.write_bytes(b"\xaa" * (3 * fresh.stat().st_size))
+        link = tmp_path / "link"
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert self.run(capsys, tmp_path, corpus[0], command, out)[0] == 0
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == out.read_bytes()
+        assert self.contents(command, link) == self.contents(command, fresh)
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_symlink_written_through(self, capsys, tmp_path, corpus,
+                                     command):
+        fresh = self.fresh(capsys, tmp_path, corpus[0], command)
+        target = tmp_path / "target"
+        target.write_bytes(b"\xaa" * (3 * fresh.stat().st_size))
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert self.run(capsys, tmp_path, corpus[0], command, link)[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert self.contents(command, target) == self.contents(command,
+                                                                fresh)
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS[1:])
+    def test_dev_null(self, capsys, tmp_path, corpus, command):
+        assert self.run(capsys, tmp_path, corpus[0], command,
+                        os.devnull) == (0, "")
+
+    def test_protect_into_fifo_keeps_its_mode(self, capsys, tmp_path,
+                                              corpus):
+        # a FIFO is neither truncated (ftruncate fails on one) nor given
+        # the input's execute bits
+        fresh = self.fresh(capsys, tmp_path, corpus[0], "protect")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo, 0o600)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code, err = self.run(capsys, tmp_path, corpus[0], "protect",
+                                 fifo)
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert (code, err) == (0, "")
+        assert received == [fresh.read_bytes()]
+        assert stat.S_IMODE(fifo.stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+    def test_missing_directory_is_an_error(self, capsys, tmp_path, corpus,
+                                           command):
+        missing = tmp_path / "missing"
+        code, err = self.run(capsys, tmp_path, corpus[0], command,
+                             missing / "out")
+        assert code == 1 and err.startswith("error: ")
+        assert not missing.exists()
+
+
+class TestSecondsClock:
+    @pytest.mark.parametrize("command", ["analyze", "scan", "simulate"])
+    def test_wall_clock_step_back(self, capsys, monkeypatch, tmp_path,
+                                  corpus, protected, command):
+        # the wall clock steps back one hour after its first reading
+        wall = time.time
+        readings = []
+
+        def stepping():
+            readings.append(None)
+            return wall() - (3600 if len(readings) > 1 else 0)
+
+        monkeypatch.setattr(time, "time", stepping)
+        trace = tmp_path / "trace.txt"
+        trace.write_text("R 1000 1\nI 100\n")
+        argv = {"analyze": ["-i", str(corpus[0].binary)],
+                "scan": ["-i", str(corpus[0].binary)],
+                "simulate": ["-i", str(protected), "--trace", str(trace)]}
+        code, out, _ = run_cli(capsys, command, *argv[command])
+        assert code == 0 and json.loads(out)["seconds"] >= 0
