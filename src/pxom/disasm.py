@@ -29,8 +29,6 @@ _PROLOGUE_PATTERNS = (
     b"\x48\x81\xec",          # sub rsp, imm32
 )
 
-_PAD_BYTES = frozenset((0x90, 0xCC))
-
 _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 
@@ -62,9 +60,10 @@ def _traverse(image, entry, superset, committed):
     link resolves an undefined weak function to 0, and the code calls it
     only behind a null test.  Any invalid decode, or reaching a byte
     outside the superset anywhere else (mid-way into committed code, or
-    off the executable range), fails the whole traversal (ok=False).
-    Returns (stretches, insns, ok), where the (start, end) pairs of
-    stretches cover exactly the instructions in insns.
+    off the executable range), fails the whole traversal: the walk stops
+    there and returns None.  Otherwise it returns (stretches, insns),
+    where the (start, end) pairs of stretches cover exactly the
+    instructions in insns.
 
     The superset does not change while a traversal runs, so the walk
     keeps the run [lo, hi) of superset and executable bytes it is in,
@@ -76,7 +75,6 @@ def _traverse(image, entry, superset, committed):
     insns = {}
     stretches = []
     stack = [entry]
-    ok = True
     decode = x86.decode
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
@@ -88,7 +86,7 @@ def _traverse(image, entry, superset, committed):
                 run = superset.run_at(va)
                 if run is None:
                     if va and va not in committed:
-                        ok = False
+                        return None
                     break
                 base, buf = image.code_at(va)
                 lo = max(run[0], base)
@@ -96,8 +94,7 @@ def _traverse(image, entry, superset, committed):
                 limit = hi - base
             ins = decode(buf, va - base, va, limit)
             if ins is None:
-                ok = False
-                break
+                return None
             insns[va] = ins
             length, kind, target, _, _, _, _ = ins
             va += length
@@ -112,38 +109,29 @@ def _traverse(image, entry, superset, committed):
                 stack.append(target)
         if va != start:
             stretches.append((start, va))
-    return stretches, insns, ok
+    return stretches, insns
 
 
 def _finders(image):
     """Source name -> targets(superset, instructions), the source's
     candidate addresses, sorted.  The sources that read only the image
-    find theirs here, once, and return the same list every time; the
-    heuristic finds its prologue candidates here too, and each call keeps
-    those that the superset makes targets."""
+    find theirs here, once, and return the same list every time."""
     exec_ranges = executable_ranges(image)
     # load_elf keeps a nonzero entry inside the executable ranges
     program_entry = [image.entry_point] if image.entry_point else []
     frame_unwind = sorted(set(_frame_unwind_targets(image, exec_ranges)))
     address_taken = sorted(set(_address_taken_targets(image, exec_ranges)))
-    prologues, padded = _prologue_starts(image, exec_ranges)
-    prologue_ends = [va + 1 for va in prologues]
+    heuristic = _prologue_starts(image, exec_ranges)
 
     def jump_table(superset, instructions):
         return sorted(set(_jump_table_targets(image, exec_ranges, superset,
                                               instructions)))
 
-    def heuristic(superset, instructions):
-        aligned = compress(prologues,
-                           superset.contains_each(prologues, prologue_ends))
-        return sorted({*aligned,
-                       *_padded_prologues(padded, superset, exec_ranges)})
-
     return {"program_entry": lambda *_: program_entry,
             "jump_table": jump_table,
             "frame_unwind": lambda *_: frame_unwind,
             "address_taken": lambda *_: address_taken,
-            "heuristic": heuristic}
+            "heuristic": lambda *_: heuristic}
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -151,9 +139,7 @@ def detect_entry_points(image, superset, known_code, instructions):
 
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
-    the committed ones, where the jump-table finder looks for tables.
-    The heuristic counts every executable byte outside the superset as
-    code, whatever known_code holds."""
+    the committed ones, where the jump-table finder looks for tables."""
     finders = _finders(image)
     found = {}
     for source in SOURCE_ORDER:
@@ -269,43 +255,18 @@ def _words(data, first, stride, code="Q"):
 
 
 def _prologue_starts(image, exec_ranges):
-    """The image's prologue pattern starts that have 4 bytes inside
-    their range of exec_ranges, as (aligned, padded): aligned, the sorted
-    16-aligned ones; padded, a (pad, va) pair for each one at va right
-    after a 90/CC byte, sorted by va, where pad starts that byte's run
-    of 90/CC bytes."""
-    aligned = set()
-    padded = {}
+    """The image's 16-aligned prologue pattern starts that have 4 bytes
+    inside their range of exec_ranges, sorted."""
+    starts = set()
     for iv in exec_ranges:
         base, buf = image.code_at(iv.start)
         for pattern in _PROLOGUE_PATTERNS:
             pos = buf.find(pattern)
             while pos >= 0:
-                if pos + 4 <= len(buf):
-                    if (base + pos) % 16 == 0:
-                        aligned.add(base + pos)
-                    pad = pos
-                    while pad and buf[pad - 1] in _PAD_BYTES:
-                        pad -= 1
-                    if pad < pos:
-                        padded[base + pos] = base + pad
+                if pos + 4 <= len(buf) and (base + pos) % 16 == 0:
+                    starts.add(base + pos)
                 pos = buf.find(pattern, pos + 1)
-    return sorted(aligned), [(padded[va], va) for va in sorted(padded)]
-
-
-def _padded_prologues(padded, superset, exec_ranges):
-    """Prologues right after the int3/nop padding that starts a superset
-    block and follows committed code: each va of padded's (pad, va)
-    pairs whose superset block starts in [pad, va), right after an
-    executable byte: the byte before a superset block is never in the
-    superset, so an executable one is committed code."""
-    targets = []
-    for pad, va in padded:
-        run = superset.run_at(va)
-        if (run is not None and pad <= run[0] < va
-                and exec_ranges.contains_range(run[0] - 1, 1)):
-            targets.append(va)
-    return targets
+    return sorted(starts)
 
 
 @contextmanager
@@ -360,9 +321,9 @@ def compute_superset(image):
                 if va in traversed or not superset.contains_range(va, 1):
                     continue
                 traversed.add(va)
-                stretches, insns, ok = _traverse(image, va, superset,
-                                                 instructions)
-                if ok:
+                result = _traverse(image, va, superset, instructions)
+                if result is not None:
+                    stretches, insns = result
                     for start, end in stretches:
                         superset.remove(start, end)
                     claimed += stretches

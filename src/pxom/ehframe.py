@@ -69,7 +69,10 @@ def _read_encoded(data, pos, encoding, pc):
 
 
 def fde_initial_locations(data, section_vaddr):
-    """Yield the pc_begin of every FDE in a .eh_frame blob."""
+    """The pc_begin of every FDE in a .eh_frame blob, as a list.
+
+    An FDE is skipped when its CIE pointer names no CIE record before
+    it, or a CIE that could not be parsed."""
     locations = []
     cie_encodings = {}
     pos = 0
@@ -96,8 +99,7 @@ def fde_initial_locations(data, section_vaddr):
             except (ValueError, IndexError):
                 cie_encodings[record_start] = None
         else:
-            cie_offset = pos - cie_id
-            encoding = cie_encodings.get(cie_offset, DW_EH_PE_absptr)
+            encoding = cie_encodings.get(pos - cie_id)
             if encoding is not None and encoding != DW_EH_PE_omit:
                 try:
                     value, _ = _read_encoded(data, body, encoding,

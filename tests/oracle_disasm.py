@@ -22,7 +22,8 @@ ends only its own path.
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
 round, where `disasm` finds the aligned prologues of the whole image
-once per `compute_superset` call and keeps those still in the superset.
+once per `compute_superset` call, and `compute_superset` skips those no
+longer in the superset.
 
 `reference_address_taken_targets` reads and checks the address_taken
 source's 8-byte values one at a time, where `disasm` unpacks each
@@ -37,7 +38,7 @@ only the searches differ.
 
 from pxom import x86
 from pxom.disasm import (_JUMP_TABLE_MAX_ENTRIES, _JUMP_TABLE_WINDOW,
-                         _PAD_BYTES, _PROLOGUE_PATTERNS, SOURCE_ORDER,
+                         _PROLOGUE_PATTERNS, SOURCE_ORDER,
                          DisassemblyReport, EntryPoint,
                          _frame_unwind_targets, _rel32_table)
 from pxom.errors import NoExecutableCode
@@ -89,7 +90,7 @@ def reference_compute_superset(image):
                    "jump_table": sorted(set(reference_jump_table_targets(
                        image, superset, instructions))),
                    "heuristic": sorted(set(reference_heuristic_targets(
-                       image, superset, code)))}
+                       image, superset)))}
         found = {}
         for source in SOURCE_ORDER:
             for va in targets.get(source, ()):
@@ -160,10 +161,9 @@ def reference_union(insns):
     return IntervalSet.from_pairs(runs)
 
 
-def reference_heuristic_targets(image, superset, known_code):
+def reference_heuristic_targets(image, superset):
     """Targets of the heuristic source, found by one scan per superset
-    block and pattern for 16-aligned prologues, then by the padding
-    check, in the order found."""
+    block and pattern for 16-aligned prologues, in the order found."""
     targets = []
     for iv in superset:
         # a 16-aligned prologue starting in iv; it may run past iv.end,
@@ -178,24 +178,7 @@ def reference_heuristic_targets(image, superset, known_code):
                     if (base + pos) % 16 == 0 and pos + 4 <= len(buf):
                         targets.append(base + pos)
                     pos = buf.find(pattern, pos + 1, stop)
-        # entry right after int3/nop padding that follows committed code
-        if known_code.contains_range(iv.start - 1, 1):
-            va = iv.start
-            while va < iv.end:
-                raw = image.read_vaddr(va, 1)
-                if raw is None or raw[0] not in _PAD_BYTES:
-                    break
-                va += 1
-            if va < iv.end and va > iv.start and _matches_prologue(image, va):
-                targets.append(va)
     return targets
-
-
-def _matches_prologue(image, va):
-    raw = image.read_vaddr(va, 4)
-    if raw is None:
-        return False
-    return any(raw.startswith(p) for p in _PROLOGUE_PATTERNS)
 
 
 def reference_address_taken_targets(image):

@@ -70,8 +70,8 @@ class TestDecodeAt:
 
 def traverse_fresh(code, superset=None):
     """_traverse from 0x1000 over an image of code, with nothing
-    committed, and the IntervalSet its stretches cover; the superset
-    defaults to its executable range."""
+    committed, through claimed_set; the superset defaults to its
+    executable range."""
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
@@ -88,50 +88,80 @@ def executable_less(image, superset):
 
 def claimed_set(result):
     """A _traverse result with its stretches as the IntervalSet they
-    cover."""
-    stretches, insns, ok = result
-    return IntervalSet.from_pairs(stretches), insns, ok
+    cover, or None for a failed traversal."""
+    if result is None:
+        return None
+    stretches, insns = result
+    return IntervalSet.from_pairs(stretches), insns
+
+
+def strict_reference(image, va, superset, committed):
+    """The strict reference traversal in claimed_set's form: None where
+    it fails, (claimed, insns) where it succeeds."""
+    claimed, insns, ok = reference_traverse(image, va, superset, committed,
+                                            strict=True)
+    return (claimed, insns) if ok else None
 
 
 class TestRecursiveDisassemble:
     """Recursive traversal from one entry, through `_traverse`."""
 
     def test_single_ret(self):
-        claimed, _, ok = traverse_fresh(b"\xc3")
-        assert ok and [(iv.start, iv.end) for iv in claimed] == \
+        claimed, _ = traverse_fresh(b"\xc3")
+        assert [(iv.start, iv.end) for iv in claimed] == \
             [(0x1000, 0x1001)]
 
     def test_jump_over_data(self):
-        claimed, _, ok = traverse_fresh(b"\xeb\x02\xde\xad\xc3")
-        assert ok and [(iv.start, iv.end) for iv in claimed] == \
+        claimed, _ = traverse_fresh(b"\xeb\x02\xde\xad\xc3")
+        assert [(iv.start, iv.end) for iv in claimed] == \
             [(0x1000, 0x1002), (0x1004, 0x1005)]
 
     def test_entry_not_in_superset(self):
         superset = IntervalSet.from_pairs([(0x1001, 0x1002)])
-        claimed, insns, ok = traverse_fresh(b"\xc3\xc3", superset)
-        assert not ok and not insns and claimed.total_bytes == 0
+        assert traverse_fresh(b"\xc3\xc3", superset) is None
 
     def test_conditional_covers_both_arms(self):
         # jz +1; nop; ret
-        claimed, _, ok = traverse_fresh(b"\x74\x01\x90\xc3")
-        assert ok and claimed.total_bytes == 4
+        claimed, _ = traverse_fresh(b"\x74\x01\x90\xc3")
+        assert claimed.total_bytes == 4
 
     def test_stops_at_indirect_jump(self):
-        claimed, _, ok = traverse_fresh(b"\xff\xe0\xde\xad")
-        assert ok and claimed.total_bytes == 2
+        claimed, _ = traverse_fresh(b"\xff\xe0\xde\xad")
+        assert claimed.total_bytes == 2
 
     def test_call_to_zero_ends_its_path(self):
         # call 0 (an undefined weak function); ret
         rel = (0 - 0x1005).to_bytes(4, "little", signed=True)
-        claimed, insns, ok = traverse_fresh(b"\xe8" + rel + b"\xc3")
-        assert ok and sorted(insns) == [0x1000, 0x1005]
+        claimed, insns = traverse_fresh(b"\xe8" + rel + b"\xc3")
+        assert sorted(insns) == [0x1000, 0x1005]
         assert claimed.total_bytes == 6
 
     def test_invalid_decode_fails_traversal(self):
         # call +1 reaches a ret; the fall-through hits an invalid byte,
         # which fails the whole traversal, not only its path
-        _, insns, ok = traverse_fresh(b"\xe8\x01\x00\x00\x00\x06\xc3")
-        assert not ok and sorted(insns) == [0x1000, 0x1006]
+        assert traverse_fresh(b"\xe8\x01\x00\x00\x00\x06\xc3") is None
+
+    def test_stops_at_first_failure(self, monkeypatch):
+        # call 0x1100; an invalid byte; at 0x1100, 200 nops and a ret:
+        # the fall-through fails first, and the callee is never decoded
+        rel = (0x1100 - 0x1005).to_bytes(4, "little", signed=True)
+        code = (b"\xe8" + rel + b"\x06").ljust(0x100, b"\xcc")
+        decodes = count_decodes(monkeypatch)
+        assert traverse_fresh(code + b"\x90" * 200 + b"\xc3") is None
+        assert decodes == [0x1000, 0x1005]
+
+
+def count_decodes(monkeypatch):
+    """The vaddr of every later x86.decode call, in call order."""
+    decode = x86.decode
+    seen = []
+
+    def counting(buf, off, va, *limit):
+        seen.append(va)
+        return decode(buf, off, va, *limit)
+
+    monkeypatch.setattr(x86, "decode", counting)
+    return seen
 
 
 class TestComputeSuperset:
@@ -201,6 +231,26 @@ class TestComputeSuperset:
                 assert report.entry_points == [
                     EntryPoint(0x1000, "program_entry")]
 
+    def test_failed_traversals_stop_at_their_failure(self, monkeypatch):
+        # a fan: n 16-aligned entries, each push rbp; mov rbp, rsp;
+        # call g; an invalid byte, placed before a chain g of m
+        # functions, each call next; ret.  Every entry fails at its
+        # invalid byte before it reaches g, so the decodes grow with
+        # n + m, not with n * m
+        n = m = 200
+        g = 0x1000 + 16 * n
+        code = bytearray()
+        for k in range(n):
+            rel = g - (0x1000 + 16 * k + 9)
+            code += (b"\x55\x48\x89\xe5\xe8"
+                     + rel.to_bytes(4, "little", signed=True)
+                     + b"\x06").ljust(16, b"\xcc")
+        code += b"\xe8\x01\x00\x00\x00\xc3" * (m - 1) + b"\xc3"
+        decodes = count_decodes(monkeypatch)
+        report = compute_superset(image_of(bytes(code)))
+        assert report.entry_points == [] and report.code.total_bytes == 0
+        assert len(decodes) <= 4 * (n + m)
+
     def test_deterministic(self, corpus):
         data = corpus[0].binary.read_bytes()
         r1 = compute_superset(load_elf(data))
@@ -245,8 +295,8 @@ class TestComputeSuperset:
 
 class TestHeuristicSource:
     def test_equals_per_block_scan_every_round(self, monkeypatch, corpus):
-        # the finder keeps the image's aligned prologues that are still
-        # in the superset; each round, that must equal a scan of every
+        # the finder returns the image's aligned prologues every round;
+        # those still in the superset must equal a scan of every
         # superset block
         datas = [e.binary.read_bytes() for e in corpus]
         if os.path.exists(LS):
@@ -259,11 +309,12 @@ class TestHeuristicSource:
             heuristic = table["heuristic"]
 
             def checked(superset, instructions):
-                code = executable_less(image, superset)
                 targets = heuristic(superset, instructions)
-                assert targets == sorted(set(reference_heuristic_targets(
-                    image, superset, code)))
-                found.append(len(targets))
+                kept = [va for va in targets
+                        if superset.contains_range(va, 1)]
+                assert kept == sorted(set(reference_heuristic_targets(
+                    image, superset)))
+                found.append(len(kept))
                 return targets
             return {**table, "heuristic": checked}
 
@@ -271,31 +322,6 @@ class TestHeuristicSource:
         for data in datas:
             compute_superset(load_elf(data))
         assert len(found) >= 2 * len(datas) and any(found)
-
-    # code at 0x1000, its program entry, and the padded prologue that
-    # the heuristic must find
-    @pytest.mark.parametrize("code, entry, target", [
-        # ret, int3 padding, an unaligned prologue
-        (b"\xc3\xcc\xcc\xcc\x55\x48\x89\xe5\x5d\xc3", 0x1000, 0x1004),
-        # nop; int3 claims the first pad bytes: the run starts in code
-        (b"\x90\xcc\xcc\xcc\x48\x83\xec\x08\xc3", 0x1000, 0x1004),
-        # the padding follows no committed code
-        (b"\x90\x90\x55\x48\x89\xe5\x5d\xc3", 0, None),
-        # a data byte between the ret and the padding
-        (b"\xc3\xaa\x90\x90\x55\x48\x89\xe5\x5d\xc3", 0x1000, None),
-        # the prologue needs 4 bytes inside the executable range
-        (b"\xc3\x90\x48\x83\xec", 0x1000, None),
-        # no padding at all
-        (b"\xc3\x55\x48\x89\xe5\x5d\xc3", 0x1000, None),
-    ], ids=["int3", "run-starts-in-code", "no-code-before", "data-first",
-            "cut-off", "no-pad"])
-    def test_padded_prologue(self, code, entry, target):
-        data = exec_elf(code, entry=entry)
-        report = compute_superset(load_elf(data))
-        assert report == reference_compute_superset(load_elf(data))
-        found = [ep.vaddr for ep in report.entry_points
-                 if ep.source == "heuristic"]
-        assert found == ([] if target is None else [target])
 
 
 class TestEntryPointDetection:
@@ -450,7 +476,8 @@ def union_of(insns):
 def check_traversals(image, starts_per_superset=200):
     """_traverse claims exactly its instructions and matches the strict
     reference: from the entry points of a fresh superset, and from the
-    block starts of the superset left after compute_superset."""
+    block starts of the superset left after compute_superset.  Returns
+    the set of outcomes, True where a traversal succeeds."""
     fresh = executable_ranges(image)
     report = compute_superset(image)
     outcomes = set()
@@ -460,12 +487,13 @@ def check_traversals(image, starts_per_superset=200):
             (report.superset, report.instructions,
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            claimed, insns, ok = claimed_set(
-                _traverse(image, va, superset, committed))
-            assert claimed == union_of(insns)
-            assert (claimed, insns, ok) == reference_traverse(
-                image, va, superset, committed, strict=True)
-            outcomes.add(ok)
+            result = claimed_set(_traverse(image, va, superset, committed))
+            assert result == strict_reference(image, va, superset,
+                                              committed)
+            if result is not None:
+                claimed, insns = result
+                assert claimed == union_of(insns)
+            outcomes.add(result is not None)
     return outcomes
 
 
@@ -494,56 +522,54 @@ class TestTraverse:
             report = compute_superset(image)
             for iv in list(report.superset)[:100]:
                 for va in range(iv.start, min(iv.end, iv.start + 4)):
-                    if _traverse(image, va, fresh, {})[2]:
+                    if _traverse(image, va, fresh, {}) is not None:
                         continue
                     failed += 1
-                    assert not _traverse(image, va, report.superset,
-                                         report.instructions)[2]
+                    assert _traverse(image, va, report.superset,
+                                     report.instructions) is None
         assert failed
 
     def test_strict_fails_mid_committed_instruction(self):
         # 0x1003 starts a committed 2-byte jmp: jz +1 lands on its start,
         # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
-        for jz, strict_ok in ((b"\x74\x01", True), (b"\x74\x02", False)):
-            image = image_of(jz + b"\x90\xeb\xfe\xc3")
-            _, insns, ok = _traverse(image, 0x1000, superset, {0x1003})
-            assert sorted(insns) == [0x1000, 0x1002]
-            assert ok == strict_ok
+        image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
+        _, insns = _traverse(image, 0x1000, superset, {0x1003})
+        assert sorted(insns) == [0x1000, 0x1002]
+        image = image_of(b"\x74\x02\x90\xeb\xfe\xc3")
+        assert _traverse(image, 0x1000, superset, {0x1003}) is None
 
     # code at 0x1000; superset runs; committed starts; instruction starts
-    # claimed; strict outcome
-    @pytest.mark.parametrize("code, runs, committed, starts, strict_ok", [
+    # claimed, or None where the traversal fails
+    @pytest.mark.parametrize("code, runs, committed, starts", [
         # mov rbp, rsp at 0x1002 straddles the run end at 0x1003
-        (b"\x90\x90\x48\x89\xe5\xc3", [(0x1000, 0x1003)], (),
-         [0x1000, 0x1001], False),
+        (b"\x90\x90\x48\x89\xe5\xc3", [(0x1000, 0x1003)], (), None),
         # jmp +2 from one run to the next, over two bytes outside both
         (b"\xeb\x02\xde\xad\x90\xc3", [(0x1000, 0x1002), (0x1004, 0x1006)],
-         (), [0x1000, 0x1004, 0x1005], True),
+         (), [0x1000, 0x1004, 0x1005]),
         # jz +1 and its fall-through reach a committed start
         (b"\x74\x01\x90\xeb\xfe\xc3", [(0x1000, 0x1003)], (0x1003,),
-         [0x1000, 0x1002], True),
+         [0x1000, 0x1002]),
         # jz +2 lands in the middle of a committed instruction
-        (b"\x74\x02\x90\xeb\xfe\xc3", [(0x1000, 0x1003)], (0x1003,),
-         [0x1000, 0x1002], False),
+        (b"\x74\x02\x90\xeb\xfe\xc3", [(0x1000, 0x1003)], (0x1003,), None),
         # falls through past the end of the executable range
-        (b"\x90\x90", None, (), [0x1000, 0x1001], False),
+        (b"\x90\x90", None, (), None),
         # mov rbp, rsp cut off by the end of the executable range
-        (b"\x90\x48\x89", None, (), [0x1000], False),
+        (b"\x90\x48\x89", None, (), None),
     ], ids=["straddles-run-end", "run-to-run", "committed-start",
             "mid-committed", "off-exec-range", "cut-by-exec-end"])
-    def test_edges_match_reference(self, code, runs, committed, starts,
-                                   strict_ok):
+    def test_edges_match_reference(self, code, runs, committed, starts):
         image = image_of(code)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
         result = claimed_set(_traverse(image, 0x1000, superset,
                                        set(committed)))
-        assert result == reference_traverse(image, 0x1000, superset,
-                                            set(committed), strict=True)
-        claimed, insns, ok = result
-        assert sorted(insns) == starts
-        assert ok == strict_ok
+        assert result == strict_reference(image, 0x1000, superset,
+                                          set(committed))
+        if starts is None:
+            assert result is None
+        else:
+            assert sorted(result[1]) == starts
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
@@ -553,7 +579,7 @@ class TestTraverse:
         reports = [compute_superset(load_elf(d)) for d in datas]
         def traverse(*args):
             claimed, insns, ok = reference_traverse(*args, strict=True)
-            return list(claimed.pairs()), insns, ok
+            return (list(claimed.pairs()), insns) if ok else None
 
         monkeypatch.setattr(disasm, "_traverse", traverse)
         for data, report in zip(datas, reports):

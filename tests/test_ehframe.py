@@ -1,0 +1,109 @@
+"""`fde_initial_locations` on hand-built .eh_frame blobs.
+
+Each blob is built record by record: a CIE with version 1, code
+alignment 1, data alignment -8 and return-address register 16, and FDEs
+whose CIE pointer and pc_begin the builder computes from their offsets.
+"""
+
+import struct
+
+import pytest
+
+from pxom.ehframe import (DW_EH_PE_absptr, DW_EH_PE_pcrel, DW_EH_PE_sdata4,
+                          fde_initial_locations)
+
+VADDR = 0x2000                  # the section's vaddr
+PCREL_SDATA4 = DW_EH_PE_pcrel | DW_EH_PE_sdata4
+
+
+def append(data, payload, extended=False):
+    """Append one record to data: a 4-byte length, or the 64-bit length
+    escape, then payload(pos), where pos is the offset of the payload's
+    first byte.  Returns the record's offset."""
+    start = len(data)
+    body = payload(start + (12 if extended else 4))
+    if extended:
+        data += struct.pack("<IQ", 0xFFFFFFFF, len(body))
+    else:
+        data += struct.pack("<I", len(body))
+    data += body
+    return start
+
+
+def cie(data, augmentation=b"zR", encoding=PCREL_SDATA4, extended=False):
+    """Append a CIE; with a "z" augmentation, its augmentation data is
+    the FDE pointer encoding."""
+    body = b"\x00" * 4 + b"\x01" + augmentation + b"\x00\x01\x78\x10"
+    if augmentation.startswith(b"z"):
+        body += b"\x01" + bytes([encoding])
+    return append(data, lambda pos: body, extended)
+
+
+def fde(data, cie_start, target, encoding=PCREL_SDATA4, extended=False):
+    """Append an FDE for target whose CIE pointer names cie_start."""
+    def payload(pos):
+        if encoding == PCREL_SDATA4:
+            pc_begin = struct.pack("<i", target - (VADDR + pos + 4))
+        else:
+            pc_begin = struct.pack("<Q", target)
+        return (struct.pack("<I", (pos - cie_start) & 0xFFFFFFFF)
+                + pc_begin + struct.pack("<I", 0x10) + b"\x00")
+    return append(data, payload, extended)
+
+
+def test_pcrel_sdata4():
+    # targets on both sides of the section
+    data = bytearray()
+    c = cie(data)
+    fde(data, c, 0x5678)
+    fde(data, c, 0x1000)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x5678, 0x1000]
+
+
+def test_no_augmentation_is_absptr():
+    data = bytearray()
+    c = cie(data, augmentation=b"")
+    fde(data, c, 0x401000, encoding=DW_EH_PE_absptr)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x401000]
+
+
+def test_64_bit_length_escape():
+    data = bytearray()
+    c = cie(data, extended=True)
+    fde(data, c, 0x1234, extended=True)
+    fde(data, c, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x1234, 0x5678]
+
+
+def test_zero_terminator_ends_the_blob():
+    data = bytearray()
+    c = cie(data)
+    fde(data, c, 0x1234)
+    data += b"\x00" * 4
+    fde(data, c, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x1234]
+
+
+def test_fde_of_unparsable_cie_is_skipped():
+    # a "zP" CIE whose personality encoding (5) is unsupported
+    data = bytearray()
+    bad = append(data, lambda pos: b"\x00" * 4 + b"\x01zP\x00\x01\x78\x10"
+                 b"\x02\x05\x00")
+    fde(data, bad, 0x1234)
+    good = cie(data)
+    fde(data, good, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x5678]
+
+
+@pytest.mark.parametrize("names", ["mid-cie", "fde", "after", "before-blob"])
+def test_fde_naming_no_cie_is_skipped(names):
+    # the pointer names a byte inside the CIE, another FDE, a record
+    # after it, or an offset before the blob: none is a CIE, so the
+    # FDE's 8 bytes must not be read as an absptr pc_begin
+    data = bytearray()
+    c = cie(data)
+    first = fde(data, c, 0x1111)
+    cie_start = {"mid-cie": c + 1, "fde": first,
+                 "after": len(data) + 32, "before-blob": -16}[names]
+    fde(data, cie_start, 0x2222, encoding=DW_EH_PE_absptr)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x1111]
