@@ -8,7 +8,7 @@ section, so stock loaders keep working.
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import attrgetter, ge
@@ -36,6 +36,7 @@ PF_X = 1
 SHT_PROGBITS = 1
 SHT_SYMTAB = 2
 SHT_STRTAB = 3
+SHN_LORESERVE = 0xFF00       # e_shnum and e_shstrndx escape at and above
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,8 @@ class BinaryImage:
     entry_point: int
     sections: tuple
     segments: tuple
-    shoff: int
-    shnum: int
-    shstrndx: int
+    shdrs: tuple        # the section headers' 10 fields, in file order
+    shstrndx: int       # 0 (SHN_UNDEF) unless it names a header in shdrs
 
     def section_by_name(self, name):
         for sec in self.sections:
@@ -165,23 +165,26 @@ def load_elf(data):
     _check_code_segments_disjoint(segments)
 
     sections = []
+    shdrs = ()
+    if not e_shstrndx < e_shnum:
+        e_shstrndx = 0
     if e_shnum:
         if e_shentsize < _SHDR.size or e_shoff + e_shnum * e_shentsize > len(data):
             raise Malformed("section header table out of bounds")
-        raw_shdrs = [_SHDR.unpack_from(data, e_shoff + i * e_shentsize)
-                     for i in range(e_shnum)]
+        shdrs = tuple(_SHDR.unpack_from(data, e_shoff + i * e_shentsize)
+                      for i in range(e_shnum))
         names = {}
-        if e_shstrndx < e_shnum:
-            stroff, strsize = raw_shdrs[e_shstrndx][4], raw_shdrs[e_shstrndx][5]
+        if e_shstrndx:
+            stroff, strsize = shdrs[e_shstrndx][4], shdrs[e_shstrndx][5]
             if stroff + strsize > len(data):
                 raise Malformed("section string table out of bounds")
             strtab = data[stroff:stroff + strsize]
-            for sh in raw_shdrs:
+            for sh in shdrs:
                 name_off = sh[0]
                 end = strtab.find(b"\x00", name_off)
                 names[name_off] = strtab[name_off:end if end >= 0 else None].decode(
                     "latin-1")
-        for sh in raw_shdrs:
+        for sh in shdrs:
             sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, \
                 sh_link, sh_info, sh_align, sh_entsize = sh
             if sh_type not in (8, 0) and sh_offset + sh_size > len(data):
@@ -192,7 +195,7 @@ def load_elf(data):
 
     image = BinaryImage(raw=data, elf_type=e_type, entry_point=e_entry,
                         sections=tuple(sections), segments=tuple(segments),
-                        shoff=e_shoff, shnum=e_shnum, shstrndx=e_shstrndx)
+                        shdrs=shdrs, shstrndx=e_shstrndx)
     exec_ranges = executable_ranges(image)
     for sec in sections:
         if sec.flags & 0x4 and sec.flags & 0x2 and sec.size:  # EXECINSTR|ALLOC
@@ -237,7 +240,8 @@ def is_xom_enabled(image):
 def set_xom_flag(image):
     raw = bytearray(image.raw)
     raw[XOM_FLAG_INDEX] = XOM_FLAG_VALUE
-    return load_elf(bytes(raw))
+    # load_elf reads nothing of e_ident past its class and data bytes
+    return replace(image, raw=bytes(raw))
 
 
 def serialize_lists(lists):
@@ -276,45 +280,44 @@ def deserialize_lists(payload):
 
 
 def attach_xom_section(image, lists):
+    """The image with lists in a `.xom` section, the last header after
+    the input's own, and after a new `.shstrtab` if the input has none.
+    Each header keeps the name load_elf gave it."""
     if image.section_by_name(XOM_SECTION_NAME) is not None:
         raise SectionExists(".xom section already present")
     lists.validate(executable_ranges(image))
     payload = serialize_lists(lists)
-    raw = image.raw
 
-    old_shdrs = []
-    for i in range(image.shnum):
-        old_shdrs.append(list(_SHDR.unpack_from(raw, image.shoff + i * _SHDR.size)))
+    shdrs = [list(sh) for sh in image.shdrs] or [[0] * 10]
+    shstrndx = image.shstrndx
+    strtab = image.sections[shstrndx].data(image.raw) if shstrndx else b""
+    for sh in shdrs:
+        if sh[0] >= len(strtab):
+            sh[0] = 0           # it names nothing, as load_elf read it
+    if not shstrndx:
+        shstrndx = len(shdrs)
+        shdrs.append([1, SHT_STRTAB, 0, 0, 0, 0, 0, 0, 1, 0])
+        strtab = b"\x00.shstrtab\x00"
+    elif not strtab.endswith(b"\x00"):    # `.xom` would extend its last name
+        strtab += b"\x00"
+    name_off = len(strtab)
+    strtab += XOM_SECTION_NAME.encode() + b"\x00"
+    shdrs.append([name_off, SHT_PROGBITS, 0, 0, 0, 0, 0, 0, 8,
+                  _XOM_ENTRY.size])
+    if len(shdrs) >= SHN_LORESERVE:
+        raise Unsupported("%d section headers do not fit e_shnum"
+                          % len(shdrs))
 
-    if image.shnum and image.shstrndx < image.shnum:
-        shstrndx = image.shstrndx
-        old_strtab = image.sections[shstrndx].data(raw)
-    else:
-        # no usable section table; synthesize null section + .shstrtab
-        old_shdrs = [[0] * 10,
-                     [1, SHT_STRTAB, 0, 0, 0, 0, 0, 0, 1, 0]]
-        shstrndx = 1
-        old_strtab = b"\x00.shstrtab\x00"
-
-    name_off = len(old_strtab)
-    new_strtab = old_strtab + XOM_SECTION_NAME.encode() + b"\x00"
-
-    out = bytearray(raw)
+    out = bytearray(image.raw)
     # pad so appended metadata is 8-aligned; segments are untouched
     out += b"\x00" * (-len(out) % 8)
-    strtab_off = len(out)
-    out += new_strtab
+    shdrs[shstrndx][4:6] = len(out), len(strtab)
+    out += strtab
     out += b"\x00" * (-len(out) % 8)
-    payload_off = len(out)
+    shdrs[-1][4:6] = len(out), len(payload)
     out += payload
     out += b"\x00" * (-len(out) % 8)
     shoff = len(out)
-
-    shdrs = [list(sh) for sh in old_shdrs]
-    shdrs[shstrndx][4] = strtab_off
-    shdrs[shstrndx][5] = len(new_strtab)
-    shdrs.append([name_off, SHT_PROGBITS, 0, 0, payload_off, len(payload),
-                  0, 0, 8, _XOM_ENTRY.size])
     for sh in shdrs:
         out += _SHDR.pack(*sh)
 

@@ -121,7 +121,6 @@ class Monitor:
         self.scan_log = []
         self._record = None
         self._denial = None
-        self._lists_state = None
         ranges = executable_ranges
         if ranges is None:
             ranges = [b.interval for b in lists.all_blocks()]
@@ -167,16 +166,11 @@ class Monitor:
         if i < 0 or addr < self._starts[i] or end > self._ends[i]:
             self.terminated = True
             self.scan_log = _SCAN_BOTH
-            # list orders and read counts; unchanged since the last
-            # denial unless a read was allowed in between
-            state = self._lists_state
-            if state is None:
-                state = self._lists_state = (
-                    tuple(self.lists.regular), tuple(self.lists.optimization),
-                    tuple(map(_READS, self._blocks)))
-            self._denial = (request, time.time(), state)
+            # list orders and read counts; the copy is built on first use
+            self._denial = (request, time.time(), (
+                tuple(self.lists.regular), tuple(self.lists.optimization),
+                tuple(map(_READS, self._blocks))))
             return _DENIED[i >= 0 and addr < self._ends[i]]
-        self._lists_state = None
         block = self._blocks[i]
         reads = block.read_count = block.read_count + 1
         verdict = self._allowed[i]
@@ -201,8 +195,6 @@ class Monitor:
 
         Returns (verdict, transitions).
         """
-        if self.terminated:
-            raise MonitorTerminated("monitor already terminated")
         fault = StateTransition("Fault", "%#x+%d" % request)
         verdict = self.check_read(request)
         if verdict.outcome == DENIED:

@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import time
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pxom import disasm, x86
-from pxom.corpus import build_corpus, load_ground_truth
+from pxom.corpus import build_corpus, build_program, load_ground_truth
 from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _jump_table_targets,
                          _traverse, compute_superset, detect_entry_points)
 from pxom.errors import NoExecutableCode, OutOfRange
@@ -586,13 +587,15 @@ class TestTraverse:
             assert compute_superset(load_elf(data)) == report
 
 
-def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False):
-    """cmp eax, 3 at cmp_at; lea rax, [rip + table] at lea_at; jmp rax at
-    jmp_at; then a table of six executable targets and one entry that
-    leaves the image, rel32 or abs64.  Returns (image, instructions), the
-    instructions up to the jmp by vaddr."""
+def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False,
+                     bound=b"\x83\xf8\x03"):
+    """The bound check, cmp eax, 3 by default, at cmp_at; lea rax,
+    [rip + table] at lea_at; jmp rax at jmp_at; then a table of six
+    executable targets and one entry that leaves the image, rel32 or
+    abs64.  Returns (image, instructions), the instructions up to the
+    jmp by vaddr."""
     code = bytearray(b"\x90" * (jmp_at + 3))
-    code[cmp_at:cmp_at + 3] = b"\x83\xf8\x03"
+    code[cmp_at:cmp_at + len(bound)] = bound
     code[jmp_at:jmp_at + 3] = b"\xff\xe0\xc3"
     code += b"\x00" * (-len(code) % 8)
     table = 0x1000 + len(code)
@@ -631,6 +634,20 @@ class TestJumpTable:
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
 
+    @pytest.mark.parametrize("bound", [b"\x3d\x03\x00\x00\x00",
+                                       b"\x25\x03\x00\x00\x00"],
+                             ids=["cmp-eax-imm32", "and-eax-imm32"])
+    def test_eax_bound_forms(self, bound):
+        # the one-byte-opcode forms without ModRM bound the table too
+        image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
+                                               self.LEA, bound=bound)
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
+        assert targets == [0x1000 + k for k in range(4)]
+        assert targets == reference_jump_table_targets(image, superset,
+                                                       instructions)
+
     def test_abs64_table_is_not_read(self):
         # bounded, in an ET_EXEC image, but its entries are abs64
         image, instructions = jump_table_image(self.LEA - 32,
@@ -657,3 +674,88 @@ class TestJumpTable:
                     image, superset, report.instructions))
                 found += len(targets)
         assert found
+
+
+# A switch function that no call reaches and no prologue pattern
+# marks: only its FDE proposes it, in round 1.  Its table is read in
+# round 2, and one of its cases holds a second switch, whose table is
+# read once that case is committed, in round 3.
+NESTED_SWITCH = """\
+\t.text
+\t.globl _start
+\t.p2align 4
+gtf_0_s:
+_start:
+\tmovl $60, %eax
+\txorl %edi, %edi
+\tsyscall
+\tud2
+gtf_0_e:
+\t.p2align 4
+gtf_1_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $3, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+outer0:
+\tmovl $10, %eax
+\tjmp done
+outer1:
+\tmovl %esi, %ecx
+\tcmpl $2, %ecx
+\tja done
+\tleaq gtd_1_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+inner0:
+\tmovl $20, %eax
+\tjmp done
+inner1:
+\tmovl $21, %eax
+\tjmp done
+inner2:
+\tmovl $22, %eax
+\tjmp done
+outer2:
+\tmovl $12, %eax
+\tjmp done
+outer3:
+\tmovl $13, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_1_e:
+gtd_0_s:
+\t.long outer0 - gtd_0_s, outer1 - gtd_0_s, outer2 - gtd_0_s, outer3 - gtd_0_s
+gtd_1_s:
+\t.long inner0 - gtd_1_s, inner1 - gtd_1_s, inner2 - gtd_1_s
+gtd_1_e:
+"""
+
+
+def test_jump_tables_found_in_later_rounds(tmp_path):
+    require_tool("gcc")
+    entry = build_program(NESTED_SWITCH, tmp_path, "nested_switch")
+    image = load_elf(entry.binary.read_bytes())
+    report = compute_superset(image)
+    # the two tables, 4 and 3 entries, are the data after the function
+    gt_data = load_ground_truth(entry.ground_truth)
+    *_, (outer, end) = gt_data.pairs()
+    assert end - outer == 28
+    targets = [[table + rel for rel in struct.unpack(
+        "<%di" % count, image.read_vaddr(table, 4 * count))]
+        for table, count in ((outer, 4), (outer + 16, 3))]
+    # accepted in commit order: round 1, then each table's round
+    assert [(ep.source, ep.vaddr) for ep in report.entry_points] == [
+        ("program_entry", image.entry_point),
+        ("frame_unwind", image.entry_point + 16),
+        *[("jump_table", va) for va in sorted(targets[0])],
+        *[("jump_table", va) for va in sorted(targets[1])]]
+    assert report.code.intersection_size(gt_data) == 0
+    assert report.superset.contains_range(outer, 28)
+    assert report == reference_compute_superset(image)

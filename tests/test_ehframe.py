@@ -9,8 +9,9 @@ import struct
 
 import pytest
 
-from pxom.ehframe import (DW_EH_PE_absptr, DW_EH_PE_pcrel, DW_EH_PE_sdata4,
-                          fde_initial_locations)
+from pxom.ehframe import (DW_EH_PE_absptr, DW_EH_PE_datarel,
+                          DW_EH_PE_pcrel, DW_EH_PE_sdata4, DW_EH_PE_sleb128,
+                          DW_EH_PE_uleb128, fde_initial_locations)
 
 VADDR = 0x2000                  # the section's vaddr
 PCREL_SDATA4 = DW_EH_PE_pcrel | DW_EH_PE_sdata4
@@ -30,10 +31,25 @@ def append(data, payload, extended=False):
     return start
 
 
-def cie(data, augmentation=b"zR", encoding=PCREL_SDATA4, extended=False):
+def leb128(value):
+    """value in signed LEB128, which reads the same as unsigned LEB128
+    when value >= 0."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value in (0, -1) and (byte & 0x40) == (value & 0x40):
+            return bytes(out + bytes([byte]))
+        out.append(byte | 0x80)
+
+
+def cie(data, augmentation=b"zR", encoding=PCREL_SDATA4, extended=False,
+        version=1, ra_register=b"\x10"):
     """Append a CIE; with a "z" augmentation, its augmentation data is
-    the FDE pointer encoding."""
-    body = b"\x00" * 4 + b"\x01" + augmentation + b"\x00\x01\x78\x10"
+    the FDE pointer encoding.  The return-address register is one byte
+    in version 1 and a uleb128 in version 3."""
+    body = (b"\x00" * 4 + bytes([version]) + augmentation + b"\x00\x01\x78"
+            + ra_register)
     if augmentation.startswith(b"z"):
         body += b"\x01" + bytes([encoding])
     return append(data, lambda pos: body, extended)
@@ -42,8 +58,13 @@ def cie(data, augmentation=b"zR", encoding=PCREL_SDATA4, extended=False):
 def fde(data, cie_start, target, encoding=PCREL_SDATA4, extended=False):
     """Append an FDE for target whose CIE pointer names cie_start."""
     def payload(pos):
+        pc = VADDR + pos + 4
         if encoding == PCREL_SDATA4:
-            pc_begin = struct.pack("<i", target - (VADDR + pos + 4))
+            pc_begin = struct.pack("<i", target - pc)
+        elif encoding == DW_EH_PE_uleb128:
+            pc_begin = leb128(target)
+        elif encoding == DW_EH_PE_pcrel | DW_EH_PE_sleb128:
+            pc_begin = leb128(target - pc)
         else:
             pc_begin = struct.pack("<Q", target)
         return (struct.pack("<I", (pos - cie_start) & 0xFFFFFFFF)
@@ -107,3 +128,33 @@ def test_fde_naming_no_cie_is_skipped(names):
                  "after": len(data) + 32, "before-blob": -16}[names]
     fde(data, cie_start, 0x2222, encoding=DW_EH_PE_absptr)
     assert fde_initial_locations(bytes(data), VADDR) == [0x1111]
+
+
+@pytest.mark.parametrize("encoding", [
+    DW_EH_PE_uleb128, DW_EH_PE_pcrel | DW_EH_PE_sleb128])
+def test_leb128_pointer_encodings(encoding):
+    # multi-byte values; pcrel ones on both sides of the section
+    data = bytearray()
+    c = cie(data, encoding=encoding)
+    fde(data, c, 0x401000, encoding=encoding)
+    fde(data, c, 0x1000, encoding=encoding)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x401000, 0x1000]
+
+
+def test_datarel_fde_is_skipped():
+    # pxom knows no data base, so a datarel pc_begin cannot be resolved
+    data = bytearray()
+    c = cie(data, encoding=DW_EH_PE_datarel | DW_EH_PE_sdata4)
+    fde(data, c, 0x1234)
+    good = cie(data)
+    fde(data, good, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x5678]
+
+
+def test_version_3_return_register_is_uleb128():
+    # register 128 takes two uleb128 bytes; read as version 1's single
+    # byte, the rest would shift the augmentation data by one
+    data = bytearray()
+    c = cie(data, version=3, ra_register=leb128(128))
+    fde(data, c, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x5678]

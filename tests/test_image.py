@@ -13,7 +13,8 @@ from pxom.image import (XOM_FLAG_INDEX, attach_xom_section,
                         deserialize_lists, executable_ranges, is_xom_enabled,
                         load_elf, parse_xom_section, serialize_lists,
                         set_xom_flag)
-from pxom.intervals import ByteInterval
+from pxom.intervals import ByteInterval, IntervalSet
+from pxom.protector import protect_image
 
 from conftest import exec_elf, make_elf, require_tool
 
@@ -41,6 +42,14 @@ class TestLoadElf:
     def test_relocatable_rejected(self):
         with pytest.raises(Unsupported):
             load_elf(make_elf([(0x1000, 5, b"\xc3")], elf_type=1))
+
+    def test_truncated_header(self):
+        with pytest.raises(Malformed, match="truncated ELF header"):
+            load_elf(exec_elf(b"\xc3")[:63])
+
+    def test_entry_outside_code(self):
+        with pytest.raises(Malformed, match="entry point 0x2000 outside"):
+            load_elf(exec_elf(b"\xc3" * 16, entry=0x2000))
 
     def test_truncated_phdr_table(self):
         data = bytearray(exec_elf(b"\xc3"))
@@ -184,8 +193,9 @@ class TestXomSection:
         raw = bytearray(out.raw)
         sec = out.section_by_name(".xom")
         # shrink the section without touching the entry count
-        shoff = out.shoff
-        for i in range(out.shnum):
+        shoff, = struct.unpack_from("<Q", raw, 0x28)       # e_shoff
+        shnum, = struct.unpack_from("<H", raw, 0x3C)       # e_shnum
+        for i in range(shnum):
             off = shoff + i * 64
             if struct.unpack_from("<Q", raw, off + 24)[0] == sec.offset:
                 struct.pack_into("<Q", raw, off + 32, sec.size - 8)
@@ -204,6 +214,20 @@ class TestXomSection:
         with pytest.raises(CorruptXom) as exc:
             deserialize_lists(bytes(payload))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"XOM1" + b"\x00" * 19, "payload shorter than header"),
+        (b"XOM2" + b"\x01" + b"\x00" * 19, "bad magic b'XOM2'"),
+        (b"XOM1" + b"\x02" + b"\x00" * 19, "unsupported version 2"),
+    ], ids=["short", "magic", "version"])
+    def test_bad_payload_header(self, payload, message):
+        with pytest.raises(CorruptXom) as exc:
+            deserialize_lists(payload)
+        assert str(exc.value) == message
+
+    def test_negative_static_ref_count_rejected(self):
+        with pytest.raises(InvariantViolation):
+            EmbeddedDataBlock(ByteInterval(0x1000, 0x1008), -1)
 
     def test_overlapping_blocks_rejected(self):
         image = load_elf(exec_elf(b"\xc3" * 64))
@@ -265,3 +289,110 @@ def random_lists(draw):
 def test_round_trip_property(lists):
     image = load_elf(exec_elf(b"\xc3" * 64))
     assert parse_xom_section(attach_xom_section(image, lists)) == lists
+
+
+def with_shdr_table(data, count, shstrndx):
+    """data with a table of count zeroed section headers at its end."""
+    out = bytearray(data) + bytes(64 * count)
+    struct.pack_into("<Q", out, 0x28, len(data))
+    struct.pack_into("<3H", out, 0x3A, 64, count, shstrndx)
+    return bytes(out)
+
+
+def relaid(data, entsize, pad):
+    """data with a copy of its section header table at the file end, at
+    entsize-byte entries padded with the byte pad; the old table stays
+    where it was."""
+    out = bytearray(data)
+    shoff, = struct.unpack_from("<Q", out, 0x28)
+    shnum, = struct.unpack_from("<H", out, 0x3C)
+    out += b"\x00" * (-len(out) % 8)
+    new_shoff = len(out)
+    for i in range(shnum):
+        out += out[shoff + i * 64:shoff + (i + 1) * 64]
+        out += bytes([pad]) * (entsize - 64)
+    struct.pack_into("<Q", out, 0x28, new_shoff)
+    struct.pack_into("<H", out, 0x3A, entsize)
+    return bytes(out)
+
+
+def with_shstrndx(data, value):
+    out = bytearray(data)
+    shnum, = struct.unpack_from("<H", out, 0x3C)
+    struct.pack_into("<H", out, 0x3E, value(shnum))
+    return bytes(out)
+
+
+class TestSectionTable:
+    """`protect` keeps the input's section headers, as load_elf reads
+    them, whatever their stride or name table."""
+
+    INPUTS = {
+        "80-byte-entries": lambda d: relaid(d, 80, 0x00),
+        "80-byte-entries-padded": lambda d: relaid(d, 80, 0xAA),
+        "shstrndx-undef": lambda d: with_shstrndx(d, lambda n: 0),
+        "shstrndx-past-end": lambda d: with_shstrndx(d, lambda n: n + 5),
+    }
+
+    @pytest.mark.parametrize("change", INPUTS)
+    def test_protect_keeps_headers(self, corpus, change):
+        data = self.INPUTS[change](corpus[0].binary.read_bytes())
+        image = load_elf(data)
+        assert len(image.sections) > 3
+        out, _, lists = protect_image(image)
+        appended = [] if image.shstrndx else [".shstrtab"]
+        assert [sec.name for sec in out.sections] == \
+            [sec.name for sec in image.sections] + appended + [".xom"]
+        kept = range(len(image.sections))
+        if image.shstrndx:          # its table moved to the file end
+            kept = [i for i in kept if i != image.shstrndx]
+        assert [out.sections[i] for i in kept] == \
+            [image.sections[i] for i in kept]
+        assert out.sections[out.shstrndx].name == ".shstrtab"
+        assert parse_xom_section(out) == lists
+
+    @pytest.mark.parametrize("strtab", [b"", b"\x00.text"],
+                             ids=["empty", "unterminated"])
+    def test_name_table_without_final_nul(self, strtab):
+        # null, then the name table, named .text when it can be
+        data = bytearray(exec_elf(b"\xc3" * 64))
+        table = len(data)
+        data += strtab
+        shoff = len(data)
+        data += bytes(64) + struct.pack("<IIQQQQIIQQ", 1, 3, 0, 0, table,
+                                        len(strtab), 0, 0, 1, 0)
+        struct.pack_into("<Q", data, 0x28, shoff)
+        struct.pack_into("<3H", data, 0x3A, 64, 2, 1)
+        image = load_elf(bytes(data))
+        lists = XomLists(regular=blocks((0x1000, 0x1008, 0)), optimization=[])
+        out = attach_xom_section(image, lists)
+        assert [sec.name for sec in out.sections] == \
+            [sec.name for sec in image.sections] + [".xom"]
+        assert parse_xom_section(out) == lists
+
+    def test_sectionless_input_gets_name_table(self):
+        out = attach_xom_section(load_elf(exec_elf(b"\xc3" * 64)),
+                                 XomLists([], []))
+        assert [sec.name for sec in out.sections] == \
+            ["", ".shstrtab", ".xom"]
+        assert out.shstrndx == 1
+
+    @pytest.mark.parametrize("count, shstrndx, ok", [
+        (0xFEFD, 0, True),
+        (0xFEFE, 0, False),         # + .shstrtab + .xom = 0xFF00
+        (0xFEFF, 1, False),         # + .xom
+    ])
+    def test_section_count_fits_e_shnum(self, count, shstrndx, ok):
+        image = load_elf(with_shdr_table(exec_elf(b"\xc3" * 64), count,
+                                         shstrndx))
+        if ok:
+            out = attach_xom_section(image, XomLists([], []))
+            assert len(out.sections) == count + 2
+        else:
+            with pytest.raises(Unsupported, match="do not fit e_shnum"):
+                attach_xom_section(image, XomLists([], []))
+
+
+def test_from_pairs_rejects_empty_pair():
+    with pytest.raises(ValueError, match="empty interval"):
+        IntervalSet.from_pairs([(0x1000, 0x1008), (0x1010, 0x1010)])
