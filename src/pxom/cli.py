@@ -15,28 +15,19 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
 from .corpus import build_corpus, load_ground_truth
 from .disasm import collector_paused, compute_superset
-from .errors import PxomError
-from .image import executable_ranges, is_xom_enabled, load_elf, parse_xom_section
+from .errors import PxomError, TraceParse
+from .image import executable_ranges, load_elf, parse_xom_section
 from .monitor import new_monitor, parse_trace
 from .protector import protect_image
-from .surface import gadget_scan, metrics, wrpkru_scan
+from .surface import gadget_scan, metrics, overall_coverage, wrpkru_scan
 
 REPORT_SCHEMA = 1
-
-
-def _base_report(command, path, data):
-    return {
-        "schema": REPORT_SCHEMA,
-        "tool_version": __version__,
-        "command": command,
-        "input": str(path),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
 
 
 def _write_output(path, data):
@@ -63,18 +54,27 @@ def _write_output(path, data):
         os.close(fd)
 
 
-def _emit(report, out):
-    text = json.dumps(report, sort_keys=True)
-    if out:
-        _write_output(out, (text + "\n").encode())
+def _load(args):
+    """The image of the ELF file named by --input."""
+    return load_elf(Path(args.input).read_bytes())
+
+
+def _report(command, args, data, fields):
+    """Write the envelope every report shares and then fields, as one
+    line of JSON with sorted keys, to --out or stdout; returns 0."""
+    text = json.dumps({"schema": REPORT_SCHEMA, "tool_version": __version__,
+                       "command": command, "input": str(args.input),
+                       "sha256": hashlib.sha256(data).hexdigest(), **fields},
+                      sort_keys=True)
+    if args.out:
+        _write_output(args.out, (text + "\n").encode())
     else:
         print(text)
+    return 0
 
 
 def cmd_protect(args):
-    data = Path(args.input).read_bytes()
-    image = load_elf(data)
-    protected, report, lists = protect_image(image)
+    protected, report, lists = protect_image(_load(args))
     output = Path(args.output)
     _write_output(output, protected.raw)
     # the output runs wherever the input does; no mode bit is taken away,
@@ -84,15 +84,13 @@ def cmd_protect(args):
     if stat.S_ISREG(mode) and wanted != mode:
         output.chmod(wanted)
     blocks = len(lists.regular) + len(lists.optimization)
-    oc = report.code.total_bytes / report.executable_total
     print("protected %s -> %s: %d blocks, overall coverage %.4f"
-          % (args.input, args.output, blocks, oc))
+          % (args.input, args.output, blocks, overall_coverage(report)))
     return 0
 
 
 def cmd_print(args):
-    data = Path(args.input).read_bytes()
-    lists = parse_xom_section(load_elf(data))
+    lists = parse_xom_section(_load(args))
     for name, blocks in (("optimization", lists.optimization),
                          ("regular", lists.regular)):
         for b in sorted(blocks, key=lambda b: b.interval.start):
@@ -106,8 +104,7 @@ def cmd_analyze(args):
     # a bad ground-truth file fails before the disassembly, not after it
     gt_data = (load_ground_truth(args.ground_truth) if args.ground_truth
                else None)
-    data = Path(args.input).read_bytes()
-    image = load_elf(data)
+    image = _load(args)
     report = compute_superset(image)
     gt_code = None
     if gt_data is not None:
@@ -115,46 +112,29 @@ def cmd_analyze(args):
         for iv in gt_data:
             gt_code.remove(iv.start, iv.end)
     m = metrics(report, gt_code)
-    out = _base_report("analyze", args.input, data)
-    out.update({
+    return _report("analyze", args, image.raw, {
         "cc": m.code_coverage,
         "oc": m.overall_coverage,
         "edb_count": m.edb_count,
         "avg_edb_size": m.avg_edb_size,
         "readable_fraction": m.readable_fraction,
         "executable_bytes": report.executable_total,
-        "entry_points": {
-            src: sum(1 for ep in report.entry_points if ep.source == src)
-            for src in sorted({ep.source for ep in report.entry_points})},
+        "entry_points": Counter(ep.source for ep in report.entry_points),
         "seconds": time.perf_counter() - start,
     })
-    _emit(out, args.out)
-    return 0
 
 
 def cmd_simulate(args):
     start = time.perf_counter()
-    data = Path(args.input).read_bytes()
-    image = load_elf(data)
-    lists = parse_xom_section(image)
-    mon = new_monitor(lists, executable_ranges(image))
-    events = parse_trace(Path(args.trace).read_text())
-    trace_report = mon.run_trace(events)
-    out = _base_report("simulate", args.input, data)
-    out.update({
-        "allowed": trace_report.allowed,
-        "denied": trace_report.denied,
-        "promotions": trace_report.promotions,
-        "reads": trace_report.reads,
-        "executed_instructions": trace_report.executed_instructions,
-        "read_intensity": trace_report.read_intensity,
-        "optimization_size": trace_report.optimization_size,
+    image = _load(args)
+    mon = new_monitor(parse_xom_section(image), executable_ranges(image))
+    text = TraceParse.decode(Path(args.trace).read_bytes())
+    trace_report = mon.run_trace(parse_trace(text))
+    return _report("simulate", args, image.raw, {
+        **vars(trace_report),
         "denial": _denial(trace_report.denial),
-        "promoted": trace_report.promoted,
         "seconds": time.perf_counter() - start,
     })
-    _emit(out, args.out)
-    return 0
 
 
 def _denial(denial):
@@ -169,36 +149,28 @@ def _denial(denial):
 
 def cmd_scan(args):
     start = time.perf_counter()
-    data = Path(args.input).read_bytes()
-    image = load_elf(data)
+    image = _load(args)
     report = compute_superset(image)
     gadgets = gadget_scan(image, report, args.depth)
-    wrpkru = wrpkru_scan(image, report)
-    out = _base_report("scan", args.input, data)
-    out.update({
+    return _report("scan", args, image.raw, {
         "gadgets": [{"start": g.start, "length": g.length,
                      "instructions": g.instruction_count,
                      "terminator": g.terminator} for g in gadgets],
-        "wrpkru": [{"vaddr": va, "where": label} for va, label in wrpkru],
+        "wrpkru": [{"vaddr": va, "where": label}
+                   for va, label in wrpkru_scan(image, report)],
         "seconds": time.perf_counter() - start,
     })
-    _emit(out, args.out)
-    return 0
 
 
 def cmd_compare(args):
     gt_data = load_ground_truth(args.ground_truth)
-    data = Path(args.input).read_bytes()
-    image = load_elf(data)
-    report = compute_superset(image)
-    misclassified = report.code.intersection_size(gt_data)
-    out = _base_report("compare", args.input, data)
-    out.update({
+    image = _load(args)
+    misclassified = compute_superset(image).code.intersection_size(gt_data)
+    _report("compare", args, image.raw, {
         "ground_truth_data_bytes": gt_data.total_bytes,
         "misclassified_bytes": misclassified,
         "sound": misclassified == 0,
     })
-    _emit(out, args.out)
     return 0 if misclassified == 0 else 2
 
 
@@ -218,38 +190,28 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("protect", help="emit a protected binary")
-    p.add_argument("-i", "--input", required=True)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("-i", "--input", required=True)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("protect", cmd_protect, "emit a protected binary")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_protect)
-
-    p = sub.add_parser("print", help="print the block lists of a protected binary")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=cmd_print)
-
-    p = sub.add_parser("analyze", help="disassembly coverage metrics")
-    p.add_argument("-i", "--input", required=True)
+    command("print", cmd_print, "print the block lists of a protected binary")
+    p = command("analyze", cmd_analyze, "disassembly coverage metrics")
     p.add_argument("--ground-truth")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("simulate", help="run a read trace against a protected binary")
-    p.add_argument("-i", "--input", required=True)
+    p = command("simulate", cmd_simulate,
+                "run a read trace against a protected binary")
     p.add_argument("--trace", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("scan", help="gadget and WRPKRU surface scan")
-    p.add_argument("-i", "--input", required=True)
+    p = command("scan", cmd_scan, "gadget and WRPKRU surface scan")
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("compare", help="soundness gate against ground truth")
-    p.add_argument("-i", "--input", required=True)
+    p = command("compare", cmd_compare, "soundness gate against ground truth")
     p.add_argument("--ground-truth", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen-corpus", help="generate synthetic test binaries")
     p.add_argument("--outdir", required=True)

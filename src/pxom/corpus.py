@@ -288,10 +288,12 @@ def load_ground_truth(path):
     """Parse a `0xSTART 0xEND` per-line interval file.
 
     Blank lines and `#` comments are skipped.  Any other line that is
-    not two hex numbers with START < END raises GroundTruthParse.
+    not two hex numbers with START < END, or a byte that is not UTF-8,
+    raises GroundTruthParse.
     """
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    text = GroundTruthParse.decode(Path(path).read_bytes())
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -7,7 +7,7 @@ the price is that unreachable code stays readable.
 """
 
 import gc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -31,6 +31,9 @@ _PROLOGUE_PATTERNS = (
 
 _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
+_BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
+_BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
+_JUMP_BELOW = ((0x72,), (0x76,), (0x0F, 0x82), (0x0F, 0x86))   # jb, jbe
 
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
@@ -152,12 +155,14 @@ def detect_entry_points(image, superset, known_code, instructions):
 
 def _jump_table_targets(image, exec_ranges, superset, instructions):
     """Targets of the bounded rel32 tables in the superset that committed
-    code dispatches through: a lea of the table, the first indirect jump
-    at most _JUMP_TABLE_WINDOW bytes after it, and a bound check before
-    that jump.  instructions maps vaddr -> committed instruction, and
-    exec_ranges are the image's executable ranges."""
-    # indirect jumps are few; bisecting them is cheaper than looking up
-    # every window address for each lea of an island in the superset
+    code (instructions, by vaddr) dispatches through.  Each indirect jump
+    reads the table of the last lea of one at most _JUMP_TABLE_WINDOW
+    bytes before it and after the previous indirect jump, and before the
+    last movsxd (the entry read) after such a lea.  A bound check before
+    the jump sets the entry count, but a table ends where the next one
+    read begins: a mask bounds the index, not the table."""
+    # indirect jumps are few; each bisects the leas for its window and
+    # looks up the addresses after the first of them for an entry read
     indirect_jump = x86.INDIRECT_JUMP
     jumps = []
     leas = []
@@ -168,32 +173,48 @@ def _jump_table_targets(image, exec_ranges, superset, instructions):
               and superset.contains_range(table, 4)):
             leas.append((va, table))
     jumps.sort()
+    leas.sort()
+    reads = []
+    lo = 0
+    for jump in jumps:
+        lo = max(lo, jump - _JUMP_TABLE_WINDOW)
+        first, i = bisect_left(leas, (lo,)), bisect_left(leas, (jump,))
+        # a lea after the entry read (movsxd r, [m]) loads something else
+        for va in range(leas[first][0] if i > first else jump, jump):
+            ins = instructions.get(va)
+            if ins is not None and ins[4] == (0x63,) and ins[5] < 0xC0:
+                i = bisect_left(leas, (va,), first)
+        if i > first:
+            va, table = leas[i - 1]
+            reads.append((table, _bound_before(instructions, va, jump)))
+        lo = jump + 1
+    starts = sorted({table for table, _ in reads}) + [1 << 64]
     targets = []
-    for va, table in leas:
-        k = bisect_right(jumps, va)
-        if k < len(jumps) and jumps[k] <= va + _JUMP_TABLE_WINDOW:
-            count = _bound_before(instructions, va, jumps[k])
-            if count is not None:
-                targets.extend(_rel32_table(image, exec_ranges, superset,
-                                            table, count))
+    for table, count in reads:
+        if count is not None:
+            count = min(count, (starts[bisect_right(starts, table)] - table)
+                        // 4)
+            targets.extend(_rel32_table(image, exec_ranges, superset,
+                                        table, count))
     return targets
 
 
 def _bound_before(instructions, lo, hi):
-    """Entry count set by the last cmp/and bound check in [lo-32, hi),
-    or None if there is none."""
+    """Entry count set by the last cmp/and of a register with an imm8 or
+    imm32 in [lo-32, hi), or None.  A negative imm8 (0x80 or more)
+    bounds nothing, nor does a check that jb or jbe follows: the
+    indices up to its bound go elsewhere."""
     bound = None
     for va in range(lo - 32, hi):
         ins = instructions.get(va)
-        if ins is None:
+        if ins is None or ins[6] is None:
             continue
-        _, _, _, _, opcode, modrm, immediate = ins
-        if immediate is None:
-            continue
-        if opcode in ((0x81,), (0x83,)) and (modrm >> 3) & 7 in (4, 7):
-            bound = immediate
-        elif opcode in ((0x3D,), (0x25,)):
-            bound = immediate
+        length, _, _, _, opcode, modrm, immediate = ins
+        if (opcode in _BOUND_ACC or opcode in _BOUND_GROUP
+                and (modrm >> 3) & 7 in (4, 7)):        # and, cmp
+            after = instructions.get(va + length)
+            if after is None or after[4] not in _JUMP_BELOW:
+                bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
         return bound + 1
     return None

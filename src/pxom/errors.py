@@ -60,6 +60,16 @@ class _LineParse(PxomError):
         super().__init__("line %d: %s" % (lineno, message))
         self.lineno = lineno
 
+    @classmethod
+    def decode(cls, data):
+        """data as UTF-8 text, or cls at the line of its first bad byte."""
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line breaks before the bad byte, as splitlines sees them
+            raise cls("not UTF-8: byte %#04x" % data[exc.start], len(
+                (data[:exc.start].decode() + ".").splitlines())) from None
+
 
 class TraceParse(_LineParse):
     """Malformed trace line."""

@@ -179,14 +179,19 @@ def load_elf(data):
             if stroff + strsize > len(data):
                 raise Malformed("section string table out of bounds")
             strtab = data[stroff:stroff + strsize]
-            for sh in shdrs:
-                name_off = sh[0]
+            # each distinct offset is decoded once, and the names together
+            # may not outgrow the file: every name runs to the next NUL,
+            # so headers x table size could exhaust memory
+            total = 0
+            for name_off in {sh[0] for sh in shdrs}:
                 end = strtab.find(b"\x00", name_off)
-                names[name_off] = strtab[name_off:end if end >= 0 else None].decode(
-                    "latin-1")
-        for sh in shdrs:
-            sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, \
-                sh_link, sh_info, sh_align, sh_entsize = sh
+                end = end if end >= 0 else max(strsize, name_off)
+                total += end - name_off
+                if total > len(data):
+                    raise Malformed("section names exceed the file size")
+                names[name_off] = strtab[name_off:end].decode("latin-1")
+        for (sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size,
+             sh_link, sh_info, sh_align, sh_entsize) in shdrs:
             if sh_type not in (8, 0) and sh_offset + sh_size > len(data):
                 raise Malformed("section exceeds file size")
             sections.append(Section(names.get(sh_name, ""), sh_type, sh_flags,

@@ -30,10 +30,11 @@ source's 8-byte values one at a time, where `disasm` unpacks each
 section's values at once and checks them in one call.
 
 `reference_jump_table_targets` is the jump-table finder with linear
-searches over the instructions sorted by address: the first indirect
-jump after each table load, and every instruction for the bound check
-before it.  It shares `_rel32_table` with the finder under test, since
-only the searches differ.
+searches over the instructions sorted by address: for each indirect
+jump, every table load and entry read for the last ones before it,
+every instruction for the bound check, and every table read for the
+next one that starts inside a table.  It shares `_rel32_table` with
+the finder under test, since only the searches differ.
 """
 
 from pxom import x86
@@ -208,36 +209,54 @@ def reference_address_taken_targets(image):
 
 def reference_jump_table_targets(image, superset, instructions):
     """Targets of disasm._jump_table_targets, found by linear search, in
-    address order of the table loads."""
+    address order of the indirect jumps."""
     insn_list = sorted(instructions.items())
-    targets = []
     indirect_jumps = [va for va, ins in insn_list
                       if ins[1] == x86.INDIRECT_JUMP]
-    for va, (_, _, _, table, opcode, _, _) in insn_list:
-        if opcode != (0x8D,):  # lea
+    leas = [(va, table) for va, (_, _, _, table, opcode, _, _) in insn_list
+            if opcode == (0x8D,)  # lea
+            and table is not None and superset.contains_range(table, 4)]
+    loads = [va for va, ins in insn_list
+             if ins[4] == (0x63,) and ins[5] < 0xC0]  # movsxd r, [m]
+    reads = []
+    previous = -1
+    for jmp in indirect_jumps:
+        first = max(previous + 1, jmp - _JUMP_TABLE_WINDOW)
+        previous = jmp
+        window = [va for va, _ in leas if first <= va < jmp]
+        end = max((va for va in loads if window and window[0] <= va < jmp),
+                  default=jmp)
+        before = [(va, table) for va, table in leas if first <= va < end]
+        if before:
+            va, table = before[-1]
+            reads.append((table, _reference_bound_before(insn_list, va,
+                                                         jmp)))
+    targets = []
+    for table, count in reads:
+        if count is None:
             continue
-        if table is None or not superset.contains_range(table, 4):
-            continue
-        jmp = next((j for j in indirect_jumps
-                    if va < j <= va + _JUMP_TABLE_WINDOW), None)
-        if jmp is None:
-            continue
-        count = _reference_bound_before(insn_list, va, jmp)
-        if count is not None:
-            targets.extend(_rel32_table(image, executable_ranges(image),
-                                        superset, table, count))
+        for other, _ in reads:
+            if table < other < table + 4 * count:
+                count = (other - table) // 4  # the next table starts
+        targets.extend(_rel32_table(image, executable_ranges(image),
+                                    superset, table, count))
     return targets
 
 
 def _reference_bound_before(insn_list, lo, hi):
     bound = None
-    for va, (_, _, _, _, opcode, modrm, immediate) in insn_list:
+    following = dict(insn_list)
+    for va, (length, _, _, _, opcode, modrm, immediate) in insn_list:
         if not lo - 32 <= va < hi or immediate is None:
             continue
         reg_field = (modrm >> 3) & 7 if modrm is not None else None
-        if opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
+        after = following.get(va + length)
+        if after is not None and after[4] in ((0x72,), (0x76,), (0x0F, 0x82),
+                                              (0x0F, 0x86)):
+            continue  # jb, jbe: the indices up to the bound go elsewhere
+        if opcode in ((0x80,), (0x81,), (0x83,)) and reg_field in (4, 7):
             bound = immediate
-        elif opcode in ((0x3D,), (0x25,)):
+        elif opcode in ((0x24,), (0x25,), (0x3C,), (0x3D,)):
             bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
         return bound + 1

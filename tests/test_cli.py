@@ -163,6 +163,27 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: TraceParse: line 2")
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"\xff", 1),
+        (b"R 0x1000 1\n# caf\xe9\n", 2),      # latin-1, not UTF-8
+        (b"I 1\r\nI 2\n\nI 3 \x80\n", 4),
+    ], ids=["ff", "latin-1-comment", "crlf"])
+    def test_trace_that_is_not_utf8(self, capsys, tmp_path, protected,
+                                    raw, line):
+        trace = tmp_path / "bad.txt"
+        trace.write_bytes(raw)
+        code, out, err = run_cli(capsys, "simulate", "-i", str(protected),
+                                 "--trace", str(trace))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: TraceParse: line %d: not UTF-8" % line)
+
+    def test_trace_is_read_as_utf8(self, capsys, tmp_path, protected):
+        trace = tmp_path / "trace.txt"
+        trace.write_bytes("# caf\u00e9 \u2014 no reads\nI 5\n".encode())
+        code, out, _ = run_cli(capsys, "simulate", "-i", str(protected),
+                               "--trace", str(trace))
+        assert code == 0 and json.loads(out)["reads"] == 0
+
 
 class TestSimulateReport:
     """The `denial` and `promoted` keys of the `simulate` report."""
@@ -347,6 +368,16 @@ class TestMalformedGroundTruth:
         assert (code, out) == (1, "")
         assert err.startswith("error: GroundTruthParse: line 4: ")
         assert repr(line) in err
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_not_utf8(self, capsys, tmp_path, corpus, command):
+        gt = tmp_path / "bad.gt"
+        gt.write_bytes(b"0x10 0x20\n\x8f\xff\x00\x13\n0x30 0x40\n")
+        code, out, err = run_cli(capsys, command, "-i",
+                                 str(corpus[0].binary), "--ground-truth",
+                                 str(gt))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: GroundTruthParse: line 2: not UTF-8")
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     @pytest.mark.parametrize("contents", ["0x1000\n", None],

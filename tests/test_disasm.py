@@ -588,19 +588,24 @@ class TestTraverse:
 
 
 def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False,
-                     bound=b"\x83\xf8\x03"):
+                     bound=b"\x83\xf8\x03", extra=(), other_leas=()):
     """The bound check, cmp eax, 3 by default, at cmp_at; lea rax,
     [rip + table] at lea_at; jmp rax at jmp_at; then a table of six
     executable targets and one entry that leaves the image, rel32 or
-    abs64.  Returns (image, instructions), the instructions up to the
+    abs64.  extra holds more (offset, bytes) instructions, and
+    other_leas (offset, delta) pairs, each a lea rax, [rip + table +
+    delta].  Returns (image, instructions), the instructions up to the
     jmp by vaddr."""
     code = bytearray(b"\x90" * (jmp_at + 3))
-    code[cmp_at:cmp_at + len(bound)] = bound
+    for at, insn in ((cmp_at, bound), *extra):
+        code[at:at + len(insn)] = insn
     code[jmp_at:jmp_at + 3] = b"\xff\xe0\xc3"
     code += b"\x00" * (-len(code) % 8)
     table = 0x1000 + len(code)
-    code[lea_at:lea_at + 7] = b"\x48\x8d\x05" + (
-        table - (0x1000 + lea_at + 7)).to_bytes(4, "little", signed=True)
+    for at, delta in ((lea_at, 0), *other_leas):
+        code[at:at + 7] = b"\x48\x8d\x05" + (
+            table + delta - (0x1000 + at + 7)).to_bytes(4, "little",
+                                                      signed=True)
     for k in range(6):
         if abs64:
             code += (0x1000 + k).to_bytes(8, "little")
@@ -635,16 +640,102 @@ class TestJumpTable:
                                                        instructions)
 
     @pytest.mark.parametrize("bound", [b"\x3d\x03\x00\x00\x00",
-                                       b"\x25\x03\x00\x00\x00"],
-                             ids=["cmp-eax-imm32", "and-eax-imm32"])
+                                       b"\x25\x03\x00\x00\x00",
+                                       b"\x80\xf9\x03", b"\x80\xe1\x03",
+                                       b"\x3c\x03", b"\x24\x03"],
+                             ids=["cmp-eax-imm32", "and-eax-imm32",
+                                  "cmp-cl-imm8", "and-cl-imm8",
+                                  "cmp-al-imm8", "and-al-imm8"])
     def test_eax_bound_forms(self, bound):
-        # the one-byte-opcode forms without ModRM bound the table too
+        # the one-byte-opcode forms without ModRM, and the 8-bit forms,
+        # bound the table too
         image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
                                                self.LEA, bound=bound)
         superset = executable_ranges(image)
         targets = _jump_table_targets(image, superset, superset,
                                       instructions)
         assert targets == [0x1000 + k for k in range(4)]
+        assert targets == reference_jump_table_targets(image, superset,
+                                                       instructions)
+
+    @pytest.mark.parametrize("bound", [b"\x3c\x80", b"\x80\xf9\xff"],
+                             ids=["cmp-al-0x80", "cmp-cl-0xff"])
+    def test_imm8_from_0x80_bounds_nothing(self, bound):
+        # a signed imm8 of 0x80 or more is negative: no table is read
+        image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
+                                               self.LEA, bound=bound)
+        superset = executable_ranges(image)
+        assert _jump_table_targets(image, superset, superset,
+                                   instructions) == []
+        assert reference_jump_table_targets(image, superset,
+                                            instructions) == []
+
+    def test_byte_bound_after_the_lea(self):
+        # llvm-tblgen's shape: cmp r13d, 0x100 before the lea, then
+        # cmp cl, 5 between the lea and the jump; the later check bounds
+        # the table at six entries, where 257 would run off the image
+        image, instructions = jump_table_image(
+            self.LEA - 27, self.LEA + 16, self.LEA,
+            bound=b"\x41\x81\xfd\x00\x01\x00\x00",
+            extra=[(self.LEA + 8, b"\x80\xf9\x05")])
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
+        assert targets == [0x1000 + k for k in range(6)]
+        assert targets == reference_jump_table_targets(image, superset,
+                                                       instructions)
+
+    # movsxd rdx, [rax + rcx*4], the read of an entry
+    MOVSXD = b"\x48\x63\x14\x88"
+
+    @pytest.mark.parametrize("other_leas, extra", [
+        # obj2yaml's shape: leas of pointer tables (here the table's
+        # second entry onwards) come before the table's own lea
+        ([(LEA - 16, 4)], []),
+        # llvm-exegesis's shape: lea, the read of the entry, then a lea
+        # of a pointer table before the jump
+        ([(LEA + 11, 4)], [(LEA + 7, MOVSXD)]),
+    ], ids=["lea-before", "lea-after-entry-read"])
+    def test_one_table_per_jump(self, other_leas, extra):
+        # the bound check bounds both leas' tables
+        image, instructions = jump_table_image(self.LEA - 20, self.LEA + 24,
+                                               self.LEA, extra=extra,
+                                               other_leas=other_leas)
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
+        assert targets == [0x1000 + k for k in range(4)]
+        assert targets == reference_jump_table_targets(image, superset,
+                                                       instructions)
+
+    def test_table_ends_where_the_next_begins(self):
+        # and eax, 7 lets eight entries be read, but another jump reads
+        # a table that starts at the fourth: the first table has three
+        image, instructions = jump_table_image(
+            self.LEA - 8, self.LEA + 16, self.LEA, bound=b"\x83\xe0\x07",
+            extra=[(self.LEA - 10, b"\xff\xe0")],
+            other_leas=[(self.LEA - 20, 12)])
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
+        assert targets == [0x1000 + k for k in range(3)]
+        assert targets == reference_jump_table_targets(image, superset,
+                                                       instructions)
+
+    @pytest.mark.parametrize("jcc, found", [
+        (b"\x77\x00", 4), (b"\x0f\x87\x00\x00\x00\x00", 4),      # ja
+        (b"\x76\x00", 0), (b"\x0f\x86\x00\x00\x00\x00", 0),      # jbe
+        (b"\x72\x00", 0), (b"\x0f\x82\x00\x00\x00\x00", 0),      # jb
+    ], ids=["ja8", "ja32", "jbe8", "jbe32", "jb8", "jb32"])
+    def test_check_that_jumps_below_bounds_nothing(self, jcc, found):
+        # cmp eax, 3; jbe elsewhere: the indices up to 3 leave this path
+        image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
+                                               self.LEA,
+                                               bound=b"\x83\xf8\x03" + jcc)
+        superset = executable_ranges(image)
+        targets = _jump_table_targets(image, superset, superset,
+                                      instructions)
+        assert targets == [0x1000 + k for k in range(found)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
 
@@ -759,3 +850,37 @@ def test_jump_tables_found_in_later_rounds(tmp_path):
     assert report.code.intersection_size(gt_data) == 0
     assert report.superset.contains_range(outer, 28)
     assert report == reference_compute_superset(image)
+
+
+LLVM_BIN = "/usr/lib/llvm-14/bin"
+
+
+@pytest.mark.parametrize("name, objdump_starts", [("llvm-tblgen", True),
+                                                  ("obj2yaml", False)])
+def test_llvm_jump_table_entries(name, objdump_starts):
+    # LLVM's .rodata shares the R+X segment with .text, so its tables
+    # and pointer tables are in the superset.  llvm-tblgen had entries
+    # inside instructions (a table bounded by an earlier cmp r13d, 0x100
+    # where cmp cl, 5 came after the lea), obj2yaml entries in .rodata
+    # (pointer tables read with the bound of the jump's own table)
+    path = os.path.join(LLVM_BIN, name)
+    if not os.path.exists(path):
+        pytest.skip("%s not available" % path)
+    with open(path, "rb") as fh:
+        image = load_elf(fh.read())
+    report = compute_superset(image)
+    entries = {ep.vaddr for ep in report.entry_points
+               if ep.source == "jump_table"}
+    assert entries
+    code = IntervalSet.from_pairs(
+        [(sec.vaddr, sec.vaddr + sec.size) for sec in image.sections
+         if sec.flags & 0x4 and sec.size])                # SHF_EXECINSTR
+    assert [va for va in sorted(entries) if va not in code] == []
+    if objdump_starts:
+        require_tool("objdump")
+        out = subprocess.run(["objdump", "-d", "--no-show-raw-insn", path],
+                             capture_output=True, check=True).stdout
+        starts = {int(m, 16) for m in re.findall(rb"(?m)^ *([0-9a-f]+):\t",
+                                                 out)}
+        assert sorted(entries - starts) == []
+

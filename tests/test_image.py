@@ -370,6 +370,30 @@ class TestSectionTable:
             [sec.name for sec in image.sections] + [".xom"]
         assert parse_xom_section(out) == lists
 
+    @pytest.mark.parametrize("distinct, ok", [(False, True), (True, False)],
+                             ids=["one-offset", "distinct-offsets"])
+    def test_names_bounded_by_file_size(self, distinct, ok):
+        # 200 headers name offsets into a 16 KB table whose only NUL is
+        # its last byte: one offset is one 16 KB name, 200 distinct ones
+        # would decode 3 MB of names from a 30 KB file
+        count, size = 200, 0x4000
+        data = bytearray(exec_elf(b"\xc3" * 64))
+        table = len(data)
+        data += b"A" * (size - 1) + b"\x00"
+        shoff = len(data)
+        data += bytes(64) + struct.pack("<IIQQQQIIQQ", 0, 3, 0, 0, table,
+                                        size, 0, 0, 1, 0)
+        for i in range(2, count):
+            data += struct.pack("<I", i if distinct else 0) + bytes(60)
+        struct.pack_into("<Q", data, 0x28, shoff)
+        struct.pack_into("<3H", data, 0x3A, 64, count, 1)
+        if ok:
+            names = {sec.name for sec in load_elf(bytes(data)).sections}
+            assert names == {"A" * (size - 1)}
+        else:
+            with pytest.raises(Malformed, match="section names exceed"):
+                load_elf(bytes(data))
+
     def test_sectionless_input_gets_name_table(self):
         out = attach_xom_section(load_elf(exec_elf(b"\xc3" * 64)),
                                  XomLists([], []))
