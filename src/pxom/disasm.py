@@ -33,7 +33,6 @@ _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
-_JUMP_BELOW = ((0x72,), (0x76,), (0x0F, 0x82), (0x0F, 0x86))   # jb, jbe
 
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
@@ -200,21 +199,21 @@ def _jump_table_targets(image, exec_ranges, superset, instructions):
 
 
 def _bound_before(instructions, lo, hi):
-    """Entry count set by the last cmp/and of a register with an imm8 or
-    imm32 in [lo-32, hi), or None.  A negative imm8 (0x80 or more)
-    bounds nothing, nor does a check that jb or jbe follows: the
-    indices up to its bound go elsewhere."""
+    """Entry count set by the last cmp/and with an imm8 or imm32 in
+    [lo-32, hi), or None.  An 8-bit check counts only on a register,
+    as byte compares of memory are common in string code.  Its imm8
+    decodes sign-extended, so one of 0x80 or more reads no table: 8-bit
+    bounds are capped at 128 entries."""
     bound = None
     for va in range(lo - 32, hi):
         ins = instructions.get(va)
         if ins is None or ins[6] is None:
             continue
-        length, _, _, _, opcode, modrm, immediate = ins
+        _, _, _, _, opcode, modrm, immediate = ins
         if (opcode in _BOUND_ACC or opcode in _BOUND_GROUP
-                and (modrm >> 3) & 7 in (4, 7)):        # and, cmp
-            after = instructions.get(va + length)
-            if after is None or after[4] not in _JUMP_BELOW:
-                bound = immediate
+                and (modrm >> 3) & 7 in (4, 7)          # and, cmp
+                and (opcode != (0x80,) or modrm >= 0xC0)):
+            bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
         return bound + 1
     return None

@@ -245,17 +245,14 @@ def reference_jump_table_targets(image, superset, instructions):
 
 def _reference_bound_before(insn_list, lo, hi):
     bound = None
-    following = dict(insn_list)
-    for va, (length, _, _, _, opcode, modrm, immediate) in insn_list:
+    for va, (_, _, _, _, opcode, modrm, immediate) in insn_list:
         if not lo - 32 <= va < hi or immediate is None:
             continue
         reg_field = (modrm >> 3) & 7 if modrm is not None else None
-        after = following.get(va + length)
-        if after is not None and after[4] in ((0x72,), (0x76,), (0x0F, 0x82),
-                                              (0x0F, 0x86)):
-            continue  # jb, jbe: the indices up to the bound go elsewhere
-        if opcode in ((0x80,), (0x81,), (0x83,)) and reg_field in (4, 7):
+        if opcode in ((0x81,), (0x83,)) and reg_field in (4, 7):
             bound = immediate
+        elif opcode == (0x80,) and reg_field in (4, 7) and modrm >= 0xC0:
+            bound = immediate  # 8-bit: only on a register
         elif opcode in ((0x24,), (0x25,), (0x3C,), (0x3D,)):
             bound = immediate
     if bound is not None and 0 <= bound < _JUMP_TABLE_MAX_ENTRIES:
