@@ -19,8 +19,8 @@ from .errors import NoExecutableCode
 from .image import executable_ranges
 from .intervals import IntervalSet
 
-SOURCE_ORDER = ("program_entry", "jump_table", "frame_unwind",
-                "address_taken", "heuristic")
+SOURCE_ORDER = ("program_entry", "frame_unwind", "address_taken",
+                "heuristic", "jump_table")
 
 _PROLOGUE_PATTERNS = (
     b"\xf3\x0f\x1e\xfa",      # endbr64
@@ -114,26 +114,21 @@ def _traverse(image, entry, superset, committed):
     return stretches, insns
 
 
-def _finders(image):
-    """Source name -> targets(superset, instructions), the source's
-    candidate addresses, sorted.  The sources that read only the image
-    find theirs here, once, and return the same list every time."""
-    exec_ranges = executable_ranges(image)
+def _image_targets(image, exec_ranges):
+    """(source, targets) for each source that reads only the image, in
+    SOURCE_ORDER, each list sorted.  All but the program entry's lie in
+    the SHF_ALLOC|SHF_EXECINSTR sections if the image has any, since an
+    R+X segment may hold data sections too."""
+    code = IntervalSet.from_pairs(
+        (sec.vaddr, sec.vaddr + sec.size) for sec in image.sections
+        if sec.flags & 6 == 6 and sec.size) or exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
-    program_entry = [image.entry_point] if image.entry_point else []
-    frame_unwind = sorted(set(_frame_unwind_targets(image, exec_ranges)))
-    address_taken = sorted(set(_address_taken_targets(image, exec_ranges)))
-    heuristic = _prologue_starts(image, exec_ranges)
-
-    def jump_table(superset, instructions):
-        return sorted(set(_jump_table_targets(image, exec_ranges, superset,
-                                              instructions)))
-
-    return {"program_entry": lambda *_: program_entry,
-            "jump_table": jump_table,
-            "frame_unwind": lambda *_: frame_unwind,
-            "address_taken": lambda *_: address_taken,
-            "heuristic": lambda *_: heuristic}
+    entry = [image.entry_point] if image.entry_point else []
+    unwind = _frame_unwind_targets(image, code)
+    taken = _address_taken_targets(image, code)
+    return [("program_entry", entry), ("frame_unwind", sorted(set(unwind))),
+            ("address_taken", sorted(set(taken))),
+            ("heuristic", _prologue_starts(image, code))]
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -142,10 +137,12 @@ def detect_entry_points(image, superset, known_code, instructions):
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
     the committed ones, where the jump-table finder looks for tables."""
-    finders = _finders(image)
+    exec_ranges = executable_ranges(image)
     found = {}
-    for source in SOURCE_ORDER:
-        for va in finders[source](superset, instructions):
+    for source, targets in (*_image_targets(image, exec_ranges),
+                            ("jump_table", _jump_table_targets(
+                                image, exec_ranges, superset, instructions))):
+        for va in targets:
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
                 found[va] = source
@@ -153,13 +150,13 @@ def detect_entry_points(image, superset, known_code, instructions):
 
 
 def _jump_table_targets(image, exec_ranges, superset, instructions):
-    """Targets of the bounded rel32 tables in the superset that committed
-    code (instructions, by vaddr) dispatches through.  Each indirect jump
-    reads the table of the last lea of one at most _JUMP_TABLE_WINDOW
-    bytes before it and after the previous indirect jump, and before the
-    last movsxd (the entry read) after such a lea.  A bound check before
-    the jump sets the entry count, but a table ends where the next one
-    read begins: a mask bounds the index, not the table."""
+    """Sorted targets of the bounded rel32 tables in the superset that
+    committed code (instructions, by vaddr) dispatches through.  Each
+    indirect jump reads the table of the last lea of one at most
+    _JUMP_TABLE_WINDOW bytes before it and after the previous indirect
+    jump, and before the last movsxd (the entry read) after such a lea.
+    A bound check before the jump sets the entry count, but a table ends
+    where the next one read begins: a mask bounds the index only."""
     # indirect jumps are few; each bisects the leas for its window and
     # looks up the addresses after the first of them for an entry read
     indirect_jump = x86.INDIRECT_JUMP
@@ -195,7 +192,7 @@ def _jump_table_targets(image, exec_ranges, superset, instructions):
                         // 4)
             targets.extend(_rel32_table(image, exec_ranges, superset,
                                         table, count))
-    return targets
+    return sorted(set(targets))
 
 
 def _bound_before(instructions, lo, hi):
@@ -274,18 +271,19 @@ def _words(data, first, stride, code="Q"):
     return unpack_from("<%dx%s" % (first, code) + gap * (count - 1), data)
 
 
-def _prologue_starts(image, exec_ranges):
-    """The image's 16-aligned prologue pattern starts that have 4 bytes
-    inside their range of exec_ranges, sorted."""
+def _prologue_starts(image, ranges):
+    """The sorted 16-aligned prologue pattern starts with 4 bytes inside
+    their range of ranges, each of which lies in one executable range."""
     starts = set()
-    for iv in exec_ranges:
+    for iv in ranges:
         base, buf = image.code_at(iv.start)
+        end = iv.end - base
         for pattern in _PROLOGUE_PATTERNS:
-            pos = buf.find(pattern)
+            pos = buf.find(pattern, iv.start - base, end)
             while pos >= 0:
-                if pos + 4 <= len(buf) and (base + pos) % 16 == 0:
+                if pos + 4 <= end and (base + pos) % 16 == 0:
                     starts.add(base + pos)
-                pos = buf.find(pattern, pos + 1)
+                pos = buf.find(pattern, pos + 1, end)
     return sorted(starts)
 
 
@@ -311,15 +309,16 @@ def collector_paused():
 def compute_superset(image):
     """Partition the executable bytes into identified code and superset.
 
-    A fixpoint: each round walks SOURCE_ORDER, asks each source for its
-    targets when its turn comes, and commits every traversal from a
-    target that succeeds.  The rounds stop when one commits nothing.
+    Two steps: one pass over the sources that read only the image, in
+    SOURCE_ORDER, then the jump-table finder, again after every call
+    that committed anything.  Each commits every traversal from its
+    targets that succeeds.
 
     A traversal that fails still fails after later commits: a commit
     cannot put a committed start on a failing path, because its own
-    traversal would follow that path to the same failure.  So a target
-    that a later source or round proposes again would be rejected
-    again, and each target is traversed at most once.
+    traversal would follow that path to the same failure.  So each
+    target is traversed at most once, and a second pass over the
+    image-only targets would commit nothing.
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
@@ -327,7 +326,7 @@ def compute_superset(image):
     if not exec_ranges:
         raise NoExecutableCode("image has no executable segment")
 
-    finders = _finders(image)
+    sources = _image_targets(image, exec_ranges)
     superset = exec_ranges.copy()
     claimed = []
     instructions = {}
@@ -335,21 +334,25 @@ def compute_superset(image):
     traversed = set()
     progress = True
     while progress:
-        progress = False
-        for source in SOURCE_ORDER:
-            for va in finders[source](superset, instructions):
-                if va in traversed or not superset.contains_range(va, 1):
-                    continue
-                traversed.add(va)
-                result = _traverse(image, va, superset, instructions)
-                if result is not None:
-                    stretches, insns = result
-                    for start, end in stretches:
-                        superset.remove(start, end)
-                    claimed += stretches
-                    instructions.update(insns)
-                    accepted.append(EntryPoint(va, source))
-                    progress = True
+        if sources:
+            source, targets = sources.pop(0)
+        else:
+            source, targets = "jump_table", _jump_table_targets(
+                image, exec_ranges, superset, instructions)
+        progress = source != "jump_table"
+        for va in targets:
+            if va in traversed or not superset.contains_range(va, 1):
+                continue
+            traversed.add(va)
+            result = _traverse(image, va, superset, instructions)
+            if result is not None:
+                stretches, insns = result
+                for start, end in stretches:
+                    superset.remove(start, end)
+                claimed += stretches
+                instructions.update(insns)
+                accepted.append(EntryPoint(va, source))
+                progress = True
 
     return DisassemblyReport(code=IntervalSet.from_pairs(claimed),
                              superset=superset, entry_points=accepted,

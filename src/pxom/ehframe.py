@@ -7,7 +7,6 @@ rather than fail: entry-point detection degrades, never crashes.
 
 import struct
 
-DW_EH_PE_omit = 0xFF
 DW_EH_PE_absptr = 0x00
 DW_EH_PE_uleb128 = 0x01
 DW_EH_PE_udata2 = 0x02
@@ -19,9 +18,13 @@ DW_EH_PE_sdata4 = 0x0B
 DW_EH_PE_sdata8 = 0x0C
 DW_EH_PE_pcrel = 0x10
 DW_EH_PE_datarel = 0x30
+DW_EH_PE_indirect = 0x80
 
-_SIZES = {0x02: 2, 0x03: 4, 0x04: 8, 0x0A: 2, 0x0B: 4, 0x0C: 8, 0x00: 8}
-_SIGNED = {0x09, 0x0A, 0x0B, 0x0C}
+_SIZES = {DW_EH_PE_absptr: 8, DW_EH_PE_udata2: 2, DW_EH_PE_udata4: 4,
+          DW_EH_PE_udata8: 8, DW_EH_PE_sdata2: 2, DW_EH_PE_sdata4: 4,
+          DW_EH_PE_sdata8: 8}
+_SIGNED = {DW_EH_PE_sleb128, DW_EH_PE_sdata2, DW_EH_PE_sdata4,
+           DW_EH_PE_sdata8}
 
 
 def _uleb(data, pos):
@@ -69,12 +72,15 @@ def _read_encoded(data, pos, encoding, pc):
 
 
 def fde_initial_locations(data, section_vaddr):
-    """The pc_begin of every FDE in a .eh_frame blob, as a list.
+    """The first instruction of every FDE in a .eh_frame blob, as a list:
+    pc_begin, or pc_begin + 1 for a signal frame (CIE augmentation "S"),
+    whose FDE starts one byte early, because an unwinder looks the
+    handler's return address, the trampoline, up at address - 1.
 
     An FDE is skipped when its CIE pointer names no CIE record before
     it, or a CIE that could not be parsed."""
     locations = []
-    cie_encodings = {}
+    cies = {}
     pos = 0
     n = len(data)
     while pos + 4 <= n:
@@ -95,18 +101,17 @@ def fde_initial_locations(data, section_vaddr):
         body = pos + 4
         if cie_id == 0:
             try:
-                cie_encodings[record_start] = _parse_cie(data, body, record_end)
+                cies[record_start] = _parse_cie(data, body, record_end)
             except (ValueError, IndexError):
-                cie_encodings[record_start] = None
-        else:
-            encoding = cie_encodings.get(pos - cie_id)
-            if encoding is not None and encoding != DW_EH_PE_omit:
-                try:
-                    value, _ = _read_encoded(data, body, encoding,
-                                             section_vaddr + body)
-                    locations.append(value)
-                except (ValueError, IndexError):
-                    pass
+                cies[record_start] = None
+        elif cies.get(pos - cie_id) is not None:
+            encoding, signal_frame = cies[pos - cie_id]
+            try:
+                value, _ = _read_encoded(data, body, encoding,
+                                         section_vaddr + body)
+                locations.append(value + signal_frame)
+            except (ValueError, IndexError):
+                pass
         pos = record_end
     return locations
 
@@ -137,6 +142,9 @@ def _parse_cie(data, pos, end):
             elif ch == "R":
                 encoding = data[pos]
                 pos += 1
+                # DW_EH_PE_omit (0xff) too: no pc_begin to read
+                if encoding & DW_EH_PE_indirect:
+                    raise ValueError("indirect FDE pointers %#x" % encoding)
             if pos > aug_data_end:
                 break
-    return encoding
+    return encoding, "S" in augmentation

@@ -7,7 +7,10 @@ when another path runs into an undecodable byte, then rounds that take
 every source's targets at the round's start, give each address to the
 first source that proposes it, and traverse strictly.  On compiler
 output the program entry's traversal succeeds strictly too, so the two
-fixpoints agree there.
+fixpoints agree there.  Its image-only sources propose targets across
+the executable ranges, where `disasm` keeps them inside the code
+sections; the two agree where no such target lies outside the code
+sections, as on the corpus and ls.
 
 `reference_traverse` is the traversal's earlier form: it asks the
 superset about every byte it decodes (the instruction start, then the

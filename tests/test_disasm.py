@@ -211,7 +211,7 @@ class TestComputeSuperset:
 
     def test_each_target_traversed_once(self, monkeypatch, corpus):
         # ret at the program entry; at 0x1010 a prologue that runs into
-        # an invalid byte: the heuristic proposes it in both rounds
+        # an invalid byte, which the heuristic proposes
         planted = exec_elf(b"\xc3" + b"\xcc" * 15 + b"\x55\x48\x89\xe5\x06")
         datas = [planted, *(e.binary.read_bytes() for e in corpus)]
         traverse = disasm._traverse
@@ -295,34 +295,29 @@ class TestComputeSuperset:
 
 
 class TestHeuristicSource:
-    def test_equals_per_block_scan_every_round(self, monkeypatch, corpus):
-        # the finder returns the image's aligned prologues every round;
-        # those still in the superset must equal a scan of every
-        # superset block
-        datas = [e.binary.read_bytes() for e in corpus]
+    def test_equals_per_block_scan_every_round(self, corpus):
+        # the finder returns the image's aligned prologues once per call,
+        # and compute_superset skips those no longer in the superset; the
+        # ones left must equal a scan of every superset block, in the
+        # fresh superset and in the one compute_superset leaves.  The
+        # first image's prologue at 0x1010 runs into an invalid byte and
+        # stays in the superset
+        planted = exec_elf(b"\xc3" + b"\xcc" * 15 + b"\x55\x48\x89\xe5\x06")
+        datas = [planted, *(e.binary.read_bytes() for e in corpus)]
         if os.path.exists(LS):
             datas.append(read_ls())
-        finders = disasm._finders
         found = []
-
-        def checked_finders(image):
-            table = finders(image)
-            heuristic = table["heuristic"]
-
-            def checked(superset, instructions):
-                targets = heuristic(superset, instructions)
-                kept = [va for va in targets
+        for data in datas:
+            image = load_elf(data)
+            exec_ranges = executable_ranges(image)
+            starts = disasm._prologue_starts(image, exec_ranges)
+            for superset in (exec_ranges, compute_superset(image).superset):
+                kept = [va for va in starts
                         if superset.contains_range(va, 1)]
                 assert kept == sorted(set(reference_heuristic_targets(
                     image, superset)))
                 found.append(len(kept))
-                return targets
-            return {**table, "heuristic": checked}
-
-        monkeypatch.setattr(disasm, "_finders", checked_finders)
-        for data in datas:
-            compute_superset(load_elf(data))
-        assert len(found) >= 2 * len(datas) and any(found)
+        assert all(found[::2]) and any(found[1::2])
 
 
 class TestEntryPointDetection:
@@ -512,7 +507,7 @@ class TestTraverse:
     def test_failure_persists_after_commits(self, corpus):
         # an address whose traversal fails on the fresh superset fails on
         # the one compute_superset leaves: compute_superset relies on it
-        # when a later source or round proposes an address again
+        # when a later source or jump-table call proposes an address again
         datas = [e.binary.read_bytes() for e in corpus]
         if os.path.exists(LS):
             datas.append(read_ls())
@@ -765,9 +760,10 @@ class TestJumpTable:
 
 
 # A switch function that no call reaches and no prologue pattern
-# marks: only its FDE proposes it, in round 1.  Its table is read in
-# round 2, and one of its cases holds a second switch, whose table is
-# read once that case is committed, in round 3.
+# marks: only its FDE proposes it, in the image pass.  The jump-table
+# finder's first call reads its table, and one of its cases holds a
+# second switch, whose table the second call reads once that case is
+# committed.
 NESTED_SWITCH = """\
 \t.text
 \t.globl _start
@@ -838,7 +834,7 @@ def test_jump_tables_found_in_later_rounds(tmp_path):
     targets = [[table + rel for rel in struct.unpack(
         "<%di" % count, image.read_vaddr(table, 4 * count))]
         for table, count in ((outer, 4), (outer + 16, 3))]
-    # accepted in commit order: round 1, then each table's round
+    # accepted in commit order: the image pass, then each table's call
     assert [(ep.source, ep.vaddr) for ep in report.entry_points] == [
         ("program_entry", image.entry_point),
         ("frame_unwind", image.entry_point + 16),
@@ -849,17 +845,134 @@ def test_jump_tables_found_in_later_rounds(tmp_path):
     assert report == reference_compute_superset(image)
 
 
+def test_jump_table_finder_runs_once_without_tables(monkeypatch):
+    # no committed jump reads a table, so the finder's first call
+    # commits nothing and is its last
+    datas = [exec_elf(b"\x90\x90\xc3")]
+    if os.path.exists(LS):
+        datas.append(read_ls())
+    finder = disasm._jump_table_targets
+    calls = []
+
+    def counting(*args):
+        calls.append(finder(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(disasm, "_jump_table_targets", counting)
+    for data in datas:
+        calls.clear()
+        assert compute_superset(load_elf(data)).entry_points
+        assert calls == [[]]
+
+
+# The program entry dispatches through a table of two cases; the
+# second case also starts an FDE.
+ENTRY_SWITCH = """\
+\t.text
+\t.globl _start
+\t.p2align 4
+gtf_0_s:
+_start:
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+case0:
+\tmovl $60, %eax
+\txorl %edi, %edi
+\tsyscall
+\tud2
+case1:
+\t.cfi_startproc
+\tmovl $1, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_0_e:
+gtd_0_s:
+\t.long case0 - gtd_0_s, case1 - gtd_0_s
+gtd_0_e:
+"""
+
+
+def test_entry_switch_case_with_fde_is_frame_unwind(tmp_path):
+    # the table is read only once the image-only sources have run, so
+    # the case that starts an FDE is frame_unwind's, the other the table's
+    require_tool("gcc")
+    entry = build_program(ENTRY_SWITCH, tmp_path, "entry_switch")
+    image = load_elf(entry.binary.read_bytes())
+    report = compute_superset(image)
+    gt_data = load_ground_truth(entry.ground_truth)
+    *_, (table, end) = gt_data.pairs()
+    assert end - table == 8
+    case0, case1 = (table + rel for rel in struct.unpack(
+        "<2i", image.read_vaddr(table, 8)))
+    assert [(ep.source, ep.vaddr) for ep in report.entry_points] == [
+        ("program_entry", image.entry_point), ("frame_unwind", case1),
+        ("jump_table", case0)]
+    assert report.code.intersection_size(gt_data) == 0
+    assert report == reference_compute_superset(image)
+
+
+# A .init_array entry points into .rodata, at bytes that decode to
+# nop; ret.  Linked without separate code, .rodata shares the R+X
+# segment with .text.
+RODATA_POINTER = """\
+\t.text
+\t.globl _start
+_start:
+\tmovl $60, %eax
+\txorl %edi, %edi
+\tsyscall
+\tud2
+\t.section .rodata
+\t.p2align 4
+fake:
+\tnop
+\tret
+\t.section .init_array, "aw"
+\t.p2align 3
+\t.quad fake
+"""
+
+
+def test_data_section_in_code_segment_stays_data(tmp_path):
+    require_tool("gcc")
+    src = tmp_path / "rodata_pointer.s"
+    src.write_text(RODATA_POINTER)
+    binary = tmp_path / "rodata_pointer"
+    subprocess.run(["gcc", "-nostdlib", "-static", "-no-pie",
+                    "-Wl,-z,noseparate-code", "-o", str(binary), str(src)],
+                   check=True, capture_output=True)
+    image = load_elf(binary.read_bytes())
+    rodata = image.section_by_name(".rodata")
+    exec_ranges = executable_ranges(image)
+    assert exec_ranges.contains_range(rodata.vaddr, rodata.size)
+    assert _traverse(image, rodata.vaddr, exec_ranges, {}) is not None
+    report = compute_superset(image)
+    assert report.entry_points == [
+        EntryPoint(image.entry_point, "program_entry")]
+    assert report.superset.contains_range(rodata.vaddr, rodata.size)
+
+
 LLVM_BIN = "/usr/lib/llvm-14/bin"
 
 
 @pytest.mark.parametrize("name, objdump_starts", [("llvm-tblgen", True),
-                                                  ("obj2yaml", False)])
+                                                  ("obj2yaml", False),
+                                                  ("FileCheck", False),
+                                                  ("yaml2obj", False)])
 def test_llvm_jump_table_entries(name, objdump_starts):
     # LLVM's .rodata shares the R+X segment with .text, so its tables
     # and pointer tables are in the superset.  llvm-tblgen had entries
     # inside instructions (a table bounded by an earlier cmp r13d, 0x100
     # where cmp cl, 5 came after the lea), obj2yaml entries in .rodata
-    # (pointer tables read with the bound of the jump's own table)
+    # (pointer tables read with the bound of the jump's own table).
+    # obj2yaml, FileCheck and yaml2obj committed .rodata bytes as code
+    # from address_taken values that point into it
     path = os.path.join(LLVM_BIN, name)
     if not os.path.exists(path):
         pytest.skip("%s not available" % path)
@@ -873,6 +986,7 @@ def test_llvm_jump_table_entries(name, objdump_starts):
         [(sec.vaddr, sec.vaddr + sec.size) for sec in image.sections
          if sec.flags & 0x4 and sec.size])                # SHF_EXECINSTR
     assert [va for va in sorted(entries) if va not in code] == []
+    assert report.code.intersection_size(code) == report.code.total_bytes
     if objdump_starts:
         require_tool("objdump")
         out = subprocess.run(["objdump", "-d", "--no-show-raw-insn", path],

@@ -10,8 +10,9 @@ import struct
 import pytest
 
 from pxom.ehframe import (DW_EH_PE_absptr, DW_EH_PE_datarel,
-                          DW_EH_PE_pcrel, DW_EH_PE_sdata4, DW_EH_PE_sleb128,
-                          DW_EH_PE_uleb128, fde_initial_locations)
+                          DW_EH_PE_indirect, DW_EH_PE_pcrel, DW_EH_PE_sdata4,
+                          DW_EH_PE_sleb128, DW_EH_PE_uleb128,
+                          fde_initial_locations)
 
 VADDR = 0x2000                  # the section's vaddr
 PCREL_SDATA4 = DW_EH_PE_pcrel | DW_EH_PE_sdata4
@@ -158,3 +159,38 @@ def test_version_3_return_register_is_uleb128():
     c = cie(data, version=3, ra_register=leb128(128))
     fde(data, c, 0x5678)
     assert fde_initial_locations(bytes(data), VADDR) == [0x5678]
+
+
+def test_signal_frame_starts_one_byte_later():
+    # glibc's __restore_rt: a "zRS" CIE, whose FDE starts at the last
+    # byte of the nop before the trampoline
+    data = bytearray()
+    signal = cie(data, augmentation=b"zRS")
+    fde(data, signal, 0x3C04F)
+    plain = cie(data)
+    fde(data, plain, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x3C050, 0x5678]
+
+
+def test_indirect_fde_pointer_is_skipped():
+    # R = 0x9b: pc_begin holds the address of a pointer to the function,
+    # not the function
+    data = bytearray()
+    c = cie(data, encoding=DW_EH_PE_indirect | PCREL_SDATA4)
+    fde(data, c, 0x1234)
+    good = cie(data)
+    fde(data, good, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x5678]
+
+
+def test_indirect_personality_pointer_is_read():
+    # a C++ "zPLR" CIE reads its personality pointer with P = 0x9b; only
+    # R decides how pc_begin is read
+    data = bytearray()
+    aug = (bytes([DW_EH_PE_indirect | PCREL_SDATA4]) + struct.pack("<i", 64)
+           + bytes([PCREL_SDATA4, PCREL_SDATA4]))
+    c = append(data, lambda pos: b"\x00" * 4 + b"\x01zPLR\x00\x01\x78\x10"
+               + leb128(len(aug)) + aug)
+    fde(data, c, 0x1234)
+    fde(data, c, 0x5678)
+    assert fde_initial_locations(bytes(data), VADDR) == [0x1234, 0x5678]
