@@ -152,12 +152,15 @@ def cmd_scan(args):
     image = _load(args)
     report = compute_superset(image)
     gadgets = gadget_scan(image, report, args.depth)
+    wrpkru = wrpkru_scan(image, report)
+    # the report's instruction records are most of the memory; free them
+    # before the gadget dicts and the JSON text are built
+    del report
     return _report("scan", args, image.raw, {
         "gadgets": [{"start": g.start, "length": g.length,
                      "instructions": g.instruction_count,
                      "terminator": g.terminator} for g in gadgets],
-        "wrpkru": [{"vaddr": va, "where": label}
-                   for va, label in wrpkru_scan(image, report)],
+        "wrpkru": [{"vaddr": va, "where": label} for va, label in wrpkru],
         "seconds": time.perf_counter() - start,
     })
 

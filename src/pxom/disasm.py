@@ -53,7 +53,7 @@ class DisassemblyReport:
     instructions: dict = field(default_factory=dict, repr=False)
 
 
-def _traverse(image, entry, superset, committed):
+def _traverse(image, entry, superset, committed, memo):
     """Claim instruction bytes reachable from entry.
 
     A path ends cleanly at an instruction already decoded by this
@@ -73,11 +73,17 @@ def _traverse(image, entry, superset, committed):
     leave the run decodes to None.  It looks a run up again only when a
     path leaves the current one.  Each straight-line stretch it decodes
     is one (start, end) pair, not one per instruction.
+
+    memo maps the 4 bytes at an instruction start to the record decoded
+    there, for records of at most 4 bytes with no branch or RIP target:
+    such a record depends on its bytes only, so equal instructions share
+    one tuple.  A stored record is reused only if it ends within the
+    limit; if it does not, decode would return None there too.
     """
     insns = {}
     stretches = []
     stack = [entry]
-    decode = x86.decode
+    decode, shared = x86.decode, memo.get
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
     buf = b""
@@ -94,8 +100,16 @@ def _traverse(image, entry, superset, committed):
                 lo = max(run[0], base)
                 hi = min(run[1], base + len(buf))
                 limit = hi - base
-            ins = decode(buf, va - base, va, limit)
+            off = va - base
+            key = buf[off:off + 4]
+            ins = shared(key)
             if ins is None:
+                ins = decode(buf, off, va, limit)
+                if ins is None:
+                    return None
+                if ins[0] <= 4 and ins[2] is None and ins[3] is None:
+                    memo[key] = ins
+            elif off + ins[0] > limit:
                 return None
             insns[va] = ins
             length, kind, target, _, _, _, _ = ins
@@ -158,16 +172,19 @@ def _jump_table_targets(image, exec_ranges, superset, instructions):
     A bound check before the jump sets the entry count, but a table ends
     where the next one read begins: a mask bounds the index only."""
     # indirect jumps are few; each bisects the leas for its window and
-    # looks up the addresses after the first of them for an entry read
+    # looks up the addresses after the first of them for an entry read.
+    # Records are read by index, which costs less than unpacking all
+    # seven fields: 1 is the kind, 3 the RIP-relative target, 4 the
+    # opcode
     indirect_jump = x86.INDIRECT_JUMP
     jumps = []
     leas = []
-    for va, (_, kind, _, table, opcode, _, _) in instructions.items():
-        if kind is indirect_jump:
+    for va, ins in instructions.items():
+        if ins[1] is indirect_jump:
             jumps.append(va)
-        elif (table is not None and opcode == (0x8D,)           # lea
-              and superset.contains_range(table, 4)):
-            leas.append((va, table))
+        elif (ins[3] is not None and ins[4] == (0x8D,)          # lea
+              and superset.contains_range(ins[3], 4)):
+            leas.append((va, ins[3]))
     jumps.sort()
     leas.sort()
     reads = []
@@ -240,8 +257,10 @@ def _frame_unwind_targets(image, exec_ranges):
 
 def _address_taken_targets(image, exec_ranges):
     """The 8-byte values in exec_ranges, in section then address order:
-    RELA addends, the entries of the pointer arrays and the GOT, and the
-    8-aligned words of .rodata and .data.rel.ro."""
+    RELA addends, the entries of the pointer arrays and the GOT, and, in
+    an ET_EXEC image, the 8-aligned words of .rodata and .data.rel.ro.
+    A position-independent image has no relocation for such a word, so
+    a raw word that lands in code there is a coincidence."""
     targets = []
     for sec in image.sections:
         if sec.sh_type == 4 and sec.entsize >= 24:  # SHT_RELA
@@ -249,7 +268,8 @@ def _address_taken_targets(image, exec_ranges):
         elif sec.name in (".init_array", ".fini_array", ".preinit_array",
                           ".got", ".got.plt"):
             values = _words(sec.data(image.raw), 0, 8)
-        elif sec.name in (".rodata", ".data.rel.ro"):
+        elif (sec.name in (".rodata", ".data.rel.ro")
+              and image.elf_type == 2):                 # ET_EXEC
             values = _words(sec.data(image.raw), -sec.vaddr % 8, 8)
         else:
             continue
@@ -292,9 +312,10 @@ def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
     The disassembly keeps one instruction record per committed
-    instruction alive (261k on libc), and the collector would rescan
-    them again and again while they pile up.  pxom builds no reference
-    cycles, so reference counting frees all of it.
+    instruction alive (261k on libc, in 153k distinct tuples), and the
+    collector would rescan them again and again while they pile up.
+    pxom builds no reference cycles, so reference counting frees all of
+    it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -320,6 +341,11 @@ def compute_superset(image):
     target is traversed at most once, and a second pass over the
     image-only targets would commit nothing.
 
+    The traversals of one call share one memo of short instruction
+    records (see `_traverse`), so equal instructions share one tuple;
+    it is dropped when the call returns.  Records are immutable: compare
+    them by value, never by identity.
+
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
     exec_ranges = executable_ranges(image)
@@ -332,6 +358,7 @@ def compute_superset(image):
     instructions = {}
     accepted = []
     traversed = set()
+    memo = {}
     progress = True
     while progress:
         if sources:
@@ -344,7 +371,7 @@ def compute_superset(image):
             if va in traversed or not superset.contains_range(va, 1):
                 continue
             traversed.add(va)
-            result = _traverse(image, va, superset, instructions)
+            result = _traverse(image, va, superset, instructions, memo)
             if result is not None:
                 stretches, insns = result
                 for start, end in stretches:

@@ -22,12 +22,15 @@ def count_static_refs(report):
     blocks = list(report.superset.pairs())
     starts = [start for start, _ in blocks]
     counts = [0] * len(blocks)
-    for (_, _, _, target, opcode, _,
-         immediate) in report.instructions.values():
+    # records are read by index, which costs less than unpacking all
+    # seven fields: 3 is the RIP-relative target, 4 the opcode, 6 the
+    # immediate (see `x86.decode`)
+    for ins in report.instructions.values():
+        target = ins[3]
         if target is None:
-            if opcode[0] not in _MOFFS_OPCODES:
+            if ins[4][0] not in _MOFFS_OPCODES:
                 continue
-            target = immediate              # mov moffs: absolute address
+            target = ins[6]                 # mov moffs: absolute address
         i = bisect_right(starts, target) - 1
         if i >= 0 and target < blocks[i][1]:
             counts[i] += 1

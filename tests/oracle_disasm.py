@@ -187,7 +187,8 @@ def reference_heuristic_targets(image, superset):
 
 def reference_address_taken_targets(image):
     """The address_taken source's targets, read one value at a time with
-    int.from_bytes and checked one at a time."""
+    int.from_bytes and checked one at a time; raw .rodata and
+    .data.rel.ro words only in an ET_EXEC image."""
     exec_ranges = executable_ranges(image)
     targets = []
     for sec in image.sections:
@@ -198,8 +199,10 @@ def reference_address_taken_targets(image):
                                         signed=True)
                 if exec_ranges.contains_range(addend, 1):
                     targets.append(addend)
-        elif sec.name in (".init_array", ".fini_array", ".preinit_array",
-                          ".got", ".got.plt", ".rodata", ".data.rel.ro"):
+        elif (sec.name in (".init_array", ".fini_array", ".preinit_array",
+                           ".got", ".got.plt")
+              or sec.name in (".rodata", ".data.rel.ro")
+              and image.elf_type == 2):
             data = sec.data(image.raw)
             start = (-sec.vaddr % 8 if sec.name in (".rodata", ".data.rel.ro")
                      else 0)

@@ -38,9 +38,13 @@ def read_system():
 
 
 def read_ls():
-    if not os.path.exists(LS):
-        pytest.skip("%s not available" % LS)
-    with open(LS, "rb") as fh:
+    return read_or_skip(LS)
+
+
+def read_or_skip(path):
+    if not os.path.exists(path):
+        pytest.skip("%s not available" % path)
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -76,7 +80,7 @@ def traverse_fresh(code, superset=None):
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
-    return claimed_set(_traverse(image, 0x1000, superset, {}))
+    return claimed_set(_traverse(image, 0x1000, superset, {}, {}))
 
 
 def executable_less(image, superset):
@@ -216,16 +220,24 @@ class TestComputeSuperset:
         datas = [planted, *(e.binary.read_bytes() for e in corpus)]
         traverse = disasm._traverse
         seen = []
+        memos = []
 
-        def spy(image, entry, superset, committed):
+        def spy(image, entry, superset, committed, memo):
             seen.append(entry)
-            return traverse(image, entry, superset, committed)
+            memos.append(memo)
+            return traverse(image, entry, superset, committed, memo)
 
         monkeypatch.setattr(disasm, "_traverse", spy)
+        earlier = []
         for data in datas:
             seen.clear()
+            memos.clear()
             report = compute_superset(load_elf(data))
             assert len(seen) == len(set(seen))
+            # the traversals of one call share one memo, new in each call
+            assert all(memo is memos[0] for memo in memos)
+            assert all(memo is not memos[0] for memo in earlier)
+            earlier.append(memos[0])
             assert report == reference_compute_superset(load_elf(data))
             if data is planted:
                 assert seen == [0x1000, 0x1010]
@@ -429,6 +441,24 @@ class TestRecordsAreDecodes:
         for entry in corpus:
             check_records_are_decodes(entry.binary.read_bytes())
 
+    def test_libc(self):
+        check_records_are_decodes(read_or_skip(SYSTEM[2]))
+
+
+def test_equal_records_are_shared_on_ls():
+    # compute_superset's memo: a record of at most 4 bytes with no branch
+    # or RIP target is one object for each 4-byte window it starts
+    image = load_elf(read_ls())
+    report = compute_superset(image)
+    by_window = {}
+    for va, ins in report.instructions.items():
+        if ins[0] <= 4 and ins[2] is None and ins[3] is None:
+            base, buf = image.code_at(va)
+            window = buf[va - base:va - base + 4]
+            assert by_window.setdefault(window, ins) is ins
+    distinct = len({id(ins) for ins in report.instructions.values()})
+    assert distinct < 0.8 * len(report.instructions)
+
 
 @pytest.mark.parametrize("flags", [
     ["-O2", "-static"],
@@ -472,18 +502,21 @@ def union_of(insns):
 def check_traversals(image, starts_per_superset=200):
     """_traverse claims exactly its instructions and matches the strict
     reference: from the entry points of a fresh superset, and from the
-    block starts of the superset left after compute_superset.  Returns
-    the set of outcomes, True where a traversal succeeds."""
+    block starts of the superset left after compute_superset.  Every
+    traversal shares one memo, across both supersets.  Returns the set
+    of outcomes, True where a traversal succeeds."""
     fresh = executable_ranges(image)
     report = compute_superset(image)
     outcomes = set()
+    memo = {}
     eps = detect_entry_points(image, fresh, IntervalSet(), {})
     for superset, committed, starts in (
             (fresh, {}, [ep.vaddr for ep in eps]),
             (report.superset, report.instructions,
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            result = claimed_set(_traverse(image, va, superset, committed))
+            result = claimed_set(_traverse(image, va, superset, committed,
+                                           memo))
             assert result == strict_reference(image, va, superset,
                                               committed)
             if result is not None:
@@ -518,11 +551,11 @@ class TestTraverse:
             report = compute_superset(image)
             for iv in list(report.superset)[:100]:
                 for va in range(iv.start, min(iv.end, iv.start + 4)):
-                    if _traverse(image, va, fresh, {}) is not None:
+                    if _traverse(image, va, fresh, {}, {}) is not None:
                         continue
                     failed += 1
                     assert _traverse(image, va, report.superset,
-                                     report.instructions) is None
+                                     report.instructions, {}) is None
         assert failed
 
     def test_strict_fails_mid_committed_instruction(self):
@@ -530,16 +563,19 @@ class TestTraverse:
         # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
         image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
-        _, insns = _traverse(image, 0x1000, superset, {0x1003})
+        _, insns = _traverse(image, 0x1000, superset, {0x1003}, {})
         assert sorted(insns) == [0x1000, 0x1002]
         image = image_of(b"\x74\x02\x90\xeb\xfe\xc3")
-        assert _traverse(image, 0x1000, superset, {0x1003}) is None
+        assert _traverse(image, 0x1000, superset, {0x1003}, {}) is None
 
     # code at 0x1000; superset runs; committed starts; instruction starts
     # claimed, or None where the traversal fails
     @pytest.mark.parametrize("code, runs, committed, starts", [
         # mov rbp, rsp at 0x1002 straddles the run end at 0x1003
         (b"\x90\x90\x48\x89\xe5\xc3", [(0x1000, 0x1003)], (), None),
+        # ... and would end where a committed instruction starts
+        (b"\x90\x90\x48\x89\xe5\xc3", [(0x1000, 0x1003)], (0x1005,),
+         None),
         # jmp +2 from one run to the next, over two bytes outside both
         (b"\xeb\x02\xde\xad\x90\xc3", [(0x1000, 0x1002), (0x1004, 0x1006)],
          (), [0x1000, 0x1004, 0x1005]),
@@ -552,20 +588,46 @@ class TestTraverse:
         (b"\x90\x90", None, (), None),
         # mov rbp, rsp cut off by the end of the executable range
         (b"\x90\x48\x89", None, (), None),
-    ], ids=["straddles-run-end", "run-to-run", "committed-start",
-            "mid-committed", "off-exec-range", "cut-by-exec-end"])
+    ], ids=["straddles-run-end", "straddles-onto-committed", "run-to-run",
+            "committed-start", "mid-committed", "off-exec-range",
+            "cut-by-exec-end"])
     def test_edges_match_reference(self, code, runs, committed, starts):
         image = image_of(code)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        result = claimed_set(_traverse(image, 0x1000, superset,
-                                       set(committed)))
-        assert result == strict_reference(image, 0x1000, superset,
-                                          set(committed))
-        if starts is None:
-            assert result is None
-        else:
-            assert sorted(result[1]) == starts
+        # with an empty memo, and with one that a traversal over the
+        # whole executable range has filled
+        warm = {}
+        _traverse(image, 0x1000, executable_ranges(image), set(), warm)
+        for memo in ({}, warm):
+            result = claimed_set(_traverse(image, 0x1000, superset,
+                                           set(committed), memo))
+            assert result == strict_reference(image, 0x1000, superset,
+                                              set(committed))
+            if starts is None:
+                assert result is None
+            else:
+                assert sorted(result[1]) == starts
+
+    def test_memo_hit_never_crosses_a_run_end(self):
+        # mov rbp, rsp; jmp 0x1007, and at 0x1007 mov rbp, rsp; jmp $:
+        # both movs start the window 48 89 e5 eb.  In the run
+        # [0x1000, 0x1009) the second mov, a memo hit, crosses the run
+        # end onto the committed jmp at 0x100a, so the traversal fails,
+        # as it does without the memo
+        image = image_of(b"\x48\x89\xe5\xeb\x02\xcc\xcc"
+                         b"\x48\x89\xe5\xeb\xfe")
+        short = IntervalSet.from_pairs([(0x1000, 0x1009)])
+        memo = {}
+        assert _traverse(image, 0x1000, short, {0x100a}, memo) is None
+        assert strict_reference(image, 0x1000, short, {0x100a}) is None
+        assert memo[b"\x48\x89\xe5\xeb"] == (3, x86.FALLTHROUGH, None,
+                                             None, (0x89,), 0xE5, None)
+        # over the whole range both movs are the one stored record
+        _, insns = _traverse(image, 0x1000, executable_ranges(image),
+                             set(), memo)
+        assert sorted(insns) == [0x1000, 0x1003, 0x1007, 0x100a]
+        assert insns[0x1007] is insns[0x1000] is memo[b"\x48\x89\xe5\xeb"]
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
@@ -573,8 +635,9 @@ class TestTraverse:
         if os.path.exists(LS):
             datas.append(read_ls())
         reports = [compute_superset(load_elf(d)) for d in datas]
-        def traverse(*args):
-            claimed, insns, ok = reference_traverse(*args, strict=True)
+        def traverse(image, entry, superset, committed, memo):
+            claimed, insns, ok = reference_traverse(image, entry, superset,
+                                                    committed, strict=True)
             return (list(claimed.pairs()), insns) if ok else None
 
         monkeypatch.setattr(disasm, "_traverse", traverse)
@@ -951,11 +1014,53 @@ def test_data_section_in_code_segment_stays_data(tmp_path):
     rodata = image.section_by_name(".rodata")
     exec_ranges = executable_ranges(image)
     assert exec_ranges.contains_range(rodata.vaddr, rodata.size)
-    assert _traverse(image, rodata.vaddr, exec_ranges, {}) is not None
+    assert _traverse(image, rodata.vaddr, exec_ranges, {}, {}) is not None
     report = compute_superset(image)
     assert report.entry_points == [
         EntryPoint(image.entry_point, "program_entry")]
     assert report.superset.contains_range(rodata.vaddr, rodata.size)
+
+
+# A .rodata word that points 2 bytes into _start's movabs, inside its
+# immediate.
+RODATA_WORD = """\
+\t.text
+\t.globl _start
+_start:
+\tmovabsq $0x1122334455667788, %rax
+\tmovl $60, %eax
+\txorl %edi, %edi
+\tsyscall
+\t.section .rodata
+\t.p2align 3
+\t.quad _start + 2
+"""
+
+
+def test_rodata_word_proposes_only_in_exec_image(tmp_path):
+    # linked as ET_EXEC, the word is an address: address_taken proposes
+    # it.  The same image marked ET_DYN has no relocation for the word,
+    # so it is a coincidence and proposes nothing
+    require_tool("gcc")
+    src = tmp_path / "rodata_word.s"
+    src.write_text(RODATA_WORD)
+    binary = tmp_path / "rodata_word"
+    subprocess.run(["gcc", "-nostdlib", "-static", "-no-pie", "-o",
+                    str(binary), str(src)], check=True, capture_output=True)
+    data = binary.read_bytes()
+    assert struct.unpack_from("<H", data, 16) == (2,)          # ET_EXEC
+    pie = data[:16] + struct.pack("<H", 3) + data[18:]
+    for data, proposed in ((data, True), (pie, False)):
+        image = load_elf(data)
+        mid = image.entry_point + 2
+        rodata = image.section_by_name(".rodata").data(image.raw)
+        assert struct.unpack_from("<Q", rodata) == (mid,)
+        exec_ranges = executable_ranges(image)
+        targets = disasm._address_taken_targets(image, exec_ranges)
+        assert targets == reference_address_taken_targets(image)
+        assert (mid in targets) is proposed
+        eps = detect_entry_points(image, exec_ranges, IntervalSet(), {})
+        assert (EntryPoint(mid, "address_taken") in eps) is proposed
 
 
 LLVM_BIN = "/usr/lib/llvm-14/bin"
