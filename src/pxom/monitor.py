@@ -5,11 +5,16 @@ allow-read flag.  Reads fully contained in one listed block are allowed
 via an explicit restore / single-step / revoke flow; anything else
 terminates the monitor and freezes a forensic record.
 
-A read costs a bisect, a read-count increment and no new verdict:
-verdicts, `scan_log` lists and transition tails are immutable or shared
-values built once per monitor.
+A read costs a bisect and a read-count increment.  Verdicts, `scan_log`
+lists and the transitions after `Fault` are shared values built once per
+monitor; a read allocates its `Fault` transition, the transition list and
+the tuples that carry them.  `run_trace` hands each read to `fault_flow`
+as a plain (addr, size) tuple and builds a `ReadRequest` only for a
+denial.  `parse_trace` reads a trace in canonical form in one pass over
+its tokens; any other text takes the line parser.
 """
 
+import re
 import time
 from bisect import bisect_left
 from collections import namedtuple
@@ -164,12 +169,14 @@ class Monitor:
         end = addr + size
         i = bisect_left(self._starts, end) - 1
         if i < 0 or addr < self._starts[i] or end > self._ends[i]:
-            self.terminated = True
-            self.scan_log = _SCAN_BOTH
-            # list orders and read counts; the copy is built on first use
-            self._denial = (request, time.time(), (
+            # the request as a ReadRequest whatever tuple the caller
+            # passed, list orders and read counts; the copy is built on
+            # first use
+            self._denial = (ReadRequest(*request), time.time(), (
                 tuple(self.lists.regular), tuple(self.lists.optimization),
                 tuple(map(_READS, self._blocks))))
+            self.terminated = True
+            self.scan_log = _SCAN_BOTH
             return _DENIED[i >= 0 and addr < self._ends[i]]
         block = self._blocks[i]
         reads = block.read_count = block.read_count + 1
@@ -195,7 +202,10 @@ class Monitor:
 
         Returns (verdict, transitions).
         """
-        fault = StateTransition("Fault", "%#x+%d" % request)
+        # tuple.__new__ builds the same value without the namedtuple's
+        # Python-level __new__
+        fault = tuple.__new__(StateTransition,
+                              ("Fault", "%#x+%d" % request))
         verdict = self.check_read(request)
         if verdict.outcome == DENIED:
             return verdict, [fault, _CHECK_FAIL, _TERMINATE[verdict.reason]]
@@ -237,12 +247,13 @@ class Monitor:
                 executed += event[1]
                 continue
             _, addr, size = event
+            if not 1 <= size <= MAX_READ_SIZE:
+                ReadRequest(addr, size)         # raises its ValueError
             reads += 1
-            request = ReadRequest(addr, size)
-            verdict, _ = fault_flow(request)
+            verdict, _ = fault_flow((addr, size))
             if verdict.outcome == DENIED:
                 report.denied = 1
-                report.denial = (request, verdict.reason,
+                report.denial = (ReadRequest(addr, size), verdict.reason,
                                  self.nearest_block(addr, size))
                 break
             allowed += 1
@@ -264,8 +275,35 @@ def new_monitor(lists, executable_ranges=None):
     return Monitor(lists, executable_ranges)
 
 
+# A line feed followed by a line that is not in canonical form, searched
+# for with a line feed put in front of the text so that its first line is
+# checked too.  The digit bounds keep numbers clear of int()'s limit.
+_NOT_CANONICAL = re.compile(
+    r"\n(?!(?:R [0-9a-fA-F]{1,16} (?:[1-9]|[1-5][0-9]|6[0-4])"
+    r"|I [0-9]{1,18}|#[ -~]*|)$)", re.M)
+_COMMENT = re.compile("#[^\n]*")
+
+
 def parse_trace(text):
-    """Trace grammar: `R <hex addr> <decimal size>`, `I <count>`, `#` comments."""
+    """Trace grammar: `R <hex addr> <decimal size>`, `I <count>`, `#` comments.
+
+    A text in canonical form, where every line ends in a line feed and
+    is `R <1-16 hex digits> <1..64, no leading zero>`, `I <1-18 digits>`,
+    `#` and printable ASCII, or empty, is read as one stream of tokens.
+    Any other text goes to the line parser, which gives the same events
+    and is the only source of TraceParse errors.
+    """
+    if not text.endswith("\n") or _NOT_CANONICAL.search("\n" + text):
+        return _parse_lines(text)
+    if "#" in text:
+        text = _COMMENT.sub("", text)   # only a comment line holds a "#"
+    tokens = iter(text.split())
+    return [("R", int(next(tokens), 16), int(next(tokens))) if kind == "R"
+            else ("I", int(next(tokens))) for kind in tokens]
+
+
+def _parse_lines(text):
+    """parse_trace for any text, one line at a time."""
     events = []
     append = events.append
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -7,10 +7,11 @@ import pytest
 from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import InvariantViolation, MonitorTerminated, TraceParse
 from pxom.intervals import ByteInterval, IntervalSet
+from pxom import monitor
 from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, MAX_READ_SIZE,
                           OUTSIDE_LISTS, OVERLAPS_CODE, PAGE_SIZE,
-                          PROMOTION_THRESHOLD, ReadRequest, new_monitor,
-                          parse_trace)
+                          PROMOTION_THRESHOLD, Monitor, ReadRequest,
+                          new_monitor, parse_trace)
 
 from oracle_monitor import reference_new_monitor, reference_parse_trace
 
@@ -204,6 +205,47 @@ class TestTraces:
         report = m.run_trace(parse_trace("\n".join(lines)))
         assert report.allowed == 2 and report.denied == 1
         assert report.reads == 3  # trailing events unprocessed
+
+
+class CountingMonitor(Monitor):
+    """A Monitor that records every request fault_flow is given."""
+
+    def __init__(self, lists, executable_ranges=None):
+        super().__init__(lists, executable_ranges)
+        self.requests = []
+
+    def fault_flow(self, request):
+        self.requests.append(request)
+        return super().fault_flow(request)
+
+
+class TestRunTraceContract:
+    def test_each_read_goes_through_fault_flow_once(self):
+        m = CountingMonitor(lists_with(regular=[(0x1000, 0x1010, 0)]))
+        report = m.run_trace([("R", 0x1000, 8), ("I", 5), ("R", 0x1004, 4),
+                              ("R", 0x100C, 8), ("R", 0x1000, 1)])
+        assert m.requests == [(0x1000, 8), (0x1004, 4), (0x100C, 8)]
+        assert report.reads == 3 and report.denied == 1
+
+    @pytest.mark.parametrize("size", [0, MAX_READ_SIZE + 1])
+    def test_read_size_outside_bounds_raises(self, size):
+        m = CountingMonitor(lists_with(regular=[(0x1000, 0x1100, 0)]))
+        with pytest.raises(ValueError):
+            m.run_trace([("R", 0x1000, 4), ("R", 0x1000, size)])
+        assert m.requests == [(0x1000, 4)]
+
+    def test_denial_holds_a_read_request(self):
+        report = one_block_monitor().run_trace([("R", 0x100C, 8)])
+        request = report.denial[0]
+        assert type(request) is ReadRequest
+        assert (request.addr, request.size) == (0x100C, 8)
+
+    def test_forensic_record_holds_a_read_request(self):
+        m = one_block_monitor()
+        assert m.check_read((0x1800, 8)).outcome == DENIED
+        request = m.forensic_record[0]
+        assert type(request) is ReadRequest
+        assert (request.addr, request.size) == (0x1800, 8)
 
 
 class TestNewMonitor:
@@ -451,19 +493,66 @@ def _parse_outcome(parse, text):
         return type(exc), exc.lineno, str(exc)
 
 
-def test_parse_trace_matches_reference():
-    """Events, or the error and its line, equal the reference parser's."""
+def test_parse_trace_matches_reference(monkeypatch):
+    """Events, or the error and its line, equal the reference parser's,
+    for texts in canonical form and for texts that take the line parser."""
+    line_parsed = []
+    parse_lines = monitor._parse_lines
+
+    def counted(text):
+        line_parsed.append(text)
+        return parse_lines(text)
+
+    monkeypatch.setattr(monitor, "_parse_lines", counted)
     rng = random.Random(5)
     pieces = ["R", "I", "0x10", "1f", "-4", "+8", "1_0", "64", "65", "0",
               "zz", "#", "# c", "\t", "  ", "　", "١", "R 10 4",
-              "I 7", "R 10 4 # x", "R 10 4#x", "I 3#", ""]
+              "I 7", "R 10 4 # x", "R 10 4#x", "I 3#", "",
+              "R 10 04", "R 10 64", "R 10 65", "R 1F 4",
+              "R %x 4" % (1 << 64), "I 0", "I 0007",
+              "I " + "9" * 4400]     # past int()'s default digit limit
+    canonical = 0
     for trial in range(3000):
         lines = [" ".join(rng.choice(pieces)
                           for _ in range(rng.randint(0, 4)))
                  for _ in range(rng.randint(0, 6))]
-        text = rng.choice(["\n", "\r\n", "\x0c"]).join(lines)
+        sep = rng.choice(["\n", "\r\n", "\x0c"])
+        text = sep.join(lines) + (sep if trial % 2 else "")
+        calls = len(line_parsed)
         assert _parse_outcome(parse_trace, text) \
             == _parse_outcome(reference_parse_trace, text), repr(text)
+        canonical += len(line_parsed) == calls
+    assert canonical > 50, canonical
+
+
+@pytest.mark.parametrize("text", [
+    "R -4 8\n", "R +4 8\n", "R 1_0 8\n", "R 0x10 8\n", "R 10 +8\n",
+    "R 10 8 \n", " R 10 8\n", "R  10 8\n", "I -5\n", "I +5\n", "I 1_0\n",
+    "R 10 8\r\n", "# a\x0cR 10 4\n", "# a\rI 5\n", "# a\x85R 10 4\n",
+    "# a\u2028I 3\n", "R 10 4\x0bI 2\n", "R 10 4\n\nI 2\n\n# end\n"])
+def test_near_canonical_text_matches_reference(text):
+    """Texts one character away from the canonical form: a sign, an
+    underscore, a prefix, extra blanks or another line break."""
+    assert _parse_outcome(parse_trace, text) \
+        == _parse_outcome(reference_parse_trace, text)
+
+
+def test_long_canonical_trace_matches_reference(monkeypatch):
+    """A 13,500-line trace laid out as the benchmark writes them is read
+    in one pass, to the reference parser's events."""
+    rng = random.Random(11)
+    lines = ["# benchmark-style trace: 12000 reads"]
+    for i in range(12000):
+        lines.append("R %x %d" % (rng.randrange(1 << 48),
+                                  rng.randint(1, MAX_READ_SIZE)))
+        if i % 8 == 7:
+            lines.append("I %d" % rng.randint(1, 5000))
+    text = "\n".join(lines) + "\n"
+    assert len(lines) == 13501
+    monkeypatch.setattr(monitor, "_parse_lines", None)   # not reached
+    events = parse_trace(text)
+    assert len(events) == 13500
+    assert events == reference_parse_trace(text)
 
 
 @pytest.mark.parametrize("addr, size, nearest", [
