@@ -127,7 +127,8 @@ def cmd_analyze(args):
 def cmd_simulate(args):
     start = time.perf_counter()
     image = _load(args)
-    mon = new_monitor(parse_xom_section(image), executable_ranges(image))
+    # parse_xom_section has checked the blocks against the image's ranges
+    mon = new_monitor(parse_xom_section(image))
     text = TraceParse.decode(Path(args.trace).read_bytes())
     trace_report = mon.run_trace(parse_trace(text))
     return _report("simulate", args, image.raw, {

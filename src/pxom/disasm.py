@@ -352,21 +352,16 @@ def compute_superset(image):
     if not exec_ranges:
         raise NoExecutableCode("image has no executable segment")
 
-    sources = _image_targets(image, exec_ranges)
     superset = exec_ranges.copy()
     claimed = []
     instructions = {}
     accepted = []
     traversed = set()
     memo = {}
-    progress = True
-    while progress:
-        if sources:
-            source, targets = sources.pop(0)
-        else:
-            source, targets = "jump_table", _jump_table_targets(
-                image, exec_ranges, superset, instructions)
-        progress = source != "jump_table"
+
+    def commit(source, targets):
+        """Commit each new target's traversal; True when one succeeded."""
+        committed = False
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
@@ -376,10 +371,17 @@ def compute_superset(image):
                 stretches, insns = result
                 for start, end in stretches:
                     superset.remove(start, end)
-                claimed += stretches
+                claimed.extend(stretches)
                 instructions.update(insns)
                 accepted.append(EntryPoint(va, source))
-                progress = True
+                committed = True
+        return committed
+
+    for source, targets in _image_targets(image, exec_ranges):
+        commit(source, targets)
+    while commit("jump_table", _jump_table_targets(
+            image, exec_ranges, superset, instructions)):
+        pass
 
     return DisassemblyReport(code=IntervalSet.from_pairs(claimed),
                              superset=superset, entry_points=accepted,

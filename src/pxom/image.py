@@ -37,6 +37,7 @@ SHT_PROGBITS = 1
 SHT_SYMTAB = 2
 SHT_STRTAB = 3
 SHN_LORESERVE = 0xFF00       # e_shnum and e_shstrndx escape at and above
+SHN_XINDEX = 0xFFFF          # e_shstrndx: the index is header 0's sh_link
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,14 @@ def load_elf(data):
 
     sections = []
     shdrs = ()
+    if e_shoff and (e_shnum == 0 or e_shstrndx == SHN_XINDEX):
+        # extended numbering: a count or index that does not fit the ELF
+        # header is header 0's sh_size or sh_link
+        if e_shentsize < _SHDR.size or e_shoff + e_shentsize > len(data):
+            raise Malformed("section header table out of bounds")
+        size0, link0 = _SHDR.unpack_from(data, e_shoff)[5:7]
+        e_shnum = e_shnum or size0
+        e_shstrndx = link0 if e_shstrndx == SHN_XINDEX else e_shstrndx
     if not e_shstrndx < e_shnum:
         e_shstrndx = 0
     if e_shnum:
@@ -294,6 +303,11 @@ def attach_xom_section(image, lists):
     payload = serialize_lists(lists)
 
     shdrs = [list(sh) for sh in image.shdrs] or [[0] * 10]
+    # the output's ELF header holds the count and the name table's index
+    # itself, so header 0 drops the extended-numbering escapes
+    fields = list(_EHDR.unpack_from(image.raw, 0))
+    if fields[12] == 0 or fields[13] == SHN_XINDEX:
+        shdrs[0][5:7] = 0, 0
     shstrndx = image.shstrndx
     strtab = image.sections[shstrndx].data(image.raw) if shstrndx else b""
     for sh in shdrs:
@@ -326,7 +340,6 @@ def attach_xom_section(image, lists):
     for sh in shdrs:
         out += _SHDR.pack(*sh)
 
-    fields = list(_EHDR.unpack_from(out, 0))
     fields[6] = shoff            # e_shoff
     fields[11] = _SHDR.size      # e_shentsize
     fields[12] = len(shdrs)      # e_shnum

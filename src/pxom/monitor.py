@@ -1,9 +1,9 @@
 """Userspace simulation of the kernel-side read-legality enforcement.
 
-A Monitor owns the two block lists, a page permission map, and the
-allow-read flag.  Reads fully contained in one listed block are allowed
-via an explicit restore / single-step / revoke flow; anything else
-terminates the monitor and freezes a forensic record.
+A Monitor owns the two block lists.  Reads fully contained in one listed
+block are allowed via a restore / single-step / revoke flow, which
+`fault_flow` returns as transitions and the monitor keeps no state for;
+anything else terminates the monitor and freezes a forensic record.
 
 A read costs a bisect and a read-count increment.  Verdicts, `scan_log`
 lists and the transitions after `Fault` are shared values built once per
@@ -28,9 +28,6 @@ from .errors import MonitorTerminated, TraceParse
 PAGE_SIZE = 4096
 PROMOTION_THRESHOLD = 100    # reads beyond this promote a regular block
 MAX_READ_SIZE = 64
-
-EXECUTE_ONLY = "execute_only"
-READABLE = "readable"
 
 ALLOWED = "Allowed"
 DENIED = "Denied"
@@ -87,27 +84,20 @@ class TraceReport:
     promoted: list = field(default_factory=list)   # starts, in order
 
 
-def _pages(start, end):
-    """Page numbers that the bytes [start, end) touch."""
-    return range(start // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1)
-
-
 def _allowed_tail(first_page, last_page):
-    """Transitions after Fault for an allowed read over these pages, and
-    the page states it leaves behind."""
+    """Transitions after Fault for an allowed read over these pages."""
     pages = range(first_page, last_page + 1)
-    steps = (_CHECK_PASS, _SET_FLAG,
-             *[StateTransition("RestorePageReadable", "%#x" % p)
-               for p in pages],
-             _SINGLE_STEP,
-             *[StateTransition("RevokePageExecuteOnly", "%#x" % p)
-               for p in pages],
-             _CLEAR_FLAG)
-    return steps, dict.fromkeys(pages, EXECUTE_ONLY)
+    return (_CHECK_PASS, _SET_FLAG,
+            *[StateTransition("RestorePageReadable", "%#x" % p)
+              for p in pages],
+            _SINGLE_STEP,
+            *[StateTransition("RevokePageExecuteOnly", "%#x" % p)
+              for p in pages],
+            _CLEAR_FLAG)
 
 
 class Monitor:
-    """Read monitor over disjoint block lists.
+    """Read monitor over disjoint block lists, also named `new_monitor`.
 
     One index sorted by start covers both lists, and `_scans` holds each
     block's tier.  The last block that starts before a read's end is the
@@ -115,22 +105,21 @@ class Monitor:
     when some block does.
 
     While it runs, the monitor owns the lists: each block's read_count
-    is its count, and the list order changes only by promotion.
+    is its count, starting at 0, and the list order changes only by
+    promotion.  The lists must be disjoint and, given executable_ranges,
+    lie inside them; InvariantViolation says which block is not.
     """
 
     def __init__(self, lists, executable_ranges=None):
-        self._blocks, self._starts, self._ends = lists.index()
+        self._blocks, self._starts, self._ends = \
+            lists.validate(executable_ranges).index()
+        for block in self._blocks:
+            block.read_count = 0
         self.lists = lists
-        self.allow_read_flag = False
         self.terminated = False
         self.scan_log = []
         self._record = None
         self._denial = None
-        ranges = executable_ranges
-        if ranges is None:
-            ranges = [b.interval for b in lists.all_blocks()]
-        self.page_state = {page: EXECUTE_ONLY for iv in ranges
-                           for page in _pages(iv.start, iv.end)}
         # a read's scan_log is its block's tier: which lists were scanned
         self._scans = [_SCAN_BOTH] * len(self._blocks)
         for block in lists.optimization:
@@ -209,18 +198,12 @@ class Monitor:
         verdict = self.check_read(request)
         if verdict.outcome == DENIED:
             return verdict, [fault, _CHECK_FAIL, _TERMINATE[verdict.reason]]
-        # restore-read / single-step / revoke is atomic w.r.t. the event
-        # stream: no caller can observe a page readable or the flag set,
-        # so only the states they end in are written.  A read that
-        # crosses a page boundary needs every page it touches.
+        # a read that crosses a page boundary needs every page it touches
         addr, size = request
         key = (addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE)
-        tail = self._tails.get(key)
-        if tail is None:
-            tail = self._tails[key] = _allowed_tail(*key)
-        steps, revoked = tail
-        self.page_state.update(revoked)
-        self.allow_read_flag = False
+        steps = self._tails.get(key)
+        if steps is None:
+            steps = self._tails[key] = _allowed_tail(*key)
         return verdict, [fault, *steps]
 
     def nearest_block(self, addr, size):
@@ -269,10 +252,7 @@ class Monitor:
         return report
 
 
-def new_monitor(lists, executable_ranges=None):
-    for block in lists.all_blocks():
-        block.read_count = 0
-    return Monitor(lists, executable_ranges)
+new_monitor = Monitor
 
 
 # A line feed followed by a line that is not in canonical form, searched

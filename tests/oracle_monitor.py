@@ -8,6 +8,12 @@ the regular list with a Python-level identity scan.  It is slower than
 and records a denial without copying blocks, but simple enough to serve
 as its reference.
 
+It still keeps the page permission map and the allow-read flag that
+`monitor.Monitor` no longer keeps, so the tests can check that both end
+execute-only and clear after every call.  `ShadowPages` replays one
+fault flow's transitions on the same model and checks the restore /
+single-step / revoke discipline.
+
 `reference_parse_trace` is the line-by-line trace parser that
 `monitor.parse_trace` must agree with, errors and line numbers included.
 """
@@ -18,10 +24,12 @@ from dataclasses import dataclass
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import MonitorTerminated, TraceParse
-from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, MAX_READ_SIZE,
-                          OUTSIDE_LISTS, OVERLAPS_CODE, PAGE_SIZE,
-                          PROMOTION_THRESHOLD, READABLE, ReadRequest,
-                          StateTransition)
+from pxom.monitor import (ALLOWED, DENIED, MAX_READ_SIZE, OUTSIDE_LISTS,
+                          OVERLAPS_CODE, PAGE_SIZE, PROMOTION_THRESHOLD,
+                          ReadRequest, StateTransition)
+
+EXECUTE_ONLY = "execute_only"
+READABLE = "readable"
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,67 @@ class ReferenceVerdict:
 
 def _pages(start, end):
     return range(start // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1)
+
+
+class ShadowPages:
+    """The allow-read flag and page states that fault-flow transitions
+    imply, carried from one replayed flow to the next."""
+
+    def __init__(self):
+        self.flag = False
+        self.pages = {}             # page -> state; unlisted is EXECUTE_ONLY
+
+    def replay(self, request, verdict, transitions):
+        """Assert that transitions are the paper's flow for request.
+
+        Fault, then LegalityCheck.  A pass sets the allow-read flag,
+        restores each page the read touches once, in ascending order,
+        single-steps while the flag is set and every touched page is
+        readable, revokes the same pages and clears the flag.  A fail
+        terminates with the verdict's reason.  Between flows the flag is
+        clear and no page is readable.
+        """
+        addr, size = request
+        touched = range(addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE + 1)
+        assert transitions[0] == ("Fault", "%#x+%d" % (addr, size))
+        assert transitions[1].name == "LegalityCheck"
+        if transitions[1].detail == "fail":
+            assert verdict.outcome == DENIED
+            assert transitions[2:] == [("Terminate", verdict.reason)]
+        else:
+            assert transitions[1].detail == "pass"
+            assert verdict.outcome == ALLOWED
+            names = [t.name for t in transitions[2:]]
+            assert names == ["SetAllowReadFlag",
+                             *["RestorePageReadable"] * len(touched),
+                             "SingleStepExecute",
+                             *["RevokePageExecuteOnly"] * len(touched),
+                             "ClearAllowReadFlag"], names
+        restored = []
+        for name, detail in transitions[2:]:
+            if name == "SetAllowReadFlag":
+                assert not self.flag
+                self.flag = True
+            elif name == "RestorePageReadable":
+                page = int(detail, 16)
+                assert self.flag and self.pages.get(page) != READABLE
+                self.pages[page] = READABLE
+                restored.append(page)
+            elif name == "SingleStepExecute":
+                assert restored == list(touched)
+                assert self.flag and all(self.pages[page] == READABLE
+                                         for page in touched)
+            elif name == "RevokePageExecuteOnly":
+                page = int(detail, 16)
+                assert self.flag and self.pages[page] == READABLE
+                assert restored[:1] == [page]       # in ascending order
+                self.pages[page] = EXECUTE_ONLY
+                del restored[0]
+            elif name == "ClearAllowReadFlag":
+                assert self.flag and not restored
+                self.flag = False
+        assert not self.flag
+        assert READABLE not in self.pages.values()
 
 
 def _snapshot(lists):

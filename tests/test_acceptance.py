@@ -18,14 +18,14 @@ from pxom.disasm import compute_superset
 from pxom.errors import MonitorTerminated
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import ByteInterval, IntervalSet
-from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, ReadRequest,
-                          new_monitor)
+from pxom.monitor import ALLOWED, DENIED, ReadRequest, new_monitor
 from pxom.protector import build_lists
 from pxom.surface import (code_coverage, gadget_scan, overall_coverage,
                           read_intensity, wrpkru_scan)
 
 from conftest import exec_elf, require_tool
 from oracle_gadgets import brute_force_gadgets
+from oracle_monitor import ShadowPages
 
 CORPUS_SIZE = 50
 
@@ -210,6 +210,9 @@ def test_criterion_9_state_machine_discipline():
         return new_monitor(XomLists(regular=blocks, optimization=[]), space)
 
     monitor = fresh()
+    # replay asserts each flow's discipline and that it ends with the
+    # flag clear and every page execute-only
+    shadow = ShadowPages()
     violations = 0
     for _ in range(10_000):
         if rng.random() < 0.05:
@@ -218,11 +221,8 @@ def test_criterion_9_state_machine_discipline():
             block = rng.randrange(8)
             addr = 0x1000 + block * 0x100 + rng.randrange(0x40 - 16)
         size = rng.choice((1, 2, 4, 8, 16))
-        monitor.fault_flow(ReadRequest(addr, size))
-        if monitor.allow_read_flag:
-            violations += 1
-        if any(v != EXECUTE_ONLY for v in monitor.page_state.values()):
-            violations += 1
+        request = ReadRequest(addr, size)
+        shadow.replay(request, *monitor.fault_flow(request))
         if monitor.terminated:
             # absorbing: every further call must error
             try:

@@ -1,3 +1,4 @@
+import json
 import struct
 import subprocess
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
+from pxom.cli import main
 from pxom.errors import (CorruptXom, InvariantViolation, Malformed,
                          NoXomSection, NotElf, OutOfRange, SectionExists,
                          Unsupported)
@@ -415,6 +417,67 @@ class TestSectionTable:
         else:
             with pytest.raises(Unsupported, match="do not fit e_shnum"):
                 attach_xom_section(image, XomLists([], []))
+
+
+def with_escapes(data):
+    """data in the gABI's extended section numbering: e_shnum 0 with the
+    count in section header 0's sh_size, and e_shstrndx SHN_XINDEX with
+    the name table's index in its sh_link."""
+    out = bytearray(data)
+    shoff, = struct.unpack_from("<Q", out, 0x28)
+    shnum, shstrndx = struct.unpack_from("<2H", out, 0x3C)
+    struct.pack_into("<2H", out, 0x3C, 0, 0xFFFF)
+    struct.pack_into("<Q", out, shoff + 0x20, shnum)
+    struct.pack_into("<I", out, shoff + 0x28, shstrndx)
+    return bytes(out)
+
+
+class TestExtendedNumbering:
+    def test_escaped_input_reads_as_plain(self, corpus, tmp_path):
+        data = corpus[0].binary.read_bytes()
+        plain, escaped = load_elf(data), load_elf(with_escapes(data))
+        assert len(plain.sections) > 3
+        assert escaped.shstrndx == plain.shstrndx
+        assert escaped.sections[1:] == plain.sections[1:]
+        assert escaped.sections[0].size == len(plain.sections)
+
+        reports = []
+        for name, raw in (("plain", data), ("escaped", with_escapes(data))):
+            (tmp_path / name).write_bytes(raw)
+            out = tmp_path / (name + ".json")
+            assert main(["analyze", "-i", str(tmp_path / name),
+                         "--ground-truth", str(corpus[0].ground_truth),
+                         "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            for key in ("input", "sha256", "seconds"):
+                del report[key]
+            reports.append(report)
+        # address_taken reads only the code sections, so it finds
+        # nothing in an image read as having none
+        assert reports[0] == reports[1]
+        assert reports[0]["entry_points"]["address_taken"] > 0
+
+    def test_protect_writes_plain_numbering(self, corpus):
+        data = corpus[0].binary.read_bytes()
+        out, _, lists = protect_image(load_elf(data))
+        escaped_out, _, escaped_lists = protect_image(
+            load_elf(with_escapes(data)))
+        assert escaped_lists == lists
+        assert escaped_out.sections == out.sections
+        assert parse_xom_section(escaped_out) == lists
+        # the bytes differ only in the input's own header 0, which the
+        # new table no longer points at
+        shoff, = struct.unpack_from("<Q", data, 0x28)
+        assert [i for i, (a, b) in enumerate(zip(out.raw, escaped_out.raw))
+                if a != b] == [shoff + 0x20, shoff + 0x28]
+        assert len(escaped_out.raw) == len(out.raw)
+
+    def test_header_0_outside_file_rejected(self):
+        data = bytearray(exec_elf(b"\xc3" * 64))
+        struct.pack_into("<Q", data, 0x28, len(data) - 32)
+        struct.pack_into("<3H", data, 0x3A, 64, 0, 0)
+        with pytest.raises(Malformed, match="section header table"):
+            load_elf(bytes(data))
 
 
 def test_from_pairs_rejects_empty_pair():

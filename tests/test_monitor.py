@@ -8,12 +8,12 @@ from pxom.blocks import EmbeddedDataBlock, XomLists
 from pxom.errors import InvariantViolation, MonitorTerminated, TraceParse
 from pxom.intervals import ByteInterval, IntervalSet
 from pxom import monitor
-from pxom.monitor import (ALLOWED, DENIED, EXECUTE_ONLY, MAX_READ_SIZE,
-                          OUTSIDE_LISTS, OVERLAPS_CODE, PAGE_SIZE,
-                          PROMOTION_THRESHOLD, Monitor, ReadRequest,
-                          new_monitor, parse_trace)
+from pxom.monitor import (ALLOWED, DENIED, MAX_READ_SIZE, OUTSIDE_LISTS,
+                          OVERLAPS_CODE, PAGE_SIZE, PROMOTION_THRESHOLD,
+                          Monitor, ReadRequest, new_monitor, parse_trace)
 
-from oracle_monitor import reference_new_monitor, reference_parse_trace
+from oracle_monitor import (EXECUTE_ONLY, ShadowPages, reference_new_monitor,
+                            reference_parse_trace)
 
 
 def lists_with(regular=(), optimization=()):
@@ -103,23 +103,28 @@ class TestPromotion:
 class TestFaultFlow:
     def test_legal_read_transitions(self):
         m = one_block_monitor()
-        _, ts = m.fault_flow(ReadRequest(0x1000, 8))
+        request = ReadRequest(0x1000, 8)
+        verdict, ts = m.fault_flow(request)
         assert [t.name for t in ts] == [
             "Fault", "LegalityCheck", "SetAllowReadFlag",
             "RestorePageReadable", "SingleStepExecute",
             "RevokePageExecuteOnly", "ClearAllowReadFlag"]
-        assert not m.allow_read_flag
-        assert all(state == EXECUTE_ONLY for state in m.page_state.values())
+        shadow = ShadowPages()
+        shadow.replay(request, verdict, ts)
+        assert shadow.pages == {1: EXECUTE_ONLY}
 
     def test_page_crossing_read_covers_both_pages(self):
         m = new_monitor(lists_with(regular=[(0xFF8, 0x1010, 0)]),
                         IntervalSet.from_pairs([(0x0, 0x2000)]))
-        _, ts = m.fault_flow(ReadRequest(0xFFC, 8))
+        request = ReadRequest(0xFFC, 8)
+        verdict, ts = m.fault_flow(request)
         assert [(t.name, t.detail) for t in ts[3:-1]] == [
             ("RestorePageReadable", "0x0"), ("RestorePageReadable", "0x1"),
             ("SingleStepExecute", ""),
             ("RevokePageExecuteOnly", "0x0"), ("RevokePageExecuteOnly", "0x1")]
-        assert m.page_state == {0: EXECUTE_ONLY, 1: EXECUTE_ONLY}
+        shadow = ShadowPages()
+        shadow.replay(request, verdict, ts)
+        assert shadow.pages == {0: EXECUTE_ONLY, 1: EXECUTE_ONLY}
 
     def test_illegal_read_transitions(self):
         m = one_block_monitor()
@@ -140,10 +145,10 @@ class TestFaultFlow:
 
     def test_flag_false_between_flows(self):
         m = one_block_monitor()
-        m.fault_flow(ReadRequest(0x1000, 8))
-        assert not m.allow_read_flag
-        m.fault_flow(ReadRequest(0x1004, 4))
-        assert not m.allow_read_flag
+        shadow = ShadowPages()
+        for request in (ReadRequest(0x1000, 8), ReadRequest(0x1004, 4)):
+            shadow.replay(request, *m.fault_flow(request))
+            assert not shadow.flag
 
 
 class TestTermination:
@@ -249,11 +254,16 @@ class TestRunTraceContract:
 
 
 class TestNewMonitor:
-    def test_pages_cover_executable_ranges(self):
-        m = new_monitor(lists_with(regular=[(0x1000, 0x1008, 0)]),
-                        IntervalSet.from_pairs([(0x1000, 0x3000)]))
-        assert set(m.page_state) == {1, 2}
-        assert all(v == EXECUTE_ONLY for v in m.page_state.values())
+    @pytest.mark.parametrize("end, ok", [(0x3000, True), (0x3001, False)])
+    def test_blocks_checked_against_executable_ranges(self, end, ok):
+        lists = lists_with(regular=[(0x1000, 0x1008, 0)],
+                           optimization=[(0x2FF0, end, 20)])
+        ranges = IntervalSet.from_pairs([(0x1000, 0x3000)])
+        if ok:
+            assert new_monitor(lists, ranges).lists is lists
+        else:
+            with pytest.raises(InvariantViolation, match="outside executable"):
+                new_monitor(lists, ranges)
 
     def test_read_counts_reset(self):
         lists = lists_with(regular=[(0x1000, 0x1008, 0)])
@@ -373,9 +383,9 @@ class TestAgainstBruteForce:
 
 
 def _state(m):
-    """What a monitor shows of its lists, pages and flags."""
+    """What a monitor shows of its lists and flags."""
     return ([_rows(getattr(m.lists, name)) for name in LIST_NAMES],
-            m.page_state, m.allow_read_flag, m.terminated, m.scan_log)
+            m.terminated, m.scan_log)
 
 
 def _rows(blocks):
@@ -398,9 +408,14 @@ def _compare_with_reference(seed, totals):
     triples = [p + (rng.randint(0, 20),) for p in pairs]
     regular, optimization = triples[:split], triples[split:]
     # no ranges, ranges that hold every block, and ranges that hold
-    # half the space, so that reads also touch pages outside them
+    # half the space, which a monitor refuses when a block lies outside
     ranges = [None, IntervalSet.from_pairs([(0, space)]),
               IntervalSet.from_pairs([(0, space // 2)])][seed % 3]
+    if seed % 3 == 2 and any(end > space // 2 for _, end, _ in triples):
+        with pytest.raises(InvariantViolation, match="outside executable"):
+            new_monitor(lists_with(regular, optimization), ranges)
+        totals["outside ranges refused"] += 1
+        ranges = None
     m = new_monitor(lists_with(regular, optimization), ranges)
     ref = reference_new_monitor(lists_with(regular, optimization), ranges)
     mine = {b.interval.start: b for b in m.lists.all_blocks()}
@@ -462,6 +477,10 @@ def _compare_with_reference(seed, totals):
             totals["promotions"] += verdict.promoted
         latest = time.time()
         assert _state(m) == _state(ref), where
+        # the reference still models pages and the flag: a call ends
+        # with every page execute-only and the flag clear
+        assert set(ref.page_state.values()) <= {EXECUTE_ONLY}, where
+        assert not ref.allow_read_flag, where
         if m.terminated:
             totals["denials"] += 1
             want_request, _, snapshot = ref.forensic_record
@@ -477,12 +496,12 @@ def _compare_with_reference(seed, totals):
 def test_random_calls_match_reference():
     """Mixed check_read / fault_flow / run_trace calls against the
     reference monitor: verdicts, matched blocks, transitions, both lists
-    with read counts, page states, flags and forensic records."""
+    with read counts, flags and forensic records."""
     totals = Counter()
     for seed in range(40):
         _compare_with_reference(seed, totals)
     for what in ("promotions", "denials", "revived", "page-crossing reads",
-                 "records read after later reads"):
+                 "records read after later reads", "outside ranges refused"):
         assert totals[what] > 0, (what, totals)
 
 
