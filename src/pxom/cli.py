@@ -25,7 +25,8 @@ from .errors import PxomError, TraceParse
 from .image import executable_ranges, load_elf, parse_xom_section
 from .monitor import new_monitor, parse_trace
 from .protector import protect_image
-from .surface import gadget_scan, metrics, overall_coverage, wrpkru_scan
+from .surface import (DEFAULT_GADGET_DEPTH, gadget_scan, metrics,
+                      overall_coverage, wrpkru_scan)
 
 REPORT_SCHEMA = 1
 
@@ -211,7 +212,7 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--out")
     p = command("scan", cmd_scan, "gadget and WRPKRU surface scan")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=int, default=DEFAULT_GADGET_DEPTH)
     p.add_argument("--out")
     p = command("compare", cmd_compare, "soundness gate against ground truth")
     p.add_argument("--ground-truth", required=True)

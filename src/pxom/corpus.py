@@ -288,8 +288,8 @@ def load_ground_truth(path):
     """Parse a `0xSTART 0xEND` per-line interval file.
 
     Blank lines and `#` comments are skipped.  Any other line that is
-    not two hex numbers with START < END, or a byte that is not UTF-8,
-    raises GroundTruthParse.
+    not two hex numbers with 0 <= START < END, or a byte that is not
+    UTF-8, raises GroundTruthParse.
     """
     pairs = []
     text = GroundTruthParse.decode(Path(path).read_bytes())
@@ -302,8 +302,8 @@ def load_ground_truth(path):
             start, end = int(start_s, 16), int(end_s, 16)
         except ValueError:
             start = end = 0
-        if start >= end:
+        if not 0 <= start < end:
             raise GroundTruthParse("expected `0xSTART 0xEND` with "
-                                   "START < END, got %r" % line, lineno)
+                                   "0 <= START < END, got %r" % line, lineno)
         pairs.append((start, end))
     return IntervalSet.from_pairs(pairs)

@@ -128,14 +128,12 @@ def _traverse(image, entry, superset, committed, memo):
     return stretches, insns
 
 
-def _image_targets(image, exec_ranges):
+def _image_targets(image):
     """(source, targets) for each source that reads only the image, in
     SOURCE_ORDER, each list sorted.  All but the program entry's lie in
-    the SHF_ALLOC|SHF_EXECINSTR sections if the image has any, since an
-    R+X segment may hold data sections too."""
-    code = IntervalSet.from_pairs(
-        (sec.vaddr, sec.vaddr + sec.size) for sec in image.sections
-        if sec.flags & 6 == 6 and sec.size) or exec_ranges
+    the image's code sections if it has any, since an R+X segment may
+    hold data sections too."""
+    code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
     entry = [image.entry_point] if image.entry_point else []
     unwind = _frame_unwind_targets(image, code)
@@ -151,11 +149,10 @@ def detect_entry_points(image, superset, known_code, instructions):
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
     the committed ones, where the jump-table finder looks for tables."""
-    exec_ranges = executable_ranges(image)
     found = {}
-    for source, targets in (*_image_targets(image, exec_ranges),
+    for source, targets in (*_image_targets(image),
                             ("jump_table", _jump_table_targets(
-                                image, exec_ranges, superset, instructions))):
+                                image, superset, instructions))):
         for va in targets:
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
@@ -163,7 +160,7 @@ def detect_entry_points(image, superset, known_code, instructions):
     return [EntryPoint(va, src) for va, src in found.items()]
 
 
-def _jump_table_targets(image, exec_ranges, superset, instructions):
+def _jump_table_targets(image, superset, instructions):
     """Sorted targets of the bounded rel32 tables in the superset that
     committed code (instructions, by vaddr) dispatches through.  Each
     indirect jump reads the table of the last lea of one at most
@@ -207,8 +204,7 @@ def _jump_table_targets(image, exec_ranges, superset, instructions):
         if count is not None:
             count = min(count, (starts[bisect_right(starts, table)] - table)
                         // 4)
-            targets.extend(_rel32_table(image, exec_ranges, superset,
-                                        table, count))
+            targets.extend(_rel32_table(image, superset, table, count))
     return sorted(set(targets))
 
 
@@ -233,30 +229,29 @@ def _bound_before(instructions, lo, hi):
     return None
 
 
-def _rel32_table(image, exec_ranges, superset, table, count):
+def _rel32_table(image, superset, table, count):
     """The targets of the count rel32 entries at table, or [] unless the
-    whole table lies in the superset and every target is in
-    exec_ranges."""
+    whole table lies in the superset and every target is executable."""
     if not superset.contains_range(table, 4 * count):
         return []
     raw = image.read_vaddr(table, 4 * count)
     targets = [(table + rel) & 0xFFFFFFFFFFFFFFFF
                for rel in unpack_from("<%di" % count, raw)]
-    if all(exec_ranges.contains_range(va, 1) for va in targets):
+    if all(va in image.exec_ranges for va in targets):
         return targets
     return []
 
 
-def _frame_unwind_targets(image, exec_ranges):
+def _frame_unwind_targets(image, ranges):
     sec = image.section_by_name(".eh_frame")
     if sec is None or not sec.size:
         return []
     locs = fde_initial_locations(sec.data(image.raw), sec.vaddr)
-    return [va for va in locs if exec_ranges.contains_range(va, 1)]
+    return [va for va in locs if ranges.contains_range(va, 1)]
 
 
-def _address_taken_targets(image, exec_ranges):
-    """The 8-byte values in exec_ranges, in section then address order:
+def _address_taken_targets(image, ranges):
+    """The 8-byte values in ranges, in section then address order:
     RELA addends, the entries of the pointer arrays and the GOT, and, in
     an ET_EXEC image, the 8-aligned words of .rodata and .data.rel.ro.
     A position-independent image has no relocation for such a word, so
@@ -273,7 +268,7 @@ def _address_taken_targets(image, exec_ranges):
             values = _words(sec.data(image.raw), -sec.vaddr % 8, 8)
         else:
             continue
-        targets.extend(compress(values, exec_ranges.contains_each(
+        targets.extend(compress(values, ranges.contains_each(
             values, [va + 1 for va in values])))
     return targets
 
@@ -348,12 +343,10 @@ def compute_superset(image):
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
-    exec_ranges = executable_ranges(image)
-    if not exec_ranges:
+    superset = executable_ranges(image)
+    if not superset:
         raise NoExecutableCode("image has no executable segment")
 
-    superset = exec_ranges.copy()
-    claimed = []
     instructions = {}
     accepted = []
     traversed = set()
@@ -371,19 +364,24 @@ def compute_superset(image):
                 stretches, insns = result
                 for start, end in stretches:
                     superset.remove(start, end)
-                claimed.extend(stretches)
                 instructions.update(insns)
                 accepted.append(EntryPoint(va, source))
                 committed = True
         return committed
 
-    for source, targets in _image_targets(image, exec_ranges):
+    for source, targets in _image_targets(image):
         commit(source, targets)
     while commit("jump_table", _jump_table_targets(
-            image, exec_ranges, superset, instructions)):
+            image, superset, instructions)):
         pass
 
-    return DisassemblyReport(code=IntervalSet.from_pairs(claimed),
-                             superset=superset, entry_points=accepted,
-                             executable_total=exec_ranges.total_bytes,
+    # commits only move executable bytes out of the superset, so the code
+    # is the executable bytes it no longer holds.  In address order, each
+    # removal edits code only near its end: one linear pass
+    code = executable_ranges(image)
+    for start, end in superset.pairs():
+        code.remove(start, end)
+    return DisassemblyReport(code=code, superset=superset,
+                             entry_points=accepted,
+                             executable_total=image.exec_ranges.total_bytes,
                              instructions=instructions)

@@ -45,10 +45,6 @@ class EmptyGroundTruth(PxomError):
     """Ground-truth code set is empty."""
 
 
-class ZeroInstructions(PxomError):
-    """Read-intensity denominator is zero."""
-
-
 class MonitorTerminated(PxomError):
     """Monitor received an event after a denied read."""
 

@@ -7,7 +7,6 @@ section, so stock loaders keep working.
 """
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
@@ -36,6 +35,7 @@ PF_X = 1
 SHT_PROGBITS = 1
 SHT_SYMTAB = 2
 SHT_STRTAB = 3
+SHF_CODE = 0x6               # SHF_ALLOC | SHF_EXECINSTR
 SHN_LORESERVE = 0xFF00       # e_shnum and e_shstrndx escape at and above
 SHN_XINDEX = 0xFFFF          # e_shstrndx: the index is header 0's sh_link
 
@@ -76,7 +76,9 @@ class Segment:
 @dataclass(frozen=True)
 class BinaryImage:
     """A loaded ELF; only load_elf builds one.  Not a slots class: the
-    cached executable bytes live in the instance __dict__."""
+    cached executable bytes live in the instance __dict__.  The two
+    IntervalSets are read-only (`executable_ranges` copies), and make
+    the image unhashable."""
 
     raw: bytes
     elf_type: int
@@ -85,6 +87,9 @@ class BinaryImage:
     segments: tuple
     shdrs: tuple        # the section headers' 10 fields, in file order
     shstrndx: int       # 0 (SHN_UNDEF) unless it names a header in shdrs
+    exec_ranges: IntervalSet    # merged executable PT_LOAD ranges
+    # merged SHF_CODE sections of nonzero size, inside exec_ranges
+    code_sections: IntervalSet
 
     def section_by_name(self, name):
         for sec in self.sections:
@@ -94,38 +99,32 @@ class BinaryImage:
 
     @cached_property
     def _code(self):
-        """(starts, ends, bytes) of the merged executable ranges, built on
+        """The bytes of each executable range by its start, built on
         first use.  load_elf rejects zero fill in executable segments and
         any overlap with them, so a range's bytes are the file bytes of
         its segments, joined in address order."""
-        starts, ends, pieces = [], [], []
+        pieces = {start: [] for start, _ in self.exec_ranges.pairs()}
         for seg in sorted(_code_segments(self.segments),
                           key=attrgetter("vaddr")):
-            if not ends or seg.vaddr != ends[-1]:
-                starts.append(seg.vaddr)
-                ends.append(seg.vaddr)
-                pieces.append([])
-            ends[-1] += seg.memsz
-            pieces[-1].append(self.raw[seg.offset:seg.offset + seg.memsz])
-        return starts, ends, [b"".join(p) for p in pieces]
+            pieces[self.exec_ranges.run_at(seg.vaddr)[0]].append(
+                self.raw[seg.offset:seg.offset + seg.memsz])
+        return {start: b"".join(p) for start, p in pieces.items()}
 
     def code_at(self, vaddr):
         """(start, bytes) of the executable range holding vaddr."""
-        starts, ends, buffers = self._code
-        i = bisect_right(starts, vaddr) - 1
-        if i < 0 or vaddr >= ends[i]:
+        run = self.exec_ranges.run_at(vaddr)
+        if run is None:
             raise OutOfRange("%#x is not executable" % vaddr)
-        return starts[i], buffers[i]
+        return run[0], self._code[run[0]]
 
     def read_vaddr(self, addr, size):
         """The size bytes at addr, or None unless one executable range
         holds all of them."""
-        starts, ends, buffers = self._code
-        i = bisect_right(starts, addr) - 1
-        if i < 0 or addr + size > ends[i]:
+        run = self.exec_ranges.run_at(addr)
+        if run is None or addr + size > run[1]:
             return None
-        off = addr - starts[i]
-        return buffers[i][off:off + size]
+        off = addr - run[0]
+        return self._code[run[0]][off:off + size]
 
 
 def _code_segments(segments):
@@ -207,18 +206,22 @@ def load_elf(data):
                                     sh_addr, sh_offset, sh_size, sh_entsize,
                                     sh_link, sh_info, sh_align))
 
-    image = BinaryImage(raw=data, elf_type=e_type, entry_point=e_entry,
-                        sections=tuple(sections), segments=tuple(segments),
-                        shdrs=shdrs, shstrndx=e_shstrndx)
-    exec_ranges = executable_ranges(image)
+    exec_ranges = IntervalSet.from_pairs(
+        (seg.vaddr, seg.vaddr + seg.memsz) for seg in _code_segments(segments))
+    code_pairs = []
     for sec in sections:
-        if sec.flags & 0x4 and sec.flags & 0x2 and sec.size:  # EXECINSTR|ALLOC
+        if sec.flags & SHF_CODE == SHF_CODE and sec.size:
             if not exec_ranges.contains_range(sec.vaddr, sec.size):
                 raise Malformed("executable section %s outside executable "
                                 "segments" % sec.name)
+            code_pairs.append((sec.vaddr, sec.vaddr + sec.size))
     if e_entry and exec_ranges and e_entry not in exec_ranges:
         raise Malformed("entry point %#x outside executable ranges" % e_entry)
-    return image
+    return BinaryImage(raw=data, elf_type=e_type, entry_point=e_entry,
+                       sections=tuple(sections), segments=tuple(segments),
+                       shdrs=shdrs, shstrndx=e_shstrndx,
+                       exec_ranges=exec_ranges,
+                       code_sections=IntervalSet.from_pairs(code_pairs))
 
 
 def _check_code_segments_disjoint(segments):
@@ -243,8 +246,8 @@ def _check_code_segments_disjoint(segments):
 
 
 def executable_ranges(image):
-    return IntervalSet.from_pairs((seg.vaddr, seg.vaddr + seg.memsz)
-                                  for seg in _code_segments(image.segments))
+    """A copy of image.exec_ranges, for the caller to change."""
+    return image.exec_ranges.copy()
 
 
 def is_xom_enabled(image):
@@ -299,7 +302,7 @@ def attach_xom_section(image, lists):
     Each header keeps the name load_elf gave it."""
     if image.section_by_name(XOM_SECTION_NAME) is not None:
         raise SectionExists(".xom section already present")
-    lists.validate(executable_ranges(image))
+    lists.validate(image.exec_ranges)
     payload = serialize_lists(lists)
 
     shdrs = [list(sh) for sh in image.shdrs] or [[0] * 10]
@@ -353,5 +356,5 @@ def parse_xom_section(image):
     if sec is None:
         raise NoXomSection("no .xom section in image")
     lists = deserialize_lists(sec.data(image.raw))
-    lists.validate(executable_ranges(image))
+    lists.validate(image.exec_ranges)
     return lists

@@ -4,8 +4,7 @@ import re
 from dataclasses import dataclass
 
 from . import x86
-from .errors import EmptyGroundTruth, ZeroInstructions
-from .image import executable_ranges
+from .errors import EmptyGroundTruth
 
 DEFAULT_GADGET_DEPTH = 10
 WRPKRU_BYTES = b"\x0f\x01\xef"
@@ -65,12 +64,6 @@ def metrics(report, ground_truth_code=None):
           if ground_truth_code is not None else None)
     return Metrics(code_coverage=cc, overall_coverage=overall_coverage(report),
                    edb_count=count, avg_edb_size=avg)
-
-
-def read_intensity(reads, executed):
-    if executed <= 0:
-        raise ZeroInstructions("executed-instruction count must be positive")
-    return reads / executed
 
 
 def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
@@ -146,11 +139,11 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
 def wrpkru_scan(image, report):
     """All WRPKRU byte sequences in executable memory, with location label."""
     hits = []
-    for iv in executable_ranges(image):
-        data = image.read_vaddr(iv.start, len(iv))
+    for start, _ in image.exec_ranges.pairs():
+        _, data = image.code_at(start)
         pos = data.find(WRPKRU_BYTES)
         while pos >= 0:
-            va = iv.start + pos
+            va = start + pos
             label = ("inside_superset"
                      if report.superset.contains_range(va, 1)
                      else "inside_code")

@@ -244,8 +244,7 @@ def reference_jump_table_targets(image, superset, instructions):
         for other, _ in reads:
             if table < other < table + 4 * count:
                 count = (other - table) // 4  # the next table starts
-        targets.extend(_rel32_table(image, executable_ranges(image),
-                                    superset, table, count))
+        targets.extend(_rel32_table(image, superset, table, count))
     return targets
 
 

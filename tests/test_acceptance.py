@@ -21,7 +21,7 @@ from pxom.intervals import ByteInterval, IntervalSet
 from pxom.monitor import ALLOWED, DENIED, ReadRequest, new_monitor
 from pxom.protector import build_lists
 from pxom.surface import (code_coverage, gadget_scan, overall_coverage,
-                          read_intensity, wrpkru_scan)
+                          wrpkru_scan)
 
 from conftest import exec_elf, require_tool
 from oracle_gadgets import brute_force_gadgets
@@ -195,8 +195,15 @@ def test_criterion_8_metric_formulas():
     gt = IntervalSet.from_pairs([(0, 10000)])
     assert code_coverage(report, gt) == pytest.approx(0.9707, rel=1e-12)
     assert overall_coverage(report) == pytest.approx(0.9707, rel=1e-12)
-    assert read_intensity(14, 10**8) == pytest.approx(1.4e-7, rel=1e-12)
-    assert read_intensity(3, 3_000_000) == pytest.approx(1e-6, rel=1e-12)
+    # read intensity is reads per executed instruction, as the monitor
+    # reports it for a trace
+    lists = XomLists(regular=[EmbeddedDataBlock(ByteInterval(0, 8), 0)],
+                     optimization=[])
+    for reads, executed, intensity in ((14, 10**8, 1.4e-7),
+                                       (3, 3_000_000, 1e-6)):
+        trace = [("R", 0, 8)] * reads + [("I", executed)]
+        assert new_monitor(lists).run_trace(trace).read_intensity == \
+            pytest.approx(intensity, rel=1e-12)
 
 
 def test_criterion_9_state_machine_discipline():

@@ -357,7 +357,8 @@ class TestCompare:
 
 class TestMalformedGroundTruth:
     @pytest.mark.parametrize("command", ["analyze", "compare"])
-    @pytest.mark.parametrize("line", ["0x1000", "zz 0x10", "0x2000 0x1000"])
+    @pytest.mark.parametrize("line", ["0x1000", "zz 0x10", "0x2000 0x1000",
+                                      "-0x10 0x20"])
     def test_error_names_line(self, capsys, tmp_path, corpus, command, line):
         gt = tmp_path / "bad.gt"
         # comments and blank lines are valid and still counted

@@ -691,8 +691,7 @@ class TestJumpTable:
         # a table without a bound check is not read
         image, instructions = jump_table_image(cmp_at, jmp_at, self.LEA)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(found)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -710,8 +709,7 @@ class TestJumpTable:
         image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
                                                self.LEA, bound=bound)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -724,8 +722,7 @@ class TestJumpTable:
         image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
                                                self.LEA, bound=bound)
         superset = executable_ranges(image)
-        assert _jump_table_targets(image, superset, superset,
-                                   instructions) == []
+        assert _jump_table_targets(image, superset, instructions) == []
         assert reference_jump_table_targets(image, superset,
                                             instructions) == []
 
@@ -738,8 +735,7 @@ class TestJumpTable:
             bound=b"\x41\x81\xfd\x00\x01\x00\x00",
             extra=[(self.LEA + 8, b"\x80\xf9\x05")])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(6)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -751,8 +747,7 @@ class TestJumpTable:
             self.LEA - 32, self.LEA + 16, self.LEA,
             extra=[(self.LEA + 8, b"\x80\x3f\x2f")])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -774,8 +769,7 @@ class TestJumpTable:
                                                self.LEA, extra=extra,
                                                other_leas=other_leas)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -788,8 +782,7 @@ class TestJumpTable:
             extra=[(self.LEA - 10, b"\xff\xe0")],
             other_leas=[(self.LEA - 20, 12)])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, superset,
-                                      instructions)
+        targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(3)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -801,8 +794,7 @@ class TestJumpTable:
                                                abs64=True)
         assert image.elf_type == 2
         superset = executable_ranges(image)
-        assert _jump_table_targets(image, superset, superset,
-                                   instructions) == []
+        assert _jump_table_targets(image, superset, instructions) == []
         assert reference_jump_table_targets(image, superset,
                                             instructions) == []
 
@@ -813,7 +805,7 @@ class TestJumpTable:
             report = compute_superset(image)
             exec_ranges = executable_ranges(image)
             for superset in (exec_ranges, report.superset):
-                targets = _jump_table_targets(image, exec_ranges, superset,
+                targets = _jump_table_targets(image, superset,
                                               report.instructions)
                 # the finder walks the instructions in commit order
                 assert sorted(targets) == sorted(reference_jump_table_targets(

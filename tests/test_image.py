@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import subprocess
 
@@ -83,23 +84,52 @@ class TestLoadElf:
         assert image.read_vaddr(0x1010, 16) == b"\xc3" * 16
 
     def test_system_binary_matches_readelf(self):
+        # obj2yaml maps .rodata into its R+X segment, so its code
+        # sections are not its executable ranges
         require_tool("readelf")
-        path = "/bin/true"
-        image = load_elf(open(path, "rb").read())
-        ranges = executable_ranges(image)
-        assert image.entry_point in ranges
-        # independent oracle: readelf's program headers
-        out = subprocess.run(["readelf", "-l", "--wide", path],
-                             capture_output=True, text=True, check=True).stdout
-        exec_segs = []
-        for line in out.splitlines():
-            parts = line.split()
-            if parts and parts[0] == "LOAD" and "E" in "".join(parts[6:-1]):
-                vaddr, memsz = int(parts[2], 16), int(parts[5], 16)
-                exec_segs.append((vaddr, vaddr + memsz))
-        for start, end in exec_segs:
-            assert ranges.contains_range(start, end - start)
-        assert ranges.total_bytes == sum(e - s for s, e in exec_segs)
+        paths = [path for path in SYSTEM_BINARIES if os.path.exists(path)]
+        if not paths:
+            pytest.skip("no system binary available")
+        for path in paths:
+            image = load_elf(open(path, "rb").read())
+            segments, sections = readelf_code_layout(path)
+            assert image.entry_point in image.exec_ranges
+            assert image.exec_ranges == IntervalSet.from_pairs(segments)
+            assert image.code_sections == IntervalSet.from_pairs(sections)
+
+
+SYSTEM_BINARIES = ("/bin/true", "/usr/bin/ls", "/usr/bin/gcc-12",
+                   "/lib/x86_64-linux-gnu/libc.so.6",
+                   "/usr/lib/llvm-14/bin/obj2yaml")
+
+
+def readelf_code_layout(path):
+    """The (start, end) pairs of the executable LOAD segments and of the
+    AX sections, each of nonzero size, as readelf lists them."""
+    def lines(option):
+        return subprocess.run(["readelf", option, path], capture_output=True,
+                              text=True, check=True).stdout.splitlines()
+
+    segments = []
+    for line in lines("-lW"):
+        # LOAD Offset VirtAddr PhysAddr FileSiz MemSiz Flg Align, where
+        # the flags "R E" are two fields
+        parts = line.split()
+        if parts and parts[0] == "LOAD" and "E" in "".join(parts[6:-1]):
+            vaddr, memsz = int(parts[2], 16), int(parts[5], 16)
+            if memsz:
+                segments.append((vaddr, vaddr + memsz))
+    sections = []
+    for line in lines("-SW"):
+        # [Nr] Name Type Address Off Size ES Flg Lk Inf Al; a section
+        # without flags has one field less
+        parts = line.partition("]")[2].split()
+        if (line.lstrip().startswith("[") and len(parts) == 10
+                and "A" in parts[6] and "X" in parts[6]):
+            addr, size = int(parts[2], 16), int(parts[4], 16)
+            if size:
+                sections.append((addr, addr + size))
+    return segments, sections
 
 
 class TestExecutableRanges:
@@ -117,6 +147,20 @@ class TestExecutableRanges:
     def test_no_exec_segment(self):
         data = make_elf([(0x1000, 4, b"\x00" * 16)])
         assert not executable_ranges(load_elf(data))
+
+    def test_section_less_image_has_no_code_sections(self):
+        image = load_elf(exec_elf(b"\xc3" * 16))
+        assert not image.sections
+        assert not image.code_sections
+        assert image.exec_ranges == IntervalSet.from_pairs([(0x1000, 0x1010)])
+
+    def test_returns_a_copy(self):
+        image = load_elf(exec_elf(b"\xc3" * 16))
+        ranges = executable_ranges(image)
+        ranges.remove(0x1000, 0x1008)
+        expected = IntervalSet.from_pairs([(0x1000, 0x1010)])
+        assert image.exec_ranges == expected
+        assert executable_ranges(image) == expected
 
 
 class TestCodeBytes:
