@@ -5,7 +5,7 @@ types.  An IntervalSet is always normalized: sorted by start, pairwise
 disjoint, adjacent runs merged.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from operator import le
@@ -36,113 +36,110 @@ class ByteInterval:
 
 
 class IntervalSet:
-    """Normalized set of disjoint half-open intervals."""
+    """Normalized set of disjoint half-open intervals.
 
-    __slots__ = ("_starts", "_ends")
+    Stored as one strictly increasing list of boundaries, ``_bounds =
+    [start0, end0, start1, end1, ...]``.  An address lies in the set
+    exactly when ``bisect_right(_bounds, addr)`` is odd, and then the
+    boundary at that index is the end of its run.  Strict increase keeps
+    the runs non-empty and apart: touching runs are one run.
+    """
+
+    __slots__ = ("_bounds",)
 
     def __init__(self):
-        self._starts = []
-        self._ends = []
+        self._bounds = []
 
     @classmethod
     def from_pairs(cls, pairs):
         """The union of the (start, end) pairs, in any order; they may
         overlap or touch.  One sort and one merging pass."""
         s = cls()
-        starts, ends = s._starts, s._ends
+        bounds = s._bounds
         for start, end in sorted(pairs):
             if start >= end:
                 raise ValueError("empty interval [%#x, %#x)" % (start, end))
-            if ends and start <= ends[-1]:
-                if end > ends[-1]:
-                    ends[-1] = end
+            if bounds and start <= bounds[-1]:
+                if end > bounds[-1]:
+                    bounds[-1] = end
             else:
-                starts.append(start)
-                ends.append(end)
+                bounds += (start, end)
         return s
 
     def remove(self, start, end):
         if start >= end:
             return
-        i = bisect_right(self._starts, start)
-        if i > 0 and self._ends[i - 1] > start:
-            i -= 1
-        new_starts, new_ends = [], []
-        j = i
-        while j < len(self._starts) and self._starts[j] < end:
-            s, e = self._starts[j], self._ends[j]
-            if s < start:
-                new_starts.append(s)
-                new_ends.append(start)
-            if e > end:
-                new_starts.append(end)
-                new_ends.append(e)
-            j += 1
-        self._starts[i:j] = new_starts
-        self._ends[i:j] = new_ends
+        b = self._bounds
+        i = bisect_left(b, start)
+        j = bisect_right(b, end)
+        # b[i:j] are the boundaries in [start, end].  An odd i means start
+        # cuts a run, which keeps [b[i - 1], start); an odd j means end
+        # cuts one, which keeps [end, b[j]).  A start at a run start gives
+        # an even i and an end at a run end an even j, so neither keeps a
+        # boundary and no empty run is left behind.
+        b[i:j] = (start,) * (i & 1) + (end,) * (j & 1)
 
     def __contains__(self, addr):
-        return self.contains_range(addr, 1)
+        return bisect_right(self._bounds, addr) & 1 == 1
 
     def contains_range(self, addr, size):
-        i = bisect_right(self._starts, addr) - 1
-        return i >= 0 and addr + size <= self._ends[i]
+        b = self._bounds
+        i = bisect_right(b, addr)
+        return i & 1 == 1 and addr + size <= b[i]
 
     def contains_each(self, starts, ends):
         """contains_range for each [starts[k], ends[k]), as an iterator of
         bools; the loop runs in C."""
-        limits = [float("-inf"), *self._ends]   # [0]: before every interval
-        found = map(bisect_right, repeat(self._starts), starts)
+        b = self._bounds
+        # the end of the run at each odd index; -inf wherever the bisect
+        # lands outside every run
+        limits = [float("-inf")] * (len(b) + 1)
+        limits[1::2] = b[1::2]
+        found = map(bisect_right, repeat(b), starts)
         return map(le, ends, map(limits.__getitem__, found))
 
     def pairs(self):
         """(start, end) of each interval, in order."""
-        return zip(self._starts, self._ends)
+        return zip(self._bounds[::2], self._bounds[1::2])
 
     def run_at(self, addr):
         """(start, end) of the interval containing addr, or None."""
-        i = bisect_right(self._starts, addr) - 1
-        if i >= 0 and addr < self._ends[i]:
-            return self._starts[i], self._ends[i]
-        return None
+        b = self._bounds
+        i = bisect_right(b, addr)
+        return (b[i - 1], b[i]) if i & 1 else None
 
     def intersection_size(self, other):
+        b = self._bounds
         total = 0
-        for iv in other:
-            i = bisect_right(self._starts, iv.start) - 1
-            if i < 0:
-                i = 0
-            while i < len(self._starts) and self._starts[i] < iv.end:
-                lo = max(self._starts[i], iv.start)
-                hi = min(self._ends[i], iv.end)
-                if lo < hi:
-                    total += hi - lo
-                i += 1
+        for start, end in other.pairs():
+            # self's boundaries inside (start, end), closed off at start
+            # and end where those cut one of self's runs
+            i, j = bisect_right(b, start), bisect_left(b, end)
+            cut = [start] * (i & 1) + b[i:j] + [end] * (j & 1)
+            total += sum(cut[1::2]) - sum(cut[::2])
         return total
 
     @property
     def total_bytes(self):
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return sum(self._bounds[1::2]) - sum(self._bounds[::2])
 
     def __iter__(self):
-        for s, e in zip(self._starts, self._ends):
-            yield ByteInterval(s, e)
+        return map(ByteInterval, self._bounds[::2], self._bounds[1::2])
 
     def __len__(self):
-        return len(self._starts)
+        return len(self._bounds) // 2
 
     def __bool__(self):
-        return bool(self._starts)
+        return bool(self._bounds)
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._starts == other._starts and self._ends == other._ends
+        return self._bounds == other._bounds
 
     def copy(self):
         s = IntervalSet()
-        s._starts = list(self._starts)
-        s._ends = list(self._ends)
+        s._bounds = self._bounds.copy()
         return s
 
     def __repr__(self):
