@@ -19,8 +19,9 @@ byte can never be claimed as code.
   names, else None.
 - opcode: a tuple, e.g. `(0x8D,)`, `(0x0F, 0x84)` or `("vex", 1, 0x77)`.
 - modrm: the ModRM byte, or None.
-- immediate: the immediate operand, signed except the 64-bit address
-  of A0-A3, or None; a relative branch's displacement is in target.
+- immediate: the immediate operand, signed except the absolute address
+  of A0-A3 (64-bit, or 32-bit zero-extended after a 67 prefix), or None;
+  a relative branch's displacement is in target.
 
 There is no address field: the caller knows the address and keys its
 records by it.  A tuple rather than an object, because building an
@@ -70,7 +71,7 @@ _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
 # operand size classes
 _Z = -1         # imm16, or imm32 without a 66 prefix or with REX.W
 _V = -2         # imm64 with REX.W, else as _Z (mov r, imm: B8-BF)
-_MOFFS = -3     # unsigned 64-bit absolute address (A0-A3)
+_MOFFS = -3     # unsigned absolute address (A0-A3): 64-bit, 32 after 67
 _ENTER = -4     # imm16 frame size, then the imm8 nesting level (C8)
 
 _GROUP = "group"
@@ -223,7 +224,7 @@ def decode(data, offset, vaddr, limit=None):
         pos = offset + 1
         row = _FIRST[op]
         rex = 0
-        opsize16 = False
+        opsize16 = addr32 = False
         if row.__class__ is int:
             while row < _ESC_0F:
                 if row == _REX:
@@ -232,6 +233,8 @@ def decode(data, offset, vaddr, limit=None):
                     rex = 0
                     if row == _OPSIZE:
                         opsize16 = True
+                    elif op == 0x67:
+                        addr32 = True
                 if pos >= end:
                     return None
                 op = data[pos]
@@ -293,7 +296,7 @@ def decode(data, offset, vaddr, limit=None):
                 elif operand == _V:
                     size = 8 if rex & 8 else 2 if opsize16 else 4
                 elif operand == _MOFFS:
-                    size = 8
+                    size = 4 if addr32 else 8
                 else:                           # _ENTER
                     pos += 2
                     size = 1

@@ -1,9 +1,11 @@
 """The table-driven x86-64 decoder in its earlier form, kept as the
 reference for `pxom.x86.decode`.
 
-`reference_decode` is that decoder's `decode`, unchanged: a prefix loop,
-separate branches for the 0F and VEX escapes, and ModRM, SIB and
-displacement read field by field.  The differential tests in
+`reference_decode` is that decoder's `decode`: a prefix loop, separate
+branches for the 0F and VEX escapes, and ModRM, SIB and displacement
+read field by field.  It is unchanged but for one fix made in both
+decoders: after a 67 prefix, the A0-A3 address is 4 bytes,
+zero-extended.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
 It shares only the kind names and the layout of the result, the 7-tuple
 the `pxom.x86` docstring describes, with the decoder under test.
@@ -21,7 +23,7 @@ _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
 # operand size classes
 _Z = -1         # imm16, or imm32 without a 66 prefix or with REX.W
 _V = -2         # imm64 with REX.W, else as _Z (mov r, imm: B8-BF)
-_MOFFS = -3     # unsigned 64-bit absolute address (A0-A3)
+_MOFFS = -3     # unsigned absolute address (A0-A3): 64-bit, 32 after 67
 _ENTER = -4     # imm16 frame size, then the imm8 nesting level (C8)
 
 _GROUP = "group"
@@ -135,7 +137,7 @@ def reference_decode(data, offset, vaddr, limit=None):
     try:
         pos = offset
         rex = 0
-        opsize16 = False
+        opsize16 = addr32 = False
         while True:
             if pos >= end:
                 return None
@@ -145,6 +147,7 @@ def reference_decode(data, offset, vaddr, limit=None):
                 rex = op
             elif op in _LEGACY_PREFIXES:
                 opsize16 = opsize16 or op == 0x66
+                addr32 = addr32 or op == 0x67
                 rex = 0
             else:
                 break
@@ -210,7 +213,7 @@ def reference_decode(data, offset, vaddr, limit=None):
             elif operand == _V:
                 size = 8 if rex & 8 else 2 if opsize16 else 4
             elif operand == _MOFFS:
-                size = 8
+                size = 4 if addr32 else 8
             else:                               # _ENTER
                 pos += 2
                 size = 1
@@ -218,7 +221,7 @@ def reference_decode(data, offset, vaddr, limit=None):
                                    signed=True)
             pos += size
             if operand == _MOFFS:
-                value &= 0xFFFFFFFFFFFFFFFF
+                value &= (1 << 8 * size) - 1
     except IndexError:
         return None
     if pos > end:

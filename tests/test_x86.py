@@ -141,6 +141,11 @@ SPECIAL_ROWS = [
      (9, F, None, None, (0xA1,), None, 0x0123456789ABCDEF)),
     ("a1 moffs unsigned", "a100000000000000ff",
      (9, F, None, None, (0xA1,), None, 0xFF00000000000000)),
+    # 67: a 4-byte address; the ret after it is not swallowed
+    ("67 a1 moffs32", "67a100100000c3",
+     (6, F, None, None, (0xA1,), None, 0x1000)),
+    ("67 a3 moffs32 zero-extended at buffer end", "67a3ffffffff",
+     (6, F, None, None, (0xA3,), None, 0xFFFFFFFF)),
     ("48 b8 imm64", "48b88877665544332211",
      (10, F, None, None, (0xB8,), None, 0x1122334455667788)),
     ("66 b8 imm16", "66b83412", (4, F, None, None, (0xB8,), None, 0x1234)),
@@ -252,6 +257,23 @@ def test_agrees_with_objdump_on_compiled_code(tmp_path):
         "}\n")
     obj = tmp_path / "sample.o"
     subprocess.run(["gcc", "-O2", "-c", "-o", str(obj), str(src)], check=True)
+    assert _objdump_mismatches(str(obj)) == []
+
+
+def test_agrees_with_objdump_on_address_size_moffs(tmp_path):
+    require_tool("gcc")
+    require_tool("objdump")
+    src = tmp_path / "moffs.s"
+    src.write_text(
+        ".text\n"
+        ".byte 0x67, 0xa0, 0x00, 0x10, 0x00, 0x00\n"      # addr32 mov al
+        ".byte 0x67, 0xa1, 0x00, 0x10, 0x00, 0x00\n"      # addr32 mov eax
+        "ret\n"
+        ".byte 0x67, 0x48, 0xa2, 0xf0, 0xff, 0xff, 0xff\n"
+        ".byte 0x67, 0xa3, 0xff, 0xff, 0xff, 0xff\n")     # at .text end
+    obj = tmp_path / "moffs.o"
+    subprocess.run(["gcc", "-c", "-o", str(obj), str(src)], check=True)
+    assert len(_objdump_lengths(str(obj))) == 5
     assert _objdump_mismatches(str(obj)) == []
 
 
