@@ -158,15 +158,18 @@ class Monitor:
         end = addr + size
         i = bisect_left(self._starts, end) - 1
         if i < 0 or addr < self._starts[i] or end > self._ends[i]:
-            # the request as a ReadRequest whatever tuple the caller
-            # passed, list orders and read counts; the copy is built on
-            # first use
+            # the request as a ReadRequest, which rejects a size outside
+            # 1..MAX_READ_SIZE, list orders and read counts; the copy is
+            # built on first use
             self._denial = (ReadRequest(*request), time.time(), (
                 tuple(self.lists.regular), tuple(self.lists.optimization),
                 tuple(map(_READS, self._blocks))))
             self.terminated = True
             self.scan_log = _SCAN_BOTH
             return _DENIED[i >= 0 and addr < self._ends[i]]
+        # a plain tuple can name a size that fits the block but is no read
+        if not 1 <= size <= MAX_READ_SIZE:
+            ReadRequest(addr, size)             # raises its ValueError
         block = self._blocks[i]
         reads = block.read_count = block.read_count + 1
         verdict = self._allowed[i]

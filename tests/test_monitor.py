@@ -63,6 +63,15 @@ class TestCheckRead:
             ReadRequest(0x1000, 65)
         assert ReadRequest(0x1000, 64).size == 64
 
+    @pytest.mark.parametrize("read", [(0x1000, 100), (0x1010, 0),
+                                      (0x1010, -8)])
+    def test_plain_tuple_size_outside_bounds_raises(self, read):
+        m = new_monitor(lists_with(regular=[(0x1000, 0x1100, 0)]))
+        for call in (m.check_read, m.fault_flow):
+            with pytest.raises(ValueError):
+                call(read)
+        assert m.lists.regular[0].read_count == 0 and not m.terminated
+
 
 class TestPromotion:
     def test_promotion_on_101st_read(self):
