@@ -67,22 +67,86 @@ def test_intersection_size():
     assert b.intersection_size(a) == 10
 
 
+@pytest.mark.parametrize("start, end, left", [
+    (10, 15, [(15, 20), (30, 40), (50, 60)]),   # from a run start
+    (15, 20, [(10, 15), (30, 40), (50, 60)]),   # to a run end
+    (10, 20, [(30, 40), (50, 60)]),             # exactly one run
+    (30, 60, [(10, 20)]),                       # from a run start to a run end
+    (5, 45, [(50, 60)]),                        # whole runs and gaps
+    (15, 55, [(10, 15), (55, 60)]),             # cuts two runs
+    (0, 10, [(10, 20), (30, 40), (50, 60)]),    # touches a run start
+    (20, 30, [(10, 20), (30, 40), (50, 60)]),   # touches an end and a start
+    (60, 70, [(10, 20), (30, 40), (50, 60)]),   # touches a run end
+])
+def test_remove_at_run_edges(start, end, left):
+    s = IntervalSet.from_pairs([(10, 20), (30, 40), (50, 60)])
+    s.remove(start, end)
+    assert list(s.pairs()) == left
+    assert s == IntervalSet.from_pairs(left)
+    assert len(s) == len(left)
+
+
 ranges = st.lists(
     st.tuples(st.integers(0, 200), st.integers(1, 30)), max_size=20)
 
+PROBES = range(-2, 235)
+SIZES = (1, 2, 5, 17)
 
-@given(added=ranges, removed=ranges)
-def test_matches_set_of_ints_model(added, removed):
+
+def as_model(pairs):
+    return {b for start, length in pairs for b in range(start, start + length)}
+
+
+def model_run(model, addr):
+    """The maximal run of model that holds addr, or None."""
+    if addr not in model:
+        return None
+    start, end = addr, addr + 1
+    while start - 1 in model:
+        start -= 1
+    while end in model:
+        end += 1
+    return start, end
+
+
+def check_against_model(s, model, other, other_model):
+    runs = sorted({model_run(model, b) for b in model})
+    assert list(s.pairs()) == runs
+    assert [(iv.start, iv.end) for iv in s] == runs
+    assert len(s) == len(runs) and bool(s) == bool(model)
+    assert s.total_bytes == len(model)
+    assert (s == other) == (model == other_model)
+    assert s == IntervalSet.from_pairs(runs)
+    for addr in PROBES:
+        assert (addr in s) == (addr in model)
+        assert s.run_at(addr) == model_run(model, addr)
+        for size in SIZES:
+            assert s.contains_range(addr, size) == model.issuperset(
+                range(addr, addr + size))
+    starts = [a for a in PROBES for _ in SIZES]
+    ends = [a + size for a in PROBES for size in SIZES]
+    assert list(s.contains_each(starts, ends)) == [
+        model.issuperset(range(a, e)) for a, e in zip(starts, ends)]
+    assert s.intersection_size(other) == len(model & other_model)
+    assert other.intersection_size(s) == len(model & other_model)
+
+
+@given(added=ranges, removed=ranges, others=ranges)
+def test_matches_set_of_ints_model(added, removed, others):
     s = IntervalSet.from_pairs((start, start + length)
                                for start, length in added)
-    model = set()
-    for start, length in added:
-        model.update(range(start, start + length))
+    model = as_model(added)
+    other = IntervalSet.from_pairs((start, start + length)
+                                   for start, length in others)
+    other_model = as_model(others)
+    check_against_model(s, model, other, other_model)
     for start, length in removed:
+        before, before_model = s.copy(), set(model)
         s.remove(start, start + length)
         model.difference_update(range(start, start + length))
-    assert s.total_bytes == len(model)
-    assert {b for iv in s for b in range(iv.start, iv.end)} == model
+        check_against_model(s, model, other, other_model)
+        # the copy taken before the removal did not change with it
+        check_against_model(before, before_model, other, other_model)
     # normalization: sorted, disjoint, non-adjacent
     ivs = list(s)
     for a, b in zip(ivs, ivs[1:]):
