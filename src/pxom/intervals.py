@@ -112,9 +112,9 @@ class IntervalSet:
         b = self._bounds
         total = 0
         for start, end in other.pairs():
-            # self's boundaries inside (start, end), closed off at start
-            # and end where those cut one of self's runs
-            i, j = bisect_right(b, start), bisect_left(b, end)
+            # as in remove: self's boundaries in [start, end], plus start
+            # and end where they cut one of self's runs
+            i, j = bisect_left(b, start), bisect_right(b, end)
             cut = [start] * (i & 1) + b[i:j] + [end] * (j & 1)
             total += sum(cut[1::2]) - sum(cut[::2])
         return total
