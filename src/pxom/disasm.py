@@ -7,7 +7,7 @@ the price is that unreachable code stays readable.
 """
 
 import gc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -128,19 +128,18 @@ def _traverse(image, entry, superset, committed, memo):
     return stretches, insns
 
 
-def _image_targets(image):
-    """(source, targets) for each source that reads only the image, in
-    SOURCE_ORDER, each list sorted.  All but the program entry's lie in
-    the image's code sections if it has any, since an R+X segment may
-    hold data sections too."""
+def _sources(image, superset, instructions):
+    """(source, targets) for each source in SOURCE_ORDER, each list
+    sorted and found only when its turn comes.  All but the program
+    entry's lie in the image's code sections if it has any, since an R+X
+    segment may hold data sections too."""
     code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
-    entry = [image.entry_point] if image.entry_point else []
-    unwind = _frame_unwind_targets(image, code)
-    taken = _address_taken_targets(image, code)
-    return [("program_entry", entry), ("frame_unwind", sorted(set(unwind))),
-            ("address_taken", sorted(set(taken))),
-            ("heuristic", _prologue_starts(image, code))]
+    yield "program_entry", [image.entry_point] if image.entry_point else []
+    yield "frame_unwind", sorted(set(_frame_unwind_targets(image, code)))
+    yield "address_taken", sorted(set(_address_taken_targets(image, code)))
+    yield "heuristic", _prologue_starts(image, code)
+    yield "jump_table", _jump_table_targets(image, superset, instructions)
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -150,9 +149,7 @@ def detect_entry_points(image, superset, known_code, instructions):
     and must lie in the superset or the known code.  instructions are
     the committed ones, where the jump-table finder looks for tables."""
     found = {}
-    for source, targets in (*_image_targets(image),
-                            ("jump_table", _jump_table_targets(
-                                image, superset, instructions))):
+    for source, targets in _sources(image, superset, instructions):
         for va in targets:
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
@@ -165,37 +162,31 @@ def _jump_table_targets(image, superset, instructions):
     committed code (instructions, by vaddr) dispatches through.  Each
     indirect jump reads the table of the last lea of one at most
     _JUMP_TABLE_WINDOW bytes before it and after the previous indirect
-    jump, and before the last movsxd (the entry read) after such a lea.
+    jump; if such a lea comes before the window's last movsxd (the entry
+    read), of the last lea before that movsxd.
     A bound check before the jump sets the entry count, but a table ends
     where the next one read begins: a mask bounds the index only."""
-    # indirect jumps are few; each bisects the leas for its window and
-    # looks up the addresses after the first of them for an entry read.
-    # Records are read by index, which costs less than unpacking all
-    # seven fields: 1 is the kind, 3 the RIP-relative target, 4 the
-    # opcode
+    # indirect jumps are few; each walks its window once.  Records are
+    # read by index, which costs less than unpacking all seven fields: 1
+    # is the kind, 3 the RIP-relative target, 4 the opcode, 5 the ModRM
     indirect_jump = x86.INDIRECT_JUMP
-    jumps = []
-    leas = []
-    for va, ins in instructions.items():
-        if ins[1] is indirect_jump:
-            jumps.append(va)
-        elif (ins[3] is not None and ins[4] == (0x8D,)          # lea
-              and superset.contains_range(ins[3], 4)):
-            leas.append((va, ins[3]))
-    jumps.sort()
-    leas.sort()
     reads = []
     lo = 0
-    for jump in jumps:
-        lo = max(lo, jump - _JUMP_TABLE_WINDOW)
-        first, i = bisect_left(leas, (lo,)), bisect_left(leas, (jump,))
-        # a lea after the entry read (movsxd r, [m]) loads something else
-        for va in range(leas[first][0] if i > first else jump, jump):
+    for jump in sorted(va for va, ins in instructions.items()
+                       if ins[1] is indirect_jump):
+        lea = before_read = None
+        for va in range(max(lo, jump - _JUMP_TABLE_WINDOW), jump):
             ins = instructions.get(va)
-            if ins is not None and ins[4] == (0x63,) and ins[5] < 0xC0:
-                i = bisect_left(leas, (va,), first)
-        if i > first:
-            va, table = leas[i - 1]
+            if ins is None:
+                continue
+            if ins[4] == (0x8D,):
+                if ins[3] is not None and superset.contains_range(ins[3], 4):
+                    lea = va, ins[3]
+            elif ins[4] == (0x63,) and ins[5] < 0xC0:   # movsxd r, [m]
+                # a lea after the entry read loads something else
+                before_read = lea
+        if lea is not None:
+            va, table = before_read or lea
             reads.append((table, _bound_before(instructions, va, jump)))
         lo = jump + 1
     starts = sorted({table for table, _ in reads}) + [1 << 64]
@@ -325,8 +316,8 @@ def collector_paused():
 def compute_superset(image):
     """Partition the executable bytes into identified code and superset.
 
-    Two steps: one pass over the sources that read only the image, in
-    SOURCE_ORDER, then the jump-table finder, again after every call
+    One pass over the sources in SOURCE_ORDER (`_sources`), whose last
+    is the jump-table finder, then that finder again after every call
     that committed anything.  Each commits every traversal from its
     targets that succeeds.
 
@@ -369,11 +360,13 @@ def compute_superset(image):
                 committed = True
         return committed
 
-    for source, targets in _image_targets(image):
-        commit(source, targets)
-    while commit("jump_table", _jump_table_targets(
-            image, superset, instructions)):
-        pass
+    for source, targets in _sources(image, superset, instructions):
+        progress = commit(source, targets)
+    # the last source is the jump-table finder: code it committed can
+    # dispatch through new tables
+    while progress:
+        progress = commit(source, _jump_table_targets(
+            image, superset, instructions))
 
     # commits only move executable bytes out of the superset, so the code
     # is the executable bytes it no longer holds.  In address order, each
