@@ -147,8 +147,8 @@ def _first_byte_map():
 
 def _two_byte_map():
     rows = [(True, 0, FALLTHROUGH)] * 256
-    for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x30, 0x31, 0x32, 0x33, 0x34,
-               0x35, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
+    for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x0E, 0x30, 0x31, 0x32, 0x33,
+               0x34, 0x35, 0x37, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
                *range(0xC8, 0xD0)):                        # bswap
         rows[op] = (False, 0, FALLTHROUGH)
     for op in (0x3A, 0x70, 0x71, 0x72, 0x73, 0xA4, 0xAC, 0xBA,
@@ -165,12 +165,13 @@ def _vex_maps():
     `("vex", map, op)`.
 
     Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
-    Map 3, and a few map-1/map-2 opcodes, carry an imm8.
+    Map 3, and a few map-1 opcodes (70-73, C2, C4-C6), carry an imm8; no
+    map-2 (0F 38) opcode does.
     """
     rows = [(True, 0, FALLTHROUGH)] * 256
+    map2 = list(rows)
     for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
         rows[op] = (True, 1, FALLTHROUGH)
-    map2 = list(rows)
     rows[0x77] = (False, 0, FALLTHROUGH)
     return {1: _with_opcodes(rows, ("vex", 1)),
             2: _with_opcodes(map2, ("vex", 2)),

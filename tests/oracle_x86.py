@@ -3,9 +3,10 @@ reference for `pxom.x86.decode`.
 
 `reference_decode` is that decoder's `decode`: a prefix loop, separate
 branches for the 0F and VEX escapes, and ModRM, SIB and displacement
-read field by field.  It is unchanged but for one fix made in both
+read field by field.  It is unchanged but for fixes made in both
 decoders: after a 67 prefix, the A0-A3 address is 4 bytes,
-zero-extended.  The differential tests in
+zero-extended; 0F 0E (femms) and 0F 37 (getsec) have no ModRM; and no
+VEX map-2 opcode takes an imm8.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
 It shares only the kind names and the layout of the result, the 7-tuple
 the `pxom.x86` docstring describes, with the decoder under test.
@@ -77,8 +78,8 @@ def _one_byte_map():
 
 def _two_byte_map():
     rows = [(True, 0, FALLTHROUGH)] * 256
-    for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x30, 0x31, 0x32, 0x33, 0x34,
-               0x35, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
+    for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x0E, 0x30, 0x31, 0x32, 0x33,
+               0x34, 0x35, 0x37, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
                *range(0xC8, 0xD0)):                        # bswap
         rows[op] = (False, 0, FALLTHROUGH)
     for op in (0x3A, 0x70, 0x71, 0x72, 0x73, 0xA4, 0xAC, 0xBA,
@@ -95,12 +96,13 @@ def _vex_maps():
     `("vex", map, op)`.
 
     Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
-    Map 3, and a few map-1/map-2 opcodes, carry an imm8.
+    Map 3, and a few map-1 opcodes (70-73, C2, C4-C6), carry an imm8; no
+    map-2 (0F 38) opcode does.
     """
     rows = [(True, 0, FALLTHROUGH)] * 256
+    map2 = list(rows)
     for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
         rows[op] = (True, 1, FALLTHROUGH)
-    map2 = list(rows)
     rows[0x77] = (False, 0, FALLTHROUGH)
     return {1: _with_opcodes(rows, ("vex", 1)),
             2: _with_opcodes(map2, ("vex", 2)),
