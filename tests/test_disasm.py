@@ -377,6 +377,13 @@ class TestEntryPointDetection:
         assert eps[0] == EntryPoint(0x1000, "program_entry")
         assert all(ep.source == "heuristic" for ep in eps[1:])
 
+    def test_sources_follow_source_order(self):
+        # every source has its turn, even on an image with no sections
+        image = image_of(b"\x90\x90\xc3", entry=0x1000)
+        superset = executable_ranges(image)
+        assert [source for source, _ in disasm._sources(image, superset, {})
+                ] == list(disasm.SOURCE_ORDER)
+
     def test_heuristic_prologue_at_aligned_address(self):
         # 16 bytes of data, then push rbp; mov rbp,rsp; ret at 0x1010
         code = b"\xaa" * 16 + b"\x55\x48\x89\xe5\x5d\xc3"
@@ -755,20 +762,30 @@ class TestJumpTable:
     # movsxd rdx, [rax + rcx*4], the read of an entry
     MOVSXD = b"\x48\x63\x14\x88"
 
-    @pytest.mark.parametrize("other_leas, extra", [
+    @pytest.mark.parametrize("other_leas, extra, code_committed", [
         # obj2yaml's shape: leas of pointer tables (here the table's
         # second entry onwards) come before the table's own lea
-        ([(LEA - 16, 4)], []),
+        ([(LEA - 16, 4)], [], False),
         # llvm-exegesis's shape: lea, the read of the entry, then a lea
         # of a pointer table before the jump
-        ([(LEA + 11, 4)], [(LEA + 7, MOVSXD)]),
-    ], ids=["lea-before", "lea-after-entry-read"])
-    def test_one_table_per_jump(self, other_leas, extra):
+        ([(LEA + 11, 4)], [(LEA + 7, MOVSXD)], False),
+        # a read of memory before the window's first table lea leaves
+        # that lea the table's
+        ([], [(LEA - 8, MOVSXD)], False),
+        # a lea of committed code (here the jump's own function, 64
+        # bytes before the table) after the table's lea: its target has
+        # left the superset, so it reads no table
+        ([(LEA + 11, -64)], [], True),
+    ], ids=["lea-before", "lea-after-entry-read", "entry-read-before-lea",
+            "lea-of-code-after"])
+    def test_one_table_per_jump(self, other_leas, extra, code_committed):
         # the bound check bounds both leas' tables
         image, instructions = jump_table_image(self.LEA - 20, self.LEA + 24,
                                                self.LEA, extra=extra,
                                                other_leas=other_leas)
         superset = executable_ranges(image)
+        if code_committed:
+            superset.remove(0x1000, 0x1000 + self.LEA + 27)
         targets = _jump_table_targets(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,

@@ -292,32 +292,29 @@ def test_agrees_with_objdump_on_system_binary():
     assert _objdump_mismatches("/usr/bin/ls") == []
 
 
-# Candidates for the opcode-map sweep: every 0F xx, 0F 38 xx and 0F 3A
-# xx with no prefix, 66, F2 and F3, and every three-byte VEX opcode of
-# maps 1-3 for each pp, L and W; all with the register ModRM c1.
-SWEEP = [prefix + escape + bytes((op, 0xC1))
-         for prefix in (b"", b"\x66", b"\xf2", b"\xf3")
-         for escape in (b"\x0f", b"\x0f\x38", b"\x0f\x3a")
-         for op in range(256)] + [
-    bytes((0xC4, 0xE0 | vmap, w << 7 | 0x78 | vlen << 2 | pp, op, 0xC1))
-    for vmap in (1, 2, 3) for w in (0, 1) for vlen in (0, 1)
-    for pp in range(4) for op in range(256)]
-SWEEP_SLOT = 32
-
-
 def test_opcode_maps_agree_with_objdump(tmp_path):
-    # each candidate sits in its own slot, padded with int3, so an
-    # immediate decode or objdump reads is an int3 byte; one objdump
-    # run per 1,024 slots.  -M intel64: Intel 64 ignores a 66 prefix on
-    # a near branch, as decode does, where objdump's default AMD64
-    # reading takes a rel16
+    # every 0F xx, 0F 38 xx and 0F 3A xx with no prefix, 66, F2 and F3,
+    # and every three-byte VEX opcode of maps 1-3 for each pp, L and W,
+    # all with the register ModRM c1.  Each sits in its own 32-byte
+    # slot, padded with int3, so any immediate that decode or objdump
+    # reads is int3 bytes; one objdump run per 1,024 slots.  -M intel64:
+    # Intel 64 ignores a 66 prefix on a near branch, as decode does,
+    # where objdump's default AMD64 reading takes a rel16
     require_tool("objdump")
+    sweep = [prefix + escape + bytes((op, 0xC1))
+             for prefix in (b"", b"\x66", b"\xf2", b"\xf3")
+             for escape in (b"\x0f", b"\x0f\x38", b"\x0f\x3a")
+             for op in range(256)] + [
+        bytes((0xC4, 0xE0 | vmap, w << 7 | 0x78 | vlen << 2 | pp, op, 0xC1))
+        for vmap in (1, 2, 3) for w in (0, 1) for vlen in (0, 1)
+        for pp in range(4) for op in range(256)]
+    slot = 32
     line = re.compile(r"\s*([0-9a-f]+):\t((?:[0-9a-f]{2} )+)\s*\t?(.*)")
     mismatches = []
     checked = 0
-    for first in range(0, len(SWEEP), 1024):
-        chunk = SWEEP[first:first + 1024]
-        buf = b"".join(code.ljust(SWEEP_SLOT, b"\xcc") for code in chunk)
+    for first in range(0, len(sweep), 1024):
+        chunk = sweep[first:first + 1024]
+        buf = b"".join(code.ljust(slot, b"\xcc") for code in chunk)
         path = tmp_path / "sweep.bin"
         path.write_bytes(buf)
         out = subprocess.run(
@@ -326,15 +323,15 @@ def test_opcode_maps_agree_with_objdump(tmp_path):
             capture_output=True, text=True, check=True).stdout
         lengths = {}
         for m in map(line.match, out.splitlines()):
-            if m and int(m.group(1), 16) % SWEEP_SLOT == 0:
+            if m and int(m.group(1), 16) % slot == 0:
                 lengths[int(m.group(1), 16)] = (len(m.group(2).split()),
                                                 m.group(3))
         for k, code in enumerate(chunk):
-            length, asm = lengths[k * SWEEP_SLOT]
+            length, asm = lengths[k * slot]
             if "(bad)" in asm:
                 continue
             checked += 1
-            ins = x86.decode(buf, k * SWEEP_SLOT, 0)
+            ins = x86.decode(buf, k * slot, 0)
             if (ins[LENGTH] if ins else None) != length:
                 mismatches.append(code.hex())
     assert checked > 1000           # 2,100 with binutils 2.40
