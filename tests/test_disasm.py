@@ -894,11 +894,29 @@ gtd_1_e:
 """
 
 
-def test_jump_tables_found_in_later_rounds(tmp_path):
+def count_jump_table_calls(monkeypatch):
+    """The list that each later `_jump_table_targets` call appends its
+    result to."""
+    finder = disasm._jump_table_targets
+    calls = []
+
+    def counting(*args):
+        calls.append(finder(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(disasm, "_jump_table_targets", counting)
+    return calls
+
+
+def test_jump_tables_found_in_later_rounds(monkeypatch, tmp_path):
     require_tool("gcc")
     entry = build_program(NESTED_SWITCH, tmp_path, "nested_switch")
     image = load_elf(entry.binary.read_bytes())
+    calls = count_jump_table_calls(monkeypatch)
     report = compute_superset(image)
+    # the first finder call reads the outer table and the second adds
+    # the inner one; the third commits nothing and is the last
+    assert [len(targets) for targets in calls] == [4, 7, 7]
     # the two tables, 4 and 3 entries, are the data after the function
     gt_data = load_ground_truth(entry.ground_truth)
     *_, (outer, end) = gt_data.pairs()
@@ -915,6 +933,11 @@ def test_jump_tables_found_in_later_rounds(tmp_path):
     assert report.code.intersection_size(gt_data) == 0
     assert report.superset.contains_range(outer, 28)
     assert report == reference_compute_superset(image)
+    # detect_entry_points commits nothing: one finder call
+    calls.clear()
+    detect_entry_points(image, report.superset, report.code,
+                        report.instructions)
+    assert [len(targets) for targets in calls] == [7]
 
 
 def test_jump_table_finder_runs_once_without_tables(monkeypatch):
@@ -923,17 +946,15 @@ def test_jump_table_finder_runs_once_without_tables(monkeypatch):
     datas = [exec_elf(b"\x90\x90\xc3")]
     if os.path.exists(LS):
         datas.append(read_ls())
-    finder = disasm._jump_table_targets
-    calls = []
-
-    def counting(*args):
-        calls.append(finder(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(disasm, "_jump_table_targets", counting)
+    calls = count_jump_table_calls(monkeypatch)
     for data in datas:
         calls.clear()
-        assert compute_superset(load_elf(data)).entry_points
+        report = compute_superset(load_elf(data))
+        assert report.entry_points
+        assert calls == [[]]
+        calls.clear()
+        detect_entry_points(load_elf(data), report.superset, report.code,
+                            report.instructions)
         assert calls == [[]]
 
 
