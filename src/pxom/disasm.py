@@ -130,16 +130,21 @@ def _traverse(image, entry, superset, committed, memo):
 
 def _sources(image, superset, instructions):
     """(source, targets) for each source in SOURCE_ORDER, each list
-    sorted and found only when its turn comes.  All but the program
-    entry's lie in the image's code sections if it has any, since an R+X
-    segment may hold data sections too."""
+    sorted and found only when its turn comes; jump_table comes again
+    while the round before it added instructions, as new code can
+    dispatch through new tables.  All but the program entry's lie in the
+    image's code sections if it has any, since an R+X segment may hold
+    data sections too."""
     code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
     yield "program_entry", [image.entry_point] if image.entry_point else []
     yield "frame_unwind", sorted(set(_frame_unwind_targets(image, code)))
     yield "address_taken", sorted(set(_address_taken_targets(image, code)))
     yield "heuristic", _prologue_starts(image, code)
-    yield "jump_table", _jump_table_targets(image, superset, instructions)
+    count = -1
+    while count != len(instructions):
+        count = len(instructions)
+        yield "jump_table", _jump_table_targets(image, superset, instructions)
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -316,11 +321,7 @@ def collector_paused():
 def compute_superset(image):
     """Partition the executable bytes into identified code and superset.
 
-    One pass over the sources in SOURCE_ORDER (`_sources`), whose last
-    is the jump-table finder, then that finder again after every call
-    that committed anything.  Each commits every traversal from its
-    targets that succeeds.
-
+    Commits every traversal that succeeds from a target of `_sources`.
     A traversal that fails still fails after later commits: a commit
     cannot put a committed start on a failing path, because its own
     traversal would follow that path to the same failure.  So each
@@ -343,9 +344,7 @@ def compute_superset(image):
     traversed = set()
     memo = {}
 
-    def commit(source, targets):
-        """Commit each new target's traversal; True when one succeeded."""
-        committed = False
+    for source, targets in _sources(image, superset, instructions):
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
@@ -357,16 +356,6 @@ def compute_superset(image):
                     superset.remove(start, end)
                 instructions.update(insns)
                 accepted.append(EntryPoint(va, source))
-                committed = True
-        return committed
-
-    for source, targets in _sources(image, superset, instructions):
-        progress = commit(source, targets)
-    # the last source is the jump-table finder: code it committed can
-    # dispatch through new tables
-    while progress:
-        progress = commit(source, _jump_table_targets(
-            image, superset, instructions))
 
     # commits only move executable bytes out of the superset, so the code
     # is the executable bytes it no longer holds.  In address order, each
