@@ -34,9 +34,12 @@ row, None (invalid in 64-bit mode), or one of the markers `_REX`,
 The escapes lead to `_TWO_BYTE` and `_VEX_MAPS`, whose entries are all
 opcode rows; the `0F 38` and `0F 3A` rows of `_TWO_BYTE` serve every
 three-byte opcode after them.  A row is a tuple
-`(has_modrm, operand, kind, opcode)`:
+`(modrm_size, operand, kind, opcode)`:
 
-- has_modrm: a ModRM byte (plus SIB and displacement) follows the opcode.
+- modrm_size: None if no ModRM byte follows the opcode, else the table
+  that sizes it: `_MODRM_SIZE`, or `_MODRM_ONLY` for the moves to and
+  from control and debug registers (0F 20-23), which ignore the mod
+  field and are register-only.
 - operand: the immediate after ModRM, as a byte count (0 for none) or
   one of the size classes `_Z`, `_V`, `_MOFFS`, `_ENTER`.  For the
   relative branch kinds it is the size of the rel8/rel32 displacement.
@@ -51,7 +54,7 @@ three-byte opcode after them.  A row is a tuple
 and the SIB byte and displacement after it take, or `_RIP` (mod 0,
 rm 5: a RIP-relative disp32 follows) or `_SIB0` (mod 0, rm 4: the SIB
 base decides whether a disp32 follows).  The SIB byte is read only in
-that last case.
+that last case.  `_MODRM_ONLY` gives 1 for every ModRM byte.
 """
 
 FALLTHROUGH = "fallthrough"
@@ -88,6 +91,24 @@ _VEX2 = 6       # C5: one payload byte, map 1
 _RIP = -1
 _SIB0 = -2
 
+
+def _modrm_sizes():
+    sizes = []
+    for modrm in range(256):
+        mod, rm = modrm >> 6, modrm & 7
+        if mod == 3:
+            sizes.append(1)
+        elif mod == 0:
+            sizes.append(_RIP if rm == 5 else _SIB0 if rm == 4 else 1)
+        else:
+            sizes.append(1 + (rm == 4) + (1 if mod == 1 else 4))
+    return tuple(sizes)
+
+
+_MODRM_SIZE = _modrm_sizes()
+_MODRM_ONLY = (1,) * 256        # the mod field is ignored
+
+
 # ModRM reg field -> (operand, kind), or None when invalid
 _GROUPS = {
     0xF6: ((1, FALLTHROUGH),) * 2 + ((0, FALLTHROUGH),) * 6,
@@ -105,7 +126,7 @@ def _first_byte_map():
 
     def put(ops, has_modrm, operand, kind=FALLTHROUGH):
         for op in ops:
-            rows[op] = (has_modrm, operand, kind)
+            rows[op] = (_MODRM_SIZE if has_modrm else None, operand, kind)
 
     for base in range(0x00, 0x40, 8):     # add/or/adc/sbb/and/sub/xor/cmp
         put(range(base, base + 4), True, 0)
@@ -132,7 +153,7 @@ def _first_byte_map():
     put([0xC3, 0xCB], False, 0, RETURN)
     put([0xCC, 0xF4], False, 0, HALT)
     for op, group in _GROUPS.items():
-        rows[op] = (True, group, _GROUP)
+        rows[op] = (_MODRM_SIZE, group, _GROUP)
     rows = list(_with_opcodes(rows, ()))
     for op in range(0x40, 0x50):
         rows[op] = _REX
@@ -146,17 +167,19 @@ def _first_byte_map():
 
 
 def _two_byte_map():
-    rows = [(True, 0, FALLTHROUGH)] * 256
+    rows = [(_MODRM_SIZE, 0, FALLTHROUGH)] * 256
     for op in (0x05, 0x06, 0x07, 0x08, 0x09, 0x0E, 0x30, 0x31, 0x32, 0x33,
                0x34, 0x35, 0x37, 0x77, 0xA0, 0xA1, 0xA2, 0xA8, 0xA9, 0xAA,
                *range(0xC8, 0xD0)):                        # bswap
-        rows[op] = (False, 0, FALLTHROUGH)
+        rows[op] = (None, 0, FALLTHROUGH)
+    for op in range(0x20, 0x24):            # mov to/from CRn and DRn
+        rows[op] = (_MODRM_ONLY, 0, FALLTHROUGH)
     for op in (0x3A, 0x70, 0x71, 0x72, 0x73, 0xA4, 0xAC, 0xBA,
                0xC2, 0xC4, 0xC5, 0xC6):
-        rows[op] = (True, 1, FALLTHROUGH)
+        rows[op] = (_MODRM_SIZE, 1, FALLTHROUGH)
     for op in range(0x80, 0x90):                            # jcc rel32
-        rows[op] = (False, 4, CONDITIONAL_JUMP)
-    rows[0x0B] = (False, 0, HALT)                           # ud2
+        rows[op] = (None, 4, CONDITIONAL_JUMP)
+    rows[0x0B] = (None, 0, HALT)                            # ud2
     return _with_opcodes(rows, (0x0F,))
 
 
@@ -168,14 +191,15 @@ def _vex_maps():
     Map 3, and a few map-1 opcodes (70-73, C2, C4-C6), carry an imm8; no
     map-2 (0F 38) opcode does.
     """
-    rows = [(True, 0, FALLTHROUGH)] * 256
+    rows = [(_MODRM_SIZE, 0, FALLTHROUGH)] * 256
     map2 = list(rows)
     for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
-        rows[op] = (True, 1, FALLTHROUGH)
-    rows[0x77] = (False, 0, FALLTHROUGH)
+        rows[op] = (_MODRM_SIZE, 1, FALLTHROUGH)
+    rows[0x77] = (None, 0, FALLTHROUGH)
     return {1: _with_opcodes(rows, ("vex", 1)),
             2: _with_opcodes(map2, ("vex", 2)),
-            3: _with_opcodes([(True, 1, FALLTHROUGH)] * 256, ("vex", 3))}
+            3: _with_opcodes([(_MODRM_SIZE, 1, FALLTHROUGH)] * 256,
+                             ("vex", 3))}
 
 
 def _with_opcodes(rows, prefix):
@@ -185,23 +209,9 @@ def _with_opcodes(rows, prefix):
                  for op, row in enumerate(rows))
 
 
-def _modrm_sizes():
-    sizes = []
-    for modrm in range(256):
-        mod, rm = modrm >> 6, modrm & 7
-        if mod == 3:
-            sizes.append(1)
-        elif mod == 0:
-            sizes.append(_RIP if rm == 5 else _SIB0 if rm == 4 else 1)
-        else:
-            sizes.append(1 + (rm == 4) + (1 if mod == 1 else 4))
-    return tuple(sizes)
-
-
 _FIRST = _first_byte_map()
 _TWO_BYTE = _two_byte_map()
 _VEX_MAPS = _vex_maps()
-_MODRM_SIZE = _modrm_sizes()
 
 
 def decode(data, offset, vaddr, limit=None):
@@ -262,12 +272,12 @@ def decode(data, offset, vaddr, limit=None):
                     pos += 2
         if row is None:
             return None
-        has_modrm, operand, kind, opcode = row
+        modrm_size, operand, kind, opcode = row
 
         modrm = rip_disp = None
-        if has_modrm:
+        if modrm_size:
             modrm = data[pos]
-            size = _MODRM_SIZE[modrm]
+            size = modrm_size[modrm]
             if size > 0:
                 pos += size
             elif size == _RIP:

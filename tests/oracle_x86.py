@@ -5,8 +5,9 @@ reference for `pxom.x86.decode`.
 branches for the 0F and VEX escapes, and ModRM, SIB and displacement
 read field by field.  It is unchanged but for fixes made in both
 decoders: after a 67 prefix, the A0-A3 address is 4 bytes,
-zero-extended; 0F 0E (femms) and 0F 37 (getsec) have no ModRM; and no
-VEX map-2 opcode takes an imm8.  The differential tests in
+zero-extended; 0F 0E (femms) and 0F 37 (getsec) have no ModRM; no
+VEX map-2 opcode takes an imm8; and the moves to and from control and
+debug registers (0F 20-23) ignore the ModRM mod field.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
 It shares only the kind names and the layout of the result, the 7-tuple
 the `pxom.x86` docstring describes, with the decoder under test.
@@ -20,6 +21,9 @@ _LEGACY_PREFIXES = frozenset(
     [0x26, 0x2E, 0x36, 0x3E, 0x64, 0x65, 0x66, 0x67, 0xF0, 0xF2, 0xF3])
 
 _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
+
+# mov to/from CRn and DRn: the ModRM byte always names two registers
+_MOV_CR_DR = frozenset((0x0F, op) for op in range(0x20, 0x24))
 
 # operand size classes
 _Z = -1         # imm16, or imm32 without a 66 prefix or with REX.W
@@ -184,7 +188,7 @@ def reference_decode(data, offset, vaddr, limit=None):
         if has_modrm:
             modrm = data[pos]
             pos += 1
-            mod = modrm >> 6
+            mod = 3 if opcode in _MOV_CR_DR else modrm >> 6
             if mod != 3:
                 rm = modrm & 7
                 if rm == 4:                     # SIB byte

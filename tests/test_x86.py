@@ -172,6 +172,15 @@ SPECIAL_ROWS = [
      (2, F, None, None, (0x0F, 0x0E), None, None)),
     ("0f 37 getsec no modrm", "0f37c3",
      (2, F, None, None, (0x0F, 0x37), None, None)),
+    # mov to/from CRn and DRn ignore mod: no SIB or displacement
+    ("0f 20 mod 0 rm 5", "0f2005ffffffff",
+     (3, F, None, None, (0x0F, 0x20), 0x05, None)),
+    ("0f 21 mod 0 rm 4", "0f210425",
+     (3, F, None, None, (0x0F, 0x21), 0x04, None)),
+    ("66 0f 22 mod 1", "660f224424",
+     (4, F, None, None, (0x0F, 0x22), 0x44, None)),
+    ("0f 23 mod 2", "0f2384",
+     (3, F, None, None, (0x0F, 0x23), 0x84, None)),
     ("0f 38", "660f3800c1",
      (5, F, None, None, (0x0F, 0x38, 0x00), 0xC1, None)),
     ("0f 3a imm8", "660f3a0fc108",
@@ -294,26 +303,31 @@ def test_agrees_with_objdump_on_system_binary():
 
 def test_opcode_maps_agree_with_objdump(tmp_path):
     # every 0F xx, 0F 38 xx and 0F 3A xx with no prefix, 66, F2 and F3,
-    # and every three-byte VEX opcode of maps 1-3 for each pp, L and W,
-    # all with the register ModRM c1.  Each sits in its own 32-byte
-    # slot, padded with int3, so any immediate that decode or objdump
-    # reads is int3 bytes; one objdump run per 1,024 slots.  -M intel64:
-    # Intel 64 ignores a 66 prefix on a near branch, as decode does,
-    # where objdump's default AMD64 reading takes a rel16
+    # and every three-byte VEX opcode of maps 1-3 for each pp, L and W.
+    # The legacy opcodes take the register ModRM c1 and four memory
+    # forms: RIP disp32, SIB with no base and disp32, disp8, and disp32;
+    # the VEX opcodes take c1 and the SIB form.  Each sits in its own
+    # 16-byte slot, padded with int3, so any displacement or immediate
+    # that decode or objdump reads past the code is int3 bytes; one
+    # objdump run per 2,048 slots.  -M intel64: Intel 64 ignores a 66
+    # prefix on a near branch, as decode does, where objdump's default
+    # AMD64 reading takes a rel16
     require_tool("objdump")
-    sweep = [prefix + escape + bytes((op, 0xC1))
+    modrms = (b"\xc1", b"\x05", b"\x04\x25", b"\x44\x24\x08", b"\x84\x24")
+    sweep = [prefix + escape + bytes((op,)) + modrm
+             for modrm in modrms
              for prefix in (b"", b"\x66", b"\xf2", b"\xf3")
              for escape in (b"\x0f", b"\x0f\x38", b"\x0f\x3a")
              for op in range(256)] + [
-        bytes((0xC4, 0xE0 | vmap, w << 7 | 0x78 | vlen << 2 | pp, op, 0xC1))
-        for vmap in (1, 2, 3) for w in (0, 1) for vlen in (0, 1)
-        for pp in range(4) for op in range(256)]
-    slot = 32
+        bytes((0xC4, 0xE0 | vmap, w << 7 | 0x78 | vlen << 2 | pp, op)) + modrm
+        for modrm in modrms[:3:2] for vmap in (1, 2, 3) for w in (0, 1)
+        for vlen in (0, 1) for pp in range(4) for op in range(256)]
+    slot = 16
     line = re.compile(r"\s*([0-9a-f]+):\t((?:[0-9a-f]{2} )+)\s*\t?(.*)")
     mismatches = []
     checked = 0
-    for first in range(0, len(sweep), 1024):
-        chunk = sweep[first:first + 1024]
+    for first in range(0, len(sweep), 2048):
+        chunk = sweep[first:first + 2048]
         buf = b"".join(code.ljust(slot, b"\xcc") for code in chunk)
         path = tmp_path / "sweep.bin"
         path.write_bytes(buf)
@@ -334,7 +348,7 @@ def test_opcode_maps_agree_with_objdump(tmp_path):
             ins = x86.decode(buf, k * slot, 0)
             if (ins[LENGTH] if ins else None) != length:
                 mismatches.append(code.hex())
-    assert checked > 1000           # 2,100 with binutils 2.40
+    assert checked > 5000           # 6,796 with binutils 2.40
     # AMD's SSE4a extrq and insertq with immediates (66 / F2 0F 78)
     # take two imm8s; decode reads 0F 78 as vmread whatever the prefix
     assert mismatches == ["660f78c1", "f20f78c1"]
