@@ -33,8 +33,10 @@ row, None (invalid in 64-bit mode), or one of the markers `_REX`,
 `_LEGACY`, `_OPSIZE` (prefixes), `_ESC_0F`, `_VEX3`, `_VEX2` (escapes).
 The escapes lead to `_TWO_BYTE` and `_VEX_MAPS`, whose entries are all
 opcode rows; the `0F 38` and `0F 3A` rows of `_TWO_BYTE` serve every
-three-byte opcode after them.  A row is a tuple
-`(modrm_size, operand, kind, opcode)`:
+three-byte opcode after them.  After a 66 or F2 prefix, `0F` leads to
+`_TWO_BYTE_66_F2` instead, which differs in one row: there 0F 78 is
+AMD's SSE4a extrq or insertq, whose two imm8s decode as one imm16.
+A row is a tuple `(modrm_size, operand, kind, opcode)`:
 
 - modrm_size: None if no ModRM byte follows the opcode, else the table
   that sizes it: `_MODRM_SIZE`, or `_MODRM_ONLY` for the moves to and
@@ -211,6 +213,9 @@ def _with_opcodes(rows, prefix):
 
 _FIRST = _first_byte_map()
 _TWO_BYTE = _two_byte_map()
+_TWO_BYTE_66_F2 = tuple(
+    (_MODRM_SIZE, 2, FALLTHROUGH, (0x0F, 0x78)) if op == 0x78 else row
+    for op, row in enumerate(_TWO_BYTE))
 _VEX_MAPS = _vex_maps()
 
 
@@ -237,6 +242,7 @@ def decode(data, offset, vaddr, limit=None):
         rex = 0
         opsize16 = addr32 = False
         if row.__class__ is int:
+            two_byte = _TWO_BYTE
             while row < _ESC_0F:
                 if row == _REX:
                     rex = op
@@ -244,8 +250,11 @@ def decode(data, offset, vaddr, limit=None):
                     rex = 0
                     if row == _OPSIZE:
                         opsize16 = True
+                        two_byte = _TWO_BYTE_66_F2
                     elif op == 0x67:
                         addr32 = True
+                    elif op == 0xF2:
+                        two_byte = _TWO_BYTE_66_F2
                 if pos >= end:
                     return None
                 op = data[pos]
@@ -256,7 +265,7 @@ def decode(data, offset, vaddr, limit=None):
             else:                               # an escape
                 if row == _ESC_0F:
                     op = data[pos]
-                    row = _TWO_BYTE[op]
+                    row = two_byte[op]
                     if op == 0x38 or op == 0x3A:    # three-byte opcode
                         row = (*row[:3], (0x0F, op, data[pos + 1]))
                         pos += 1

@@ -6,8 +6,10 @@ branches for the 0F and VEX escapes, and ModRM, SIB and displacement
 read field by field.  It is unchanged but for fixes made in both
 decoders: after a 67 prefix, the A0-A3 address is 4 bytes,
 zero-extended; 0F 0E (femms) and 0F 37 (getsec) have no ModRM; no
-VEX map-2 opcode takes an imm8; and the moves to and from control and
-debug registers (0F 20-23) ignore the ModRM mod field.  The differential tests in
+VEX map-2 opcode takes an imm8; the moves to and from control and
+debug registers (0F 20-23) ignore the ModRM mod field; and after a 66
+or F2 prefix 0F 78 (SSE4a extrq, insertq) takes two imm8s, read as one
+imm16.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
 It shares only the kind names and the layout of the result, the 7-tuple
 the `pxom.x86` docstring describes, with the decoder under test.
@@ -143,7 +145,7 @@ def reference_decode(data, offset, vaddr, limit=None):
     try:
         pos = offset
         rex = 0
-        opsize16 = addr32 = False
+        opsize16 = addr32 = repne = False
         while True:
             if pos >= end:
                 return None
@@ -154,6 +156,7 @@ def reference_decode(data, offset, vaddr, limit=None):
             elif op in _LEGACY_PREFIXES:
                 opsize16 = opsize16 or op == 0x66
                 addr32 = addr32 or op == 0x67
+                repne = repne or op == 0xF2
                 rex = 0
             else:
                 break
@@ -165,6 +168,8 @@ def reference_decode(data, offset, vaddr, limit=None):
             if op2 == 0x38 or op2 == 0x3A:     # three-byte opcode
                 row = (*row[:3], (0x0F, op2, data[pos]))
                 pos += 1
+            elif op2 == 0x78 and (opsize16 or repne):
+                row = (True, 2, FALLTHROUGH, (0x0F, 0x78))
         elif op == 0xC4 or op == 0xC5:
             if op == 0xC4:
                 vmap = data[pos] & 0x1F

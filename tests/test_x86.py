@@ -181,6 +181,17 @@ SPECIAL_ROWS = [
      (4, F, None, None, (0x0F, 0x22), 0x44, None)),
     ("0f 23 mod 2", "0f2384",
      (3, F, None, None, (0x0F, 0x23), 0x84, None)),
+    # SSE4a extrq / insertq: two imm8s after 66 or F2, in either order
+    ("66 0f 78 extrq", "660f78c11122",
+     (6, F, None, None, (0x0F, 0x78), 0xC1, 0x2211)),
+    ("f2 0f 78 insertq", "f20f78c1ffff",
+     (6, F, None, None, (0x0F, 0x78), 0xC1, -1)),
+    ("66 f2 0f 78", "66f20f78c11122",
+     (7, F, None, None, (0x0F, 0x78), 0xC1, 0x2211)),
+    ("f2 66 0f 78", "f2660f78c11122",
+     (7, F, None, None, (0x0F, 0x78), 0xC1, 0x2211)),
+    ("0f 78 vmread", "0f78c11122",
+     (3, F, None, None, (0x0F, 0x78), 0xC1, None)),
     ("0f 38", "660f3800c1",
      (5, F, None, None, (0x0F, 0x38, 0x00), 0xC1, None)),
     ("0f 3a imm8", "660f3a0fc108",
@@ -349,9 +360,7 @@ def test_opcode_maps_agree_with_objdump(tmp_path):
             if (ins[LENGTH] if ins else None) != length:
                 mismatches.append(code.hex())
     assert checked > 5000           # 6,796 with binutils 2.40
-    # AMD's SSE4a extrq and insertq with immediates (66 / F2 0F 78)
-    # take two imm8s; decode reads 0F 78 as vmread whatever the prefix
-    assert mismatches == ["660f78c1", "f20f78c1"]
+    assert mismatches == []
 
 
 def _objdump_mismatches(path):
