@@ -12,7 +12,7 @@ import os
 import random
 import struct
 import subprocess
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import GroundTruthParse, Malformed
@@ -33,11 +33,7 @@ _SAFE_OPS = (
 )
 
 
-@dataclass
-class CorpusEntry:
-    binary: Path
-    ground_truth: Path
-    source: Path
+CorpusEntry = namedtuple("CorpusEntry", "binary ground_truth source")
 
 
 def _island(rng, idx, force_kind=None):
@@ -59,12 +55,12 @@ def _island(rng, idx, force_kind=None):
     return lines
 
 
-def _body(rng, data_labels, refs=2):
+def _body(rng, data_labels):
     lines = []
     for _ in range(rng.randint(2, 8)):
         op = rng.choice(_SAFE_OPS)
         lines.append("\t" + op.format(imm=rng.randint(1, 1 << 20)))
-    for _ in range(refs):
+    for _ in range(2):
         if data_labels and rng.random() < 0.8:
             label = rng.choice(data_labels)
             lines.append("\tleaq %s(%%rip), %%rsi" % label)
@@ -74,7 +70,7 @@ def _body(rng, data_labels, refs=2):
 
 
 def generate_program(rng):
-    """One assembly program; returns (asm_text, function_marker_names)."""
+    """The assembly text of one program."""
     parts = [
         "\t.text",
         "\t.globl _start",
@@ -87,7 +83,6 @@ def generate_program(rng):
     data_labels = []
     island_idx = 0
     func_idx = 0
-    funcs = []          # (marker_base, class)
 
     def new_island(force_kind=None):
         nonlocal island_idx
@@ -97,11 +92,10 @@ def generate_program(rng):
         data_labels.append(label)
         return lines
 
-    def func(cls, body_lines, cfi=False):
+    def func(body_lines, cfi=False):
         nonlocal func_idx
         base = "gtf_%d" % func_idx
         func_idx += 1
-        funcs.append((base, cls))
         out = ["\t.p2align 4"]
         out.append("%s_s:" % base)
         if cfi:
@@ -123,7 +117,7 @@ def generate_program(rng):
 
     direct_names = []
     for _ in range(n_direct):
-        name, lines = func("direct", _body(rng, data_labels))
+        name, lines = func(_body(rng, data_labels))
         direct_names.append(name)
         parts.extend(lines)
         if rng.random() < 0.6:
@@ -135,35 +129,32 @@ def generate_program(rng):
         parts.extend(hot)
         hot_label = data_labels[-1]
         body = ["\tmovl %s(%%rip), %%eax" % hot_label for _ in range(12)]
-        name, lines = func("direct", body)
+        name, lines = func(body)
         direct_names.append(name)
         parts.extend(lines)
 
     switch_name, switch_lines, table_lines = _switch_function(
         rng, func_idx, island_idx)
-    funcs.append(("gtf_%d" % func_idx, "jump_table"))
     func_idx += 1
     island_idx += 1
     parts.extend(switch_lines)
     parts.extend(table_lines)
 
     for _ in range(n_heuristic):
-        _, lines = func("heuristic", _body(rng, data_labels))
+        _, lines = func(_body(rng, data_labels))
         parts.extend(lines)
 
     taken_names = []
     for _ in range(n_addr_taken):
-        name, lines = func("address_taken", _body(rng, data_labels))
+        name, lines = func(_body(rng, data_labels))
         taken_names.append(name)
         parts.extend(lines)
 
     for _ in range(n_unwind):
-        _, lines = func("frame_unwind", _body(rng, data_labels), cfi=True)
+        _, lines = func(_body(rng, data_labels), cfi=True)
         parts.extend(lines)
 
     entry = ["\t.p2align 4", "gtf_%d_s:" % func_idx, "_start:"]
-    funcs.append(("gtf_%d" % func_idx, "entry"))
-    func_idx += 1
     for name in direct_names:
         entry.append("\tcall %s_s" % name)
     entry.append("\tmovl $%d, %%edi" % rng.randrange(4))
@@ -172,7 +163,7 @@ def generate_program(rng):
     entry.append("\txorl %edi, %edi")
     entry.append("\tsyscall")
     entry.append("\tud2")
-    entry.append("gtf_%d_e:" % (func_idx - 1))
+    entry.append("gtf_%d_e:" % func_idx)
     parts.extend(entry)
 
     if taken_names:
@@ -182,7 +173,7 @@ def generate_program(rng):
             parts.append("\t.quad %s_s" % name)
         parts.append("\t.text")
 
-    return "\n".join(parts) + "\n", funcs
+    return "\n".join(parts) + "\n"
 
 
 def _switch_function(rng, func_idx, island_idx):
@@ -273,7 +264,7 @@ def build_corpus(outdir, count=50, seed=1):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    programs = [generate_program(rng)[0] for _ in range(count)]
+    programs = [generate_program(rng) for _ in range(count)]
     if not programs:
         return []
     names = ["prog_%03d" % i for i in range(count)]

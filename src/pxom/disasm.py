@@ -8,6 +8,7 @@ the price is that unreachable code stays readable.
 
 import gc
 from bisect import bisect_right
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import compress
@@ -38,10 +39,7 @@ _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
 
 
-@dataclass(frozen=True)
-class EntryPoint:
-    vaddr: int
-    source: str
+EntryPoint = namedtuple("EntryPoint", "vaddr source")
 
 
 @dataclass
@@ -75,10 +73,12 @@ def _traverse(image, entry, superset, committed, memo):
     is one (start, end) pair, not one per instruction.
 
     memo maps the 4 bytes at an instruction start to the record decoded
-    there, for records of at most 4 bytes with no branch or RIP target:
-    such a record depends on its bytes only, so equal instructions share
-    one tuple.  A stored record is reused only if it ends within the
-    limit; if it does not, decode would return None there too.
+    there, for records of at most 4 bytes with no branch target: such a
+    record depends on its bytes only, so equal instructions share one
+    tuple.  No such record has a RIP target either: a RIP-relative
+    operand needs ModRM and a disp32, six bytes with the opcode.  A
+    stored record is reused only if it ends within the limit; if it does
+    not, decode would return None there too.
     """
     insns = {}
     stretches = []
@@ -107,7 +107,7 @@ def _traverse(image, entry, superset, committed, memo):
                 ins = decode(buf, off, va, limit)
                 if ins is None:
                     return None
-                if ins[0] <= 4 and ins[2] is None and ins[3] is None:
+                if ins[0] <= 4 and ins[2] is None:
                     memo[key] = ins
             elif off + ins[0] > limit:
                 return None

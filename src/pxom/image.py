@@ -7,6 +7,7 @@ section, so stock loaders keep working.
 """
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
@@ -40,18 +41,9 @@ SHN_LORESERVE = 0xFF00       # e_shnum and e_shstrndx escape at and above
 SHN_XINDEX = 0xFFFF          # e_shstrndx: the index is header 0's sh_link
 
 
-@dataclass(frozen=True)
-class Section:
-    name: str
-    sh_type: int
-    flags: int
-    vaddr: int
-    offset: int
-    size: int
-    entsize: int
-    link: int
-    info: int
-    addralign: int
+class Section(namedtuple("Section", "name sh_type flags vaddr offset size "
+                                   "entsize link info addralign")):
+    __slots__ = ()
 
     def data(self, raw):
         if self.sh_type == 8:  # SHT_NOBITS
@@ -59,14 +51,8 @@ class Section:
         return raw[self.offset:self.offset + self.size]
 
 
-@dataclass(frozen=True)
-class Segment:
-    p_type: int
-    flags: int
-    offset: int
-    vaddr: int
-    filesz: int
-    memsz: int
+class Segment(namedtuple("Segment", "p_type flags offset vaddr filesz memsz")):
+    __slots__ = ()
 
     @property
     def executable(self):

@@ -1,7 +1,7 @@
 """Evaluation metrics and attack-surface analyses."""
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import x86
 from .errors import EmptyGroundTruth
@@ -20,28 +20,20 @@ _TERMINATOR_OPCODE = re.compile(
     b"[\xc2\xc3\xca\xcb]|\xff(?=[\x10-\x2f\x50-\x6f\x90-\xaf\xd0-\xef])")
 
 
-@dataclass(frozen=True)
-class Metrics:
-    code_coverage: float
-    overall_coverage: float
-    edb_count: int
-    avg_edb_size: float
+class Metrics(namedtuple("Metrics", "code_coverage overall_coverage "
+                                   "edb_count avg_edb_size")):
+    __slots__ = ()
 
     @property
     def readable_fraction(self):
         return 1.0 - self.overall_coverage
 
 
-@dataclass(frozen=True)
-class Gadget:
-    start: int
-    length: int
-    instruction_count: int
-    terminator: str
+Gadget = namedtuple("Gadget", "start length instruction_count terminator")
 
 
 def code_coverage(report, ground_truth_code):
-    if not ground_truth_code or ground_truth_code.total_bytes == 0:
+    if not ground_truth_code:
         raise EmptyGroundTruth("ground-truth code set is empty")
     hit = report.code.intersection_size(ground_truth_code)
     return hit / ground_truth_code.total_bytes

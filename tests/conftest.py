@@ -74,8 +74,8 @@ def corpus(tmp_path_factory):
     rng = random.Random(42)
     entries = []
     for i in range(6):
-        asm, _funcs = generate_program(rng)
-        entries.append(build_program(asm, outdir, "prog_%02d" % i))
+        entries.append(build_program(generate_program(rng), outdir,
+                                     "prog_%02d" % i))
     return entries
 
 
