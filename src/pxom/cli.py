@@ -185,6 +185,18 @@ def cmd_gen_corpus(args):
     return 0
 
 
+def _count(text):
+    """A --count value: an int, 0 or more."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            "expected an int of 0 or more, got %r" % text)
+    return count
+
+
 @functools.cache
 def build_parser():
     """The pxom argument parser, built once per process."""
@@ -220,7 +232,7 @@ def build_parser():
 
     p = sub.add_parser("gen-corpus", help="generate synthetic test binaries")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_count, default=50)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_gen_corpus)
     return parser

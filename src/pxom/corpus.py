@@ -2,10 +2,11 @@
 
 Emits small freestanding assembly programs that interleave code with the
 four embedded-data shapes seen in real binaries (constants, arrays,
-NUL-terminated strings, jump tables), assembles them with gcc, derives
-byte-exact data/code ground truth from the marker symbols in the
-binary's symbol table, then strips the binary.  Requires gcc and strip
-on PATH.
+NUL-terminated strings, jump tables), assembles each with `as` and
+links it with `ld`, derives byte-exact data/code ground truth from the
+marker symbols in the binary's symbol table, then strips the binaries,
+up to 128 in one `strip` call.  Requires `as`, `ld` and `strip` on
+PATH.
 """
 
 import os
@@ -20,6 +21,10 @@ from .image import SHT_SYMTAB, executable_ranges, load_elf
 from .intervals import IntervalSet
 
 _SYM = struct.Struct("<IBBHQQ")     # Elf64_Sym
+
+# binaries per strip call: even at PATH_MAX each, 128 paths take 512 KiB
+# of argv, well under Linux's 2 MiB ARG_MAX
+_STRIP_BATCH = 128
 
 _SAFE_OPS = (
     "mov ${imm}, %eax",
@@ -224,17 +229,25 @@ def _read_markers(image):
     return symbols
 
 
-def build_program(asm_text, workdir, name):
-    """Assemble, derive ground truth, strip.  Returns a CorpusEntry."""
+def _run(argv):
+    # captured: pxom.cli reports the last stderr line of a failing tool
+    subprocess.run(argv, check=True, capture_output=True)
+
+
+def _link(asm_text, workdir, name):
+    """Assemble and link one program, unstripped, and write its ground
+    truth.  Returns a CorpusEntry."""
     workdir = Path(workdir)
     src = workdir / ("%s.s" % name)
+    obj = workdir / ("%s.o" % name)
     binary = workdir / name
     gt = workdir / ("%s.gt" % name)
     src.write_text(asm_text)
-    subprocess.run(
-        ["gcc", "-nostdlib", "-static", "-no-pie", "-Wl,--build-id=none",
-         "-o", str(binary), str(src)],
-        check=True, capture_output=True)
+    try:
+        _run(["as", "-o", str(obj), str(src)])
+        _run(["ld", "--build-id=none", "-o", str(binary), str(obj)])
+    finally:
+        obj.unlink(missing_ok=True)
 
     image = load_elf(binary.read_bytes())
     symbols = _read_markers(image)
@@ -245,17 +258,31 @@ def build_program(asm_text, workdir, name):
         data.remove(symbols["gtf_%d_s" % i], symbols["gtf_%d_e" % i])
         i += 1
 
-    subprocess.run(["strip", str(binary)], check=True, capture_output=True)
     with gt.open("w") as fh:
         for iv in data:
             fh.write("%#x %#x\n" % (iv.start, iv.end))
     return CorpusEntry(binary=binary, ground_truth=gt, source=src)
 
 
+def _strip(entries):
+    """Strip the entries' binaries, _STRIP_BATCH to a strip call."""
+    paths = [str(entry.binary) for entry in entries]
+    for i in range(0, len(paths), _STRIP_BATCH):
+        _run(["strip", *paths[i:i + _STRIP_BATCH]])
+
+
+def build_program(asm_text, workdir, name):
+    """Assemble, derive ground truth, strip.  Returns a CorpusEntry."""
+    entry = _link(asm_text, workdir, name)
+    _strip([entry])
+    return entry
+
+
 def build_corpus(outdir, count=50, seed=1):
     """Generate `count` programs from one seeded rng, in order, then
-    build them one per usable CPU at a time.  Entries come back in
-    program order, and the files do not depend on the build order."""
+    link them one per usable CPU at a time and strip them all at the
+    end.  Entries come back in program order, and the files do not
+    depend on the build order."""
     # imported here, not at module level: pxom.cli imports this module,
     # and concurrent.futures (which pulls in logging) would add about
     # 10 ms to the start of every pxom command, not just gen-corpus
@@ -268,11 +295,12 @@ def build_corpus(outdir, count=50, seed=1):
     if not programs:
         return []
     names = ["prog_%03d" % i for i in range(count)]
-    # the threads spend their time waiting on gcc and strip
+    # the threads spend their time waiting on as and ld
     workers = min(len(os.sched_getaffinity(0)), count)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build_program, programs,
-                             [outdir] * count, names))
+        entries = list(pool.map(_link, programs, [outdir] * count, names))
+    _strip(entries)
+    return entries
 
 
 def load_ground_truth(path):

@@ -59,6 +59,8 @@ base decides whether a disp32 follows).  The SIB byte is read only in
 that last case.  `_MODRM_ONLY` gives 1 for every ModRM byte.
 """
 
+import struct
+
 FALLTHROUGH = "fallthrough"
 DIRECT_JUMP = "direct_jump"
 CONDITIONAL_JUMP = "conditional_jump"
@@ -92,6 +94,20 @@ _VEX2 = 6       # C5: one payload byte, map 1
 # `_MODRM_SIZE` markers
 _RIP = -1
 _SIB0 = -2
+
+
+def _readers(codes):
+    """Size -> precompiled little-endian `unpack_from`, one per struct
+    format code: a disp32 or an immediate is read without slicing."""
+    readers = [None] * 9
+    for code in codes:
+        layout = struct.Struct("<" + code)
+        readers[layout.size] = layout.unpack_from
+    return tuple(readers)
+
+
+_SIGNED = _readers("bhiq")      # displacements and immediates
+_UNSIGNED = _readers("IQ")      # moffs (A0-A3)
 
 
 def _modrm_sizes():
@@ -290,8 +306,7 @@ def decode(data, offset, vaddr, limit=None):
             if size > 0:
                 pos += size
             elif size == _RIP:
-                rip_disp = int.from_bytes(data[pos + 1:pos + 5], "little",
-                                          signed=True)
+                rip_disp, = _SIGNED[4](data, pos + 1)
                 pos += 5
             else:                               # _SIB0: base 5 is disp32
                 pos += 6 if data[pos + 1] & 7 == 5 else 2
@@ -309,6 +324,7 @@ def decode(data, offset, vaddr, limit=None):
                     value -= 256
                 pos += 1
             else:
+                unpack = _SIGNED
                 if operand > 0:
                     size = operand
                 elif operand == _Z:
@@ -317,13 +333,13 @@ def decode(data, offset, vaddr, limit=None):
                     size = 8 if rex & 8 else 2 if opsize16 else 4
                 elif operand == _MOFFS:
                     size = 4 if addr32 else 8
+                    unpack = _UNSIGNED
                 else:                           # _ENTER
                     pos += 2
                     size = 1
-                value = int.from_bytes(data[pos:pos + size], "little",
-                                       signed=operand != _MOFFS)
+                value, = unpack[size](data, pos)
                 pos += size
-    except IndexError:
+    except (IndexError, struct.error):
         return None
     if pos > end:
         return None

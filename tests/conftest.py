@@ -43,9 +43,25 @@ def pytest_runtest_logreport(report):
     print("\n[%s] %s (%.1fs)" % (status, name, report.duration))
 
 
-def require_tool(name):
-    if shutil.which(name) is None:
-        pytest.skip("%s not available" % name)
+def require_tool(*names):
+    for name in names:
+        if shutil.which(name) is None:
+            pytest.skip("%s not available" % name)
+
+
+# what build_program and build_corpus run
+CORPUS_TOOLS = ("as", "ld", "strip")
+
+
+def fail_tool(tmp_path, monkeypatch, name):
+    """Put first on PATH a `name` that prints `NAME: broken` to stderr
+    and exits 1."""
+    bindir = tmp_path / "bin"
+    bindir.mkdir(exist_ok=True)
+    fake = bindir / name
+    fake.write_text("#!/bin/sh\necho '%s: broken' >&2\nexit 1\n" % name)
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", "%s:%s" % (bindir, os.environ["PATH"]))
 
 
 STATIC_SWITCH = os.path.join(os.path.dirname(__file__), "static_switch.c")
@@ -69,7 +85,7 @@ def build_static_switch(outdir, flags):
 @pytest.fixture(scope="session")
 def corpus(tmp_path_factory):
     """Small corpus for module tests (the acceptance suite builds its own)."""
-    require_tool("gcc")
+    require_tool(*CORPUS_TOOLS)
     outdir = tmp_path_factory.mktemp("corpus")
     rng = random.Random(42)
     entries = []

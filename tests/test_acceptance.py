@@ -23,7 +23,7 @@ from pxom.protector import build_lists
 from pxom.surface import (code_coverage, gadget_scan, overall_coverage,
                           wrpkru_scan)
 
-from conftest import exec_elf, require_tool
+from conftest import CORPUS_TOOLS, exec_elf, require_tool
 from oracle_gadgets import brute_force_gadgets
 from oracle_monitor import ShadowPages
 
@@ -32,7 +32,7 @@ CORPUS_SIZE = 50
 
 @pytest.fixture(scope="module")
 def corpus50(tmp_path_factory):
-    require_tool("gcc")
+    require_tool(*CORPUS_TOOLS)
     outdir = tmp_path_factory.mktemp("corpus50")
     return build_corpus(outdir, count=CORPUS_SIZE, seed=20240824)
 

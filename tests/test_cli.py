@@ -11,7 +11,8 @@ import pytest
 from pxom import blocks, cli
 from pxom.cli import build_parser, main
 
-from conftest import exec_elf, make_elf, require_tool
+from conftest import (CORPUS_TOOLS, exec_elf, fail_tool, make_elf,
+                      require_tool)
 
 
 def run_cli(capsys, *argv):
@@ -402,26 +403,48 @@ class TestMalformedGroundTruth:
 
 class TestGenCorpus:
     def test_generates_binaries(self, capsys, tmp_path):
-        require_tool("gcc")
+        require_tool(*CORPUS_TOOLS)
         outdir = tmp_path / "corpus"
         code, out, _ = run_cli(capsys, "gen-corpus", "--outdir", str(outdir),
                                "--count", "2", "--seed", "3")
         assert code == 0
         assert len(list(outdir.glob("prog_*.gt"))) == 2
 
+    def gen_corpus(self, capsys, tmp_path):
+        return run_cli(capsys, "gen-corpus", "--outdir",
+                       str(tmp_path / "corpus"), "--count", "3")
+
     def test_failing_tool_is_reported(self, capsys, tmp_path, monkeypatch):
-        # a gcc that fails first on PATH; the builds run in worker
-        # threads, so the failure has to travel back to main
-        bindir = tmp_path / "bin"
-        bindir.mkdir()
-        gcc = bindir / "gcc"
-        gcc.write_text("#!/bin/sh\necho 'as: broken' >&2\nexit 1\n")
-        gcc.chmod(0o755)
-        monkeypatch.setenv("PATH", "%s:%s" % (bindir, os.environ["PATH"]))
-        code, _, err = run_cli(capsys, "gen-corpus", "--outdir",
-                               str(tmp_path / "corpus"), "--count", "3")
+        # `as` runs in the worker threads, so its failure has to travel
+        # back to main
+        fail_tool(tmp_path, monkeypatch, "as")
+        code, _, err = self.gen_corpus(capsys, tmp_path)
         assert code == 1
-        assert err == "error: gcc exited 1: as: broken\n"
+        assert err == "error: as exited 1: as: broken\n"
+
+    def test_failing_strip_is_reported(self, capsys, tmp_path, monkeypatch):
+        # strip runs once, on main, after the pool has linked everything
+        require_tool("as", "ld")
+        fail_tool(tmp_path, monkeypatch, "strip")
+        code, _, err = self.gen_corpus(capsys, tmp_path)
+        assert code == 1
+        assert err == "error: strip exited 1: strip: broken\n"
+
+    @pytest.mark.parametrize("count", ["-3", "-1", "x"])
+    def test_bad_count_is_rejected(self, capsys, tmp_path, count):
+        outdir = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-corpus", "--outdir", str(outdir), "--count", count])
+        assert exc.value.code == 2
+        assert "argument --count: expected an int of 0 or more" in \
+            capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_zero_count_generates_nothing(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "gen-corpus", "--outdir",
+                               str(tmp_path), "--count", "0")
+        assert code == 0
+        assert out == "generated 0 binaries in %s\n" % tmp_path
 
 
 class TestCollectorPaused:

@@ -17,7 +17,8 @@ from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 from pxom.surface import overall_coverage
 
-from conftest import build_static_switch, exec_elf, make_elf, require_tool
+from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
+                      require_tool)
 from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_compute_superset,
                            reference_heuristic_targets,
@@ -50,7 +51,7 @@ def read_or_skip(path):
 
 @pytest.fixture(scope="module")
 def corpus20(tmp_path_factory):
-    require_tool("gcc")
+    require_tool(*CORPUS_TOOLS)
     return build_corpus(tmp_path_factory.mktemp("corpus20"), count=20, seed=5)
 
 
@@ -1006,7 +1007,7 @@ def count_jump_table_calls(monkeypatch):
 
 
 def test_jump_tables_found_in_later_rounds(monkeypatch, tmp_path):
-    require_tool("gcc")
+    require_tool(*CORPUS_TOOLS)
     entry = build_program(NESTED_SWITCH, tmp_path, "nested_switch")
     image = load_elf(entry.binary.read_bytes())
     calls = count_jump_table_calls(monkeypatch)
@@ -1091,7 +1092,7 @@ gtd_0_e:
 def test_entry_switch_case_with_fde_is_frame_unwind(tmp_path):
     # the table is read only once the image-only sources have run, so
     # the case that starts an FDE is frame_unwind's, the other the table's
-    require_tool("gcc")
+    require_tool(*CORPUS_TOOLS)
     entry = build_program(ENTRY_SWITCH, tmp_path, "entry_switch")
     image = load_elf(entry.binary.read_bytes())
     report = compute_superset(image)
