@@ -185,16 +185,18 @@ def cmd_gen_corpus(args):
     return 0
 
 
-def _count(text):
-    """A --count value: an int, 0 or more."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            "expected an int of 0 or more, got %r" % text)
-    return count
+def _at_least(floor):
+    """An argparse type: an int of floor or more."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                "expected an int of %d or more, got %r" % (floor, text))
+        return value
+    return parse
 
 
 @functools.cache
@@ -224,7 +226,8 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--out")
     p = command("scan", cmd_scan, "gadget and WRPKRU surface scan")
-    p.add_argument("--depth", type=int, default=DEFAULT_GADGET_DEPTH)
+    p.add_argument("--depth", type=_at_least(1),
+                   default=DEFAULT_GADGET_DEPTH)
     p.add_argument("--out")
     p = command("compare", cmd_compare, "soundness gate against ground truth")
     p.add_argument("--ground-truth", required=True)
@@ -232,7 +235,7 @@ def build_parser():
 
     p = sub.add_parser("gen-corpus", help="generate synthetic test binaries")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--count", type=_count, default=50)
+    p.add_argument("--count", type=_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_gen_corpus)
     return parser

@@ -72,18 +72,12 @@ def _traverse(image, entry, superset, committed, memo):
     path leaves the current one.  Each straight-line stretch it decodes
     is one (start, end) pair, not one per instruction.
 
-    memo maps the 4 bytes at an instruction start to the record decoded
-    there, for records of at most 4 bytes with no branch target: such a
-    record depends on its bytes only, so equal instructions share one
-    tuple.  No such record has a RIP target either: a RIP-relative
-    operand needs ModRM and a disp32, six bytes with the opcode.  A
-    stored record is reused only if it ends within the limit; if it does
-    not, decode would return None there too.
+    memo maps each record to itself, so equal records are one object.
     """
     insns = {}
     stretches = []
     stack = [entry]
-    decode, shared = x86.decode, memo.get
+    decode, shared = x86.decode, memo.setdefault
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
     buf = b""
@@ -100,18 +94,10 @@ def _traverse(image, entry, superset, committed, memo):
                 lo = max(run[0], base)
                 hi = min(run[1], base + len(buf))
                 limit = hi - base
-            off = va - base
-            key = buf[off:off + 4]
-            ins = shared(key)
+            ins = decode(buf, va - base, va, limit)
             if ins is None:
-                ins = decode(buf, off, va, limit)
-                if ins is None:
-                    return None
-                if ins[0] <= 4 and ins[2] is None:
-                    memo[key] = ins
-            elif off + ins[0] > limit:
                 return None
-            insns[va] = ins
+            insns[va] = ins = shared(ins, ins)
             length, kind, target, _, _, _, _ = ins
             va += length
             if kind is fallthrough:
@@ -303,7 +289,7 @@ def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
     The disassembly keeps one instruction record per committed
-    instruction alive (261k on libc, in 153k distinct tuples), and the
+    instruction alive (261k on libc, in 54k distinct tuples), and the
     collector would rescan them again and again while they pile up.
     pxom builds no reference cycles, so reference counting frees all of
     it.
@@ -328,10 +314,7 @@ def compute_superset(image):
     target is traversed at most once, and a second pass over the
     image-only targets would commit nothing.
 
-    The traversals of one call share one memo of short instruction
-    records (see `_traverse`), so equal instructions share one tuple;
-    it is dropped when the call returns.  Records are immutable: compare
-    them by value, never by identity.
+    Within one call, equal records are one object (see `_traverse`).
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """

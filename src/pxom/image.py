@@ -251,7 +251,7 @@ def serialize_lists(lists):
     out = bytearray()
     out += _XOM_HEADER.pack(XOM_MAGIC, XOM_VERSION,
                             len(lists.optimization), len(lists.regular))
-    for block in list(lists.optimization) + list(lists.regular):
+    for block in lists.all_blocks():
         out += _XOM_ENTRY.pack(block.interval.start, block.interval.end,
                                block.static_ref_count)
     return bytes(out)

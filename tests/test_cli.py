@@ -331,6 +331,24 @@ class TestScan:
         report = json.loads(out)
         assert "gadgets" in report and "wrpkru" in report
 
+    @pytest.mark.parametrize("depth", ["0", "-1", "x"])
+    def test_bad_depth_is_rejected(self, capsys, corpus, depth):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "-i", str(corpus[0].binary), "--depth", depth])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --depth: expected an int of 1 or more" in \
+            captured.err
+        assert captured.out == ""
+
+    def test_depth_one_is_terminators_only(self, capsys, corpus):
+        code, out, _ = run_cli(capsys, "scan", "-i", str(corpus[0].binary),
+                               "--depth", "1")
+        assert code == 0
+        gadgets = json.loads(out)["gadgets"]
+        assert gadgets
+        assert all(g["instructions"] == 1 for g in gadgets)
+
 
 class TestCompare:
     def test_sound_corpus_exits_zero(self, capsys, corpus):

@@ -465,7 +465,7 @@ class TestAddressTaken:
 
 def check_records_are_decodes(data):
     """Each committed address maps to exactly what x86.decode returns at
-    it, with no limit."""
+    it, with no limit, and equal records are one object."""
     image = load_elf(data)
     report = compute_superset(image)
     assert report.instructions
@@ -475,6 +475,8 @@ def check_records_are_decodes(data):
         if ins != x86.decode(buf, va - base, va):
             wrong.append(hex(va))
     assert wrong == []
+    records = report.instructions.values()
+    assert len({id(r) for r in records}) == len(set(records))
 
 
 class TestRecordsAreDecodes:
@@ -494,18 +496,12 @@ class TestRecordsAreDecodes:
 
 
 def test_equal_records_are_shared_on_ls():
-    # compute_superset's memo: a record of at most 4 bytes with no branch
-    # or RIP target is one object for each 4-byte window it starts
-    image = load_elf(read_ls())
-    report = compute_superset(image)
-    by_window = {}
-    for va, ins in report.instructions.items():
-        if ins[0] <= 4 and ins[2] is None and ins[3] is None:
-            base, buf = image.code_at(va)
-            window = buf[va - base:va - base + 4]
-            assert by_window.setdefault(window, ins) is ins
-    distinct = len({id(ins) for ins in report.instructions.values()})
-    assert distinct < 0.8 * len(report.instructions)
+    # within one compute_superset call, equal records are one object
+    report = compute_superset(load_elf(read_ls()))
+    by_value = {}
+    for ins in report.instructions.values():
+        assert by_value.setdefault(ins, ins) is ins
+    assert len(by_value) < 0.8 * len(report.instructions)
 
 
 @pytest.mark.parametrize("flags", [
@@ -715,24 +711,26 @@ class TestTraverse:
                 assert sorted(result[1]) == starts
 
     def test_memo_hit_never_crosses_a_run_end(self):
-        # mov rbp, rsp; jmp 0x1007, and at 0x1007 mov rbp, rsp; jmp $:
-        # both movs start the window 48 89 e5 eb.  In the run
-        # [0x1000, 0x1009) the second mov, a memo hit, crosses the run
-        # end onto the committed jmp at 0x100a, so the traversal fails,
-        # as it does without the memo
+        # mov rbp, rsp; jmp 0x1007, and at 0x1007 mov rbp, rsp; jmp $.
+        # In the run [0x1000, 0x1009) the second mov, equal to the
+        # first, crosses the run end onto the committed jmp at 0x100a, so
+        # the traversal fails there, as the reference does, whether or not
+        # the memo already holds the mov
         image = image_of(b"\x48\x89\xe5\xeb\x02\xcc\xcc"
                          b"\x48\x89\xe5\xeb\xfe")
         short = IntervalSet.from_pairs([(0x1000, 0x1009)])
-        memo = {}
-        assert _traverse(image, 0x1000, short, {0x100a}, memo) is None
         assert strict_reference(image, 0x1000, short, {0x100a}) is None
-        assert memo[b"\x48\x89\xe5\xeb"] == (3, x86.FALLTHROUGH, None,
-                                             None, (0x89,), 0xE5, None)
-        # over the whole range both movs are the one stored record
+        warm = {}
+        _traverse(image, 0x1000, executable_ranges(image), set(), warm)
+        for memo in ({}, warm):
+            assert _traverse(image, 0x1000, short, {0x100a}, memo) is None
+        # over the whole range both movs are one object
         _, insns = _traverse(image, 0x1000, executable_ranges(image),
-                             set(), memo)
+                             set(), {})
         assert sorted(insns) == [0x1000, 0x1003, 0x1007, 0x100a]
-        assert insns[0x1007] is insns[0x1000] is memo[b"\x48\x89\xe5\xeb"]
+        assert insns[0x1007] is insns[0x1000]
+        assert insns[0x1000] == (3, x86.FALLTHROUGH, None, None, (0x89,),
+                                 0xE5, None)
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
