@@ -11,6 +11,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from struct import unpack_from
 
@@ -34,6 +35,10 @@ _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
+# the opcodes of the records the jump-table finder reads, besides the
+# indirect jumps: lea, movsxd and the bound checks
+_TABLE_OPCODES = frozenset(((0x8D,), (0x63,), *_BOUND_GROUP, *_BOUND_ACC))
+_MOFFS_OPCODES = frozenset(((0xA0,), (0xA1,), (0xA2,), (0xA3,)))
 
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
@@ -44,18 +49,41 @@ EntryPoint = namedtuple("EntryPoint", "vaddr source")
 
 @dataclass
 class DisassemblyReport:
+    """What `compute_superset` found, with no instruction records.
+
+    starts maps the start of each executable range to a bytearray with a
+    1 at the offset of each committed instruction start.  refs is the
+    sorted list of the committed instructions' static references: each
+    RIP-relative target and each A0-A3 moffs address.  instructions
+    decodes the marked starts when it is first read; tests and
+    benchmark probes read it, no pxom command does.
+    """
     code: IntervalSet
     superset: IntervalSet
     entry_points: list
     executable_total: int
-    instructions: dict = field(default_factory=dict, repr=False)
+    starts: dict = field(repr=False)
+    refs: list = field(repr=False)
+    image: object = field(repr=False, compare=False)
+
+    @cached_property
+    def instructions(self):
+        """The record of each committed start, by vaddr, in address
+        order: what `x86.decode` returns there."""
+        decode = x86.decode
+        found = {}
+        for base, marks in self.starts.items():
+            _, buf = self.image.code_at(base)
+            for va in compress(range(base, base + len(marks)), marks):
+                found[va] = decode(buf, va - base, va)
+        return found
 
 
-def _traverse(image, entry, superset, committed, memo):
+def _traverse(image, entry, superset, is_start):
     """Claim instruction bytes reachable from entry.
 
     A path ends cleanly at an instruction already decoded by this
-    traversal or at the start of a committed one (a key of committed).
+    traversal or at the start of a committed one (where is_start(va)).
     A path also ends cleanly at address 0 outside the superset: a static
     link resolves an undefined weak function to 0, and the code calls it
     only behind a null test.  Any invalid decode, or reaching a byte
@@ -71,13 +99,11 @@ def _traverse(image, entry, superset, committed, memo):
     leave the run decodes to None.  It looks a run up again only when a
     path leaves the current one.  Each straight-line stretch it decodes
     is one (start, end) pair, not one per instruction.
-
-    memo maps each record to itself, so equal records are one object.
     """
     insns = {}
     stretches = []
     stack = [entry]
-    decode, shared = x86.decode, memo.setdefault
+    decode = x86.decode
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
     buf = b""
@@ -87,7 +113,7 @@ def _traverse(image, entry, superset, committed, memo):
             if not lo <= va < hi:
                 run = superset.run_at(va)
                 if run is None:
-                    if va and va not in committed:
+                    if va and not is_start(va):
                         return None
                     break
                 base, buf = image.code_at(va)
@@ -97,7 +123,7 @@ def _traverse(image, entry, superset, committed, memo):
             ins = decode(buf, va - base, va, limit)
             if ins is None:
                 return None
-            insns[va] = ins = shared(ins, ins)
+            insns[va] = ins
             length, kind, target, _, _, _, _ = ins
             va += length
             if kind is fallthrough:
@@ -114,13 +140,14 @@ def _traverse(image, entry, superset, committed, memo):
     return stretches, insns
 
 
-def _sources(image, superset, instructions):
+def _sources(image, superset, records, commits=()):
     """(source, targets) for each source in SOURCE_ORDER, each list
     sorted and found only when its turn comes; jump_table comes again
-    while the round before it added instructions, as new code can
-    dispatch through new tables.  All but the program entry's lie in the
-    image's code sections if it has any, since an R+X segment may hold
-    data sections too."""
+    while the round before it grew commits, the list of committed
+    entries, as new code can dispatch through new tables.  records are
+    the committed instructions the jump-table finder reads.  All but the
+    program entry's lie in the image's code sections if it has any,
+    since an R+X segment may hold data sections too."""
     code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
     yield "program_entry", [image.entry_point] if image.entry_point else []
@@ -128,9 +155,9 @@ def _sources(image, superset, instructions):
     yield "address_taken", sorted(set(_address_taken_targets(image, code)))
     yield "heuristic", _prologue_starts(image, code)
     count = -1
-    while count != len(instructions):
-        count = len(instructions)
-        yield "jump_table", _jump_table_targets(image, superset, instructions)
+    while count != len(commits):
+        count = len(commits)
+        yield "jump_table", _jump_table_targets(image, superset, records)
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -150,7 +177,9 @@ def detect_entry_points(image, superset, known_code, instructions):
 
 def _jump_table_targets(image, superset, instructions):
     """Sorted targets of the bounded rel32 tables in the superset that
-    committed code (instructions, by vaddr) dispatches through.  Each
+    committed code (instructions, by vaddr) dispatches through.  Only
+    records with an opcode in _TABLE_OPCODES and indirect jumps count,
+    so instructions may hold only those.  Each
     indirect jump reads the table of the last lea of one at most
     _JUMP_TABLE_WINDOW bytes before it and after the previous indirect
     jump; if such a lea comes before the window's last movsxd (the entry
@@ -288,9 +317,9 @@ def _prologue_starts(image, ranges):
 def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
-    The disassembly keeps one instruction record per committed
-    instruction alive (261k on libc, in 54k distinct tuples), and the
-    collector would rescan them again and again while they pile up.
+    A traversal builds one record per decoded instruction (262k decodes
+    on libc), and the jump-table finder's records pile up while the
+    disassembly runs; the collector would rescan them again and again.
     pxom builds no reference cycles, so reference counting frees all of
     it.
     """
@@ -301,6 +330,28 @@ def collector_paused():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _commit(insns, ranges, starts, refs, records):
+    """Mark the starts of insns, a successful traversal's records by
+    vaddr, in starts (see `DisassemblyReport`; ranges are the executable
+    ranges), append their static references to refs, and keep in
+    records those that the jump-table finder reads."""
+    indirect_jump = x86.INDIRECT_JUMP
+    lo = hi = 0
+    for va, ins in insns.items():
+        if not lo <= va < hi:
+            lo, hi = ranges.run_at(va)
+            marks = starts[lo]
+        marks[va - lo] = 1
+        # 1 is the kind, 3 the RIP-relative target, 4 the opcode, 6 the
+        # immediate: a moffs mov's absolute address
+        if ins[3] is not None:
+            refs.append(ins[3])
+        elif ins[4] in _MOFFS_OPCODES:
+            refs.append(ins[6])
+        if ins[4] in _TABLE_OPCODES or ins[1] is indirect_jump:
+            records[va] = ins
 
 
 @collector_paused()
@@ -314,7 +365,9 @@ def compute_superset(image):
     target is traversed at most once, and a second pass over the
     image-only targets would commit nothing.
 
-    Within one call, equal records are one object (see `_traverse`).
+    A commit keeps no instruction record beyond what the jump-table
+    finder reads, and those only until the call returns: the report
+    holds a start map and the static references (`_commit`).
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
@@ -322,22 +375,28 @@ def compute_superset(image):
     if not superset:
         raise NoExecutableCode("image has no executable segment")
 
-    instructions = {}
+    ranges = image.exec_ranges
+    starts = {start: bytearray(end - start) for start, end in ranges.pairs()}
+    refs = []
+    records = {}
     accepted = []
     traversed = set()
-    memo = {}
 
-    for source, targets in _sources(image, superset, instructions):
+    def is_start(va):
+        run = ranges.run_at(va)
+        return run is not None and starts[run[0]][va - run[0]] == 1
+
+    for source, targets in _sources(image, superset, records, accepted):
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
             traversed.add(va)
-            result = _traverse(image, va, superset, instructions, memo)
+            result = _traverse(image, va, superset, is_start)
             if result is not None:
                 stretches, insns = result
                 for start, end in stretches:
                     superset.remove(start, end)
-                instructions.update(insns)
+                _commit(insns, ranges, starts, refs, records)
                 accepted.append(EntryPoint(va, source))
 
     # commits only move executable bytes out of the superset, so the code
@@ -346,7 +405,8 @@ def compute_superset(image):
     code = executable_ranges(image)
     for start, end in superset.pairs():
         code.remove(start, end)
+    refs.sort()
     return DisassemblyReport(code=code, superset=superset,
                              entry_points=accepted,
-                             executable_total=image.exec_ranges.total_bytes,
-                             instructions=instructions)
+                             executable_total=ranges.total_bytes,
+                             starts=starts, refs=refs, image=image)

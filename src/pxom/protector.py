@@ -8,29 +8,20 @@ from .image import attach_xom_section, load_elf, set_xom_flag
 
 STATIC_REF_THRESHOLD = 10    # blocks referenced more than this go optimization
 
-_MOFFS_OPCODES = frozenset([0xA0, 0xA1, 0xA2, 0xA3])
-
 
 def count_static_refs(report):
     """Per-block count of statically visible memory references, one per
     superset block, in start order.
 
-    Only direct RIP-relative and absolute-address operands are counted;
-    register-indexed accesses are invisible to static analysis and are
-    handled by the monitor's dynamic promotion instead.
+    Only direct RIP-relative and absolute-address operands are counted,
+    as the report's refs list them; register-indexed accesses are
+    invisible to static analysis and are handled by the monitor's
+    dynamic promotion instead.
     """
     blocks = list(report.superset.pairs())
     starts = [start for start, _ in blocks]
     counts = [0] * len(blocks)
-    # records are read by index, which costs less than unpacking all
-    # seven fields: 3 is the RIP-relative target, 4 the opcode, 6 the
-    # immediate (see `x86.decode`)
-    for ins in report.instructions.values():
-        target = ins[3]
-        if target is None:
-            if ins[4][0] not in _MOFFS_OPCODES:
-                continue
-            target = ins[6]                 # mov moffs: absolute address
+    for target in report.refs:
         i = bisect_right(starts, target) - 1
         if i >= 0 and target < blocks[i][1]:
             counts[i] += 1
@@ -63,8 +54,8 @@ def protect_binary(data):
     """The protected ELF bytes of data.
 
     Runs with the cyclic garbage collector paused, like
-    `compute_superset`, and resumes it only once the report's
-    instruction records are freed, so no collection scans them.
+    `compute_superset`, and resumes it only once the report and the
+    block lists are freed, so no collection scans them.
     """
     with collector_paused():
         return protect_image(load_elf(data))[0].raw

@@ -22,6 +22,10 @@ ends only its own path.
 `reference_union` merges a traversal's instructions one by one, where
 `disasm._traverse` returns the straight-line stretches it walked.
 
+`reference_starts` and `reference_refs` build a report's start map and
+sorted static references from committed records, one record at a time,
+where `disasm._commit` fills them as each traversal commits.
+
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
 round, where `disasm` finds the aligned prologues of the whole image
@@ -78,7 +82,8 @@ def reference_compute_superset(image):
 
     entry = image.entry_point
     if entry and superset.contains_range(entry, 1):
-        claimed, insns, _ok = reference_traverse(image, entry, superset, {},
+        claimed, insns, _ok = reference_traverse(image, entry, superset,
+                                                 set().__contains__,
                                                  strict=False)
         if claimed:
             commit(claimed, insns, EntryPoint(entry, "program_entry"))
@@ -106,7 +111,8 @@ def reference_compute_superset(image):
             if va in instructions or not superset.contains_range(va, 1):
                 continue
             claimed, insns, ok = reference_traverse(image, va, superset,
-                                                    instructions, strict=True)
+                                                    instructions.__contains__,
+                                                    strict=True)
             if ok and claimed:
                 commit(claimed, insns, EntryPoint(va, source))
                 progress = True
@@ -116,10 +122,36 @@ def reference_compute_superset(image):
     return DisassemblyReport(code=IntervalSet.from_pairs(committed),
                              superset=superset, entry_points=accepted,
                              executable_total=exec_ranges.total_bytes,
-                             instructions=instructions)
+                             starts=reference_starts(image, instructions),
+                             refs=reference_refs(instructions.values()),
+                             image=image)
 
 
-def reference_traverse(image, entry, superset, committed_starts, strict):
+def reference_starts(image, addresses):
+    """The start map of a report whose committed starts are addresses:
+    a bytearray per executable range, by its start, with a 1 at each
+    address's offset, set one address at a time."""
+    starts = {start: bytearray(end - start)
+              for start, end in image.exec_ranges.pairs()}
+    for va in addresses:
+        base, _ = image.code_at(va)
+        starts[base][va - base] = 1
+    return starts
+
+
+def reference_refs(records):
+    """The sorted static references of records: each RIP-relative target,
+    and the absolute address of each A0-A3 moffs mov."""
+    refs = []
+    for _, _, _, rip, opcode, _, immediate in records:
+        if rip is not None:
+            refs.append(rip)
+        elif opcode in ((0xA0,), (0xA1,), (0xA2,), (0xA3,)):
+            refs.append(immediate)
+    return sorted(refs)
+
+
+def reference_traverse(image, entry, superset, is_start, strict):
     """(claimed, insns, ok) with the semantics of disasm._traverse,
     where claimed is the IntervalSet that its stretches cover."""
     insns = {}
@@ -129,7 +161,7 @@ def reference_traverse(image, entry, superset, committed_starts, strict):
         va = stack.pop()
         while va not in insns:
             if not superset.contains_range(va, 1):
-                if strict and va != 0 and va not in committed_starts:
+                if strict and va != 0 and not is_start(va):
                     ok = False
                 break
             ins = decode_at(image, va)

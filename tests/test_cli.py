@@ -10,6 +10,9 @@ import pytest
 
 from pxom import blocks, cli
 from pxom.cli import build_parser, main
+from pxom.disasm import DisassemblyReport, compute_superset
+from pxom.image import load_elf
+from pxom.protector import protect_image
 
 from conftest import (CORPUS_TOOLS, exec_elf, fail_tool, make_elf,
                       require_tool)
@@ -551,6 +554,51 @@ class TestCollectorPaused:
         with pytest.raises(RuntimeError, match="boom"):
             self.run_print(monkeypatch, tmp_path, boom, seen)
         assert seen == [False] and gc.isenabled()
+
+
+class TestNoInstructionRecords:
+    """No command decodes the report's instruction records: the report
+    keeps a start map and a reference list, and reading `instructions`
+    would decode every committed start again and keep the records."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The reports whose instructions are read from now on."""
+        decode = DisassemblyReport.instructions.func
+        reads = []
+
+        def spy(report):
+            reads.append(report)
+            return decode(report)
+
+        monkeypatch.setattr(DisassemblyReport, "instructions", property(spy))
+        return reads
+
+    def test_spy_sees_a_read(self, reads):
+        report = compute_superset(load_elf(exec_elf(b"\x90\xc3")))
+        assert reads == []
+        assert list(report.instructions) == [0x1000, 0x1001]
+        assert reads == [report]
+
+    def test_protect_image(self, reads, corpus):
+        for entry in corpus:
+            protect_image(load_elf(entry.binary.read_bytes()))
+        assert reads == []
+
+    @pytest.mark.parametrize("command", ["protect", "scan", "analyze",
+                                         "compare"])
+    def test_command(self, capsys, tmp_path, corpus, reads, command):
+        entry = corpus[0]
+        argv = {
+            "protect": ["-o", str(tmp_path / "p.xom")],
+            "scan": [],
+            "analyze": ["--ground-truth", str(entry.ground_truth)],
+            "compare": ["--ground-truth", str(entry.ground_truth)],
+        }[command]
+        code, _, err = run_cli(capsys, command, "-i", str(entry.binary),
+                               *argv)
+        assert (code, err) == (0, "")
+        assert reads == []
 
 
 OUTPUT_COMMANDS = ["protect", "analyze", "scan", "compare", "simulate"]

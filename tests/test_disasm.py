@@ -15,6 +15,7 @@ from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _jump_table_targets,
 from pxom.errors import NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
+from pxom.protector import count_static_refs
 from pxom.surface import overall_coverage
 
 from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
@@ -22,7 +23,8 @@ from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
 from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_compute_superset,
                            reference_heuristic_targets,
-                           reference_jump_table_targets, reference_traverse)
+                           reference_jump_table_targets, reference_refs,
+                           reference_starts, reference_traverse)
 
 LS = "/usr/bin/ls"
 SYSTEM = (LS, "/usr/bin/gcc-12", "/lib/x86_64-linux-gnu/libc.so.6")
@@ -87,6 +89,11 @@ class TestDecodeAt:
         assert decode_at(image_of(b"\x90\xff"), 0x1001) is None
 
 
+def starts_at(*starts):
+    """The is_start test of `_traverse` for these committed starts."""
+    return frozenset(starts).__contains__
+
+
 def traverse_fresh(code, superset=None):
     """_traverse from 0x1000 over an image of code, with nothing
     committed, through claimed_set; the superset defaults to its
@@ -94,7 +101,7 @@ def traverse_fresh(code, superset=None):
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
-    return claimed_set(_traverse(image, 0x1000, superset, {}, {}))
+    return claimed_set(_traverse(image, 0x1000, superset, starts_at()))
 
 
 def executable_less(image, superset):
@@ -138,8 +145,10 @@ def claimed_set(result):
 
 def strict_reference(image, va, superset, committed):
     """The strict reference traversal in claimed_set's form: None where
-    it fails, (claimed, insns) where it succeeds."""
-    claimed, insns, ok = reference_traverse(image, va, superset, committed,
+    it fails, (claimed, insns) where it succeeds; committed holds the
+    committed starts."""
+    claimed, insns, ok = reference_traverse(image, va, superset,
+                                            committed.__contains__,
                                             strict=True)
     return (claimed, insns) if ok else None
 
@@ -226,6 +235,22 @@ class TestComputeSuperset:
         assert total == executable_ranges(image)
         assert report.code.intersection_size(report.superset) == 0
 
+    @pytest.mark.parametrize("target, accepted", [(0x1002, False),
+                                                  (0x1005, True)],
+                             ids=["mid-instruction", "instruction-start"])
+    def test_path_into_committed_code(self, target, accepted):
+        # the program entry commits mov eax, imm32 and a ret; the
+        # prologue at 0x1010 then jumps into the mov or onto the ret
+        rel = (target - 0x1019).to_bytes(4, "little", signed=True)
+        code = (b"\xb8\x90\x90\x90\x90\xc3".ljust(16, b"\xcc")
+                + b"\x55\x48\x89\xe5\xe9" + rel + b"\xcc" * 7)
+        report = compute_superset(image_of(code))
+        heuristic = [EntryPoint(0x1010, "heuristic")] if accepted else []
+        assert report.entry_points == [EntryPoint(0x1000, "program_entry"),
+                                       *heuristic]
+        assert report.superset.contains_range(0x1010, 9) is not accepted
+        assert report == reference_compute_superset(image_of(code))
+
     def test_no_exec_segment(self):
         image = load_elf(make_elf([(0x1000, 4, b"\x00" * 16)]))
         with pytest.raises(NoExecutableCode):
@@ -256,24 +281,16 @@ class TestComputeSuperset:
         datas = [planted, *(e.binary.read_bytes() for e in corpus)]
         traverse = disasm._traverse
         seen = []
-        memos = []
 
-        def spy(image, entry, superset, committed, memo):
+        def spy(image, entry, superset, is_start):
             seen.append(entry)
-            memos.append(memo)
-            return traverse(image, entry, superset, committed, memo)
+            return traverse(image, entry, superset, is_start)
 
         monkeypatch.setattr(disasm, "_traverse", spy)
-        earlier = []
         for data in datas:
             seen.clear()
-            memos.clear()
             report = compute_superset(load_elf(data))
             assert len(seen) == len(set(seen))
-            # the traversals of one call share one memo, new in each call
-            assert all(memo is memos[0] for memo in memos)
-            assert all(memo is not memos[0] for memo in earlier)
-            earlier.append(memos[0])
             assert report == reference_compute_superset(load_elf(data))
             if data is planted:
                 assert seen == [0x1000, 0x1010]
@@ -464,19 +481,14 @@ class TestAddressTaken:
 
 
 def check_records_are_decodes(data):
-    """Each committed address maps to exactly what x86.decode returns at
-    it, with no limit, and equal records are one object."""
+    """Each marked start decodes, and the committed instructions cover
+    exactly the code set."""
     image = load_elf(data)
     report = compute_superset(image)
     assert report.instructions
-    wrong = []
-    for va, ins in report.instructions.items():
-        base, buf = image.code_at(va)
-        if ins != x86.decode(buf, va - base, va):
-            wrong.append(hex(va))
-    assert wrong == []
-    records = report.instructions.values()
-    assert len({id(r) for r in records}) == len(set(records))
+    assert [hex(va) for va, ins in report.instructions.items()
+            if ins is None] == []
+    assert union_of(report.instructions) == report.code
 
 
 class TestRecordsAreDecodes:
@@ -493,15 +505,6 @@ class TestRecordsAreDecodes:
 
     def test_libc(self):
         check_records_are_decodes(read_or_skip(SYSTEM[2]))
-
-
-def test_equal_records_are_shared_on_ls():
-    # within one compute_superset call, equal records are one object
-    report = compute_superset(load_elf(read_ls()))
-    by_value = {}
-    for ins in report.instructions.values():
-        assert by_value.setdefault(ins, ins) is ins
-    assert len(by_value) < 0.8 * len(report.instructions)
 
 
 @pytest.mark.parametrize("flags", [
@@ -603,21 +606,19 @@ def union_of(insns):
 def check_traversals(image, starts_per_superset=200):
     """_traverse claims exactly its instructions and matches the strict
     reference: from the entry points of a fresh superset, and from the
-    block starts of the superset left after compute_superset.  Every
-    traversal shares one memo, across both supersets.  Returns the set
-    of outcomes, True where a traversal succeeds."""
+    block starts of the superset left after compute_superset.  Returns
+    the set of outcomes, True where a traversal succeeds."""
     fresh = executable_ranges(image)
     report = compute_superset(image)
     outcomes = set()
-    memo = {}
     eps = detect_entry_points(image, fresh, IntervalSet(), {})
     for superset, committed, starts in (
-            (fresh, {}, [ep.vaddr for ep in eps]),
-            (report.superset, report.instructions,
+            (fresh, set(), [ep.vaddr for ep in eps]),
+            (report.superset, set(report.instructions),
              [iv.start for iv in report.superset])):
         for va in starts[:starts_per_superset]:
-            result = claimed_set(_traverse(image, va, superset, committed,
-                                           memo))
+            result = claimed_set(_traverse(image, va, superset,
+                                           committed.__contains__))
             assert result == strict_reference(image, va, superset,
                                               committed)
             if result is not None:
@@ -650,13 +651,14 @@ class TestTraverse:
             image = load_elf(data)
             fresh = executable_ranges(image)
             report = compute_superset(image)
+            committed = starts_at(*report.instructions)
             for iv in list(report.superset)[:100]:
                 for va in range(iv.start, min(iv.end, iv.start + 4)):
-                    if _traverse(image, va, fresh, {}, {}) is not None:
+                    if _traverse(image, va, fresh, starts_at()) is not None:
                         continue
                     failed += 1
                     assert _traverse(image, va, report.superset,
-                                     report.instructions, {}) is None
+                                     committed) is None
         assert failed
 
     def test_strict_fails_mid_committed_instruction(self):
@@ -664,10 +666,10 @@ class TestTraverse:
         # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
         image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
-        _, insns = _traverse(image, 0x1000, superset, {0x1003}, {})
+        _, insns = _traverse(image, 0x1000, superset, starts_at(0x1003))
         assert sorted(insns) == [0x1000, 0x1002]
         image = image_of(b"\x74\x02\x90\xeb\xfe\xc3")
-        assert _traverse(image, 0x1000, superset, {0x1003}, {}) is None
+        assert _traverse(image, 0x1000, superset, starts_at(0x1003)) is None
 
     # code at 0x1000; superset runs; committed starts; instruction starts
     # claimed, or None where the traversal fails
@@ -696,41 +698,32 @@ class TestTraverse:
         image = image_of(code)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        # with an empty memo, and with one that a traversal over the
-        # whole executable range has filled
-        warm = {}
-        _traverse(image, 0x1000, executable_ranges(image), set(), warm)
-        for memo in ({}, warm):
-            result = claimed_set(_traverse(image, 0x1000, superset,
-                                           set(committed), memo))
-            assert result == strict_reference(image, 0x1000, superset,
-                                              set(committed))
-            if starts is None:
-                assert result is None
-            else:
-                assert sorted(result[1]) == starts
+        result = claimed_set(_traverse(image, 0x1000, superset,
+                                       starts_at(*committed)))
+        assert result == strict_reference(image, 0x1000, superset,
+                                          set(committed))
+        if starts is None:
+            assert result is None
+        else:
+            assert sorted(result[1]) == starts
 
     def test_memo_hit_never_crosses_a_run_end(self):
         # mov rbp, rsp; jmp 0x1007, and at 0x1007 mov rbp, rsp; jmp $.
         # In the run [0x1000, 0x1009) the second mov, equal to the
         # first, crosses the run end onto the committed jmp at 0x100a, so
-        # the traversal fails there, as the reference does, whether or not
-        # the memo already holds the mov
+        # the traversal fails there, as the reference does, also after a
+        # traversal over the whole range has decoded both movs
         image = image_of(b"\x48\x89\xe5\xeb\x02\xcc\xcc"
                          b"\x48\x89\xe5\xeb\xfe")
         short = IntervalSet.from_pairs([(0x1000, 0x1009)])
         assert strict_reference(image, 0x1000, short, {0x100a}) is None
-        warm = {}
-        _traverse(image, 0x1000, executable_ranges(image), set(), warm)
-        for memo in ({}, warm):
-            assert _traverse(image, 0x1000, short, {0x100a}, memo) is None
-        # over the whole range both movs are one object
+        assert _traverse(image, 0x1000, short, starts_at(0x100a)) is None
         _, insns = _traverse(image, 0x1000, executable_ranges(image),
-                             set(), {})
+                             starts_at())
         assert sorted(insns) == [0x1000, 0x1003, 0x1007, 0x100a]
-        assert insns[0x1007] is insns[0x1000]
-        assert insns[0x1000] == (3, x86.FALLTHROUGH, None, None, (0x89,),
-                                 0xE5, None)
+        assert insns[0x1007] == insns[0x1000] == (
+            3, x86.FALLTHROUGH, None, None, (0x89,), 0xE5, None)
+        assert _traverse(image, 0x1000, short, starts_at(0x100a)) is None
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
@@ -738,9 +731,9 @@ class TestTraverse:
         if os.path.exists(LS):
             datas.append(read_ls())
         reports = [compute_superset(load_elf(d)) for d in datas]
-        def traverse(image, entry, superset, committed, memo):
+        def traverse(image, entry, superset, is_start):
             claimed, insns, ok = reference_traverse(image, entry, superset,
-                                                    committed, strict=True)
+                                                    is_start, strict=True)
             return (list(claimed.pairs()), insns) if ok else None
 
         monkeypatch.setattr(disasm, "_traverse", traverse)
@@ -925,6 +918,130 @@ class TestJumpTable:
                     image, superset, report.instructions))
                 found += len(targets)
         assert found
+
+
+class TestStartMap:
+    """compute_superset keeps no instruction record: its start map and
+    references are those of the traversals it commits, and its
+    instructions decode to the records those traversals committed."""
+
+    def check(self, monkeypatch, data):
+        traverse = disasm._traverse
+        committed = {}
+
+        def spy(image, entry, superset, is_start):
+            result = traverse(image, entry, superset, is_start)
+            if result is not None:      # every success is committed
+                committed.update(result[1])
+            return result
+
+        monkeypatch.setattr(disasm, "_traverse", spy)
+        image = load_elf(data)
+        report = compute_superset(image)
+        assert committed
+        assert report.starts == reference_starts(image, committed)
+        assert report.refs == reference_refs(committed.values())
+        assert report.instructions == committed
+        assert list(report.instructions) == sorted(committed)
+        counts = {start: 0 for start, _ in report.superset.pairs()}
+        for target in reference_refs(report.instructions.values()):
+            run = report.superset.run_at(target)
+            if run is not None:
+                counts[run[0]] += 1
+        assert count_static_refs(report) == list(counts.values())
+        return report
+
+    def test_corpus(self, monkeypatch, corpus):
+        counted = 0
+        for entry in corpus:
+            report = self.check(monkeypatch, entry.binary.read_bytes())
+            counted += sum(count_static_refs(report))
+        assert counted
+
+    def test_ls(self, monkeypatch):
+        assert self.check(monkeypatch, read_ls()).refs
+
+    def finder_calls(self, monkeypatch, data):
+        """(targets, same) for each jump-table finder call in
+        compute_superset, where same says whether the finder returns the
+        same targets from every record committed so far."""
+        traverse, finder = disasm._traverse, disasm._jump_table_targets
+        committed = {}
+        calls = []
+
+        def spy(image, entry, superset, is_start):
+            result = traverse(image, entry, superset, is_start)
+            if result is not None:
+                committed.update(result[1])
+            return result
+
+        def finder_spy(image, superset, records):
+            targets = finder(image, superset, records)
+            calls.append((targets,
+                          targets == finder(image, superset, committed)))
+            return targets
+
+        monkeypatch.setattr(disasm, "_traverse", spy)
+        monkeypatch.setattr(disasm, "_jump_table_targets", finder_spy)
+        compute_superset(load_elf(data))
+        assert calls
+        return calls
+
+    def test_finder_records_suffice_on_corpus_and_ls(self, monkeypatch,
+                                                     corpus):
+        datas = [e.binary.read_bytes() for e in corpus]
+        if os.path.exists(LS):
+            datas.append(read_ls())
+        for data in datas:
+            assert all(same for _, same in
+                       self.finder_calls(monkeypatch, data))
+
+    # jump_table_image shapes, as in TestJumpTable, where the entry read,
+    # a second lea or the bound's form decides the table
+    @pytest.mark.parametrize("bound, extra, other_leas", [
+        (b"\x83\xf8\x03", [], [(TestJumpTable.LEA - 16, 4)]),
+        (b"\x83\xf8\x03", [(TestJumpTable.LEA + 7, TestJumpTable.MOVSXD)],
+         [(TestJumpTable.LEA + 11, 4)]),
+        (b"\x83\xf8\x03", [(TestJumpTable.LEA - 8, TestJumpTable.MOVSXD)],
+         []),
+        (b"\x3d\x03\x00\x00\x00", [], []),
+        (b"\x3c\x03", [], []),
+        (b"\x80\xf9\x03", [], []),
+    ], ids=["lea-before", "lea-after-entry-read", "entry-read-before-lea",
+            "cmp-eax-imm32", "cmp-al-imm8", "cmp-cl-imm8"])
+    def test_finder_records_suffice_on_tables(self, monkeypatch, bound,
+                                              extra, other_leas):
+        lea = TestJumpTable.LEA
+        image, _ = jump_table_image(lea - 20, lea + 24, lea, bound=bound,
+                                    extra=extra, other_leas=other_leas)
+        calls = self.finder_calls(monkeypatch, image.raw)
+        assert calls[0] == ([0x1000 + k for k in range(4)], True)
+        assert all(same for _, same in calls)
+
+    def test_two_executable_ranges(self, monkeypatch):
+        # 0x1000: call 0x3000; mov eax, [0x100f]; ret; one int3
+        # 0x1010: push rbp; mov rbp, rsp; jmp 0x3000; int3 padding
+        # 0x3000: lea rax, [rip - 0x1ff8] (0x100f); ret; a data island.
+        # The heuristic's traversal from 0x1010 ends at the committed
+        # start 0x3000 in the other range
+        first = (b"\xe8" + (0x1ffb).to_bytes(4, "little")
+                 + b"\xa1" + (0x100f).to_bytes(8, "little") + b"\xc3\xcc"
+                 + b"\x55\x48\x89\xe5\xe9" + (0x1fe7).to_bytes(4, "little")
+                 + b"\xcc" * 7)
+        second = (b"\x48\x8d\x05" + (-0x1ff8).to_bytes(4, "little",
+                                                      signed=True)
+                  + b"\xc3" + b"\xaa" * 8)
+        data = make_elf([(0x1000, 5, first), (0x3000, 5, second)],
+                        entry=0x1000)
+        report = self.check(monkeypatch, data)
+        assert report.entry_points == [EntryPoint(0x1000, "program_entry"),
+                                       EntryPoint(0x1010, "heuristic")]
+        assert list(report.instructions) == [0x1000, 0x1005, 0x100e, 0x1010,
+                                             0x1011, 0x1014, 0x3000, 0x3007]
+        assert report.refs == [0x100f, 0x100f]
+        assert list(report.superset.pairs()) == [
+            (0x100f, 0x1010), (0x1019, 0x1020), (0x3008, 0x3010)]
+        assert count_static_refs(report) == [2, 0, 0]
 
 
 # A switch function that no call reaches and no prologue pattern
@@ -1140,7 +1257,8 @@ def test_data_section_in_code_segment_stays_data(tmp_path):
     rodata = image.section_by_name(".rodata")
     exec_ranges = executable_ranges(image)
     assert exec_ranges.contains_range(rodata.vaddr, rodata.size)
-    assert _traverse(image, rodata.vaddr, exec_ranges, {}, {}) is not None
+    assert _traverse(image, rodata.vaddr, exec_ranges,
+                     starts_at()) is not None
     report = compute_superset(image)
     assert report.entry_points == [
         EntryPoint(image.entry_point, "program_entry")]
