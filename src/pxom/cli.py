@@ -155,9 +155,9 @@ def cmd_scan(args):
     report = compute_superset(image)
     gadgets = gadget_scan(image, report, args.depth)
     wrpkru = wrpkru_scan(image, report)
-    # the report's start map, references and intervals are not needed
-    # for the output; free them before the gadget dicts and the JSON text
-    # are built
+    # the output needs no more of the report, which holds no instruction
+    # record: free its start map (a byte per executable byte), references
+    # and intervals before the gadget dicts and the JSON text are built
     del report
     return _report("scan", args, image.raw, {
         "gadgets": [{"start": g.start, "length": g.length,

@@ -39,8 +39,11 @@ _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
 # indirect jumps: lea, movsxd and the bound checks
 _TABLE_OPCODES = frozenset(((0x8D,), (0x63,), *_BOUND_GROUP, *_BOUND_ACC))
 _MOFFS_OPCODES = frozenset(((0xA0,), (0xA1,), (0xA2,), (0xA3,)))
+# their first bytes: no opcode of two bytes or more starts with one
+_KEPT_BYTES = frozenset(op[0] for op in _TABLE_OPCODES | _MOFFS_OPCODES)
 
-_STOP_KINDS = frozenset((x86.RETURN, x86.HALT, x86.INDIRECT_JUMP,
+_INDIRECT_JUMP = x86.INDIRECT_JUMP
+_STOP_KINDS = frozenset((x86.RETURN, x86.HALT, _INDIRECT_JUMP,
                          x86.INDIRECT_CALL))
 
 
@@ -79,55 +82,61 @@ class DisassemblyReport:
         return found
 
 
-def _traverse(image, entry, superset, is_start):
-    """Claim instruction bytes reachable from entry.
+def _traverse(image, entry, superset, starts):
+    """Claim the instruction bytes reachable from entry, marking each
+    start it decodes in the start map starts (see `DisassemblyReport`).
 
-    A path ends cleanly at an instruction already decoded by this
-    traversal or at the start of a committed one (where is_start(va)).
-    A path also ends cleanly at address 0 outside the superset: a static
-    link resolves an undefined weak function to 0, and the code calls it
-    only behind a null test.  Any invalid decode, or reaching a byte
-    outside the superset anywhere else (mid-way into committed code, or
-    off the executable range), fails the whole traversal: the walk stops
-    there and returns None.  Otherwise it returns (stretches, insns),
-    where the (start, end) pairs of stretches cover exactly the
-    instructions in insns.
+    Committed starts lie outside the superset, so a 1 inside it marks a
+    start this walk decoded.  A path ends cleanly there, at a committed
+    start, or at address 0 outside the superset (a static link resolves
+    an undefined weak function to 0, called only behind a null test).
+    An invalid decode or any other exit from the superset fails the
+    whole traversal: the walk clears its marks and returns None.  Else it
+    returns (stretches, kept): (start, end) pairs covering exactly the
+    decoded instructions, and the (va, record) of those with a RIP
+    target, a first opcode byte in _KEPT_BYTES or the indirect-jump kind.
 
-    The superset does not change while a traversal runs, so the walk
-    keeps the run [lo, hi) of superset and executable bytes it is in,
-    and decodes with the run end as limit: an instruction that would
-    leave the run decodes to None.  It looks a run up again only when a
-    path leaves the current one.  Each straight-line stretch it decodes
-    is one (start, end) pair, not one per instruction.
+    The walk decodes with the end of its superset run as limit, so an
+    instruction that would leave the run decodes to None.
     """
-    insns = {}
-    stretches = []
+    stretches, kept = [], []
     stack = [entry]
     decode = x86.decode
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
     lo = hi = base = limit = 0
-    buf = b""
+    buf = marks = b""
     while stack:
         va = start = stack.pop()
-        while va not in insns:
+        while True:
             if not lo <= va < hi:
                 run = superset.run_at(va)
                 if run is None:
-                    if va and not is_start(va):
-                        return None
+                    if va:
+                        run = image.exec_ranges.run_at(va)
+                        if run is None or not starts[run[0]][va - run[0]]:
+                            return _unmark(image, starts, stretches, start, va)
                     break
                 base, buf = image.code_at(va)
+                marks = starts[base]
                 lo = max(run[0], base)
                 hi = min(run[1], base + len(buf))
                 limit = hi - base
-            ins = decode(buf, va - base, va, limit)
+            off = va - base
+            if marks[off]:
+                break
+            ins = decode(buf, off, va, limit)
             if ins is None:
-                return None
-            insns[va] = ins
-            length, kind, target, _, _, _, _ = ins
-            va += length
+                return _unmark(image, starts, stretches, start, va)
+            marks[off] = 1
+            length, kind, target, rip, opcode, _, _ = ins
             if kind is fallthrough:
+                if rip is not None or opcode[0] in _KEPT_BYTES:
+                    kept.append((va, ins))
+                va += length
                 continue
+            if rip is not None or kind is _INDIRECT_JUMP:
+                kept.append((va, ins))
+            va += length
             if kind in _STOP_KINDS:
                 break
             if kind is direct_jump:
@@ -137,7 +146,16 @@ def _traverse(image, entry, superset, is_start):
                 stack.append(target)
         if va != start:
             stretches.append((start, va))
-    return stretches, insns
+    return stretches, kept
+
+
+def _unmark(image, starts, stretches, start, end):
+    """Zero stretches and [start, end) in the start map; return None."""
+    for lo, hi in (*stretches, (start, end)):
+        if lo < hi:                 # so lo starts a decoded instruction
+            base, top = image.exec_ranges.run_at(lo)
+            hi = min(hi, top)       # clipped: a bytearray must not grow
+            starts[base][lo - base:hi - base] = bytes(hi - lo)
 
 
 def _sources(image, superset, records, commits=()):
@@ -317,9 +335,9 @@ def _prologue_starts(image, ranges):
 def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
-    A traversal builds one record per decoded instruction (262k decodes
-    on libc), and the jump-table finder's records pile up while the
-    disassembly runs; the collector would rescan them again and again.
+    Each decode builds a record (261k on libc), and the records that the
+    jump-table finder reads pile up while the disassembly runs (41k on
+    libc); the collector would rescan them again and again.
     pxom builds no reference cycles, so reference counting frees all of
     it.
     """
@@ -330,28 +348,6 @@ def collector_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _commit(insns, ranges, starts, refs, records):
-    """Mark the starts of insns, a successful traversal's records by
-    vaddr, in starts (see `DisassemblyReport`; ranges are the executable
-    ranges), append their static references to refs, and keep in
-    records those that the jump-table finder reads."""
-    indirect_jump = x86.INDIRECT_JUMP
-    lo = hi = 0
-    for va, ins in insns.items():
-        if not lo <= va < hi:
-            lo, hi = ranges.run_at(va)
-            marks = starts[lo]
-        marks[va - lo] = 1
-        # 1 is the kind, 3 the RIP-relative target, 4 the opcode, 6 the
-        # immediate: a moffs mov's absolute address
-        if ins[3] is not None:
-            refs.append(ins[3])
-        elif ins[4] in _MOFFS_OPCODES:
-            refs.append(ins[6])
-        if ins[4] in _TABLE_OPCODES or ins[1] is indirect_jump:
-            records[va] = ins
 
 
 @collector_paused()
@@ -365,9 +361,9 @@ def compute_superset(image):
     target is traversed at most once, and a second pass over the
     image-only targets would commit nothing.
 
-    A commit keeps no instruction record beyond what the jump-table
-    finder reads, and those only until the call returns: the report
-    holds a start map and the static references (`_commit`).
+    Each traversal marks its starts in the report's start map itself; a
+    commit takes the static references and the jump-table finder's
+    records from the few records the traversal keeps.
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
@@ -381,22 +377,25 @@ def compute_superset(image):
     records = {}
     accepted = []
     traversed = set()
-
-    def is_start(va):
-        run = ranges.run_at(va)
-        return run is not None and starts[run[0]][va - run[0]] == 1
-
     for source, targets in _sources(image, superset, records, accepted):
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
             traversed.add(va)
-            result = _traverse(image, va, superset, is_start)
+            result = _traverse(image, va, superset, starts)
             if result is not None:
-                stretches, insns = result
+                stretches, kept = result
                 for start, end in stretches:
                     superset.remove(start, end)
-                _commit(insns, ranges, starts, refs, records)
+                # 1 is the kind, 3 the RIP-relative target, 4 the opcode,
+                # 6 the immediate: a moffs mov's absolute address
+                for at, ins in kept:
+                    if ins[3] is not None:
+                        refs.append(ins[3])
+                    elif ins[4] in _MOFFS_OPCODES:
+                        refs.append(ins[6])
+                    if ins[4] in _TABLE_OPCODES or ins[1] is _INDIRECT_JUMP:
+                        records[at] = ins
                 accepted.append(EntryPoint(va, source))
 
     # commits only move executable bytes out of the superset, so the code

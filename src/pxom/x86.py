@@ -2,9 +2,9 @@
 
 Decodes lengths, control-flow kind, direct branch targets, and
 RIP-relative memory-operand targets for the instruction subset emitted
-by mainstream compilers.  Anything outside that subset decodes to None
-(invalid), which the disassembler treats conservatively: an undecodable
-byte can never be claimed as code.
+by mainstream compilers.  An invalid encoding decodes to None, and an
+undecodable byte is never claimed as code.  Undefined two-byte and VEX
+opcodes, and `8D` (lea) on a register, still decode to a record.
 
 `decode` returns None or a plain 7-tuple, one per instruction:
 

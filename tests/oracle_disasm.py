@@ -24,7 +24,9 @@ ends only its own path.
 
 `reference_starts` and `reference_refs` build a report's start map and
 sorted static references from committed records, one record at a time,
-where `disasm._commit` fills them as each traversal commits.
+where `disasm._traverse` marks each start as it decodes it and
+`disasm.compute_superset` takes the references from the records the
+traversal keeps.  `reference_kept` picks those records by their fields.
 
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
@@ -149,6 +151,18 @@ def reference_refs(records):
         elif opcode in ((0xA0,), (0xA1,), (0xA2,), (0xA3,)):
             refs.append(immediate)
     return sorted(refs)
+
+
+def reference_kept(insns):
+    """The (va, record) pairs of insns, in its order, that
+    disasm._traverse keeps: those with a RIP-relative target, a lea,
+    movsxd, bound-check or A0-A3 moffs opcode, or the indirect-jump
+    kind."""
+    opcodes = {(0x8D,), (0x63,), (0x80,), (0x81,), (0x83,), (0x24,), (0x25,),
+               (0x3C,), (0x3D,), (0xA0,), (0xA1,), (0xA2,), (0xA3,)}
+    return [(va, ins) for va, ins in insns.items()
+            if ins[3] is not None or ins[4] in opcodes
+            or ins[1] == x86.INDIRECT_JUMP]
 
 
 def reference_traverse(image, entry, superset, is_start, strict):

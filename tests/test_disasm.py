@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
 from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_compute_superset,
                            reference_heuristic_targets,
-                           reference_jump_table_targets, reference_refs,
-                           reference_starts, reference_traverse)
+                           reference_jump_table_targets, reference_kept,
+                           reference_refs, reference_starts,
+                           reference_traverse)
 
 LS = "/usr/bin/ls"
 SYSTEM = (LS, "/usr/bin/gcc-12", "/lib/x86_64-linux-gnu/libc.so.6")
@@ -89,19 +91,13 @@ class TestDecodeAt:
         assert decode_at(image_of(b"\x90\xff"), 0x1001) is None
 
 
-def starts_at(*starts):
-    """The is_start test of `_traverse` for these committed starts."""
-    return frozenset(starts).__contains__
-
-
 def traverse_fresh(code, superset=None):
-    """_traverse from 0x1000 over an image of code, with nothing
-    committed, through claimed_set; the superset defaults to its
-    executable range."""
+    """traverse_from 0x1000 over an image of code, with nothing
+    committed; the superset defaults to its executable range."""
     image = image_of(code)
     if superset is None:
         superset = executable_ranges(image)
-    return claimed_set(_traverse(image, 0x1000, superset, starts_at()))
+    return traverse_from(image, 0x1000, superset)
 
 
 def executable_less(image, superset):
@@ -134,23 +130,56 @@ def reference_violations(report):
     return bad
 
 
-def claimed_set(result):
-    """A _traverse result with its stretches as the IntervalSet they
-    cover, or None for a failed traversal."""
+def is_marked(image, starts, va):
+    """Whether the start map starts has a 1 at va."""
+    run = image.exec_ranges.run_at(va)
+    return run is not None and starts[run[0]][va - run[0]] == 1
+
+
+def checked_traverse(image, va, superset, starts):
+    """_traverse(image, va, superset, starts), checked against the strict
+    reference traversal, whose committed starts are the ones that starts
+    marks before the call.  Where the reference fails, _traverse returns
+    None and leaves starts byte-identical; where it succeeds, the
+    stretches cover the reference's claimed bytes, the call marks exactly
+    the reference's instruction starts, none of them marked before, and
+    its kept records are reference_kept of them.  Returns (the _traverse
+    result, the reference's instructions by vaddr, or None where it
+    fails)."""
+    before = {base: bytes(marks) for base, marks in starts.items()}
+    result = _traverse(image, va, superset, starts)
+    claimed, insns, ok = reference_traverse(
+        image, va, superset, partial(is_marked, image, before), strict=True)
+    if not ok:
+        assert result is None
+        assert starts == before
+        return None, None
+    assert result is not None
+    stretches, kept = result
+    assert IntervalSet.from_pairs(stretches) == claimed
+    want = {base: bytearray(marks) for base, marks in before.items()}
+    for at in insns:
+        assert not is_marked(image, before, at)
+        base, _ = image.code_at(at)
+        want[base][at - base] = 1
+    assert starts == want
+    assert kept == reference_kept(insns)
+    return result, insns
+
+
+def traverse_from(image, va, superset, committed=(), starts=None):
+    """checked_traverse from va over a fresh start map that marks the
+    committed starts, or over a copy of the start map starts: None where
+    it fails, else (claimed, insns), the IntervalSet that its stretches
+    cover and the instructions, by vaddr, whose starts it marked."""
+    if starts is None:
+        starts = reference_starts(image, committed)
+    else:
+        starts = {base: bytearray(marks) for base, marks in starts.items()}
+    result, insns = checked_traverse(image, va, superset, starts)
     if result is None:
         return None
-    stretches, insns = result
-    return IntervalSet.from_pairs(stretches), insns
-
-
-def strict_reference(image, va, superset, committed):
-    """The strict reference traversal in claimed_set's form: None where
-    it fails, (claimed, insns) where it succeeds; committed holds the
-    committed starts."""
-    claimed, insns, ok = reference_traverse(image, va, superset,
-                                            committed.__contains__,
-                                            strict=True)
-    return (claimed, insns) if ok else None
+    return IntervalSet.from_pairs(result[0]), insns
 
 
 class TestRecursiveDisassemble:
@@ -196,8 +225,11 @@ class TestRecursiveDisassemble:
         # the fall-through fails first, and the callee is never decoded
         rel = (0x1100 - 0x1005).to_bytes(4, "little", signed=True)
         code = (b"\xe8" + rel + b"\x06").ljust(0x100, b"\xcc")
+        image = image_of(code + b"\x90" * 200 + b"\xc3")
+        starts = reference_starts(image, ())
         decodes = count_decodes(monkeypatch)
-        assert traverse_fresh(code + b"\x90" * 200 + b"\xc3") is None
+        assert _traverse(image, 0x1000, executable_ranges(image),
+                         starts) is None
         assert decodes == [0x1000, 0x1005]
 
 
@@ -263,16 +295,17 @@ class TestComputeSuperset:
         assert report.entry_points == []
         assert report.code.total_bytes == 0
 
-    def test_equals_reference_fixpoint(self, corpus, corpus20):
-        datas = [e.binary.read_bytes() for e in (*corpus, *corpus20)]
-        if os.path.exists(LS):
-            datas.append(read_ls())
-        for data in datas:
-            got = compute_superset(load_elf(data))
-            want = reference_compute_superset(load_elf(data))
-            # every field, down to each instruction record's opcode,
-            # ModRM and immediate
-            assert got == want
+    def test_equals_reference_fixpoint(self, corpus, corpus20,
+                                       system_reports):
+        # the SYSTEM binaries that are present
+        cases = list(system_reports.values())
+        for entry in (*corpus, *corpus20):
+            image = load_elf(entry.binary.read_bytes())
+            cases.append((image, compute_superset(image)))
+        for image, report in cases:
+            # every compared field: the code and superset, the entry
+            # points, the start map and the static references
+            assert report == reference_compute_superset(image)
 
     def test_each_target_traversed_once(self, monkeypatch, corpus):
         # ret at the program entry; at 0x1010 a prologue that runs into
@@ -282,9 +315,9 @@ class TestComputeSuperset:
         traverse = disasm._traverse
         seen = []
 
-        def spy(image, entry, superset, is_start):
+        def spy(image, entry, superset, starts):
             seen.append(entry)
-            return traverse(image, entry, superset, is_start)
+            return traverse(image, entry, superset, starts)
 
         monkeypatch.setattr(disasm, "_traverse", spy)
         for data in datas:
@@ -605,22 +638,20 @@ def union_of(insns):
 
 def check_traversals(image, starts_per_superset=200):
     """_traverse claims exactly its instructions and matches the strict
-    reference: from the entry points of a fresh superset, and from the
-    block starts of the superset left after compute_superset.  Returns
-    the set of outcomes, True where a traversal succeeds."""
+    reference (traverse_from): from the entry points of a fresh
+    superset, and from the block starts of the superset left after
+    compute_superset, over a copy of its start map.  Returns the set of
+    outcomes, True where a traversal succeeds."""
     fresh = executable_ranges(image)
     report = compute_superset(image)
     outcomes = set()
     eps = detect_entry_points(image, fresh, IntervalSet(), {})
-    for superset, committed, starts in (
-            (fresh, set(), [ep.vaddr for ep in eps]),
-            (report.superset, set(report.instructions),
+    for superset, starts, targets in (
+            (fresh, None, [ep.vaddr for ep in eps]),
+            (report.superset, report.starts,
              [iv.start for iv in report.superset])):
-        for va in starts[:starts_per_superset]:
-            result = claimed_set(_traverse(image, va, superset,
-                                           committed.__contains__))
-            assert result == strict_reference(image, va, superset,
-                                              committed)
+        for va in targets[:starts_per_superset]:
+            result = traverse_from(image, va, superset, starts=starts)
             if result is not None:
                 claimed, insns = result
                 assert claimed == union_of(insns)
@@ -651,14 +682,13 @@ class TestTraverse:
             image = load_elf(data)
             fresh = executable_ranges(image)
             report = compute_superset(image)
-            committed = starts_at(*report.instructions)
             for iv in list(report.superset)[:100]:
                 for va in range(iv.start, min(iv.end, iv.start + 4)):
-                    if _traverse(image, va, fresh, starts_at()) is not None:
+                    if traverse_from(image, va, fresh) is not None:
                         continue
                     failed += 1
-                    assert _traverse(image, va, report.superset,
-                                     committed) is None
+                    assert traverse_from(image, va, report.superset,
+                                         starts=report.starts) is None
         assert failed
 
     def test_strict_fails_mid_committed_instruction(self):
@@ -666,10 +696,10 @@ class TestTraverse:
         # jz +2 in its middle
         superset = IntervalSet.from_pairs([(0x1000, 0x1003)])
         image = image_of(b"\x74\x01\x90\xeb\xfe\xc3")
-        _, insns = _traverse(image, 0x1000, superset, starts_at(0x1003))
+        _, insns = traverse_from(image, 0x1000, superset, {0x1003})
         assert sorted(insns) == [0x1000, 0x1002]
         image = image_of(b"\x74\x02\x90\xeb\xfe\xc3")
-        assert _traverse(image, 0x1000, superset, starts_at(0x1003)) is None
+        assert traverse_from(image, 0x1000, superset, {0x1003}) is None
 
     # code at 0x1000; superset runs; committed starts; instruction starts
     # claimed, or None where the traversal fails
@@ -698,16 +728,47 @@ class TestTraverse:
         image = image_of(code)
         superset = (executable_ranges(image) if runs is None
                     else IntervalSet.from_pairs(runs))
-        result = claimed_set(_traverse(image, 0x1000, superset,
-                                       starts_at(*committed)))
-        assert result == strict_reference(image, 0x1000, superset,
-                                          set(committed))
+        # traverse_from checks the call against the strict reference
+        result = traverse_from(image, 0x1000, superset, committed)
         if starts is None:
             assert result is None
         else:
             assert sorted(result[1]) == starts
 
-    def test_memo_hit_never_crosses_a_run_end(self):
+    # failing traversals over a start map that marks the committed starts
+    @pytest.mark.parametrize("data, runs, committed", [
+        (exec_elf(b"\x90\x90\x48\x89\xe5\xc3"), [(0x1000, 0x1003)], ()),
+        (exec_elf(b"\x90\x90\x48\x89\xe5\xc3"), [(0x1000, 0x1003)],
+         (0x1005,)),
+        (exec_elf(b"\x74\x02\x90\xeb\xfe\xc3"), [(0x1000, 0x1003)],
+         (0x1003,)),
+        (exec_elf(b"\x90\x90"), None, ()),
+        (exec_elf(b"\x90\x48\x89"), None, ()),
+        # jmp +2 over two bytes, onto an invalid byte
+        (exec_elf(b"\xeb\x02\xcc\xcc\x06"), None, ()),
+        # 64 nops fall through onto an invalid byte, before a committed ret
+        (exec_elf(b"\x90" * 64 + b"\x06\xc3"), [(0x1000, 0x1041)],
+         (0x1041,)),
+        # call 0x3000 in the first range; at 0x3000 three nops and an
+        # invalid byte: a stretch in each range
+        (make_elf([(0x1000, 5, b"\xe8" + (0x1ffb).to_bytes(4, "little")
+                    + b"\xc3"), (0x3000, 5, b"\x90\x90\x90\x06")],
+                  entry=0x1000), None, ()),
+    ], ids=["straddles-run-end", "straddles-onto-committed", "mid-committed",
+            "off-exec-range", "cut-by-exec-end", "after-direct-jump",
+            "after-long-fall-through", "across-ranges"])
+    def test_failure_leaves_the_start_map(self, data, runs, committed):
+        image = load_elf(data)
+        superset = (executable_ranges(image) if runs is None
+                    else IntervalSet.from_pairs(runs))
+        starts = reference_starts(image, committed)
+        want = {base: bytes(marks) for base, marks in starts.items()}
+        assert _traverse(image, 0x1000, superset, starts) is None
+        assert starts == want
+        assert [len(marks) for marks in starts.values()] == [
+            end - start for start, end in image.exec_ranges.pairs()]
+
+    def test_run_end_holds_after_a_whole_range_traversal(self):
         # mov rbp, rsp; jmp 0x1007, and at 0x1007 mov rbp, rsp; jmp $.
         # In the run [0x1000, 0x1009) the second mov, equal to the
         # first, crosses the run end onto the committed jmp at 0x100a, so
@@ -716,14 +777,12 @@ class TestTraverse:
         image = image_of(b"\x48\x89\xe5\xeb\x02\xcc\xcc"
                          b"\x48\x89\xe5\xeb\xfe")
         short = IntervalSet.from_pairs([(0x1000, 0x1009)])
-        assert strict_reference(image, 0x1000, short, {0x100a}) is None
-        assert _traverse(image, 0x1000, short, starts_at(0x100a)) is None
-        _, insns = _traverse(image, 0x1000, executable_ranges(image),
-                             starts_at())
+        assert traverse_from(image, 0x1000, short, {0x100a}) is None
+        _, insns = traverse_from(image, 0x1000, executable_ranges(image))
         assert sorted(insns) == [0x1000, 0x1003, 0x1007, 0x100a]
         assert insns[0x1007] == insns[0x1000] == (
             3, x86.FALLTHROUGH, None, None, (0x89,), 0xE5, None)
-        assert _traverse(image, 0x1000, short, starts_at(0x100a)) is None
+        assert traverse_from(image, 0x1000, short, {0x100a}) is None
 
     def test_compute_superset_equals_reference_traversal(self, monkeypatch,
                                                          corpus20):
@@ -731,10 +790,18 @@ class TestTraverse:
         if os.path.exists(LS):
             datas.append(read_ls())
         reports = [compute_superset(load_elf(d)) for d in datas]
-        def traverse(image, entry, superset, is_start):
-            claimed, insns, ok = reference_traverse(image, entry, superset,
-                                                    is_start, strict=True)
-            return (list(claimed.pairs()), insns) if ok else None
+
+        def traverse(image, entry, superset, starts):
+            # the reference traversal, marking the map as _traverse does
+            claimed, insns, ok = reference_traverse(
+                image, entry, superset, partial(is_marked, image, starts),
+                strict=True)
+            if not ok:
+                return None
+            for va in insns:
+                base, _ = image.code_at(va)
+                starts[base][va - base] = 1
+            return list(claimed.pairs()), reference_kept(insns)
 
         monkeypatch.setattr(disasm, "_traverse", traverse)
         for data, report in zip(datas, reports):
@@ -920,22 +987,31 @@ class TestJumpTable:
         assert found
 
 
+def spy_traversals(monkeypatch):
+    """Check every later _traverse call against the strict reference
+    (checked_traverse); returns the dict, by vaddr, that gathers the
+    reference's instructions of each traversal that succeeds."""
+    committed = {}
+
+    def spy(image, entry, superset, starts):
+        result, insns = checked_traverse(image, entry, superset, starts)
+        if result is not None:          # every success is committed
+            committed.update(insns)
+        return result
+
+    monkeypatch.setattr(disasm, "_traverse", spy)
+    return committed
+
+
 class TestStartMap:
     """compute_superset keeps no instruction record: its start map and
-    references are those of the traversals it commits, and its
-    instructions decode to the records those traversals committed."""
+    references are those of the traversals it commits, each checked
+    against the reference traversal, and its instructions decode to the
+    records those traversals committed."""
 
     def check(self, monkeypatch, data):
-        traverse = disasm._traverse
-        committed = {}
+        committed = spy_traversals(monkeypatch)
 
-        def spy(image, entry, superset, is_start):
-            result = traverse(image, entry, superset, is_start)
-            if result is not None:      # every success is committed
-                committed.update(result[1])
-            return result
-
-        monkeypatch.setattr(disasm, "_traverse", spy)
         image = load_elf(data)
         report = compute_superset(image)
         assert committed
@@ -965,15 +1041,9 @@ class TestStartMap:
         """(targets, same) for each jump-table finder call in
         compute_superset, where same says whether the finder returns the
         same targets from every record committed so far."""
-        traverse, finder = disasm._traverse, disasm._jump_table_targets
-        committed = {}
+        finder = disasm._jump_table_targets
+        committed = spy_traversals(monkeypatch)
         calls = []
-
-        def spy(image, entry, superset, is_start):
-            result = traverse(image, entry, superset, is_start)
-            if result is not None:
-                committed.update(result[1])
-            return result
 
         def finder_spy(image, superset, records):
             targets = finder(image, superset, records)
@@ -981,7 +1051,6 @@ class TestStartMap:
                           targets == finder(image, superset, committed)))
             return targets
 
-        monkeypatch.setattr(disasm, "_traverse", spy)
         monkeypatch.setattr(disasm, "_jump_table_targets", finder_spy)
         compute_superset(load_elf(data))
         assert calls
@@ -1257,8 +1326,7 @@ def test_data_section_in_code_segment_stays_data(tmp_path):
     rodata = image.section_by_name(".rodata")
     exec_ranges = executable_ranges(image)
     assert exec_ranges.contains_range(rodata.vaddr, rodata.size)
-    assert _traverse(image, rodata.vaddr, exec_ranges,
-                     starts_at()) is not None
+    assert traverse_from(image, rodata.vaddr, exec_ranges) is not None
     report = compute_superset(image)
     assert report.entry_points == [
         EntryPoint(image.entry_point, "program_entry")]
