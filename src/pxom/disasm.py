@@ -35,12 +35,13 @@ _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
-# the opcodes of the records the jump-table finder reads, besides the
-# indirect jumps: lea, movsxd and the bound checks
-_TABLE_OPCODES = frozenset(((0x8D,), (0x63,), *_BOUND_GROUP, *_BOUND_ACC))
-_MOFFS_OPCODES = frozenset(((0xA0,), (0xA1,), (0xA2,), (0xA3,)))
-# their first bytes: no opcode of two bytes or more starts with one
-_KEPT_BYTES = frozenset(op[0] for op in _TABLE_OPCODES | _MOFFS_OPCODES)
+# first opcode bytes: of the A0-A3 moffs movs, and of those and the
+# records the jump-table finder reads besides indirect jumps (lea,
+# movsxd, the bound checks).  No opcode of two bytes or more starts
+# with one, so the first byte decides
+_MOFFS_BYTES = frozenset((0xA0, 0xA1, 0xA2, 0xA3))
+_KEPT_BYTES = _MOFFS_BYTES | {0x8D, 0x63,
+                              *(op[0] for op in _BOUND_GROUP + _BOUND_ACC)}
 
 _INDIRECT_JUMP = x86.INDIRECT_JUMP
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, _INDIRECT_JUMP,
@@ -92,14 +93,16 @@ def _traverse(image, entry, superset, starts):
     an undefined weak function to 0, called only behind a null test).
     An invalid decode or any other exit from the superset fails the
     whole traversal: the walk clears its marks and returns None.  Else it
-    returns (stretches, kept): (start, end) pairs covering exactly the
-    decoded instructions, and the (va, record) of those with a RIP
-    target, a first opcode byte in _KEPT_BYTES or the indirect-jump kind.
+    returns (stretches, refs, records): (start, end) pairs covering
+    exactly the decoded instructions, their RIP targets and A0-A3 moffs
+    addresses in decode order, and the (va, record) pairs the jump-table
+    finder reads: lea, movsxd, bound checks and indirect jumps.
 
-    The walk decodes with the end of its superset run as limit, so an
+    The walk decodes up to the end of its superset run, which lies in
+    one executable range of exactly as many bytes (see load_elf); an
     instruction that would leave the run decodes to None.
     """
-    stretches, kept = [], []
+    stretches, refs, records = [], [], []
     stack = [entry]
     decode = x86.decode
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
@@ -118,8 +121,7 @@ def _traverse(image, entry, superset, starts):
                     break
                 base, buf = image.code_at(va)
                 marks = starts[base]
-                lo = max(run[0], base)
-                hi = min(run[1], base + len(buf))
+                lo, hi = run
                 limit = hi - base
             off = va - base
             if marks[off]:
@@ -128,14 +130,19 @@ def _traverse(image, entry, superset, starts):
             if ins is None:
                 return _unmark(image, starts, stretches, start, va)
             marks[off] = 1
-            length, kind, target, rip, opcode, _, _ = ins
+            length, kind, target, rip, opcode, _, immediate = ins
+            if rip is not None:
+                refs.append(rip)
             if kind is fallthrough:
-                if rip is not None or opcode[0] in _KEPT_BYTES:
-                    kept.append((va, ins))
+                if opcode[0] in _KEPT_BYTES:
+                    if opcode[0] in _MOFFS_BYTES:
+                        refs.append(immediate)
+                    else:
+                        records.append((va, ins))
                 va += length
                 continue
-            if rip is not None or kind is _INDIRECT_JUMP:
-                kept.append((va, ins))
+            if kind is _INDIRECT_JUMP:
+                records.append((va, ins))
             va += length
             if kind in _STOP_KINDS:
                 break
@@ -146,15 +153,14 @@ def _traverse(image, entry, superset, starts):
                 stack.append(target)
         if va != start:
             stretches.append((start, va))
-    return stretches, kept
+    return stretches, refs, records
 
 
 def _unmark(image, starts, stretches, start, end):
     """Zero stretches and [start, end) in the start map; return None."""
     for lo, hi in (*stretches, (start, end)):
         if lo < hi:                 # so lo starts a decoded instruction
-            base, top = image.exec_ranges.run_at(lo)
-            hi = min(hi, top)       # clipped: a bytearray must not grow
+            base, _ = image.code_at(lo)
             starts[base][lo - base:hi - base] = bytes(hi - lo)
 
 
@@ -163,9 +169,9 @@ def _sources(image, superset, records, commits=()):
     sorted and found only when its turn comes; jump_table comes again
     while the round before it grew commits, the list of committed
     entries, as new code can dispatch through new tables.  records are
-    the committed instructions the jump-table finder reads.  All but the
-    program entry's lie in the image's code sections if it has any,
-    since an R+X segment may hold data sections too."""
+    the records committed walks return for the jump-table finder.  All
+    but the program entry's lie in the image's code sections if it has
+    any, since an R+X segment may hold data sections too."""
     code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
     yield "program_entry", [image.entry_point] if image.entry_point else []
@@ -196,9 +202,9 @@ def detect_entry_points(image, superset, known_code, instructions):
 def _jump_table_targets(image, superset, instructions):
     """Sorted targets of the bounded rel32 tables in the superset that
     committed code (instructions, by vaddr) dispatches through.  Only
-    records with an opcode in _TABLE_OPCODES and indirect jumps count,
-    so instructions may hold only those.  Each
-    indirect jump reads the table of the last lea of one at most
+    indirect jumps and the lea, movsxd and bound-check (_BOUND_GROUP,
+    _BOUND_ACC) records count, so instructions may hold only those.
+    Each indirect jump reads the table of the last lea of one at most
     _JUMP_TABLE_WINDOW bytes before it and after the previous indirect
     jump; if such a lea comes before the window's last movsxd (the entry
     read), of the last lea before that movsxd.
@@ -207,11 +213,10 @@ def _jump_table_targets(image, superset, instructions):
     # indirect jumps are few; each walks its window once.  Records are
     # read by index, which costs less than unpacking all seven fields: 1
     # is the kind, 3 the RIP-relative target, 4 the opcode, 5 the ModRM
-    indirect_jump = x86.INDIRECT_JUMP
     reads = []
     lo = 0
     for jump in sorted(va for va, ins in instructions.items()
-                       if ins[1] is indirect_jump):
+                       if ins[1] is _INDIRECT_JUMP):
         lea = before_read = None
         for va in range(max(lo, jump - _JUMP_TABLE_WINDOW), jump):
             ins = instructions.get(va)
@@ -361,9 +366,9 @@ def compute_superset(image):
     target is traversed at most once, and a second pass over the
     image-only targets would commit nothing.
 
-    Each traversal marks its starts in the report's start map itself; a
-    commit takes the static references and the jump-table finder's
-    records from the few records the traversal keeps.
+    Each traversal marks its starts in the report's start map itself
+    and returns its static references and the jump-table finder's
+    records; a commit only stores them.
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
@@ -384,18 +389,11 @@ def compute_superset(image):
             traversed.add(va)
             result = _traverse(image, va, superset, starts)
             if result is not None:
-                stretches, kept = result
+                stretches, walk_refs, walk_records = result
                 for start, end in stretches:
                     superset.remove(start, end)
-                # 1 is the kind, 3 the RIP-relative target, 4 the opcode,
-                # 6 the immediate: a moffs mov's absolute address
-                for at, ins in kept:
-                    if ins[3] is not None:
-                        refs.append(ins[3])
-                    elif ins[4] in _MOFFS_OPCODES:
-                        refs.append(ins[6])
-                    if ins[4] in _TABLE_OPCODES or ins[1] is _INDIRECT_JUMP:
-                        records[at] = ins
+                refs += walk_refs
+                records.update(walk_records)
                 accepted.append(EntryPoint(va, source))
 
     # commits only move executable bytes out of the superset, so the code

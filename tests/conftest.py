@@ -34,6 +34,15 @@ def exec_elf(code, vaddr=0x1000, entry=None):
                     entry=vaddr if entry is None else entry)
 
 
+def range_bytes_fit(image):
+    """Whether the bytes of each executable range (image.code_at) are
+    exactly as long as the range.  disasm._traverse relies on it: it
+    decodes up to its superset run's end, and clears a failed walk's
+    marks, without clamping either to the range's bytes."""
+    return all(len(image.code_at(start)[1]) == end - start
+               for start, end in image.exec_ranges.pairs())
+
+
 def pytest_runtest_logreport(report):
     """One pass/fail line per acceptance criterion."""
     if report.when != "call" or "test_acceptance" not in report.nodeid:

@@ -24,9 +24,11 @@ ends only its own path.
 
 `reference_starts` and `reference_refs` build a report's start map and
 sorted static references from committed records, one record at a time,
-where `disasm._traverse` marks each start as it decodes it and
-`disasm.compute_superset` takes the references from the records the
-traversal keeps.  `reference_kept` picks those records by their fields.
+where `disasm._traverse` marks each start and gathers each reference as
+it decodes the instruction, and `disasm.compute_superset` stores what
+the traversal returns.  `reference_kept` splits a traversal's records
+into those references and the jump-table finder's records by their
+fields.
 
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
@@ -142,27 +144,34 @@ def reference_starts(image, addresses):
 
 
 def reference_refs(records):
-    """The sorted static references of records: each RIP-relative target,
-    and the absolute address of each A0-A3 moffs mov."""
+    """The sorted static references of records (`ordered_refs`)."""
+    return sorted(ordered_refs(records))
+
+
+def ordered_refs(records):
+    """The static references of records, in their order: each
+    RIP-relative target, and the absolute address of each A0-A3 moffs
+    mov."""
     refs = []
     for _, _, _, rip, opcode, _, immediate in records:
         if rip is not None:
             refs.append(rip)
         elif opcode in ((0xA0,), (0xA1,), (0xA2,), (0xA3,)):
             refs.append(immediate)
-    return sorted(refs)
+    return refs
 
 
 def reference_kept(insns):
-    """The (va, record) pairs of insns, in its order, that
-    disasm._traverse keeps: those with a RIP-relative target, a lea,
-    movsxd, bound-check or A0-A3 moffs opcode, or the indirect-jump
-    kind."""
+    """(refs, records), what disasm._traverse returns besides its
+    stretches, from insns, a traversal's instructions by vaddr in decode
+    order: the ordered_refs of insns, and the (va, record) pairs of
+    insns, in its order, that the jump-table finder reads, those with a
+    lea, movsxd or bound-check opcode or the indirect-jump kind."""
     opcodes = {(0x8D,), (0x63,), (0x80,), (0x81,), (0x83,), (0x24,), (0x25,),
-               (0x3C,), (0x3D,), (0xA0,), (0xA1,), (0xA2,), (0xA3,)}
-    return [(va, ins) for va, ins in insns.items()
-            if ins[3] is not None or ins[4] in opcodes
-            or ins[1] == x86.INDIRECT_JUMP]
+               (0x3C,), (0x3D,)}
+    records = [(va, ins) for va, ins in insns.items()
+               if ins[4] in opcodes or ins[1] == x86.INDIRECT_JUMP]
+    return ordered_refs(insns.values()), records
 
 
 def reference_traverse(image, entry, superset, is_start, strict):

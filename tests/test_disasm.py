@@ -20,7 +20,7 @@ from pxom.protector import count_static_refs
 from pxom.surface import overall_coverage
 
 from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
-                      require_tool)
+                      range_bytes_fit, require_tool)
 from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_compute_superset,
                            reference_heuristic_targets,
@@ -143,9 +143,9 @@ def checked_traverse(image, va, superset, starts):
     None and leaves starts byte-identical; where it succeeds, the
     stretches cover the reference's claimed bytes, the call marks exactly
     the reference's instruction starts, none of them marked before, and
-    its kept records are reference_kept of them.  Returns (the _traverse
-    result, the reference's instructions by vaddr, or None where it
-    fails)."""
+    its references and records, in order, are reference_kept of them.
+    Returns (the _traverse result, the reference's instructions by
+    vaddr, or None where it fails)."""
     before = {base: bytes(marks) for base, marks in starts.items()}
     result = _traverse(image, va, superset, starts)
     claimed, insns, ok = reference_traverse(
@@ -155,7 +155,7 @@ def checked_traverse(image, va, superset, starts):
         assert starts == before
         return None, None
     assert result is not None
-    stretches, kept = result
+    stretches, refs, records = result
     assert IntervalSet.from_pairs(stretches) == claimed
     want = {base: bytearray(marks) for base, marks in before.items()}
     for at in insns:
@@ -163,7 +163,7 @@ def checked_traverse(image, va, superset, starts):
         base, _ = image.code_at(at)
         want[base][at - base] = 1
     assert starts == want
-    assert kept == reference_kept(insns)
+    assert (refs, records) == reference_kept(insns)
     return result, insns
 
 
@@ -599,6 +599,14 @@ def test_starts_are_objdump_starts(system_reports, path):
     assert non_objdump_starts(path, image, report) == ([], [])
 
 
+@pytest.mark.parametrize("path", SYSTEM)
+def test_range_bytes_fit(system_reports, path):
+    if path not in system_reports:
+        pytest.skip("%s not available" % path)
+    image, _ = system_reports[path]
+    assert range_bytes_fit(image)
+
+
 def test_starts_are_objdump_starts_static(tmp_path):
     binary = build_static_switch(tmp_path, ["-O2", "-static"])
     image = load_elf(binary.read_bytes())
@@ -801,7 +809,7 @@ class TestTraverse:
             for va in insns:
                 base, _ = image.code_at(va)
                 starts[base][va - base] = 1
-            return list(claimed.pairs()), reference_kept(insns)
+            return (list(claimed.pairs()), *reference_kept(insns))
 
         monkeypatch.setattr(disasm, "_traverse", traverse)
         for data, report in zip(datas, reports):
@@ -989,13 +997,19 @@ class TestJumpTable:
 
 def spy_traversals(monkeypatch):
     """Check every later _traverse call against the strict reference
-    (checked_traverse); returns the dict, by vaddr, that gathers the
-    reference's instructions of each traversal that succeeds."""
+    (checked_traverse), and that each stretch of one that succeeds lies
+    in one run of the superset as the call found it; returns the dict,
+    by vaddr, that gathers the reference's instructions of each
+    traversal that succeeds."""
     committed = {}
 
     def spy(image, entry, superset, starts):
+        runs = superset.copy()
         result, insns = checked_traverse(image, entry, superset, starts)
         if result is not None:          # every success is committed
+            for start, end in result[0]:
+                run = runs.run_at(start)
+                assert run is not None and end <= run[1]
             committed.update(insns)
         return result
 

@@ -21,7 +21,7 @@ from pxom.errors import PxomError
 from pxom.image import PF_X, PT_LOAD, load_elf, parse_xom_section
 from pxom.protector import protect_binary
 
-from conftest import EHDR, PHDR
+from conftest import EHDR, PHDR, range_bytes_fit
 
 SECONDS_PER_EXAMPLE = 5
 FUZZ = settings(max_examples=150, deadline=None)
@@ -38,6 +38,7 @@ def load_everything(data):
     start = time.monotonic()
     with suppress(PxomError):
         image = load_elf(data)
+        assert range_bytes_fit(image)
         for step in (parse_xom_section, compute_superset):
             with suppress(PxomError):
                 step(image)

@@ -91,6 +91,22 @@ class TestBasics:
         # prefix spam beyond 15 bytes is invalid
         assert d(b"\x66" * 15 + b"\x90") is None
 
+    def test_prefix_run_reads_at_most_max_insn_len(self):
+        # only the end test inside the prefix loop bounds it: without it
+        # a 4 KiB run of prefixes is read to its end before the final
+        # length check rejects it
+        class Counted(bytes):
+            reads = 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+        for prefix in (0x66, 0x48, 0xF2):
+            data = Counted(bytes([prefix]) * 4096)
+            assert x86.decode(data, 0, 0x1000) is None
+            assert 0 < data.reads <= x86.MAX_INSN_LEN
+
     def test_invalid_in_64bit(self):
         assert d(b"\x06") is None
         assert d(b"\x27") is None
