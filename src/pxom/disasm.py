@@ -35,13 +35,11 @@ _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
-# first opcode bytes: of the A0-A3 moffs movs, and of those and the
-# records the jump-table finder reads besides indirect jumps (lea,
-# movsxd, the bound checks).  No opcode of two bytes or more starts
-# with one, so the first byte decides
-_MOFFS_BYTES = frozenset((0xA0, 0xA1, 0xA2, 0xA3))
-_KEPT_BYTES = _MOFFS_BYTES | {0x8D, 0x63,
-                              *(op[0] for op in _BOUND_GROUP + _BOUND_ACC)}
+# first opcode bytes of the records the jump-table finder reads
+# besides indirect jumps (lea, movsxd, the bound checks).  No opcode of
+# two bytes or more starts with one, so the first byte decides
+_KEPT_BYTES = frozenset((0x8D, 0x63,
+                         *(op[0] for op in _BOUND_GROUP + _BOUND_ACC)))
 
 _INDIRECT_JUMP = x86.INDIRECT_JUMP
 _STOP_KINDS = frozenset((x86.RETURN, x86.HALT, _INDIRECT_JUMP,
@@ -98,15 +96,19 @@ def _traverse(image, entry, superset, starts):
     addresses in decode order, and the (va, record) pairs the jump-table
     finder reads: lea, movsxd, bound checks and indirect jumps.
 
-    The walk decodes up to the end of its superset run, which lies in
-    one executable range of exactly as many bytes (see load_elf); an
-    instruction that would leave the run decodes to None.
+    Each call of `x86.walk` decodes one straight-line piece: it marks the
+    starts and appends the references and records itself, and returns
+    at the piece's branch, at a marked start, at an invalid byte, or at
+    the end of the superset run.  That run lies in one executable range
+    of exactly as many bytes (see load_elf), so an instruction that
+    would leave it is invalid, and the range's buffer and start map
+    change only when a path leaves the range.
     """
     stretches, refs, records = [], [], []
     stack = [entry]
-    decode = x86.decode
+    walk = x86.walk
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
-    lo = hi = base = limit = 0
+    lo = hi = base = top = limit = 0
     buf = marks = b""
     while stack:
         va = start = stack.pop()
@@ -119,31 +121,21 @@ def _traverse(image, entry, superset, starts):
                         if run is None or not starts[run[0]][va - run[0]]:
                             return _unmark(image, starts, stretches, start, va)
                     break
-                base, buf = image.code_at(va)
-                marks = starts[base]
                 lo, hi = run
+                if not base <= va < top:
+                    base, buf = image.code_at(va)
+                    marks = starts[base]
+                    top = base + len(buf)
                 limit = hi - base
-            off = va - base
-            if marks[off]:
-                break
-            ins = decode(buf, off, va, limit)
-            if ins is None:
-                return _unmark(image, starts, stretches, start, va)
-            marks[off] = 1
-            length, kind, target, rip, opcode, _, immediate = ins
-            if rip is not None:
-                refs.append(rip)
+            kind, target, end = walk(buf, va - base, base, limit, marks, refs,
+                                     records, _KEPT_BYTES)
+            va = base + end
             if kind is fallthrough:
-                if opcode[0] in _KEPT_BYTES:
-                    if opcode[0] in _MOFFS_BYTES:
-                        refs.append(immediate)
-                    else:
-                        records.append((va, ins))
-                va += length
-                continue
-            if kind is _INDIRECT_JUMP:
-                records.append((va, ins))
-            va += length
+                if end < limit:         # a marked start
+                    break
+                continue                # the end of the superset run
+            if kind is None:
+                return _unmark(image, starts, stretches, start, va)
             if kind in _STOP_KINDS:
                 break
             if kind is direct_jump:
@@ -340,11 +332,14 @@ def _prologue_starts(image, ranges):
 def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
-    Each decode builds a record (261k on libc), and the records that the
-    jump-table finder reads pile up while the disassembly runs (41k on
-    libc); the collector would rescan them again and again.
-    pxom builds no reference cycles, so reference counting frees all of
-    it.
+    The traversal builds records only for what the jump-table finder
+    reads, and they pile up while the disassembly runs: 41k on libc,
+    where the walks decode 261k instructions.  With the collector
+    running, one `compute_superset` on libc sets off 70 young and 6
+    middle collections that rescan them, and takes 1 to 3% longer than
+    its 0.21 s.  The commands also allocate an object per gadget or
+    block (see `cli.main`).  pxom builds no reference cycles, so
+    reference counting frees all of it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -397,13 +392,10 @@ def compute_superset(image):
                 accepted.append(EntryPoint(va, source))
 
     # commits only move executable bytes out of the superset, so the code
-    # is the executable bytes it no longer holds.  In address order, each
-    # removal edits code only near its end: one linear pass
-    code = executable_ranges(image)
-    for start, end in superset.pairs():
-        code.remove(start, end)
+    # is the executable bytes it no longer holds
     refs.sort()
-    return DisassemblyReport(code=code, superset=superset,
+    return DisassemblyReport(code=ranges.difference(superset),
+                             superset=superset,
                              entry_points=accepted,
                              executable_total=ranges.total_bytes,
                              starts=starts, refs=refs, image=image)

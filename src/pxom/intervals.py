@@ -108,6 +108,21 @@ class IntervalSet:
         i = bisect_right(b, addr)
         return (b[i - 1], b[i]) if i & 1 else None
 
+    def difference(self, other):
+        """A new set of the addresses in self and not in other.  Each of
+        self's runs takes other's boundaries strictly inside it, and its
+        own start and end where other does not hold them: one pass over
+        the two sorted boundary lists."""
+        b = other._bounds
+        s = IntervalSet()
+        out = s._bounds
+        for start, end in self.pairs():
+            # other's boundaries in (start, end); as in remove, an odd i
+            # means other holds start, and an odd j that it holds end - 1
+            i, j = bisect_right(b, start), bisect_left(b, end)
+            out += [start] * (~i & 1) + b[i:j] + [end] * (~j & 1)
+        return s
+
     def intersection_size(self, other):
         b = self._bounds
         total = 0

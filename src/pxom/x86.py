@@ -27,12 +27,33 @@ There is no address field: the caller knows the address and keys its
 records by it.  A tuple rather than an object, because building an
 object cost about a third of a decode.
 
+`walk` is the run mode, for the disassembly's traversal: one call
+decodes a straight-line run forward from an offset, so that a run pays
+one Python call and no record for most of its instructions.  It marks
+each start it decodes in the caller's start map (a bytearray indexed
+like data), appends each RIP-relative target and each A0-A3 moffs
+address to the caller's refs list, and appends (vaddr, record) to the
+caller's records list for an indirect jump and for each fall-through
+instruction whose first opcode byte is in the caller's kept set.  It
+returns (kind, target, end), where end is an offset:
+
+- after the first instruction that does not fall through: its kind,
+  its target if it is a relative branch (else None), and its end;
+- at a start already marked, or at limit: FALLTHROUGH, None and that
+  offset;
+- at an invalid encoding: None, None and the offset where it starts.
+
+An instruction that would reach past limit is invalid, as in `decode`.
+`decode` is `walk` with no start map: the same loop body decodes one
+instruction and returns its record.
+
 The decoder is table-driven and dispatches on table entries, not on
 byte values.  `_FIRST` holds an entry for each first byte: an opcode
 row, None (invalid in 64-bit mode), or one of the markers `_REX`,
 `_LEGACY`, `_OPSIZE` (prefixes), `_ESC_0F`, `_VEX3`, `_VEX2` (escapes).
 The escapes lead to `_TWO_BYTE` and `_VEX_MAPS`, whose entries are all
-opcode rows; the `0F 38` and `0F 3A` rows of `_TWO_BYTE` serve every
+opcode rows but in the undefined VEX maps (0 and 4-31), where they are
+None; the `0F 38` and `0F 3A` rows of `_TWO_BYTE` serve every
 three-byte opcode after them.  After a 66 or F2 prefix, `0F` leads to
 `_TWO_BYTE_66_F2` instead, which differs in one row: there 0F 78 is
 AMD's SSE4a extrq or insertq, whose two imm8s decode as one imm16.
@@ -202,8 +223,8 @@ def _two_byte_map():
 
 
 def _vex_maps():
-    """VEX map number -> 256 rows, as in `_TWO_BYTE`, with opcode
-    `("vex", map, op)`.
+    """VEX map number (0-31) -> 256 rows, as in `_TWO_BYTE`, with opcode
+    `("vex", map, op)`; every row of an undefined map is None.
 
     Every opcode has ModRM except vzeroupper / vzeroall (map 1, 0x77).
     Map 3, and a few map-1 opcodes (70-73, C2, C4-C6), carry an imm8; no
@@ -214,10 +235,12 @@ def _vex_maps():
     for op in (0x70, 0x71, 0x72, 0x73, 0xC2, 0xC4, 0xC5, 0xC6):
         rows[op] = (_MODRM_SIZE, 1, FALLTHROUGH)
     rows[0x77] = (None, 0, FALLTHROUGH)
-    return {1: _with_opcodes(rows, ("vex", 1)),
-            2: _with_opcodes(map2, ("vex", 2)),
-            3: _with_opcodes([(_MODRM_SIZE, 1, FALLTHROUGH)] * 256,
-                             ("vex", 3))}
+    maps = [(None,) * 256] * 32
+    maps[1] = _with_opcodes(rows, ("vex", 1))
+    maps[2] = _with_opcodes(map2, ("vex", 2))
+    maps[3] = _with_opcodes([(_MODRM_SIZE, 1, FALLTHROUGH)] * 256,
+                            ("vex", 3))
+    return tuple(maps)
 
 
 def _with_opcodes(rows, prefix):
@@ -241,113 +264,152 @@ def decode(data, offset, vaddr, limit=None):
     Returns the 7-tuple described above, or None.  limit bounds the
     readable region (defaults to len(data), and never reaches past it).
     """
-    end = len(data)
-    if limit is not None and limit < end:
-        end = limit
-    if end > offset + MAX_INSN_LEN:
-        end = offset + MAX_INSN_LEN
-    if offset >= end:
-        return None
-    # Reads past `end` are only rejected once the length is known: any
-    # such read leaves pos > end, and one past the buffer raises
-    # IndexError.
-    try:
-        op = data[offset]
-        pos = offset + 1
-        row = _FIRST[op]
-        rex = 0
-        opsize16 = addr32 = False
-        if row.__class__ is int:
-            two_byte = _TWO_BYTE
-            while row < _ESC_0F:
-                if row == _REX:
-                    rex = op
-                else:
-                    rex = 0
-                    if row == _OPSIZE:
-                        opsize16 = True
-                        two_byte = _TWO_BYTE_66_F2
-                    elif op == 0x67:
-                        addr32 = True
-                    elif op == 0xF2:
-                        two_byte = _TWO_BYTE_66_F2
-                if pos >= end:
-                    return None
+    return walk(data, offset, vaddr - offset, limit, None, None, None, None)
+
+
+def walk(data, offset, base, limit, marks, refs, records, kept):
+    """Decode forward from data[offset], where data is mapped at base:
+    the run mode described above, with marks the start map, refs and
+    records the lists it appends to, and kept the set of first opcode
+    bytes whose records it keeps.  limit bounds the readable region, as
+    in `decode`.  With marks None, decode the one instruction at offset
+    instead and return its record or None: that is `decode`.
+    """
+    stop = len(data)
+    if limit is not None and limit < stop:
+        stop = limit
+    pos = offset
+    if marks is not None and (pos >= stop or marks[pos]):
+        return FALLTHROUGH, None, pos
+    while True:
+        start = pos
+        end = start + MAX_INSN_LEN
+        if end > stop:
+            end = stop
+        # Reads past `end` are only rejected once the length is known:
+        # any such read leaves pos > end, and one past the buffer raises
+        # IndexError.  Every invalid encoding leaves the loop by `break`.
+        try:
+            op = data[pos]
+            pos += 1
+            row = _FIRST[op]
+            rex = 0
+            opsize16 = addr32 = False
+            if row is _REX:     # on about half of compiled instructions
+                rex = op
                 op = data[pos]
                 pos += 1
                 row = _FIRST[op]
-                if row.__class__ is not int:
-                    break
-            else:                               # an escape
-                if row == _ESC_0F:
+            if row.__class__ is int:
+                two_byte = _TWO_BYTE
+                while row < _ESC_0F:
+                    if row == _REX:
+                        rex = op
+                    else:
+                        rex = 0
+                        if row == _OPSIZE:
+                            opsize16 = True
+                            two_byte = _TWO_BYTE_66_F2
+                        elif op == 0x67:
+                            addr32 = True
+                        elif op == 0xF2:
+                            two_byte = _TWO_BYTE_66_F2
+                    if pos >= end:
+                        row = None
+                        break
                     op = data[pos]
-                    row = two_byte[op]
-                    if op == 0x38 or op == 0x3A:    # three-byte opcode
-                        row = (*row[:3], (0x0F, op, data[pos + 1]))
-                        pos += 1
                     pos += 1
-                elif row == _VEX3:
-                    rows = _VEX_MAPS.get(data[pos] & 0x1F)
-                    if rows is None:
-                        return None
-                    row = rows[data[pos + 2]]
-                    pos += 3
+                    row = _FIRST[op]
+                    if row.__class__ is not int:
+                        break
+                else:                           # an escape
+                    if row == _ESC_0F:
+                        op = data[pos]
+                        row = two_byte[op]
+                        if op == 0x38 or op == 0x3A:    # three-byte opcode
+                            row = (*row[:3], (0x0F, op, data[pos + 1]))
+                            pos += 1
+                        pos += 1
+                    elif row == _VEX3:
+                        row = _VEX_MAPS[data[pos] & 0x1F][data[pos + 2]]
+                        pos += 3
+                    else:
+                        row = _VEX_MAPS[1][data[pos + 1]]
+                        pos += 2
+            if row is None:
+                break
+            modrm_size, operand, kind, opcode = row
+
+            modrm = rip_disp = None
+            if modrm_size:
+                modrm = data[pos]
+                size = modrm_size[modrm]
+                if size > 0:
+                    pos += size
+                elif size == _RIP:
+                    rip_disp, = _SIGNED[4](data, pos + 1)
+                    pos += 5
+                else:                           # _SIB0: base 5 is disp32
+                    pos += 6 if data[pos + 1] & 7 == 5 else 2
+                if kind is _GROUP:
+                    row = operand[(modrm >> 3) & 7]
+                    if row is None:
+                        break
+                    operand, kind = row
+
+            value = None
+            if operand:
+                if operand == 1:
+                    value = data[pos]
+                    if value > 127:
+                        value -= 256
+                    pos += 1
                 else:
-                    row = _VEX_MAPS[1][data[pos + 1]]
-                    pos += 2
-        if row is None:
-            return None
-        modrm_size, operand, kind, opcode = row
+                    unpack = _SIGNED
+                    if operand > 0:
+                        size = operand
+                    elif operand == _Z:
+                        size = 2 if opsize16 and not rex & 8 else 4
+                    elif operand == _V:
+                        size = 8 if rex & 8 else 2 if opsize16 else 4
+                    elif operand == _MOFFS:
+                        size = 4 if addr32 else 8
+                        unpack = _UNSIGNED
+                    else:                       # _ENTER
+                        pos += 2
+                        size = 1
+                    value, = unpack[size](data, pos)
+                    pos += size
+        except (IndexError, struct.error):
+            break
+        if pos > end:
+            break
 
-        modrm = rip_disp = None
-        if modrm_size:
-            modrm = data[pos]
-            size = modrm_size[modrm]
-            if size > 0:
-                pos += size
-            elif size == _RIP:
-                rip_disp, = _SIGNED[4](data, pos + 1)
-                pos += 5
-            else:                               # _SIB0: base 5 is disp32
-                pos += 6 if data[pos + 1] & 7 == 5 else 2
-            if kind is _GROUP:
-                row = operand[(modrm >> 3) & 7]
-                if row is None:
-                    return None
-                operand, kind = row
-
-        value = None
-        if operand:
-            if operand == 1:
-                value = data[pos]
-                if value > 127:
-                    value -= 256
-                pos += 1
-            else:
-                unpack = _SIGNED
-                if operand > 0:
-                    size = operand
-                elif operand == _Z:
-                    size = 2 if opsize16 and not rex & 8 else 4
-                elif operand == _V:
-                    size = 8 if rex & 8 else 2 if opsize16 else 4
-                elif operand == _MOFFS:
-                    size = 4 if addr32 else 8
-                    unpack = _UNSIGNED
-                else:                           # _ENTER
-                    pos += 2
-                    size = 1
-                value, = unpack[size](data, pos)
-                pos += size
-    except (IndexError, struct.error):
-        return None
-    if pos > end:
-        return None
-
-    length = pos - offset
-    target = None
-    if kind in _RELATIVE:
-        target = vaddr + length + value
-        value = None
-    rip_target = None if rip_disp is None else vaddr + length + rip_disp
-    return length, kind, target, rip_target, opcode, modrm, value
+        # pos is now the end of the instruction, and base + pos the
+        # address that relative branches and RIP operands count from
+        rip = None if rip_disp is None else base + pos + rip_disp
+        if marks is None:
+            # most instructions fall through: test that first
+            if kind is not FALLTHROUGH and kind in _RELATIVE:
+                return (pos - start, kind, base + pos + value, rip, opcode,
+                        modrm, None)
+            return pos - start, kind, None, rip, opcode, modrm, value
+        marks[start] = 1
+        if rip is not None:
+            refs.append(rip)
+        if kind is FALLTHROUGH:
+            if opcode[0] in kept:
+                records.append((base + start, (pos - start, kind, None, rip,
+                                               opcode, modrm, value)))
+            elif operand == _MOFFS:
+                refs.append(value)
+            if pos >= stop or marks[pos]:
+                return FALLTHROUGH, None, pos
+            continue
+        if kind in _RELATIVE:
+            return kind, base + pos + value, pos
+        if kind is INDIRECT_JUMP:
+            records.append((base + start, (pos - start, kind, None, rip,
+                                           opcode, modrm, value)))
+        return kind, None, pos
+    return None if marks is None else (None, None, start)

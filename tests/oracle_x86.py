@@ -13,6 +13,11 @@ imm16.  The differential tests in
 test_x86.py compare every field of its result with `pxom.x86.decode`.
 It shares only the kind names and the layout of the result, the 7-tuple
 the `pxom.x86` docstring describes, with the decoder under test.
+
+`reference_walk` is the run mode, `pxom.x86.walk`, built from repeated
+one-instruction decodes: by `reference_decode`, or by `pxom.x86.decode`
+where a test checks that the run mode and the one-instruction mode of
+the same decoder agree.
 """
 
 from pxom.x86 import (CONDITIONAL_JUMP, DIRECT_CALL, DIRECT_JUMP,
@@ -245,3 +250,39 @@ def reference_decode(data, offset, vaddr, limit=None):
         value = None
     rip_target = None if rip_disp is None else vaddr + length + rip_disp
     return (length, kind, target, rip_target, opcode, modrm, value)
+
+
+_MOFFS_OPCODES = frozenset([(0xA0,), (0xA1,), (0xA2,), (0xA3,)])
+
+
+def reference_walk(data, offset, base, limit, marks, refs, records, kept,
+                   decode=reference_decode):
+    """What `pxom.x86.walk` returns and appends, one decode at a time.
+
+    Decodes from data[offset], mapped at base, up to the first
+    instruction that does not fall through, a start marked in marks,
+    limit, or an invalid encoding; marks each start decoded, and
+    appends the RIP targets and A0-A3 addresses to refs and the records
+    of indirect jumps and of kept first opcode bytes to records.
+    """
+    stop = len(data) if limit is None else min(limit, len(data))
+    off = offset
+    while off < stop and not marks[off]:
+        ins = decode(data, off, base + off, limit)
+        if ins is None:
+            return None, None, off
+        marks[off] = 1
+        length, kind, target, rip, opcode, _, immediate = ins
+        if rip is not None:
+            refs.append(rip)
+        if kind == FALLTHROUGH:
+            if opcode[0] in kept:
+                records.append((base + off, ins))
+            elif opcode in _MOFFS_OPCODES:
+                refs.append(immediate)
+        elif kind == INDIRECT_JUMP:
+            records.append((base + off, ins))
+        off += length
+        if kind != FALLTHROUGH:
+            return kind, target, off
+    return FALLTHROUGH, None, off

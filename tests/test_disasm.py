@@ -4,6 +4,7 @@ import struct
 import subprocess
 import time
 from functools import partial
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pxom.surface import overall_coverage
 
 from conftest import (CORPUS_TOOLS, build_static_switch, exec_elf, make_elf,
                       range_bytes_fit, require_tool)
+from oracle_x86 import reference_walk
 from oracle_disasm import (decode_at, reference_address_taken_targets,
                            reference_compute_superset,
                            reference_heuristic_targets,
@@ -227,22 +229,23 @@ class TestRecursiveDisassemble:
         code = (b"\xe8" + rel + b"\x06").ljust(0x100, b"\xcc")
         image = image_of(code + b"\x90" * 200 + b"\xc3")
         starts = reference_starts(image, ())
-        decodes = count_decodes(monkeypatch)
+        walks = count_walks(monkeypatch)
         assert _traverse(image, 0x1000, executable_ranges(image),
                          starts) is None
-        assert decodes == [0x1000, 0x1005]
+        assert walks == [0x1000, 0x1005]
 
 
-def count_decodes(monkeypatch):
-    """The vaddr of every later x86.decode call, in call order."""
-    decode = x86.decode
+def count_walks(monkeypatch):
+    """The vaddr where each later x86.walk call starts, in call order:
+    one call decodes one straight-line piece."""
+    walk = x86.walk
     seen = []
 
-    def counting(buf, off, va, *limit):
-        seen.append(va)
-        return decode(buf, off, va, *limit)
+    def counting(buf, off, base, *rest):
+        seen.append(base + off)
+        return walk(buf, off, base, *rest)
 
-    monkeypatch.setattr(x86, "decode", counting)
+    monkeypatch.setattr(x86, "walk", counting)
     return seen
 
 
@@ -334,7 +337,7 @@ class TestComputeSuperset:
         # a fan: n 16-aligned entries, each push rbp; mov rbp, rsp;
         # call g; an invalid byte, placed before a chain g of m
         # functions, each call next; ret.  Every entry fails at its
-        # invalid byte before it reaches g, so the decodes grow with
+        # invalid byte before it reaches g, so the walks grow with
         # n + m, not with n * m
         n = m = 200
         g = 0x1000 + 16 * n
@@ -345,10 +348,10 @@ class TestComputeSuperset:
                      + rel.to_bytes(4, "little", signed=True)
                      + b"\x06").ljust(16, b"\xcc")
         code += b"\xe8\x01\x00\x00\x00\xc3" * (m - 1) + b"\xc3"
-        decodes = count_decodes(monkeypatch)
+        walks = count_walks(monkeypatch)
         report = compute_superset(image_of(bytes(code)))
         assert report.entry_points == [] and report.code.total_bytes == 0
-        assert len(decodes) <= 4 * (n + m)
+        assert len(walks) <= 4 * (n + m)
 
     def test_deterministic(self, corpus):
         data = corpus[0].binary.read_bytes()
@@ -538,6 +541,43 @@ class TestRecordsAreDecodes:
 
     def test_libc(self):
         check_records_are_decodes(read_or_skip(SYSTEM[2]))
+
+
+def check_walks_are_decodes(data):
+    """From every committed start, x86.walk marks the starts, appends
+    the references and records, and stops where repeated x86.decode
+    does; returns the number of walks.  Each walk starts from a clear
+    start map: its marks are cleared after it."""
+    image = load_elf(data)
+    report = compute_superset(image)
+    walks = 0
+    for base, starts in report.starts.items():
+        _, buf = image.code_at(base)
+        got, want = bytearray(len(buf)), bytearray(len(buf))
+        for off in compress(range(len(starts)), starts):
+            got_refs, got_records, want_refs, want_records = [], [], [], []
+            result = x86.walk(buf, off, base, None, got, got_refs,
+                              got_records, disasm._KEPT_BYTES)
+            assert result == reference_walk(
+                buf, off, base, None, want, want_refs, want_records,
+                disasm._KEPT_BYTES, decode=x86.decode), hex(base + off)
+            end = result[2]
+            assert got[off:end] == want[off:end]
+            assert (got_refs, got_records) == (want_refs, want_records)
+            got[off:end] = want[off:end] = bytes(end - off)
+            walks += 1
+        # neither marked a start outside [off, end)
+        assert not any(got) and not any(want)
+    return walks
+
+
+class TestWalksAreDecodes:
+    def test_ls(self):
+        assert check_walks_are_decodes(read_ls()) > 10000
+
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            assert check_walks_are_decodes(entry.binary.read_bytes())
 
 
 @pytest.mark.parametrize("flags", [

@@ -91,7 +91,8 @@ class TestLoadElf:
         if not paths:
             pytest.skip("no system binary available")
         for path in paths:
-            image = load_elf(open(path, "rb").read())
+            with open(path, "rb") as fh:
+                image = load_elf(fh.read())
             segments, sections = readelf_code_layout(path)
             assert image.entry_point in image.exec_ranges
             assert image.exec_ranges == IntervalSet.from_pairs(segments)

@@ -84,6 +84,13 @@ def test_remove_at_run_edges(start, end, left):
     assert list(s.pairs()) == left
     assert s == IntervalSet.from_pairs(left)
     assert len(s) == len(left)
+    # difference takes the same bytes out of a new set, and changes
+    # neither of its operands
+    s = IntervalSet.from_pairs([(10, 20), (30, 40), (50, 60)])
+    other = IntervalSet.from_pairs([(start, end)])
+    assert list(s.difference(other).pairs()) == left
+    assert list(s.pairs()) == [(10, 20), (30, 40), (50, 60)]
+    assert list(other.pairs()) == [(start, end)]
 
 
 ranges = st.lists(
@@ -129,6 +136,10 @@ def check_against_model(s, model, other, other_model):
         model.issuperset(range(a, e)) for a, e in zip(starts, ends)]
     assert s.intersection_size(other) == len(model & other_model)
     assert other.intersection_size(s) == len(model & other_model)
+    for a, b, left in ((s, other, model - other_model),
+                       (other, s, other_model - model)):
+        runs = sorted({model_run(left, addr) for addr in left})
+        assert list(a.difference(b).pairs()) == runs
 
 
 @given(added=ranges, removed=ranges, others=ranges)

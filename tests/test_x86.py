@@ -11,7 +11,7 @@ from pxom import x86
 from pxom.image import executable_ranges, load_elf
 
 from conftest import require_tool
-from oracle_x86 import reference_decode
+from oracle_x86 import reference_decode, reference_walk
 
 
 # positions of the fields of the tuple x86.decode returns
@@ -106,6 +106,13 @@ class TestBasics:
             data = Counted(bytes([prefix]) * 4096)
             assert x86.decode(data, 0, 0x1000) is None
             assert 0 < data.reads <= x86.MAX_INSN_LEN
+            # the run mode stops at the same invalid start
+            data = Counted(bytes([prefix]) * 4096)
+            marks = bytearray(4096)
+            assert x86.walk(data, 0, 0x1000, None, marks, [], [],
+                            frozenset()) == (None, None, 0)
+            assert 0 < data.reads <= x86.MAX_INSN_LEN
+            assert not any(marks)
 
     def test_invalid_in_64bit(self):
         assert d(b"\x06") is None
@@ -123,6 +130,87 @@ class TestBasics:
         # mov eax, imm32 cut off after one immediate byte
         assert x86.decode(b"\xb8\x01", 0, 0, limit=5) is None
         assert x86.decode(b"\xb8\x01\x00\x00\x00", 0, 0, limit=9)[LENGTH] == 5
+
+
+def walk(code, offset=0, limit=None, marks=None, kept=frozenset()):
+    """(result, marks, refs, records) of x86.walk over code at 0x1000,
+    from a fresh start map unless marks is given."""
+    marks = bytearray(len(code)) if marks is None else marks
+    refs, records = [], []
+    result = x86.walk(bytes(code), offset, 0x1000, limit, marks, refs,
+                      records, kept)
+    return result, marks, refs, records
+
+
+def marked(code_length, *offsets):
+    marks = bytearray(code_length)
+    for off in offsets:
+        marks[off] = 1
+    return marks
+
+
+class TestWalk:
+    """The run mode: one call per straight-line run."""
+
+    # nop; mov eax, 1; lea rax, [rip+0x10]; jz +2; ret
+    RUN = bytes.fromhex("90 b801000000 488d0510000000 7402 c3")
+
+    def test_stops_after_branch(self):
+        result, marks, refs, records = walk(self.RUN)
+        assert result == (x86.CONDITIONAL_JUMP, 0x1000 + 15 + 2, 15)
+        assert marks == marked(len(self.RUN), 0, 1, 6, 13)
+        assert refs == [0x1000 + 13 + 0x10]
+        assert records == []
+
+    def test_keeps_records_of_kept_bytes(self):
+        result, _, _, records = walk(self.RUN, kept=frozenset([0x8D]))
+        assert result[0] == x86.CONDITIONAL_JUMP
+        assert records == [(0x1006, d(self.RUN[6:13], 0x1006))]
+
+    def test_stops_at_marked_start(self):
+        marks = marked(len(self.RUN), 6)
+        result, marks, refs, _ = walk(self.RUN, marks=marks)
+        assert result == (x86.FALLTHROUGH, None, 6)
+        assert marks == marked(len(self.RUN), 0, 1, 6)
+        assert refs == []
+        # a walk that starts at a marked start decodes nothing
+        assert walk(self.RUN, 6, marks=marks)[0] == (x86.FALLTHROUGH, None, 6)
+
+    def test_ends_exactly_at_limit(self):
+        # the mov ends at 6, the limit: no instruction is cut
+        result, marks, _, _ = walk(self.RUN, limit=6)
+        assert result == (x86.FALLTHROUGH, None, 6)
+        assert marks == marked(len(self.RUN), 0, 1)
+
+    def test_instruction_straddles_limit(self):
+        # the lea at 6 would end at 13, past the limit: invalid there
+        for limit in (7, 12):
+            result, marks, refs, _ = walk(self.RUN, limit=limit)
+            assert result == (None, None, 6)
+            assert marks == marked(len(self.RUN), 0, 1)
+            assert refs == []
+
+    def test_invalid_byte(self):
+        result, marks, _, _ = walk(b"\x90\x90\x06\xc3")
+        assert result == (None, None, 2)
+        assert marks == marked(4, 0, 1)
+
+    def test_runs_to_buffer_end(self):
+        assert walk(b"\x90\x90")[0] == (x86.FALLTHROUGH, None, 2)
+
+    def test_moffs_address_and_indirect_jump(self):
+        # mov eax, [0x2000]; jmp [rip+0]: the moffs address and the RIP
+        # target are references; the indirect jump keeps its record
+        code = (b"\xa1" + (0x2000).to_bytes(8, "little")
+                + b"\xff\x25" + bytes(4))
+        result, _, refs, records = walk(code)
+        assert result == (x86.INDIRECT_JUMP, None, 15)
+        assert refs == [0x2000, 0x1000 + 15]
+        assert records == [(0x1009, d(code[9:], 0x1009))]
+
+    def test_direct_call_target(self):
+        result, _, _, _ = walk(b"\x90\xe8\xfb\xff\xff\xff")
+        assert result == (x86.DIRECT_CALL, 0x1001, 6)
 
 
 F, ICALL, IJMP = x86.FALLTHROUGH, x86.INDIRECT_CALL, x86.INDIRECT_JUMP
@@ -271,7 +359,8 @@ def _section_bytes(path, name=".text"):
             i = parts.index(name)
             vaddr, off, size = (int(parts[i + 2], 16), int(parts[i + 3], 16),
                                 int(parts[i + 4], 16))
-            data = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                data = fh.read()
             return vaddr, data[off:off + size]
     raise AssertionError("no %s section" % name)
 
@@ -426,7 +515,8 @@ class TestAgainstReferenceDecoder:
     def test_every_offset_of_ls(self):
         if not os.path.exists("/usr/bin/ls"):
             pytest.skip("/usr/bin/ls not available")
-        image = load_elf(open("/usr/bin/ls", "rb").read())
+        with open("/usr/bin/ls", "rb") as fh:
+            image = load_elf(fh.read())
         rng = random.Random(12)
         mismatches = []
         for iv in executable_ranges(image):
@@ -452,3 +542,40 @@ class TestAgainstReferenceDecoder:
            vaddr=st.integers(0, 1 << 48))
     def test_random_bytes(self, data, offset, limit, vaddr):
         assert _same_as_reference(data, offset, vaddr, limit)
+
+    def test_walk_from_every_offset_of_ls(self):
+        # one start map per range, shared by the walks from its offsets
+        # in order, as a traversal shares it: most walks end at a start
+        # an earlier one marked
+        if not os.path.exists("/usr/bin/ls"):
+            pytest.skip("/usr/bin/ls not available")
+        with open("/usr/bin/ls", "rb") as fh:
+            image = load_elf(fh.read())
+        rng = random.Random(13)
+        kept = frozenset([0x8D, 0x63, 0x83])
+        for iv in executable_ranges(image):
+            base, buf = image.code_at(iv.start)
+            # (marks, refs, records) of each side
+            got = bytearray(len(buf)), [], []
+            want = bytearray(len(buf)), [], []
+            for off in range(len(buf)):
+                limit = rng.choice((None, off + rng.randint(0, 64)))
+                assert x86.walk(buf, off, base, limit, *got, kept) == \
+                    reference_walk(buf, off, base, limit, *want, kept), \
+                    hex(base + off)
+            assert got == want
+
+    @settings(max_examples=1000, deadline=None)
+    @given(data=st.binary(max_size=40), offset=st.integers(0, 42),
+           limit=st.none() | st.integers(0, 48),
+           marked=st.sets(st.integers(0, 39), max_size=4),
+           base=st.integers(0, 1 << 48),
+           kept=st.frozensets(st.integers(0, 255)))
+    def test_walk_random_bytes(self, data, offset, limit, marked, base,
+                               kept):
+        marks = bytes(off in marked for off in range(len(data)))
+        got = bytearray(marks), [], []
+        want = bytearray(marks), [], []
+        assert x86.walk(data, offset, base, limit, *got, kept) == \
+            reference_walk(data, offset, base, limit, *want, kept)
+        assert got == want
