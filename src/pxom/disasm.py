@@ -7,7 +7,7 @@ the price is that unreachable code stays readable.
 """
 
 import gc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,15 +35,13 @@ _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
-# first opcode bytes of the records the jump-table finder reads
-# besides indirect jumps (lea, movsxd, the bound checks).  No opcode of
-# two bytes or more starts with one, so the first byte decides
+# first opcode bytes of the records the jump-table finder reads (lea,
+# movsxd, the bound checks).  No opcode of two bytes or more starts with
+# one, so the first byte after the prefixes decides
 _KEPT_BYTES = frozenset((0x8D, 0x63,
                          *(op[0] for op in _BOUND_GROUP + _BOUND_ACC)))
 
 _INDIRECT_JUMP = x86.INDIRECT_JUMP
-_STOP_KINDS = frozenset((x86.RETURN, x86.HALT, _INDIRECT_JUMP,
-                         x86.INDIRECT_CALL))
 
 
 EntryPoint = namedtuple("EntryPoint", "vaddr source")
@@ -56,9 +54,10 @@ class DisassemblyReport:
     starts maps the start of each executable range to a bytearray with a
     1 at the offset of each committed instruction start.  refs is the
     sorted list of the committed instructions' static references: each
-    RIP-relative target and each A0-A3 moffs address.  instructions
-    decodes the marked starts when it is first read; tests and
-    benchmark probes read it, no pxom command does.
+    RIP-relative target and each A0-A3 moffs address.  Neither the
+    traversal nor the jump-table finder keeps a record past the call.
+    instructions decodes the marked starts when it is first read; tests
+    and benchmark probes read it, no pxom command does.
     """
     code: IntervalSet
     superset: IntervalSet
@@ -91,20 +90,24 @@ def _traverse(image, entry, superset, starts):
     an undefined weak function to 0, called only behind a null test).
     An invalid decode or any other exit from the superset fails the
     whole traversal: the walk clears its marks and returns None.  Else it
-    returns (stretches, refs, records): (start, end) pairs covering
-    exactly the decoded instructions, their RIP targets and A0-A3 moffs
-    addresses in decode order, and the (va, record) pairs the jump-table
-    finder reads: lea, movsxd, bound checks and indirect jumps.
+    returns (stretches, refs, jumps): (start, end) pairs covering exactly
+    the decoded instructions, their RIP targets and A0-A3 moffs addresses
+    in decode order, and the addresses of their indirect jumps, which the
+    jump-table finder reads.
 
-    Each call of `x86.walk` decodes one straight-line piece: it marks the
-    starts and appends the references and records itself, and returns
-    at the piece's branch, at a marked start, at an invalid byte, or at
-    the end of the superset run.  That run lies in one executable range
-    of exactly as many bytes (see load_elf), so an instruction that
-    would leave it is invalid, and the range's buffer and start map
-    change only when a path leaves the range.
+    Each call of `x86.walk` decodes one run up to an unconditional
+    transfer: it marks the starts, appends the references and indirect
+    jumps, and pushes the targets of conditional jumps and direct calls
+    onto the stack itself, so the order is depth-first with the
+    fall-through first.  It returns at the run's last instruction, at a
+    marked start, at an invalid byte, or at the end of the superset run.
+    That run lies in one executable range of exactly as many bytes (see
+    load_elf), so an instruction that would leave it is invalid, and the
+    range's buffer and start map change only when a path leaves the
+    range.  A path that reaches a marked start of the range, by a direct
+    jump or from the stack, ends there with no call.
     """
-    stretches, refs, records = [], [], []
+    stretches, refs, jumps = [], [], []
     stack = [entry]
     walk = x86.walk
     fallthrough, direct_jump = x86.FALLTHROUGH, x86.DIRECT_JUMP
@@ -113,6 +116,8 @@ def _traverse(image, entry, superset, starts):
     while stack:
         va = start = stack.pop()
         while True:
+            if base <= va < top and marks[va - base]:
+                break                   # a marked start ends the path
             if not lo <= va < hi:
                 run = superset.run_at(va)
                 if run is None:
@@ -128,24 +133,22 @@ def _traverse(image, entry, superset, starts):
                     top = base + len(buf)
                 limit = hi - base
             kind, target, end = walk(buf, va - base, base, limit, marks, refs,
-                                     records, _KEPT_BYTES)
+                                     jumps, stack)
             va = base + end
             if kind is fallthrough:
                 if end < limit:         # a marked start
                     break
                 continue                # the end of the superset run
-            if kind is None:
-                return _unmark(image, starts, stretches, start, va)
-            if kind in _STOP_KINDS:
-                break
             if kind is direct_jump:
                 stretches.append((start, va))
                 va = start = target
-            else:                       # conditional jump or direct call
-                stack.append(target)
+                continue
+            if kind is None:
+                return _unmark(image, starts, stretches, start, va)
+            break                       # return, halt, indirect transfer
         if va != start:
             stretches.append((start, va))
-    return stretches, refs, records
+    return stretches, refs, jumps
 
 
 def _unmark(image, starts, stretches, start, end):
@@ -156,12 +159,12 @@ def _unmark(image, starts, stretches, start, end):
             starts[base][lo - base:hi - base] = bytes(hi - lo)
 
 
-def _sources(image, superset, records, commits=()):
+def _sources(image, superset, starts, jumps, cache, commits=()):
     """(source, targets) for each source in SOURCE_ORDER, each list
     sorted and found only when its turn comes; jump_table comes again
     while the round before it grew commits, the list of committed
-    entries, as new code can dispatch through new tables.  records are
-    the records committed walks return for the jump-table finder.  All
+    entries, as new code can dispatch through new tables.  starts, jumps
+    and cache are the jump-table finder's (`_jump_table_targets`).  All
     but the program entry's lie in the image's code sections if it has
     any, since an R+X segment may hold data sections too."""
     code = image.code_sections or image.exec_ranges
@@ -173,7 +176,8 @@ def _sources(image, superset, records, commits=()):
     count = -1
     while count != len(commits):
         count = len(commits)
-        yield "jump_table", _jump_table_targets(image, superset, records)
+        yield "jump_table", _jump_table_targets(image, superset, starts,
+                                                jumps, cache)
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -181,9 +185,20 @@ def detect_entry_points(image, superset, known_code, instructions):
 
     An address goes to the first source in SOURCE_ORDER that proposes it,
     and must lie in the superset or the known code.  instructions are
-    the committed ones, where the jump-table finder looks for tables."""
+    the committed ones, by vaddr, where the jump-table finder looks for
+    tables; it reads their records and decodes none."""
+    starts = {base: bytearray(end - base)
+              for base, end in image.exec_ranges.pairs()}
+    bases = list(starts)
+    jumps = []
+    for va, ins in instructions.items():
+        base = bases[bisect_right(bases, va) - 1]
+        starts[base][va - base] = 1
+        if ins[1] is _INDIRECT_JUMP:
+            jumps.append(va)
     found = {}
-    for source, targets in _sources(image, superset, instructions):
+    for source, targets in _sources(image, superset, starts, jumps,
+                                    instructions):
         for va in targets:
             if va not in found and (superset.contains_range(va, 1)
                                     or known_code.contains_range(va, 1)):
@@ -191,28 +206,34 @@ def detect_entry_points(image, superset, known_code, instructions):
     return [EntryPoint(va, src) for va, src in found.items()]
 
 
-def _jump_table_targets(image, superset, instructions):
+def _jump_table_targets(image, superset, starts, jumps, cache):
     """Sorted targets of the bounded rel32 tables in the superset that
-    committed code (instructions, by vaddr) dispatches through.  Only
-    indirect jumps and the lea, movsxd and bound-check (_BOUND_GROUP,
-    _BOUND_ACC) records count, so instructions may hold only those.
+    committed code dispatches through: jumps are the committed indirect
+    jumps, starts the start map (see `DisassemblyReport`), and cache the
+    records of committed starts by vaddr, which the finder fills as it
+    decodes them.  Only the lea, movsxd and bound-check (_BOUND_GROUP,
+    _BOUND_ACC) records count (`_kept_records`).
     Each indirect jump reads the table of the last lea of one at most
     _JUMP_TABLE_WINDOW bytes before it and after the previous indirect
     jump; if such a lea comes before the window's last movsxd (the entry
     read), of the last lea before that movsxd.
     A bound check before the jump sets the entry count, but a table ends
     where the next one read begins: a mask bounds the index only."""
-    # indirect jumps are few; each walks its window once.  Records are
-    # read by index, which costs less than unpacking all seven fields: 1
-    # is the kind, 3 the RIP-relative target, 4 the opcode, 5 the ModRM
+    # indirect jumps are few; each reads its window's records once, in
+    # address order.  Records are read by index, which costs less than
+    # unpacking all seven fields: 3 is the RIP-relative target, 4 the
+    # opcode, 5 the ModRM
+    bases = sorted(starts)
     reads = []
     lo = 0
-    for jump in sorted(va for va, ins in instructions.items()
-                       if ins[1] is _INDIRECT_JUMP):
+    for jump in sorted(jumps):
+        first = max(lo, jump - _JUMP_TABLE_WINDOW)
+        # the bound check may come up to 32 bytes before the lea
+        records = _kept_records(image, starts, bases, cache,
+                                jump - _JUMP_TABLE_WINDOW - 32, jump)
         lea = before_read = None
-        for va in range(max(lo, jump - _JUMP_TABLE_WINDOW), jump):
-            ins = instructions.get(va)
-            if ins is None:
+        for va, ins in records:
+            if va < first:
                 continue
             if ins[4] == (0x8D,):
                 if ins[3] is not None and superset.contains_range(ins[3], 4):
@@ -222,28 +243,56 @@ def _jump_table_targets(image, superset, instructions):
                 before_read = lea
         if lea is not None:
             va, table = before_read or lea
-            reads.append((table, _bound_before(instructions, va, jump)))
+            reads.append((table, _bound_before(records, va - 32)))
         lo = jump + 1
-    starts = sorted({table for table, _ in reads}) + [1 << 64]
+    tables = sorted({table for table, _ in reads}) + [1 << 64]
     targets = []
     for table, count in reads:
         if count is not None:
-            count = min(count, (starts[bisect_right(starts, table)] - table)
+            count = min(count, (tables[bisect_right(tables, table)] - table)
                         // 4)
             targets.extend(_rel32_table(image, superset, table, count))
     return sorted(set(targets))
 
 
-def _bound_before(instructions, lo, hi):
-    """Entry count set by the last cmp/and with an imm8 or imm32 in
-    [lo-32, hi), or None.  An 8-bit check counts only on a register,
-    as byte compares of memory are common in string code.  Its imm8
-    decodes sign-extended, so one of 0x80 or more reads no table: 8-bit
-    bounds are capped at 128 entries."""
+def _kept_records(image, starts, bases, cache, lo, hi):
+    """(va, record) of each start that the start map starts marks in
+    [lo, hi), in address order, whose first byte after its prefixes is
+    in _KEPT_BYTES; bases are the range starts, sorted.  A window may
+    cross into the executable ranges before the one that holds hi - 1.
+    Each record comes from cache, or is decoded and stored there."""
+    found = []
+    decode, prefixes = x86.decode, x86.PREFIXES
+    for k in range(max(bisect_right(bases, lo) - 1, 0),
+                   bisect_left(bases, hi)):
+        base = bases[k]
+        marks = starts[base]
+        first, end = max(lo - base, 0), min(hi - base, len(marks))
+        if first >= end:
+            continue
+        _, buf = image.code_at(base)
+        for off in compress(range(first, end), marks[first:end]):
+            at = off
+            while buf[at] in prefixes:
+                at += 1
+            if buf[at] in _KEPT_BYTES:
+                va = base + off
+                ins = cache.get(va)
+                if ins is None:
+                    ins = cache[va] = decode(buf, off, va)
+                found.append((va, ins))
+    return found
+
+
+def _bound_before(records, lo):
+    """Entry count set by the last cmp/and with an imm8 or imm32 of
+    records at lo or later, or None.  An 8-bit check counts only on a
+    register, as byte compares of memory are common in string code.  Its
+    imm8 decodes sign-extended, so one of 0x80 or more reads no table:
+    8-bit bounds are capped at 128 entries."""
     bound = None
-    for va in range(lo - 32, hi):
-        ins = instructions.get(va)
-        if ins is None or ins[6] is None:
+    for va, ins in records:
+        if va < lo or ins[6] is None:
             continue
         _, _, _, _, opcode, modrm, immediate = ins
         if (opcode in _BOUND_ACC or opcode in _BOUND_GROUP
@@ -332,14 +381,15 @@ def _prologue_starts(image, ranges):
 def collector_paused():
     """Pause the cyclic garbage collector; restore the caller's state.
 
-    The traversal builds records only for what the jump-table finder
-    reads, and they pile up while the disassembly runs: 41k on libc,
-    where the walks decode 261k instructions.  With the collector
-    running, one `compute_superset` on libc sets off 70 young and 6
-    middle collections that rescan them, and takes 1 to 3% longer than
-    its 0.21 s.  The commands also allocate an object per gadget or
-    block (see `cli.main`).  pxom builds no reference cycles, so
-    reference counting frees all of it.
+    The disassembly keeps few objects alive: the traversal builds no
+    record, and the jump-table finder decodes about 1.5k on libc.  With
+    the collector running, one `compute_superset` on libc sets off 8
+    young collections and no older one, and its time is within noise of
+    the paused call (0.98 to 1.01 times it, medians of 15 alternating in
+    one process, three processes; Python 3.11).  The commands allocate
+    an object per gadget or block (see `cli.main`), which the collector
+    would rescan.  pxom builds no reference cycles, so reference
+    counting frees all of it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -362,8 +412,10 @@ def compute_superset(image):
     image-only targets would commit nothing.
 
     Each traversal marks its starts in the report's start map itself
-    and returns its static references and the jump-table finder's
-    records; a commit only stores them.
+    and returns its static references and indirect jumps; a commit only
+    stores them.  The jump-table finder decodes the few committed starts
+    it reads from the start map, and keeps each record for its later
+    rounds, so no record outlives the call.
 
     Runs with the cyclic garbage collector paused (`collector_paused`).
     """
@@ -373,22 +425,23 @@ def compute_superset(image):
 
     ranges = image.exec_ranges
     starts = {start: bytearray(end - start) for start, end in ranges.pairs()}
-    refs = []
-    records = {}
+    refs, jumps = [], []
+    cache = {}
     accepted = []
     traversed = set()
-    for source, targets in _sources(image, superset, records, accepted):
+    for source, targets in _sources(image, superset, starts, jumps, cache,
+                                    accepted):
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
             traversed.add(va)
             result = _traverse(image, va, superset, starts)
             if result is not None:
-                stretches, walk_refs, walk_records = result
+                stretches, walk_refs, walk_jumps = result
                 for start, end in stretches:
                     superset.remove(start, end)
                 refs += walk_refs
-                records.update(walk_records)
+                jumps += walk_jumps
                 accepted.append(EntryPoint(va, source))
 
     # commits only move executable bytes out of the superset, so the code

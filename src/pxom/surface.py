@@ -80,7 +80,9 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     """
     if max_instructions < 1:
         return []
-    decode, fallthrough = x86.decode, x86.FALLTHROUGH
+    # x86.walk with no start map decodes one instruction, as x86.decode
+    # does, but with the block's start for base and no call in between
+    walk, fallthrough = x86.walk, x86.FALLTHROUGH
     gadgets = []
     for block in report.superset:
         base = block.start
@@ -105,10 +107,10 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
                     break
             if off == opcodes[k]:
                 k -= 1
-            va = base + off
-            ins = decode(data, off, va)
+            ins = walk(data, off, base)
             if ins is None:
                 continue
+            va = base + off
             length, kind, _, _, _, _, _ = ins
             term = _TERMINATORS.get(kind)
             if term is not None:

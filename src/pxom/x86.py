@@ -28,24 +28,29 @@ records by it.  A tuple rather than an object, because building an
 object cost about a third of a decode.
 
 `walk` is the run mode, for the disassembly's traversal: one call
-decodes a straight-line run forward from an offset, so that a run pays
-one Python call and no record for most of its instructions.  It marks
-each start it decodes in the caller's start map (a bytearray indexed
-like data), appends each RIP-relative target and each A0-A3 moffs
-address to the caller's refs list, and appends (vaddr, record) to the
-caller's records list for an indirect jump and for each fall-through
-instruction whose first opcode byte is in the caller's kept set.  It
+decodes forward from an offset up to the first unconditional transfer,
+so that a run pays one Python call and builds no record.  It marks each
+start it decodes in the caller's start map (a bytearray indexed like
+data), appends each RIP-relative target and each A0-A3 moffs address
+to the caller's refs list and the address of each indirect jump to the
+caller's jumps list.  At a conditional jump or a direct call it pushes
+the target onto the caller's stack, unless the start map already marks
+it, and goes on with the fall-through, so the traversal takes the
+fall-through first and the targets later, last pushed first.  It
 returns (kind, target, end), where end is an offset:
 
-- after the first instruction that does not fall through: its kind,
-  its target if it is a relative branch (else None), and its end;
+- after the first instruction that does not fall through and is not a
+  conditional jump or a direct call: its kind, its target if it is a
+  direct jump (else None), and its end;
 - at a start already marked, or at limit: FALLTHROUGH, None and that
   offset;
 - at an invalid encoding: None, None and the offset where it starts.
 
 An instruction that would reach past limit is invalid, as in `decode`.
 `decode` is `walk` with no start map: the same loop body decodes one
-instruction and returns its record.
+instruction and returns its record.  The gadget scan, which decodes at
+most offsets of a block, calls `walk` so itself, with the block's start
+as base, to save `decode`'s own call.
 
 The decoder is table-driven and dispatches on table entries, not on
 byte values.  `_FIRST` holds an entry for each first byte: an opcode
@@ -95,6 +100,7 @@ MAX_INSN_LEN = 15
 
 
 _RELATIVE = frozenset([DIRECT_JUMP, CONDITIONAL_JUMP, DIRECT_CALL])
+_PUSHED = frozenset([CONDITIONAL_JUMP, DIRECT_CALL])     # see `walk`
 
 # operand size classes
 _Z = -1         # imm16, or imm32 without a 66 prefix or with REX.W
@@ -256,6 +262,10 @@ _TWO_BYTE_66_F2 = tuple(
     (_MODRM_SIZE, 2, FALLTHROUGH, (0x0F, 0x78)) if op == 0x78 else row
     for op, row in enumerate(_TWO_BYTE))
 _VEX_MAPS = _vex_maps()
+# the bytes read as prefixes (legacy, 66 and REX): the first other byte
+# of an instruction is its opcode byte, or an escape
+PREFIXES = frozenset(op for op, row in enumerate(_FIRST)
+                     if row.__class__ is int and row < _ESC_0F)
 
 
 def decode(data, offset, vaddr, limit=None):
@@ -264,23 +274,26 @@ def decode(data, offset, vaddr, limit=None):
     Returns the 7-tuple described above, or None.  limit bounds the
     readable region (defaults to len(data), and never reaches past it).
     """
-    return walk(data, offset, vaddr - offset, limit, None, None, None, None)
+    return walk(data, offset, vaddr - offset, limit)
 
 
-def walk(data, offset, base, limit, marks, refs, records, kept):
+def walk(data, offset, base, limit=None, marks=None, refs=None, jumps=None,
+         stack=None):
     """Decode forward from data[offset], where data is mapped at base:
     the run mode described above, with marks the start map, refs and
-    records the lists it appends to, and kept the set of first opcode
-    bytes whose records it keeps.  limit bounds the readable region, as
-    in `decode`.  With marks None, decode the one instruction at offset
-    instead and return its record or None: that is `decode`.
+    jumps the lists it appends to, and stack the traversal's stack of
+    targets.  limit bounds the readable region, as in `decode`.  With
+    marks None, decode the one instruction at offset instead and return
+    its record or None: that is `decode`.
     """
     stop = len(data)
     if limit is not None and limit < stop:
         stop = limit
     pos = offset
-    if marks is not None and (pos >= stop or marks[pos]):
-        return FALLTHROUGH, None, pos
+    if marks is not None:
+        if pos >= stop or marks[pos]:
+            return FALLTHROUGH, None, pos
+        span = len(marks)
     while True:
         start = pos
         end = start + MAX_INSN_LEN
@@ -397,19 +410,19 @@ def walk(data, offset, base, limit, marks, refs, records, kept):
         marks[start] = 1
         if rip is not None:
             refs.append(rip)
-        if kind is FALLTHROUGH:
-            if opcode[0] in kept:
-                records.append((base + start, (pos - start, kind, None, rip,
-                                               opcode, modrm, value)))
-            elif operand == _MOFFS:
-                refs.append(value)
-            if pos >= stop or marks[pos]:
-                return FALLTHROUGH, None, pos
-            continue
-        if kind in _RELATIVE:
-            return kind, base + pos + value, pos
-        if kind is INDIRECT_JUMP:
-            records.append((base + start, (pos - start, kind, None, rip,
-                                           opcode, modrm, value)))
-        return kind, None, pos
+        if kind is not FALLTHROUGH:
+            if kind in _PUSHED:
+                target = pos + value
+                if not 0 <= target < span or not marks[target]:
+                    stack.append(base + target)
+            elif kind is DIRECT_JUMP:
+                return kind, base + pos + value, pos
+            else:
+                if kind is INDIRECT_JUMP:
+                    jumps.append(base + start)
+                return kind, None, pos
+        elif operand == _MOFFS:
+            refs.append(value)
+        if pos >= stop or marks[pos]:
+            return FALLTHROUGH, None, pos
     return None if marks is None else (None, None, start)

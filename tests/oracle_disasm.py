@@ -26,9 +26,9 @@ ends only its own path.
 sorted static references from committed records, one record at a time,
 where `disasm._traverse` marks each start and gathers each reference as
 it decodes the instruction, and `disasm.compute_superset` stores what
-the traversal returns.  `reference_kept` splits a traversal's records
-into those references and the jump-table finder's records by their
-fields.
+the traversal returns.  `reference_kept` gives a traversal's
+references and its indirect jumps, which the jump-table finder reads,
+from its records' fields.
 
 `reference_heuristic_targets` is the heuristic finder's earlier form:
 it searches each superset block for 16-aligned prologues in every
@@ -162,16 +162,12 @@ def ordered_refs(records):
 
 
 def reference_kept(insns):
-    """(refs, records), what disasm._traverse returns besides its
+    """(refs, jumps), what disasm._traverse returns besides its
     stretches, from insns, a traversal's instructions by vaddr in decode
-    order: the ordered_refs of insns, and the (va, record) pairs of
-    insns, in its order, that the jump-table finder reads, those with a
-    lea, movsxd or bound-check opcode or the indirect-jump kind."""
-    opcodes = {(0x8D,), (0x63,), (0x80,), (0x81,), (0x83,), (0x24,), (0x25,),
-               (0x3C,), (0x3D,)}
-    records = [(va, ins) for va, ins in insns.items()
-               if ins[4] in opcodes or ins[1] == x86.INDIRECT_JUMP]
-    return ordered_refs(insns.values()), records
+    order: the ordered_refs of insns, and the vaddrs of its indirect
+    jumps, in its order."""
+    jumps = [va for va, ins in insns.items() if ins[1] == x86.INDIRECT_JUMP]
+    return ordered_refs(insns.values()), jumps
 
 
 def reference_traverse(image, entry, superset, is_start, strict):

@@ -17,7 +17,9 @@ the `pxom.x86` docstring describes, with the decoder under test.
 `reference_walk` is the run mode, `pxom.x86.walk`, built from repeated
 one-instruction decodes: by `reference_decode`, or by `pxom.x86.decode`
 where a test checks that the run mode and the one-instruction mode of
-the same decoder agree.
+the same decoder agree.  It pushes a branch target by one range test on
+the address, where `walk` tests the target's offset into the start
+map.
 """
 
 from pxom.x86 import (CONDITIONAL_JUMP, DIRECT_CALL, DIRECT_JUMP,
@@ -255,15 +257,17 @@ def reference_decode(data, offset, vaddr, limit=None):
 _MOFFS_OPCODES = frozenset([(0xA0,), (0xA1,), (0xA2,), (0xA3,)])
 
 
-def reference_walk(data, offset, base, limit, marks, refs, records, kept,
+def reference_walk(data, offset, base, limit, marks, refs, jumps, stack,
                    decode=reference_decode):
     """What `pxom.x86.walk` returns and appends, one decode at a time.
 
     Decodes from data[offset], mapped at base, up to the first
-    instruction that does not fall through, a start marked in marks,
-    limit, or an invalid encoding; marks each start decoded, and
-    appends the RIP targets and A0-A3 addresses to refs and the records
-    of indirect jumps and of kept first opcode bytes to records.
+    instruction that does not fall through and is not a conditional
+    jump or a direct call, a start marked in marks, limit, or an invalid
+    encoding; marks each start decoded, appends the RIP targets and
+    A0-A3 addresses to refs and the address of each indirect jump to
+    jumps, and pushes onto stack each conditional jump's and direct
+    call's target that marks does not mark once the branch is marked.
     """
     stop = len(data) if limit is None else min(limit, len(data))
     off = offset
@@ -275,14 +279,15 @@ def reference_walk(data, offset, base, limit, marks, refs, records, kept,
         length, kind, target, rip, opcode, _, immediate = ins
         if rip is not None:
             refs.append(rip)
-        if kind == FALLTHROUGH:
-            if opcode[0] in kept:
-                records.append((base + off, ins))
-            elif opcode in _MOFFS_OPCODES:
-                refs.append(immediate)
-        elif kind == INDIRECT_JUMP:
-            records.append((base + off, ins))
+        if opcode in _MOFFS_OPCODES:
+            refs.append(immediate)
+        if kind == INDIRECT_JUMP:
+            jumps.append(base + off)
         off += length
-        if kind != FALLTHROUGH:
+        if kind in (CONDITIONAL_JUMP, DIRECT_CALL):
+            if not (base <= target < base + len(marks)
+                    and marks[target - base]):
+                stack.append(target)
+        elif kind != FALLTHROUGH:
             return kind, target, off
     return FALLTHROUGH, None, off

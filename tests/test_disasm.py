@@ -145,7 +145,8 @@ def checked_traverse(image, va, superset, starts):
     None and leaves starts byte-identical; where it succeeds, the
     stretches cover the reference's claimed bytes, the call marks exactly
     the reference's instruction starts, none of them marked before, and
-    its references and records, in order, are reference_kept of them.
+    its references and indirect jumps, in order, are reference_kept of
+    them.
     Returns (the _traverse result, the reference's instructions by
     vaddr, or None where it fails)."""
     before = {base: bytes(marks) for base, marks in starts.items()}
@@ -157,7 +158,7 @@ def checked_traverse(image, va, superset, starts):
         assert starts == before
         return None, None
     assert result is not None
-    stretches, refs, records = result
+    stretches, refs, jumps = result
     assert IntervalSet.from_pairs(stretches) == claimed
     want = {base: bytearray(marks) for base, marks in before.items()}
     for at in insns:
@@ -165,7 +166,7 @@ def checked_traverse(image, va, superset, starts):
         base, _ = image.code_at(at)
         want[base][at - base] = 1
     assert starts == want
-    assert (refs, records) == reference_kept(insns)
+    assert (refs, jumps) == reference_kept(insns)
     return result, insns
 
 
@@ -224,7 +225,8 @@ class TestRecursiveDisassemble:
 
     def test_stops_at_first_failure(self, monkeypatch):
         # call 0x1100; an invalid byte; at 0x1100, 200 nops and a ret:
-        # the fall-through fails first, and the callee is never decoded
+        # the walk pushes the callee and fails at the fall-through, so
+        # the callee is never decoded
         rel = (0x1100 - 0x1005).to_bytes(4, "little", signed=True)
         code = (b"\xe8" + rel + b"\x06").ljust(0x100, b"\xcc")
         image = image_of(code + b"\x90" * 200 + b"\xc3")
@@ -232,18 +234,49 @@ class TestRecursiveDisassemble:
         walks = count_walks(monkeypatch)
         assert _traverse(image, 0x1000, executable_ranges(image),
                          starts) is None
-        assert walks == [0x1000, 0x1005]
+        assert walks == [0x1000]
+
+
+class TestWalkCalls:
+    """Cost guards, in calls: one x86.walk call per run up to an
+    unconditional transfer."""
+
+    def test_branches_take_one_walk(self, monkeypatch):
+        # k rounds of test eax, eax; jz rel32 and call rel32 to the ret
+        # after them: the first walk decodes every instruction, and each
+        # target it pushed is marked by the time it is popped
+        k = 40
+        ret = 0x1000 + 13 * k
+        code = bytearray()
+        for _ in range(k):
+            at = 0x1000 + len(code)
+            code += b"\x85\xc0\x0f\x84" + (ret - at - 8).to_bytes(4, "little")
+            code += b"\xe8" + (ret - at - 13).to_bytes(4, "little")
+        image = image_of(bytes(code + b"\xc3"))
+        walks = count_walks(monkeypatch)
+        claimed, insns = traverse_from(image, 0x1000,
+                                       executable_ranges(image))
+        assert walks == [0x1000]
+        assert len(insns) == 3 * k + 1 and claimed.total_bytes == len(code) + 1
+
+    def test_ls(self, monkeypatch):
+        data = read_ls()
+        walks = count_walks(monkeypatch)
+        compute_superset(load_elf(data))
+        assert 0 < len(walks) <= 2000
 
 
 def count_walks(monkeypatch):
-    """The vaddr where each later x86.walk call starts, in call order:
-    one call decodes one straight-line piece."""
+    """The vaddr where each later x86.walk call with a start map starts,
+    in call order: one call decodes one run up to an unconditional
+    transfer.  x86.decode's calls, with none, are not counted."""
     walk = x86.walk
     seen = []
 
-    def counting(buf, off, base, *rest):
-        seen.append(base + off)
-        return walk(buf, off, base, *rest)
+    def counting(buf, off, base, limit=None, marks=None, *rest):
+        if marks is not None:
+            seen.append(base + off)
+        return walk(buf, off, base, limit, marks, *rest)
 
     monkeypatch.setattr(x86, "walk", counting)
     return seen
@@ -475,7 +508,8 @@ class TestEntryPointDetection:
         # every source has its turn, even on an image with no sections
         image = image_of(b"\x90\x90\xc3", entry=0x1000)
         superset = executable_ranges(image)
-        assert [source for source, _ in disasm._sources(image, superset, {})
+        assert [source for source, _ in disasm._sources(
+            image, superset, reference_starts(image, ()), [], {})
                 ] == list(disasm.SOURCE_ORDER)
 
     def test_heuristic_prologue_at_aligned_address(self):
@@ -527,6 +561,39 @@ def check_records_are_decodes(data):
     assert union_of(report.instructions) == report.code
 
 
+@pytest.fixture(scope="module")
+def corpus_seed1(tmp_path_factory):
+    """The 100 programs of the seed-1 corpus."""
+    require_tool(*CORPUS_TOOLS)
+    return build_corpus(tmp_path_factory.mktemp("corpus_seed1"), count=100,
+                        seed=1)
+
+
+def test_kept_starts_decoded_at_most_once(monkeypatch, corpus_seed1):
+    # the traversal decodes through x86.walk; x86.decode is called only
+    # by the jump-table finder, for committed starts whose first opcode
+    # byte is kept, and at most once each: later rounds read its cache
+    decode = x86.decode
+    seen = []
+
+    def counting(data, offset, vaddr, limit=None):
+        seen.append(vaddr)
+        return decode(data, offset, vaddr, limit)
+
+    decoded = 0
+    for entry in corpus_seed1:
+        seen.clear()
+        monkeypatch.setattr(x86, "decode", counting)
+        report = compute_superset(load_elf(entry.binary.read_bytes()))
+        monkeypatch.setattr(x86, "decode", decode)
+        assert len(seen) == len(set(seen))
+        insns = report.instructions
+        assert [hex(va) for va in seen
+                if insns[va][4][0] not in disasm._KEPT_BYTES] == []
+        decoded += len(seen)
+    assert decoded
+
+
 class TestRecordsAreDecodes:
     def test_ls(self):
         check_records_are_decodes(read_ls())
@@ -545,9 +612,10 @@ class TestRecordsAreDecodes:
 
 def check_walks_are_decodes(data):
     """From every committed start, x86.walk marks the starts, appends
-    the references and records, and stops where repeated x86.decode
-    does; returns the number of walks.  Each walk starts from a clear
-    start map: its marks are cleared after it."""
+    the references and indirect jumps, pushes the branch targets, and
+    stops where repeated x86.decode does; returns the number of walks.
+    Each walk starts from a clear start map: its marks are cleared after
+    it."""
     image = load_elf(data)
     report = compute_superset(image)
     walks = 0
@@ -555,15 +623,14 @@ def check_walks_are_decodes(data):
         _, buf = image.code_at(base)
         got, want = bytearray(len(buf)), bytearray(len(buf))
         for off in compress(range(len(starts)), starts):
-            got_refs, got_records, want_refs, want_records = [], [], [], []
-            result = x86.walk(buf, off, base, None, got, got_refs,
-                              got_records, disasm._KEPT_BYTES)
+            got_lists, want_lists = ([], [], []), ([], [], [])
+            result = x86.walk(buf, off, base, None, got, *got_lists)
             assert result == reference_walk(
-                buf, off, base, None, want, want_refs, want_records,
-                disasm._KEPT_BYTES, decode=x86.decode), hex(base + off)
+                buf, off, base, None, want, *want_lists,
+                decode=x86.decode), hex(base + off)
             end = result[2]
             assert got[off:end] == want[off:end]
-            assert (got_refs, got_records) == (want_refs, want_records)
+            assert got_lists == want_lists
             got[off:end] = want[off:end] = bytes(end - off)
             walks += 1
         # neither marked a start outside [off, end)
@@ -890,6 +957,17 @@ def jump_table_image(cmp_at, jmp_at, lea_at, abs64=False,
     return image, instructions
 
 
+def find_tables(image, superset, instructions):
+    """_jump_table_targets over the start map and the indirect jumps of
+    instructions, by vaddr, with an empty cache: the finder decodes each
+    record it reads."""
+    jumps = [va for va, ins in instructions.items()
+             if ins[1] == x86.INDIRECT_JUMP]
+    return _jump_table_targets(image, superset,
+                               reference_starts(image, instructions), jumps,
+                               {})
+
+
 class TestJumpTable:
     LEA = 40
 
@@ -902,7 +980,7 @@ class TestJumpTable:
         # a table without a bound check is not read
         image, instructions = jump_table_image(cmp_at, jmp_at, self.LEA)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(found)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -920,7 +998,7 @@ class TestJumpTable:
         image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
                                                self.LEA, bound=bound)
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -933,7 +1011,7 @@ class TestJumpTable:
         image, instructions = jump_table_image(self.LEA - 32, self.LEA + 16,
                                                self.LEA, bound=bound)
         superset = executable_ranges(image)
-        assert _jump_table_targets(image, superset, instructions) == []
+        assert find_tables(image, superset, instructions) == []
         assert reference_jump_table_targets(image, superset,
                                             instructions) == []
 
@@ -946,7 +1024,7 @@ class TestJumpTable:
             bound=b"\x41\x81\xfd\x00\x01\x00\x00",
             extra=[(self.LEA + 8, b"\x80\xf9\x05")])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(6)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -958,7 +1036,7 @@ class TestJumpTable:
             self.LEA - 32, self.LEA + 16, self.LEA,
             extra=[(self.LEA + 8, b"\x80\x3f\x2f")])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -990,7 +1068,7 @@ class TestJumpTable:
         superset = executable_ranges(image)
         if code_committed:
             superset.remove(0x1000, 0x1000 + self.LEA + 27)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(4)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -1003,7 +1081,7 @@ class TestJumpTable:
             extra=[(self.LEA - 10, b"\xff\xe0")],
             other_leas=[(self.LEA - 20, 12)])
         superset = executable_ranges(image)
-        targets = _jump_table_targets(image, superset, instructions)
+        targets = find_tables(image, superset, instructions)
         assert targets == [0x1000 + k for k in range(3)]
         assert targets == reference_jump_table_targets(image, superset,
                                                        instructions)
@@ -1015,7 +1093,7 @@ class TestJumpTable:
                                                abs64=True)
         assert image.elf_type == 2
         superset = executable_ranges(image)
-        assert _jump_table_targets(image, superset, instructions) == []
+        assert find_tables(image, superset, instructions) == []
         assert reference_jump_table_targets(image, superset,
                                             instructions) == []
 
@@ -1026,13 +1104,46 @@ class TestJumpTable:
             report = compute_superset(image)
             exec_ranges = executable_ranges(image)
             for superset in (exec_ranges, report.superset):
-                targets = _jump_table_targets(image, superset,
-                                              report.instructions)
+                targets = find_tables(image, superset, report.instructions)
                 # the finder walks the instructions in commit order
                 assert sorted(targets) == sorted(reference_jump_table_targets(
                     image, superset, report.instructions))
                 found += len(targets)
         assert found
+
+    @pytest.mark.parametrize("lea_first", [False, True],
+                             ids=["bound-in-earlier-range",
+                                  "lea-in-earlier-range"])
+    def test_window_crosses_into_earlier_range(self, lea_first):
+        # cmp eax, 3 at 0x1000, then lea rax, [rip + table] if lea_first,
+        # and a jmp to the next executable range at 0x1020.  There: the
+        # lea unless lea_first, jmp rax, the table of four entries and
+        # the four rets they point to.  The jump's window, or the 32
+        # bytes before the lea that the bound check may take, reaches
+        # back into the first range
+        table = 0x1028 if lea_first else 0x1030
+        lea_at = 0x1003 if lea_first else 0x1020
+        lea = b"\x48\x8d\x05" + (table - lea_at - 7).to_bytes(4, "little")
+        first = b"\x83\xf8\x03" + (lea if lea_first else b"")
+        first += b"\xe9" + (0x1020 - 0x1000 - len(first) - 5).to_bytes(
+            4, "little")
+        second = ((b"" if lea_first else lea) + b"\xff\xe0").ljust(
+            table - 0x1020, b"\xcc")
+        second += b"".join((16 + k).to_bytes(4, "little") for k in range(4))
+        second += b"\xc3" * 4
+        image = load_elf(make_elf([(0x1000, 5, first.ljust(16, b"\xcc")),
+                                   (0x1020, 5, second)], entry=0x1000))
+        assert len(image.exec_ranges) == 2
+        report = compute_superset(image)
+        assert [ep for ep in report.entry_points
+                if ep.source == "jump_table"] == [
+            EntryPoint(table + 16 + k, "jump_table") for k in range(4)]
+        assert report == reference_compute_superset(image)
+        fresh = executable_ranges(image)
+        targets = find_tables(image, fresh, report.instructions)
+        assert targets == [table + 16 + k for k in range(4)]
+        assert targets == sorted(reference_jump_table_targets(
+            image, fresh, report.instructions))
 
 
 def spy_traversals(monkeypatch):
@@ -1094,19 +1205,25 @@ class TestStartMap:
     def finder_calls(self, monkeypatch, data):
         """(targets, same) for each jump-table finder call in
         compute_superset, where same says whether the finder returns the
-        same targets from every record committed so far."""
+        same targets from the start map and indirect jumps of every
+        instruction committed so far, decoded afresh (find_tables)."""
         finder = disasm._jump_table_targets
         committed = spy_traversals(monkeypatch)
         calls = []
 
-        def finder_spy(image, superset, records):
-            targets = finder(image, superset, records)
+        def finder_spy(image, superset, starts, jumps, cache):
+            targets = finder(image, superset, starts, jumps, cache)
+            # and every record the finder keeps is the committed one
             calls.append((targets,
-                          targets == finder(image, superset, committed)))
+                          targets == find_tables(image, superset, committed)
+                          and all(committed[va] == ins
+                                  for va, ins in cache.items())))
             return targets
 
         monkeypatch.setattr(disasm, "_jump_table_targets", finder_spy)
         compute_superset(load_elf(data))
+        # so that a later call wraps the finder itself, not this spy
+        monkeypatch.undo()
         assert calls
         return calls
 

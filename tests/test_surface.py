@@ -211,14 +211,7 @@ class TestOnePassScan:
                            for _ in range(1000))
         image = planted_image(payload)
         report = compute_superset(image)
-        real = x86.decode
-        calls = []
-
-        def counting(data, offset, vaddr, limit=None):
-            calls.append(vaddr)
-            return real(data, offset, vaddr, limit)
-
-        monkeypatch.setattr(x86, "decode", counting)
+        calls = count_decodes(monkeypatch)
         gadgets = gadget_scan(image, report)
         assert gadgets
         assert len(calls) == len(set(calls)) <= report.superset.total_bytes
@@ -230,14 +223,7 @@ class TestOnePassScan:
         tail_image = planted_image(plain + b"\x58\xc3" + b"\x90" * 6)
         reports = [compute_superset(image), compute_superset(tail_image)]
         assert reports[0].superset.total_bytes == len(plain)
-        real = x86.decode
-        calls = []
-
-        def counting(data, offset, vaddr, limit=None):
-            calls.append(vaddr)
-            return real(data, offset, vaddr, limit)
-
-        monkeypatch.setattr(x86, "decode", counting)
+        calls = count_decodes(monkeypatch)
         assert gadget_scan(image, reports[0]) == []
         assert calls == []
         gadgets = gadget_scan(tail_image, reports[1])
@@ -246,18 +232,32 @@ class TestOnePassScan:
         assert [g.start for g in gadgets][-2:] == [pop, pop + 1]
 
 
-def counted_scan(monkeypatch, image, report, depth=10):
-    """(gadgets, vaddrs decoded) of one gadget_scan."""
-    real = x86.decode
+def count_decodes(monkeypatch):
+    """The list that each later one-instruction decode appends its
+    vaddr to: a call of x86.walk with no start map, which gadget_scan
+    makes at each offset it decodes.  x86.decode must not be called:
+    it would pass through walk a second time."""
+    real = x86.walk
     calls = []
 
-    def counting(data, offset, vaddr, limit=None):
-        calls.append(vaddr)
-        return real(data, offset, vaddr, limit)
+    def counting(data, offset, base, limit=None, marks=None, *rest):
+        if marks is None:
+            calls.append(base + offset)
+        return real(data, offset, base, limit, marks, *rest)
 
-    monkeypatch.setattr(x86, "decode", counting)
+    def no_decode(*args):
+        raise AssertionError("x86.decode called")
+
+    monkeypatch.setattr(x86, "walk", counting)
+    monkeypatch.setattr(x86, "decode", no_decode)
+    return calls
+
+
+def counted_scan(monkeypatch, image, report, depth=10):
+    """(gadgets, vaddrs decoded) of one gadget_scan."""
+    calls = count_decodes(monkeypatch)
     gadgets = gadget_scan(image, report, depth)
-    monkeypatch.setattr(x86, "decode", real)
+    monkeypatch.undo()
     return gadgets, calls
 
 

@@ -110,7 +110,7 @@ class TestBasics:
             data = Counted(bytes([prefix]) * 4096)
             marks = bytearray(4096)
             assert x86.walk(data, 0, 0x1000, None, marks, [], [],
-                            frozenset()) == (None, None, 0)
+                            []) == (None, None, 0)
             assert 0 < data.reads <= x86.MAX_INSN_LEN
             assert not any(marks)
 
@@ -132,14 +132,14 @@ class TestBasics:
         assert x86.decode(b"\xb8\x01\x00\x00\x00", 0, 0, limit=9)[LENGTH] == 5
 
 
-def walk(code, offset=0, limit=None, marks=None, kept=frozenset()):
-    """(result, marks, refs, records) of x86.walk over code at 0x1000,
-    from a fresh start map unless marks is given."""
+def walk(code, offset=0, limit=None, marks=None):
+    """(result, marks, refs, jumps, stack) of x86.walk over code at
+    0x1000, from a fresh start map unless marks is given."""
     marks = bytearray(len(code)) if marks is None else marks
-    refs, records = [], []
+    refs, jumps, stack = [], [], []
     result = x86.walk(bytes(code), offset, 0x1000, limit, marks, refs,
-                      records, kept)
-    return result, marks, refs, records
+                      jumps, stack)
+    return result, marks, refs, jumps, stack
 
 
 def marked(code_length, *offsets):
@@ -150,26 +150,68 @@ def marked(code_length, *offsets):
 
 
 class TestWalk:
-    """The run mode: one call per straight-line run."""
+    """The run mode: one call per run up to an unconditional transfer."""
 
     # nop; mov eax, 1; lea rax, [rip+0x10]; jz +2; ret
     RUN = bytes.fromhex("90 b801000000 488d0510000000 7402 c3")
 
     def test_stops_after_branch(self):
-        result, marks, refs, records = walk(self.RUN)
-        assert result == (x86.CONDITIONAL_JUMP, 0x1000 + 15 + 2, 15)
-        assert marks == marked(len(self.RUN), 0, 1, 6, 13)
+        # the jz pushes its target and the walk goes on to the ret; a
+        # jmp in its place ends the walk and returns its target
+        result, marks, refs, jumps, stack = walk(self.RUN)
+        assert result == (x86.RETURN, None, 16)
+        assert marks == marked(len(self.RUN), 0, 1, 6, 13, 15)
         assert refs == [0x1000 + 13 + 0x10]
-        assert records == []
+        assert jumps == []
+        assert stack == [0x1000 + 15 + 2]
+        result, marks, _, _, stack = walk(self.RUN[:13] + b"\xeb\x02\xc3")
+        assert result == (x86.DIRECT_JUMP, 0x1000 + 15 + 2, 15)
+        assert marks == marked(len(self.RUN), 0, 1, 6, 13)
+        assert stack == []
 
-    def test_keeps_records_of_kept_bytes(self):
-        result, _, _, records = walk(self.RUN, kept=frozenset([0x8D]))
-        assert result[0] == x86.CONDITIONAL_JUMP
-        assert records == [(0x1006, d(self.RUN[6:13], 0x1006))]
+    def test_keeps_no_records(self):
+        # the lea leaves a reference but no record: walk appends to no
+        # list but refs, jumps and stack
+        result, _, refs, jumps, stack = walk(self.RUN[:13])
+        assert result == (x86.FALLTHROUGH, None, 13)
+        assert refs == [0x1000 + 13 + 0x10]
+        assert jumps == [] and stack == []
+
+    def test_branches_decode_in_one_call(self):
+        # k rounds of test eax, eax; jz rel32 and call rel32 to the ret
+        # after them: one call decodes all 3k + 1 instructions and pushes
+        # each branch's target, in decode order
+        k = 50
+        ret = 13 * k
+        code = bytearray()
+        for _ in range(k):
+            code += b"\x85\xc0\x0f\x84" + (ret - len(code) - 8).to_bytes(
+                4, "little")
+            code += b"\xe8" + (ret - len(code) - 5).to_bytes(4, "little")
+        code += b"\xc3"
+        result, marks, _, _, stack = walk(code)
+        assert result == (x86.RETURN, None, ret + 1)
+        assert sum(marks) == 3 * k + 1
+        assert stack == [0x1000 + ret] * (2 * k)
+
+    def test_marked_target_not_pushed(self):
+        # jz -2 lands on itself, marked by then, and call +0 on the
+        # marked nop after it: neither is pushed.  The call's target
+        # before the start map (-0x2000) and past it are pushed
+        code = (b"\x74\xfe" + b"\xe8" + bytes(4) + b"\x90\x90"
+                + b"\xe8" + (-0x2000).to_bytes(4, "little", signed=True)
+                + b"\xe8" + (0x10).to_bytes(4, "little") + b"\xc3")
+        marks = marked(len(code), 7)
+        result, marks, _, _, stack = walk(code, marks=marks)
+        assert result == (x86.FALLTHROUGH, None, 7)
+        assert stack == []
+        result, _, _, _, stack = walk(code, 8, marks=marks)
+        assert result == (x86.RETURN, None, len(code))
+        assert stack == [0x1000 + 14 - 0x2000, 0x1000 + 19 + 0x10]
 
     def test_stops_at_marked_start(self):
         marks = marked(len(self.RUN), 6)
-        result, marks, refs, _ = walk(self.RUN, marks=marks)
+        result, marks, refs, _, _ = walk(self.RUN, marks=marks)
         assert result == (x86.FALLTHROUGH, None, 6)
         assert marks == marked(len(self.RUN), 0, 1, 6)
         assert refs == []
@@ -178,20 +220,24 @@ class TestWalk:
 
     def test_ends_exactly_at_limit(self):
         # the mov ends at 6, the limit: no instruction is cut
-        result, marks, _, _ = walk(self.RUN, limit=6)
+        result, marks, _, _, _ = walk(self.RUN, limit=6)
         assert result == (x86.FALLTHROUGH, None, 6)
         assert marks == marked(len(self.RUN), 0, 1)
+        # a jz whose fall-through is the limit pushes its target first
+        result, marks, _, _, stack = walk(self.RUN, limit=15)
+        assert result == (x86.FALLTHROUGH, None, 15)
+        assert stack == [0x1000 + 15 + 2]
 
     def test_instruction_straddles_limit(self):
         # the lea at 6 would end at 13, past the limit: invalid there
         for limit in (7, 12):
-            result, marks, refs, _ = walk(self.RUN, limit=limit)
+            result, marks, refs, _, _ = walk(self.RUN, limit=limit)
             assert result == (None, None, 6)
             assert marks == marked(len(self.RUN), 0, 1)
             assert refs == []
 
     def test_invalid_byte(self):
-        result, marks, _, _ = walk(b"\x90\x90\x06\xc3")
+        result, marks, _, _, _ = walk(b"\x90\x90\x06\xc3")
         assert result == (None, None, 2)
         assert marks == marked(4, 0, 1)
 
@@ -200,17 +246,26 @@ class TestWalk:
 
     def test_moffs_address_and_indirect_jump(self):
         # mov eax, [0x2000]; jmp [rip+0]: the moffs address and the RIP
-        # target are references; the indirect jump keeps its record
+        # target are references, and the indirect jump's address is kept
         code = (b"\xa1" + (0x2000).to_bytes(8, "little")
                 + b"\xff\x25" + bytes(4))
-        result, _, refs, records = walk(code)
+        result, _, refs, jumps, _ = walk(code)
         assert result == (x86.INDIRECT_JUMP, None, 15)
         assert refs == [0x2000, 0x1000 + 15]
-        assert records == [(0x1009, d(code[9:], 0x1009))]
+        assert jumps == [0x1009]
 
     def test_direct_call_target(self):
-        result, _, _, _ = walk(b"\x90\xe8\xfb\xff\xff\xff")
-        assert result == (x86.DIRECT_CALL, 0x1001, 6)
+        # the call's target is pushed, and the walk goes on to the
+        # buffer's end
+        result, _, _, _, stack = walk(b"\x90\xe8\x0a\x00\x00\x00")
+        assert result == (x86.FALLTHROUGH, None, 6)
+        assert stack == [0x1010]
+
+    def test_decode_mode(self):
+        # with no start map, walk is decode with base for vaddr - offset
+        for off in range(len(self.RUN)):
+            assert x86.walk(self.RUN, off, 0x1000) == d(self.RUN[off:],
+                                                        0x1000 + off)
 
 
 F, ICALL, IJMP = x86.FALLTHROUGH, x86.INDIRECT_CALL, x86.INDIRECT_JUMP
@@ -552,16 +607,15 @@ class TestAgainstReferenceDecoder:
         with open("/usr/bin/ls", "rb") as fh:
             image = load_elf(fh.read())
         rng = random.Random(13)
-        kept = frozenset([0x8D, 0x63, 0x83])
         for iv in executable_ranges(image):
             base, buf = image.code_at(iv.start)
-            # (marks, refs, records) of each side
-            got = bytearray(len(buf)), [], []
-            want = bytearray(len(buf)), [], []
+            # (marks, refs, jumps, stack) of each side
+            got = bytearray(len(buf)), [], [], []
+            want = bytearray(len(buf)), [], [], []
             for off in range(len(buf)):
                 limit = rng.choice((None, off + rng.randint(0, 64)))
-                assert x86.walk(buf, off, base, limit, *got, kept) == \
-                    reference_walk(buf, off, base, limit, *want, kept), \
+                assert x86.walk(buf, off, base, limit, *got) == \
+                    reference_walk(buf, off, base, limit, *want), \
                     hex(base + off)
             assert got == want
 
@@ -569,13 +623,11 @@ class TestAgainstReferenceDecoder:
     @given(data=st.binary(max_size=40), offset=st.integers(0, 42),
            limit=st.none() | st.integers(0, 48),
            marked=st.sets(st.integers(0, 39), max_size=4),
-           base=st.integers(0, 1 << 48),
-           kept=st.frozensets(st.integers(0, 255)))
-    def test_walk_random_bytes(self, data, offset, limit, marked, base,
-                               kept):
+           base=st.integers(0, 1 << 48))
+    def test_walk_random_bytes(self, data, offset, limit, marked, base):
         marks = bytes(off in marked for off in range(len(data)))
-        got = bytearray(marks), [], []
-        want = bytearray(marks), [], []
-        assert x86.walk(data, offset, base, limit, *got, kept) == \
-            reference_walk(data, offset, base, limit, *want, kept)
+        got = bytearray(marks), [], [], []
+        want = bytearray(marks), [], [], []
+        assert x86.walk(data, offset, base, limit, *got) == \
+            reference_walk(data, offset, base, limit, *want)
         assert got == want
