@@ -16,6 +16,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -29,6 +31,7 @@ from .surface import (DEFAULT_GADGET_DEPTH, gadget_scan, metrics,
                       overall_coverage, wrpkru_scan)
 
 REPORT_SCHEMA = 1
+_CHUNK = 4096        # items of an iterator field per json.dumps call
 
 
 def _write_output(path, data):
@@ -60,17 +63,62 @@ def _load(args):
     return load_elf(Path(args.input).read_bytes())
 
 
+def _json_pieces(report, streams):
+    """The text of `json.dumps(report, sort_keys=True)` and a newline,
+    in pieces, where the value of each key in streams is an iterator.
+
+    Each run of other keys is encoded by one `json.dumps` call.  An
+    iterator is encoded as the JSON array of its items, one `json.dumps`
+    per _CHUNK items, so that its items are never all held at once.
+    """
+    yield "{"
+    sep, plain = "", {}
+    for key in sorted(report):
+        if key not in streams:
+            plain[key] = report[key]
+            continue
+        if plain:
+            yield sep
+            yield json.dumps(plain, sort_keys=True)[1:-1]
+            sep, plain = ", ", {}
+        yield sep
+        yield json.dumps(key) + ": ["
+        items = ""
+        while chunk := list(islice(report[key], _CHUNK)):
+            yield items
+            yield json.dumps(chunk, sort_keys=True)[1:-1]
+            items = ", "
+        yield "]"
+        sep = ", "
+    if plain:
+        yield sep
+        yield json.dumps(plain, sort_keys=True)[1:-1]
+    yield "}\n"
+
+
 def _report(command, args, data, fields):
     """Write the envelope every report shares and then fields, as one
-    line of JSON with sorted keys, to --out or stdout; returns 0."""
-    text = json.dumps({"schema": REPORT_SCHEMA, "tool_version": __version__,
-                       "command": command, "input": str(args.input),
-                       "sha256": hashlib.sha256(data).hexdigest(), **fields},
-                      sort_keys=True)
-    if args.out:
-        _write_output(args.out, (text + "\n").encode())
+    line of JSON with sorted keys, to --out or stdout; returns 0.
+
+    The text is `json.dumps(report, sort_keys=True)` and a newline, and
+    a report that holds no iterator is that one call.  A field may be an
+    iterator, which is encoded as a JSON array in chunks (see
+    _json_pieces); the pieces are joined once, with the newline.  The
+    text is encoded once for --out.
+    """
+    report = {"schema": REPORT_SCHEMA, "tool_version": __version__,
+              "command": command, "input": str(args.input),
+              "sha256": hashlib.sha256(data).hexdigest(), **fields}
+    streams = [key for key, value in fields.items()
+               if isinstance(value, Iterator)]
+    if streams:
+        text = "".join(_json_pieces(report, streams))
     else:
-        print(text)
+        text = json.dumps(report, sort_keys=True) + "\n"
+    if args.out:
+        _write_output(args.out, text.encode())
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -157,12 +205,13 @@ def cmd_scan(args):
     wrpkru = wrpkru_scan(image, report)
     # the output needs no more of the report, which holds no instruction
     # record: free its start map (a byte per executable byte), references
-    # and intervals before the gadget dicts and the JSON text are built
+    # and intervals before the JSON text is built.  The gadget dicts are
+    # built a chunk at a time, as _report encodes them
     del report
     return _report("scan", args, image.raw, {
-        "gadgets": [{"start": g.start, "length": g.length,
+        "gadgets": ({"start": g.start, "length": g.length,
                      "instructions": g.instruction_count,
-                     "terminator": g.terminator} for g in gadgets],
+                     "terminator": g.terminator} for g in gadgets),
         "wrpkru": [{"vaddr": va, "where": label} for va, label in wrpkru],
         "seconds": time.perf_counter() - start,
     })

@@ -241,10 +241,13 @@ def is_xom_enabled(image):
 
 
 def set_xom_flag(image):
-    raw = bytearray(image.raw)
-    raw[XOM_FLAG_INDEX] = XOM_FLAG_VALUE
+    """The image with the XOM flag set in its e_ident padding.  The new
+    file bytes are one join over views of the old: one copy."""
+    raw = memoryview(image.raw)
     # load_elf reads nothing of e_ident past its class and data bytes
-    return replace(image, raw=bytes(raw))
+    return replace(image, raw=b"".join((
+        raw[:XOM_FLAG_INDEX], bytes((XOM_FLAG_VALUE,)),
+        raw[XOM_FLAG_INDEX + 1:])))
 
 
 def serialize_lists(lists):
@@ -285,7 +288,8 @@ def deserialize_lists(payload):
 def attach_xom_section(image, lists):
     """The image with lists in a `.xom` section, the last header after
     the input's own, and after a new `.shstrtab` if the input has none.
-    Each header keeps the name load_elf gave it."""
+    Each header keeps the name load_elf gave it.  The output's bytes are
+    one join over a view of the input's, which copies them once."""
     if image.section_by_name(XOM_SECTION_NAME) is not None:
         raise SectionExists(".xom section already present")
     lists.validate(image.exec_ranges)
@@ -316,25 +320,29 @@ def attach_xom_section(image, lists):
         raise Unsupported("%d section headers do not fit e_shnum"
                           % len(shdrs))
 
-    out = bytearray(image.raw)
-    # pad so appended metadata is 8-aligned; segments are untouched
-    out += b"\x00" * (-len(out) % 8)
-    shdrs[shstrndx][4:6] = len(out), len(strtab)
-    out += strtab
-    out += b"\x00" * (-len(out) % 8)
-    shdrs[-1][4:6] = len(out), len(payload)
-    out += payload
-    out += b"\x00" * (-len(out) % 8)
-    shoff = len(out)
-    for sh in shdrs:
-        out += _SHDR.pack(*sh)
-
+    # the new ELF header, the rest of the input, then the name table, the
+    # payload and the header table, each 8-aligned; segments are
+    # untouched.  One join over a view of the input builds the output
+    strtab_off = _aligned(len(image.raw))
+    payload_off = _aligned(strtab_off + len(strtab))
+    shoff = _aligned(payload_off + len(payload))
+    shdrs[shstrndx][4:6] = strtab_off, len(strtab)
+    shdrs[-1][4:6] = payload_off, len(payload)
     fields[6] = shoff            # e_shoff
     fields[11] = _SHDR.size      # e_shentsize
     fields[12] = len(shdrs)      # e_shnum
     fields[13] = shstrndx        # e_shstrndx
-    _EHDR.pack_into(out, 0, *fields)
-    return load_elf(bytes(out))
+    return load_elf(b"".join((
+        _EHDR.pack(*fields), memoryview(image.raw)[_EHDR.size:],
+        bytes(strtab_off - len(image.raw)), strtab,
+        bytes(payload_off - strtab_off - len(strtab)), payload,
+        bytes(shoff - payload_off - len(payload)),
+        *[_SHDR.pack(*sh) for sh in shdrs])))
+
+
+def _aligned(offset):
+    """offset rounded up to a multiple of 8."""
+    return offset + -offset % 8
 
 
 def parse_xom_section(image):

@@ -83,10 +83,12 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
     # x86.walk with no start map decodes one instruction, as x86.decode
     # does, but with the block's start for base and no call in between
     walk, fallthrough = x86.walk, x86.FALLTHROUGH
+    # tuple.__new__ builds a Gadget without the named tuple's
+    # Python-level __new__, as monitor.fault_flow builds its transitions
+    new_gadget = tuple.__new__
     gadgets = []
-    for block in report.superset:
-        base = block.start
-        data = image.read_vaddr(base, len(block))
+    for base, end in report.superset.pairs():
+        data = image.read_vaddr(base, end - base)
         size = len(data)
         # chains[off]: (instruction count, terminator end, terminator) of
         # the gadget starting at off; chains[size] stays None, since a
@@ -110,20 +112,22 @@ def gadget_scan(image, report, max_instructions=DEFAULT_GADGET_DEPTH):
             ins = walk(data, off, base)
             if ins is None:
                 continue
-            va = base + off
-            length, kind, _, _, _, _, _ = ins
-            term = _TERMINATORS.get(kind)
-            if term is not None:
-                chain = (1, va + length, term)
-            elif kind is fallthrough:
-                chain = chains[off + length]
+            # most decoded instructions fall through: test that kind first
+            kind = ins[1]
+            if kind is fallthrough:
+                chain = chains[off + ins[0]]
                 if chain is None or chain[0] >= max_instructions:
                     continue
                 chain = (chain[0] + 1, chain[1], chain[2])
             else:
-                continue
+                term = _TERMINATORS.get(kind)
+                if term is None:
+                    continue
+                chain = (1, base + off + ins[0], term)
             chains[off] = chain
-            found.append(Gadget(va, chain[1] - va, chain[0], chain[2]))
+            va = base + off
+            found.append(new_gadget(Gadget, (va, chain[1] - va, chain[0],
+                                             chain[2])))
             floor = off - x86.MAX_INSN_LEN
         found.reverse()
         gadgets.extend(found)

@@ -1,4 +1,6 @@
+import argparse
 import gc
+import hashlib
 import json
 import os
 import stat
@@ -8,7 +10,7 @@ import time
 
 import pytest
 
-from pxom import blocks, cli
+from pxom import __version__, blocks, cli
 from pxom.cli import build_parser, main
 from pxom.disasm import DisassemblyReport, compute_superset
 from pxom.image import load_elf
@@ -351,6 +353,86 @@ class TestScan:
         gadgets = json.loads(out)["gadgets"]
         assert gadgets
         assert all(g["instructions"] == 1 for g in gadgets)
+
+
+N = cli._CHUNK
+
+
+def items(count):
+    """count dicts whose keys are not in sorted order."""
+    return ({"z": i, "a": "x%d" % i, "m": [i, None, 0.5]}
+            for i in range(count))
+
+
+def dumps_calls(monkeypatch):
+    """The list that each later json.dumps call appends its object to."""
+    real = json.dumps
+    calls = []
+
+    def counting(obj, *args, **kwargs):
+        calls.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    return calls
+
+
+class TestChunkedReport:
+    """_report encodes a field whose value is an iterator a chunk of
+    cli._CHUNK items at a time; its text is still that of one
+    json.dumps of the report, with the field as a list."""
+
+    # iterator fields sorting before every plain key, between the
+    # envelope's keys, after every plain key, and two side by side
+    @pytest.mark.parametrize("keys", [("a",), ("gadgets",), ("zzz",),
+                                      ("gadgets", "gadgetz")])
+    @pytest.mark.parametrize("count", [0, 1, N - 1, N, N + 1, 3 * N + 1])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_equals_one_dumps(self, capsys, tmp_path, keys, count, to_file):
+        out = tmp_path / "report.json"
+        args = argparse.Namespace(input="in.elf",
+                                  out=str(out) if to_file else None)
+        plain = {"aa": 1, "seconds": 0.25, "zz": [{"b": 2, "a": None}]}
+        assert cli._report("scan", args, b"data", {
+            **plain, **{key: items(count) for key in keys}}) == 0
+        expected = json.dumps({
+            "schema": cli.REPORT_SCHEMA, "tool_version": __version__,
+            "command": "scan", "input": "in.elf",
+            "sha256": hashlib.sha256(b"data").hexdigest(), **plain,
+            **{key: list(items(count)) for key in keys}},
+            sort_keys=True) + "\n"
+        text = out.read_text() if to_file else capsys.readouterr().out
+        # lengths and the first differing index: pytest's diff of two
+        # texts this long would take minutes
+        same = next((i for i, (a, b) in enumerate(zip(text, expected))
+                     if a != b), min(len(text), len(expected)))
+        assert (len(text), same) == (len(expected), len(expected))
+
+    def test_scan_encodes_chunks(self, capsys, tmp_path, monkeypatch):
+        # pop; ret pairs in a block no traversal reaches: two gadgets each
+        binary = tmp_path / "gadgets.elf"
+        binary.write_bytes(exec_elf(b"\xc3" + b"\x58\xc3" * N))
+        calls = dumps_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, "scan", "-i", str(binary))
+        assert code == 0
+        assert len(json.loads(out)["gadgets"]) == 2 * N
+        lists = [len(obj) for obj in calls if isinstance(obj, list)]
+        assert lists == [N, N]
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "simulate"])
+    def test_one_dumps_per_report(self, capsys, tmp_path, monkeypatch,
+                                  corpus, protected, command):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("R 1000 1\nI 100\n")
+        entry = corpus[0]
+        argv = {"analyze": ["-i", entry.binary],
+                "compare": ["-i", entry.binary,
+                            "--ground-truth", entry.ground_truth],
+                "simulate": ["-i", protected, "--trace", trace]}[command]
+        calls = dumps_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, command, *map(str, argv))
+        assert code == 0
+        assert len(calls) == 1 and json.loads(out)["command"] == command
 
 
 class TestCompare:

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import pytest
 
 from pxom.blocks import EmbeddedDataBlock, XomLists
@@ -157,3 +160,50 @@ class TestProtectBinary:
         lists = parse_xom_section(out)
         assert len(lists.optimization) == 1
         assert lists.optimization[0].static_ref_count == n
+
+
+class TestProtectMemory:
+    def test_peak_in_file_sizes(self):
+        # a 4 MiB block of int3 behind a one-ret entry.  While protect
+        # runs it holds the image's code bytes, the start map (a byte per
+        # executable byte), the flagged file and the output, each about
+        # the file's size; one more copy of it (a bytearray of the input
+        # turned into bytes) would pass the bound
+        code = b"\xc3" + b"\xcc" * (4 << 20)
+        data = exec_elf(code)
+        tracemalloc.start()
+        try:
+            out = protect_binary(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * len(data)
+        assert out == protected_layout(data, 0x1001, 0x1000 + len(code))
+
+
+def aligned(offset):
+    return offset + -offset % 8
+
+
+def protected_layout(data, start, end):
+    """The bytes of section-less data protected with one regular block
+    [start, end) of no reference: the flag, then a new name table, the
+    payload and three section headers, each 8-aligned."""
+    shdr = struct.Struct("<IIQQQQIIQQ")
+    strtab = b"\x00.shstrtab\x00.xom\x00"
+    payload = struct.pack("<4sIQQQQQ", b"XOM1", 1, 0, 1, start, end, 0)
+    strtab_off = aligned(len(data))
+    payload_off = aligned(strtab_off + len(strtab))
+    shoff = aligned(payload_off + len(payload))
+    fields = list(struct.unpack_from("<16sHHIQQQIHHHHHH", data))
+    fields[0] = fields[0][:10] + b"\x01" + fields[0][11:]
+    fields[6], fields[11:14] = shoff, (shdr.size, 3, 1)
+    out = bytearray(data)
+    struct.pack_into("<16sHHIQQQIHHHHHH", out, 0, *fields)
+    out += bytes(strtab_off - len(out)) + strtab
+    out += bytes(payload_off - len(out)) + payload
+    out += bytes(shoff - len(out))
+    out += shdr.pack(*[0] * 10)
+    out += shdr.pack(1, 3, 0, 0, strtab_off, len(strtab), 0, 0, 1, 0)
+    out += shdr.pack(11, 1, 0, 0, payload_off, len(payload), 0, 0, 8, 24)
+    return bytes(out)
