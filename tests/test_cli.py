@@ -378,11 +378,11 @@ def dumps_calls(monkeypatch):
 
 
 class TestChunkedReport:
-    """_report encodes a field whose value is an iterator a chunk of
+    """_report encodes a field whose value is a generator a chunk of
     cli._CHUNK items at a time; its text is still that of one
     json.dumps of the report, with the field as a list."""
 
-    # iterator fields sorting before every plain key, between the
+    # generator fields sorting before every plain key, between the
     # envelope's keys, after every plain key, and two side by side
     @pytest.mark.parametrize("keys", [("a",), ("gadgets",), ("zzz",),
                                       ("gadgets", "gadgetz")])
