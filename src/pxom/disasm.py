@@ -32,6 +32,9 @@ _PROLOGUE_PATTERNS = (
 )
 
 _JUMP_TABLE_WINDOW = 128      # max gap between table load and switch jump
+# the records a jump's table read depends on lie in [jump - _READ_REACH,
+# jump): the bound check may come up to 32 bytes before the lea
+_READ_REACH = _JUMP_TABLE_WINDOW + 32
 _JUMP_TABLE_MAX_ENTRIES = 1024
 _BOUND_GROUP = ((0x80,), (0x81,), (0x83,))     # /4 and, /7 cmp
 _BOUND_ACC = ((0x24,), (0x25,), (0x3C,), (0x3D,))          # al, eax
@@ -159,25 +162,56 @@ def _unmark(image, starts, stretches, start, end):
             starts[base][lo - base:hi - base] = bytes(hi - lo)
 
 
-def _sources(image, superset, starts, jumps, cache, commits=()):
+def _sources(image, superset, starts, jumps, cache, stretches=()):
     """(source, targets) for each source in SOURCE_ORDER, each list
-    sorted and found only when its turn comes; jump_table comes again
-    while the round before it grew commits, the list of committed
-    entries, as new code can dispatch through new tables.  starts, jumps
-    and cache are the jump-table finder's (`_jump_table_targets`).  All
-    but the program entry's lie in the image's code sections if it has
-    any, since an R+X segment may hold data sections too."""
+    sorted and found only when its turn comes.  starts, jumps and cache
+    are the jump-table finder's (`_jump_table_targets`), and stretches
+    the list of the code stretches that the last jump_table round
+    committed, which the caller fills and this generator empties.
+    jump_table comes again after a round whose commits can change what
+    the finder reads (`_changes_table_reads`): otherwise it would read
+    the same records under the same superset, and propose only targets
+    of the round before.  All but the program entry's lie in the image's
+    code sections if it has any, since an R+X segment may hold data
+    sections too."""
     code = image.code_sections or image.exec_ranges
     # load_elf keeps a nonzero entry inside the executable ranges
     yield "program_entry", [image.entry_point] if image.entry_point else []
     yield "frame_unwind", sorted(set(_frame_unwind_targets(image, code)))
     yield "address_taken", sorted(set(_address_taken_targets(image, code)))
     yield "heuristic", _prologue_starts(image, code)
-    count = -1
-    while count != len(commits):
-        count = len(commits)
+    while True:
+        count = len(jumps)
         yield "jump_table", _jump_table_targets(image, superset, starts,
                                                 jumps, cache)
+        if not stretches:               # the round committed nothing
+            return
+        if len(jumps) == count and not _changes_table_reads(stretches,
+                                                            jumps, cache):
+            return
+        stretches.clear()
+
+
+def _changes_table_reads(stretches, jumps, cache):
+    """Whether a stretch of committed code overlaps a window that the
+    jump-table finder reads, [jump - _READ_REACH, jump) for each jump of
+    jumps, or the 4 bytes at the target of a lea record of cache, which
+    the finder reads only while the superset holds them.  A commit
+    changes nothing else that the finder reads but the superset over a
+    table, and a table that leaves the superset drops its targets."""
+    jumps = sorted(jumps)
+    leas = sorted(ins[3] for ins in cache.values()
+                  if ins[4] == (0x8D,) and ins[3] is not None)
+    for start, end in stretches:
+        # the first jump, and the first lea target, that the stretch can
+        # reach; a later one lies further past its end
+        k = bisect_right(jumps, start)
+        if k < len(jumps) and jumps[k] - _READ_REACH < end:
+            return True
+        k = bisect_right(leas, start - 4)
+        if k < len(leas) and leas[k] < end:
+            return True
+    return False
 
 
 def detect_entry_points(image, superset, known_code, instructions):
@@ -228,9 +262,8 @@ def _jump_table_targets(image, superset, starts, jumps, cache):
     lo = 0
     for jump in sorted(jumps):
         first = max(lo, jump - _JUMP_TABLE_WINDOW)
-        # the bound check may come up to 32 bytes before the lea
         records = _kept_records(image, starts, bases, cache,
-                                jump - _JUMP_TABLE_WINDOW - 32, jump)
+                                jump - _READ_REACH, jump)
         lea = before_read = None
         for va, ins in records:
             if va < first:
@@ -343,8 +376,7 @@ def _address_taken_targets(image, ranges):
             values = _words(sec.data(image.raw), -sec.vaddr % 8, 8)
         else:
             continue
-        targets.extend(compress(values, ranges.contains_each(
-            values, [va + 1 for va in values])))
+        targets.extend(ranges.members(values))
     return targets
 
 
@@ -429,8 +461,9 @@ def compute_superset(image):
     cache = {}
     accepted = []
     traversed = set()
+    table_commits = []
     for source, targets in _sources(image, superset, starts, jumps, cache,
-                                    accepted):
+                                    table_commits):
         for va in targets:
             if va in traversed or not superset.contains_range(va, 1):
                 continue
@@ -440,6 +473,8 @@ def compute_superset(image):
                 stretches, walk_refs, walk_jumps = result
                 for start, end in stretches:
                     superset.remove(start, end)
+                if source == "jump_table":
+                    table_commits += stretches
                 refs += walk_refs
                 jumps += walk_jumps
                 accepted.append(EntryPoint(va, source))

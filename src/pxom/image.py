@@ -61,10 +61,13 @@ class Segment(namedtuple("Segment", "p_type flags offset vaddr filesz memsz")):
 
 @dataclass(frozen=True)
 class BinaryImage:
-    """A loaded ELF; only load_elf builds one.  Not a slots class: the
-    cached executable bytes live in the instance __dict__.  The two
-    IntervalSets are read-only (`executable_ranges` copies), and make
-    the image unhashable."""
+    """A loaded ELF.  load_elf reads one from the file bytes;
+    set_xom_flag and attach_xom_section derive one from another with
+    `dataclasses.replace`, equal to what load_elf reads from their
+    bytes.  Not a slots class: the cached executable bytes live in the
+    instance __dict__.  The two IntervalSets are read-only
+    (`executable_ranges` copies), are shared by the derived images, and
+    make the image unhashable."""
 
     raw: bytes
     elf_type: int
@@ -150,7 +153,6 @@ def load_elf(data):
                                     p_filesz, p_memsz))
     _check_code_segments_disjoint(segments)
 
-    sections = []
     shdrs = ()
     if e_shoff and (e_shnum == 0 or e_shstrndx == SHN_XINDEX):
         # extended numbering: a count or index that does not fit the ELF
@@ -167,30 +169,7 @@ def load_elf(data):
             raise Malformed("section header table out of bounds")
         shdrs = tuple(_SHDR.unpack_from(data, e_shoff + i * e_shentsize)
                       for i in range(e_shnum))
-        names = {}
-        if e_shstrndx:
-            stroff, strsize = shdrs[e_shstrndx][4], shdrs[e_shstrndx][5]
-            if stroff + strsize > len(data):
-                raise Malformed("section string table out of bounds")
-            strtab = data[stroff:stroff + strsize]
-            # each distinct offset is decoded once, and the names together
-            # may not outgrow the file: every name runs to the next NUL,
-            # so headers x table size could exhaust memory
-            total = 0
-            for name_off in {sh[0] for sh in shdrs}:
-                end = strtab.find(b"\x00", name_off)
-                end = end if end >= 0 else max(strsize, name_off)
-                total += end - name_off
-                if total > len(data):
-                    raise Malformed("section names exceed the file size")
-                names[name_off] = strtab[name_off:end].decode("latin-1")
-        for (sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size,
-             sh_link, sh_info, sh_align, sh_entsize) in shdrs:
-            if sh_type not in (8, 0) and sh_offset + sh_size > len(data):
-                raise Malformed("section exceeds file size")
-            sections.append(Section(names.get(sh_name, ""), sh_type, sh_flags,
-                                    sh_addr, sh_offset, sh_size, sh_entsize,
-                                    sh_link, sh_info, sh_align))
+    sections = _read_sections(data, shdrs, e_shstrndx)
 
     exec_ranges = IntervalSet.from_pairs(
         (seg.vaddr, seg.vaddr + seg.memsz) for seg in _code_segments(segments))
@@ -204,10 +183,43 @@ def load_elf(data):
     if e_entry and exec_ranges and e_entry not in exec_ranges:
         raise Malformed("entry point %#x outside executable ranges" % e_entry)
     return BinaryImage(raw=data, elf_type=e_type, entry_point=e_entry,
-                       sections=tuple(sections), segments=tuple(segments),
+                       sections=sections, segments=tuple(segments),
                        shdrs=shdrs, shstrndx=e_shstrndx,
                        exec_ranges=exec_ranges,
                        code_sections=IntervalSet.from_pairs(code_pairs))
+
+
+def _read_sections(data, shdrs, shstrndx):
+    """The Section of each header of shdrs, the 10-field tuples in file
+    order, named from header shstrndx's string table (no names if it is
+    0); data is the file.  Malformed if the name table or a section with
+    file bytes leaves data, or if the names together would outgrow it."""
+    names = {}
+    if shstrndx:
+        stroff, strsize = shdrs[shstrndx][4], shdrs[shstrndx][5]
+        if stroff + strsize > len(data):
+            raise Malformed("section string table out of bounds")
+        strtab = data[stroff:stroff + strsize]
+        # each distinct offset is decoded once, and the names together
+        # may not outgrow the file: every name runs to the next NUL, so
+        # headers x table size could exhaust memory
+        total = 0
+        for name_off in {sh[0] for sh in shdrs}:
+            end = strtab.find(b"\x00", name_off)
+            end = end if end >= 0 else max(strsize, name_off)
+            total += end - name_off
+            if total > len(data):
+                raise Malformed("section names exceed the file size")
+            names[name_off] = strtab[name_off:end].decode("latin-1")
+    sections = []
+    for (sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size,
+         sh_link, sh_info, sh_align, sh_entsize) in shdrs:
+        if sh_type not in (8, 0) and sh_offset + sh_size > len(data):
+            raise Malformed("section exceeds file size")
+        sections.append(Section(names.get(sh_name, ""), sh_type, sh_flags,
+                                sh_addr, sh_offset, sh_size, sh_entsize,
+                                sh_link, sh_info, sh_align))
+    return tuple(sections)
 
 
 def _check_code_segments_disjoint(segments):
@@ -289,7 +301,9 @@ def attach_xom_section(image, lists):
     """The image with lists in a `.xom` section, the last header after
     the input's own, and after a new `.shstrtab` if the input has none.
     Each header keeps the name load_elf gave it.  The output's bytes are
-    one join over a view of the input's, which copies them once."""
+    one join over a view of the input's, which copies them once, and the
+    output image is what load_elf reads from them, built from the header
+    table packed here with no second parse."""
     if image.section_by_name(XOM_SECTION_NAME) is not None:
         raise SectionExists(".xom section already present")
     lists.validate(image.exec_ranges)
@@ -332,12 +346,18 @@ def attach_xom_section(image, lists):
     fields[11] = _SHDR.size      # e_shentsize
     fields[12] = len(shdrs)      # e_shnum
     fields[13] = shstrndx        # e_shstrndx
-    return load_elf(b"".join((
+    shdrs = tuple(map(tuple, shdrs))
+    raw = b"".join((
         _EHDR.pack(*fields), memoryview(image.raw)[_EHDR.size:],
         bytes(strtab_off - len(image.raw)), strtab,
         bytes(payload_off - strtab_off - len(strtab)), payload,
         bytes(shoff - payload_off - len(payload)),
-        *[_SHDR.pack(*sh) for sh in shdrs])))
+        *[_SHDR.pack(*sh) for sh in shdrs]))
+    # segments and entry are the input's, and the two new sections are
+    # not code: only the section table changes
+    return replace(image, raw=raw, sections=_read_sections(raw, shdrs,
+                                                           shstrndx),
+                   shdrs=shdrs, shstrndx=shstrndx)
 
 
 def _aligned(offset):

@@ -7,8 +7,8 @@ disjoint, adjacent runs merged.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
-from operator import le
+from itertools import compress, repeat
+from operator import and_, le
 
 _set_field = object.__setattr__
 
@@ -97,6 +97,14 @@ class IntervalSet:
         limits[1::2] = b[1::2]
         found = map(bisect_right, repeat(b), starts)
         return map(le, ends, map(limits.__getitem__, found))
+
+    def members(self, addrs):
+        """An iterator of the addresses of the sequence addrs that lie in
+        the set, in their order; one bisect and one parity test each,
+        with the loop in C."""
+        odd = map(and_, map(bisect_right, repeat(self._bounds), addrs),
+                  repeat(1))
+        return compress(addrs, odd)
 
     def pairs(self):
         """(start, end) of each interval, in order."""

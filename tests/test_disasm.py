@@ -1368,8 +1368,10 @@ def test_jump_tables_found_in_later_rounds(monkeypatch, tmp_path):
     calls = count_jump_table_calls(monkeypatch)
     report = compute_superset(image)
     # the first finder call reads the outer table and the second adds
-    # the inner one; the third commits nothing and is the last
-    assert [len(targets) for targets in calls] == [4, 7, 7]
+    # the inner one.  The inner cases add no indirect jump and lie
+    # outside both windows and table loads, so a third call would read
+    # what the second did: it is skipped
+    assert [len(targets) for targets in calls] == [4, 7]
     # the two tables, 4 and 3 entries, are the data after the function
     gt_data = load_ground_truth(entry.ground_truth)
     *_, (outer, end) = gt_data.pairs()
@@ -1409,6 +1411,232 @@ def test_jump_table_finder_runs_once_without_tables(monkeypatch):
         detect_entry_points(load_elf(data), report.superset, report.code,
                             report.instructions)
         assert calls == [[]]
+
+
+# Switches whose table read changes once a case is committed: the
+# next finder call must come.  Each function is proposed by its FDE;
+# its cases are reached only through its table.
+EXIT_START = """\
+\t.text
+\t.globl _start
+\t.p2align 4
+gtf_0_s:
+_start:
+\tmovl $60, %eax
+\txorl %edi, %edi
+\tsyscall
+\tud2
+gtf_0_e:
+\t.p2align 4
+"""
+LATE_TABLE_READS = {
+    # case1 lies in the window before the jump, and its cmp raises the
+    # entry count from 2 to 4
+    "bound": EXIT_START + """\
+gtf_1_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp dispatch
+case1:
+\tcmpl $3, %esi
+\tmovl $11, %eax
+\tjmp done
+dispatch:
+\tjmp *%rax
+case0:
+\tmovl $10, %eax
+\tjmp done
+case2:
+\tmovl $12, %eax
+\tjmp done
+case3:
+\tmovl $13, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_1_e:
+gtd_0_s:
+\t.long case0 - gtd_0_s, case1 - gtd_0_s, case2 - gtd_0_s, case3 - gtd_0_s
+""",
+    # case1's lea becomes the last one before the entry read, so the
+    # jump reads the second table
+    "lea": EXIT_START + """\
+gtf_1_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rax
+\tjmp read
+case1:
+\tleaq gtd_1_s(%rip), %rax
+\tmovl $11, %esi
+\tjmp done
+read:
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+case0:
+\tmovl $10, %eax
+\tjmp done
+inner0:
+\tmovl $20, %eax
+\tjmp done
+inner1:
+\tmovl $21, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_1_e:
+gtd_0_s:
+\t.long case0 - gtd_0_s, case1 - gtd_0_s
+gtd_1_s:
+\t.long inner0 - gtd_1_s, inner1 - gtd_1_s
+""",
+    # the first function's second lea loads the address of the second
+    # function's case_x, which reads as a table of targets outside the
+    # image until the second switch commits it; the first function's
+    # own table is read then.  The 256-byte alignment keeps each
+    # function's cases out of the other's window
+    "lea-target": EXIT_START + """\
+gtf_1_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rax
+\tleaq case_x(%rip), %rsi
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+case0:
+\tmovl $10, %eax
+\tjmp done
+case1:
+\tmovl $11, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_1_e:
+gtd_0_s:
+\t.long case0 - gtd_0_s, case1 - gtd_0_s
+\t.balign 256
+gtf_2_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done2
+\tleaq gtd_2_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %rdx
+\taddq %rdx, %rax
+\tjmp *%rax
+c2_0:
+\tmovl $20, %eax
+\tjmp done2
+case_x:
+\tmovabsq $0x7f7f, %rax
+done2:
+\tret
+\t.cfi_endproc
+gtf_2_e:
+gtd_2_s:
+\t.long c2_0 - gtd_2_s, case_x - gtd_2_s
+""",
+    # the second table's case1 is an indirect jump, first in its stretch
+    # and 160 nop bytes before the second jump's window: only the new
+    # jump tells that the first table is read now
+    "jump": EXIT_START + """\
+gtf_1_s:
+\t.cfi_startproc
+\tmovl %edi, %ecx
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_0_s(%rip), %rdx
+\tmovslq (%rdx,%rcx,4), %rsi
+\taddq %rsi, %rdx
+\tjmp second
+case1:
+\tjmp *%rdx
+second:
+\t.fill 160, 1, 0x90
+\tcmpl $1, %ecx
+\tja done
+\tleaq gtd_1_s(%rip), %rax
+\tmovslq (%rax,%rcx,4), %r8
+\taddq %r8, %rax
+\tjmp *%rax
+case0:
+\tmovl $10, %eax
+\tjmp done
+inner0:
+\tmovl $20, %eax
+\tjmp done
+inner1:
+\tmovl $21, %eax
+done:
+\tret
+\t.cfi_endproc
+gtf_1_e:
+gtd_0_s:
+\t.long inner0 - gtd_0_s, inner1 - gtd_0_s
+gtd_1_s:
+\t.long case0 - gtd_1_s, case1 - gtd_1_s
+""",
+}
+
+
+@pytest.mark.parametrize("kind, rounds", [("bound", [2, 4]),
+                                          ("lea", [2, 2]),
+                                          ("lea-target", [2, 4]),
+                                          ("jump", [2, 4])])
+def test_table_read_changed_by_a_commit(monkeypatch, tmp_path, kind,
+                                        rounds):
+    require_tool(*CORPUS_TOOLS)
+    entry = build_program(LATE_TABLE_READS[kind], tmp_path, kind)
+    image = load_elf(entry.binary.read_bytes())
+    calls = count_jump_table_calls(monkeypatch)
+    report = compute_superset(image)
+    assert [len(targets) for targets in calls] == rounds
+    # the second call proposes targets the first did not, and commits
+    # them: without it the report would differ
+    later = set(calls[1]) - set(calls[0])
+    assert later
+    assert {ep.vaddr for ep in report.entry_points
+            if ep.source == "jump_table"} >= later
+    assert report.code.intersection_size(
+        load_ground_truth(entry.ground_truth)) == 0
+    assert report == reference_compute_superset(image)
+    # detect_entry_points commits nothing: one finder call
+    calls.clear()
+    detect_entry_points(image, report.superset, report.code,
+                        report.instructions)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stretch, changes", [
+    ((0x1000, 0x1001), False),
+    ((0x1000 - 8, 0x2000 - 160), False),    # ends where the window starts
+    ((0x1000 - 8, 0x2000 - 159), True),
+    ((0x2000 - 1, 0x2000), True),           # the window's last byte
+    ((0x2000, 0x2008), False),              # the jump itself
+    ((0x3000 - 8, 0x3000), False),          # ends at a lea target
+    ((0x3000 - 8, 0x3001), True),
+    ((0x3003, 0x3004), True),               # its fourth byte
+    ((0x3004, 0x3010), False),
+])
+def test_changes_table_reads(stretch, changes):
+    # a jump at 0x2000, and a lea (and a movsxd) record targeting 0x3000
+    cache = {0x1f00: (7, None, None, 0x3000, (0x8D,), 0x05, None),
+             0x1f10: (4, None, None, 0x5000, (0x63,), 0x04, None)}
+    assert disasm._changes_table_reads([stretch], [0x2000],
+                                       cache) is changes
+    assert disasm._changes_table_reads([(0x10, 0x20), stretch],
+                                       [0x800, 0x2000], cache) is changes
 
 
 # The program entry dispatches through a table of two cases; the

@@ -525,6 +525,49 @@ class TestExtendedNumbering:
             load_elf(bytes(data))
 
 
+class TestKeptImage:
+    """attach_xom_section derives its output image from the header table
+    it packs, with no second parse: it must equal what load_elf reads
+    from the output's bytes."""
+
+    SHAPES = {
+        "plain": lambda d: d,
+        "80-byte-entries": lambda d: relaid(d, 80, 0xAA),
+        "shstrndx-undef": lambda d: with_shstrndx(d, lambda n: 0),
+        "extended-numbering": with_escapes,
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_header_shapes(self, corpus, shape):
+        image = load_elf(self.SHAPES[shape](corpus[0].binary.read_bytes()))
+        out, _, lists = protect_image(image)
+        assert out == load_elf(out.raw)
+        assert attach_xom_section(image, lists) == load_elf(
+            attach_xom_section(image, lists).raw)
+
+    def test_no_section_headers(self):
+        image = load_elf(exec_elf(b"\xc3" * 64))
+        assert image.shdrs == ()
+        lists = XomLists(regular=blocks((0x1001, 0x1040, 0)),
+                         optimization=[])
+        out = attach_xom_section(image, lists)
+        assert out == load_elf(out.raw)
+        assert parse_xom_section(out) == lists
+
+    def test_corpus(self, corpus):
+        for entry in corpus:
+            out = protect_image(load_elf(entry.binary.read_bytes()))[0]
+            assert out == load_elf(out.raw)
+
+    def test_ls(self):
+        if not os.path.exists("/usr/bin/ls"):
+            pytest.skip("/usr/bin/ls not available")
+        with open("/usr/bin/ls", "rb") as fh:
+            out = protect_image(load_elf(fh.read()))[0]
+        assert out == load_elf(out.raw)
+        assert out.sections[-1].name == ".xom"
+
+
 def test_from_pairs_rejects_empty_pair():
     with pytest.raises(ValueError, match="empty interval"):
         IntervalSet.from_pairs([(0x1000, 0x1008), (0x1010, 0x1010)])

@@ -134,6 +134,9 @@ def check_against_model(s, model, other, other_model):
     ends = [a + size for a in PROBES for size in SIZES]
     assert list(s.contains_each(starts, ends)) == [
         model.issuperset(range(a, e)) for a, e in zip(starts, ends)]
+    # repeated, out of order and outside the set: kept in their order
+    probes = [*PROBES[::-1], *PROBES]
+    assert list(s.members(probes)) == [a for a in probes if a in model]
     assert s.intersection_size(other) == len(model & other_model)
     assert other.intersection_size(s) == len(model & other_model)
     for a, b, left in ((s, other, model - other_model),
