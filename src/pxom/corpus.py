@@ -307,8 +307,9 @@ def load_ground_truth(path):
     """Parse a `0xSTART 0xEND` per-line interval file.
 
     Blank lines and `#` comments are skipped.  Any other line that is
-    not two hex numbers with 0 <= START < END, or a byte that is not
-    UTF-8, raises GroundTruthParse.
+    not two hex numbers (ASCII hex digits, each with an optional 0x)
+    with START < END, or a byte that is not UTF-8, raises
+    GroundTruthParse.
     """
     pairs = []
     text = GroundTruthParse.decode(Path(path).read_bytes())
@@ -318,10 +319,11 @@ def load_ground_truth(path):
             continue
         try:
             start_s, end_s = line.split()
-            start, end = int(start_s, 16), int(end_s, 16)
+            start = GroundTruthParse.number(start_s, 16)
+            end = GroundTruthParse.number(end_s, 16)
         except ValueError:
             start = end = 0
-        if not 0 <= start < end:
+        if not start < end:
             raise GroundTruthParse("expected `0xSTART 0xEND` with "
                                    "0 <= START < END, got %r" % line, lineno)
         pairs.append((start, end))

@@ -66,6 +66,20 @@ class _LineParse(PxomError):
             raise cls("not UTF-8: byte %#04x" % data[exc.start], len(
                 (data[:exc.start].decode() + ".").splitlines())) from None
 
+    @staticmethod
+    def number(token, base):
+        """int(token, base) for ASCII digits, and an optional 0x before
+        hex ones; ValueError for anything else.
+
+        int() alone also takes a sign, `_` separators and other scripts'
+        digits.  An ASCII letter or digit string has none of them, and
+        int() rejects any letter that is no digit of the base but the x
+        of a leading 0x.
+        """
+        if not (token.isascii() and token.isalnum()):
+            raise ValueError("not a base-%d number: %r" % (base, token))
+        return int(token, base)
+
 
 class TraceParse(_LineParse):
     """Malformed trace line."""

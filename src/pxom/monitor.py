@@ -2,16 +2,22 @@
 
 A Monitor owns the two block lists.  Reads fully contained in one listed
 block are allowed via a restore / single-step / revoke flow, which
-`fault_flow` returns as transitions and the monitor keeps no state for;
-anything else terminates the monitor and freezes a forensic record.
+`fault_flow` returns as transitions; anything else terminates the
+monitor and freezes a forensic record.
 
-A read costs a bisect and a read-count increment.  Verdicts, `scan_log`
-lists and the transitions after `Fault` are shared values built once per
-monitor; a read allocates its `Fault` transition, the transition list and
-the tuples that carry them.  `run_trace` hands each read to `fault_flow`
-as a plain (addr, size) tuple and builds a `ReadRequest` only for a
-denial.  `parse_trace` reads a trace in canonical form in one pass over
-its tokens; any other text takes the line parser.
+The first occurrence of a read costs a bisect, a read-count increment
+and its transition list: its `Fault` transition, then the transitions
+after `Fault`, built once per page pair.  `fault_flow` keeps each
+distinct allowed request's block index and transition list, so a repeat
+costs one dict lookup plus the read count, `scan_log` and promotion of
+its block, and returns the same list: callers compare transition lists,
+never mutate them.  One entry per distinct allowed read, so the trace
+being run bounds the dict; denials and invalid sizes are never kept.
+Verdicts and `scan_log` lists are shared values built once per monitor.
+`run_trace` hands each read to `fault_flow` as a plain (addr, size)
+tuple and builds a `ReadRequest` only for a denial.  `parse_trace` reads
+a trace in canonical form in one pass over its tokens; any other text
+takes the line parser.
 """
 
 import re
@@ -127,6 +133,9 @@ class Monitor:
                 _SCAN_OPTIMIZATION
         self._allowed = [None] * len(self._blocks)   # verdicts, built lazily
         self._tails = {}
+        # request -> (block index, transitions) of each distinct allowed
+        # read; the requests of the trace being run bound it
+        self._flows = {}
 
     @property
     def forensic_record(self):
@@ -152,6 +161,10 @@ class Monitor:
         self._record = value
 
     def check_read(self, request):
+        return self._check(request)[1]
+
+    def _check(self, request):
+        """(block index or None, verdict) for one read."""
         if self.terminated:
             raise MonitorTerminated("monitor already terminated")
         addr, size = request
@@ -166,10 +179,15 @@ class Monitor:
                 tuple(map(_READS, self._blocks))))
             self.terminated = True
             self.scan_log = _SCAN_BOTH
-            return _DENIED[i >= 0 and addr < self._ends[i]]
+            return None, _DENIED[i >= 0 and addr < self._ends[i]]
         # a plain tuple can name a size that fits the block but is no read
         if not 1 <= size <= MAX_READ_SIZE:
             ReadRequest(addr, size)             # raises its ValueError
+        return i, self._allow(i)
+
+    def _allow(self, i):
+        """Verdict for an allowed read of block i: count it, set scan_log
+        and promote the block past PROMOTION_THRESHOLD reads."""
         block = self._blocks[i]
         reads = block.read_count = block.read_count + 1
         verdict = self._allowed[i]
@@ -192,14 +210,20 @@ class Monitor:
     def fault_flow(self, request):
         """Transition sequence for one faulting read.
 
-        Returns (verdict, transitions).
+        Returns (verdict, transitions).  The transitions of an allowed
+        read are kept and returned again for every repeat of its
+        request, so callers compare them, never mutate them.
         """
+        stored = self._flows.get(request)
+        if stored is not None and not self.terminated:
+            i, flow = stored
+            return self._allow(i), flow
         # tuple.__new__ builds the same value without the namedtuple's
         # Python-level __new__
         fault = tuple.__new__(StateTransition,
                               ("Fault", "%#x+%d" % request))
-        verdict = self.check_read(request)
-        if verdict.outcome == DENIED:
+        i, verdict = self._check(request)
+        if i is None:
             return verdict, [fault, _CHECK_FAIL, _TERMINATE[verdict.reason]]
         # a read that crosses a page boundary needs every page it touches
         addr, size = request
@@ -207,7 +231,9 @@ class Monitor:
         steps = self._tails.get(key)
         if steps is None:
             steps = self._tails[key] = _allowed_tail(*key)
-        return verdict, [fault, *steps]
+        flow = [fault, *steps]
+        self._flows[request] = (i, flow)
+        return verdict, flow
 
     def nearest_block(self, addr, size):
         """The block a read overlaps, else the closest one, else None."""
@@ -270,8 +296,9 @@ _COMMENT = re.compile("#[^\n]*")
 def parse_trace(text):
     """Trace grammar: `R <hex addr> <decimal size>`, `I <count>`, `#` comments.
 
-    A text in canonical form, where every line ends in a line feed and
-    is `R <1-16 hex digits> <1..64, no leading zero>`, `I <1-18 digits>`,
+    Numbers are ASCII digits, and an address may start with 0x.  A text
+    in canonical form, where every line ends in a line feed and is
+    `R <1-16 hex digits> <1..64, no leading zero>`, `I <1-18 digits>`,
     `#` and printable ASCII, or empty, is read as one stream of tokens.
     Any other text goes to the line parser, which gives the same events
     and is the only source of TraceParse errors.
@@ -295,16 +322,14 @@ def _parse_lines(text):
             continue
         try:
             if parts[0] == "R" and len(parts) == 3:
-                addr = int(parts[1], 16)
-                size = int(parts[2], 10)
-                if addr >= 0 and 1 <= size <= MAX_READ_SIZE:
+                addr = TraceParse.number(parts[1], 16)
+                size = TraceParse.number(parts[2], 10)
+                if 1 <= size <= MAX_READ_SIZE:
                     append(("R", addr, size))
                     continue
             elif parts[0] == "I" and len(parts) == 2:
-                n = int(parts[1], 10)
-                if n >= 0:
-                    append(("I", n))
-                    continue
+                append(("I", TraceParse.number(parts[1], 10)))
+                continue
             else:
                 raise ValueError
         except ValueError:

@@ -218,6 +218,17 @@ def reference_new_monitor(lists, executable_ranges=None):
     return ReferenceMonitor(lists, executable_ranges)
 
 
+_DIGITS = {16: "0123456789abcdefABCDEF", 10: "0123456789"}
+
+
+def _number(token, base):
+    """int(token, base) for ASCII digits, hex ones with an optional 0x."""
+    digits = token[2:] if base == 16 and token[:2] in ("0x", "0X") else token
+    if not digits or any(c not in _DIGITS[base] for c in digits):
+        raise ValueError(token)
+    return int(digits, base)
+
+
 def reference_parse_trace(text):
     """Trace grammar: `R <hex addr> <decimal size>`, `I <count>`, `#` comments."""
     events = []
@@ -228,11 +239,11 @@ def reference_parse_trace(text):
         parts = stripped.split()
         try:
             if parts[0] == "R" and len(parts) == 3:
-                event = ("R", int(parts[1], 16), int(parts[2], 10))
-                valid = event[1] >= 0 and 1 <= event[2] <= MAX_READ_SIZE
+                event = ("R", _number(parts[1], 16), _number(parts[2], 10))
+                valid = 1 <= event[2] <= MAX_READ_SIZE
             elif parts[0] == "I" and len(parts) == 2:
-                event = ("I", int(parts[1], 10))
-                valid = event[1] >= 0
+                event = ("I", _number(parts[1], 10))
+                valid = True
             else:
                 raise ValueError
         except ValueError:

@@ -14,7 +14,7 @@ from pxom import disasm, x86
 from pxom.corpus import build_corpus, build_program, load_ground_truth
 from pxom.disasm import (_JUMP_TABLE_WINDOW, EntryPoint, _jump_table_targets,
                          _traverse, compute_superset, detect_entry_points)
-from pxom.errors import NoExecutableCode, OutOfRange
+from pxom.errors import GroundTruthParse, NoExecutableCode, OutOfRange
 from pxom.image import executable_ranges, load_elf
 from pxom.intervals import IntervalSet
 from pxom.protector import count_static_refs
@@ -744,6 +744,22 @@ def test_ground_truth_file_grammar(tmp_path):
     ivs = load_ground_truth(path)
     assert [(iv.start, iv.end) for iv in ivs] == \
         [(0x1000, 0x1010), (0x2000, 0x2004)]
+
+
+@pytest.mark.parametrize("line", [
+    "0x1_000 0x2000", "+0x10 0x20", "0x10 +0x20", "0x10 0x\u0662\u0660",
+    "0x 0x20", "0x10 0x_20"])
+def test_ground_truth_numbers_are_ascii_hex(tmp_path, line):
+    """Signs, `_` separators and non-ASCII digits, which int() accepts,
+    fail at their line; with or without 0x, ASCII hex reads."""
+    path = tmp_path / "x.gt"
+    path.write_text("0x10 0x20\n\n%s\n" % line)
+    with pytest.raises(GroundTruthParse) as exc:
+        load_ground_truth(path)
+    assert exc.value.lineno == 3
+    path.write_text("10 0X20\n0x30 3F\n")
+    assert [(iv.start, iv.end) for iv in load_ground_truth(path)] == \
+        [(0x10, 0x20), (0x30, 0x3F)]
 
 
 def union_of(insns):

@@ -160,6 +160,66 @@ class TestFaultFlow:
             assert not shadow.flag
 
 
+class TestStoredReads:
+    """fault_flow keeps each distinct allowed read's block and
+    transitions, and returns the same list for every repeat."""
+
+    def test_read_request_and_tuple_share_one_entry(self):
+        m = one_block_monitor()
+        _, first = m.fault_flow(ReadRequest(0x1004, 4))
+        verdict, again = m.fault_flow((0x1004, 4))
+        assert again is first and verdict.outcome == ALLOWED
+        assert len(m._flows) == 1
+        assert m.lists.regular[0].read_count == 2
+
+    def test_stored_read_after_denial_raises(self):
+        m = one_block_monitor()
+        request = ReadRequest(0x1000, 8)
+        m.fault_flow(request)
+        assert m.fault_flow(ReadRequest(0x1800, 8))[0].outcome == DENIED
+        for call in (m.fault_flow, m.check_read):
+            with pytest.raises(MonitorTerminated):
+                call(request)
+        assert m.lists.regular[0].read_count == 1
+
+    @pytest.mark.parametrize("read", [(0x1000, 100), (0x1010, 0),
+                                      (0x1010, -8)])
+    def test_bad_size_never_stored(self, read):
+        m = new_monitor(lists_with(regular=[(0x1000, 0x1100, 0)]))
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                m.fault_flow(read)
+            m.fault_flow((0x1000, 4))
+        assert m.lists.regular[0].read_count == 3
+        assert list(m._flows) == [(0x1000, 4)]
+
+    def test_stored_page_crossing_read_matches_reference(self):
+        pairs = [(0xFF8, 0x1010, 0)]
+        m = new_monitor(lists_with(regular=pairs))
+        ref = reference_new_monitor(lists_with(regular=pairs))
+        request = ReadRequest(0xFFC, 8)
+        shadow = ShadowPages()
+        flows = []
+        for _ in range(3):
+            verdict, ts = m.fault_flow(request)
+            assert ts == ref.fault_flow(request)[1]
+            shadow.replay(request, verdict, ts)
+            flows.append(ts)
+        assert flows[1] is flows[0] and flows[2] is flows[0]
+        assert [t.detail for t in flows[0]
+                if t.name == "RestorePageReadable"] == ["0x0", "0x1"]
+
+    def test_stored_read_promotes_its_block_once(self):
+        m = one_block_monitor()
+        request = ReadRequest(0x1000, 8)
+        promoted = [i for i in range(3 * PROMOTION_THRESHOLD)
+                    if m.fault_flow(request)[0].promoted]
+        assert promoted == [PROMOTION_THRESHOLD]     # the 101st read
+        assert m.lists.regular == [] and len(m.lists.optimization) == 1
+        assert m.lists.optimization[0].read_count == 3 * PROMOTION_THRESHOLD
+        assert m.scan_log == ["optimization"]
+
+
 class TestTermination:
     def test_absorbing_after_denied(self):
         m = one_block_monitor()
@@ -198,6 +258,17 @@ class TestTraces:
                                       "I -5"])
     def test_out_of_range_values_carry_line(self, line):
         with pytest.raises(TraceParse) as exc:
+            parse_trace("R 0x1000 64\nI 0\n%s\n" % line)
+        assert exc.value.lineno == 3
+
+    @pytest.mark.parametrize("line", [
+        "R 1_0 4", "R 10 \u0668", "R +10 4", "R 10 +4", "R -0x10 4",
+        "R 0x 4", "R 0x_10 4", "R \uff11\uff10 4", "I 1_000", "I +5",
+        "I \u0663"])
+    def test_numbers_outside_grammar_carry_line(self, line):
+        """Signs, `_` separators and non-ASCII digits, which int()
+        accepts, are no trace numbers."""
+        with pytest.raises(TraceParse, match="unrecognized event") as exc:
             parse_trace("R 0x1000 64\nI 0\n%s\n" % line)
         assert exc.value.lineno == 3
 
